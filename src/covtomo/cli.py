@@ -19,19 +19,20 @@ from .logio import export_log, import_log, load_matrix, load_tree, save_matrix, 
 from .model import branching_skeleton
 from .ordering import dfs_order
 from .recover import RecoveryConfig, auto_rho, recover_tree
-from .scenarios import load_config, run_dynamic_scenario, run_scenario, write_report
-from .simulator import SimulatorConfig, generate_topology, simulate_session
+from .scenarios import (
+    _sim_from_resolved,
+    load_config,
+    run_dynamic_scenario,
+    run_scenario,
+    write_report,
+)
+from .simulator import generate_topology, simulate_session
 
 
 def _cmd_simulate(args) -> None:
     resolved = load_config(args.config)
     seed = args.seed if args.seed is not None else resolved["seeds"][0]
-    kwargs = dict(resolved["simulator"])
-    for key in ("link_base_delay_us", "link_delay_var_ms2", "pair_schedule_us"):
-        if kwargs.get(key) is not None:
-            kwargs[key] = tuple(kwargs[key])
-    kwargs["seed"] = seed
-    sim = SimulatorConfig(**kwargs)
+    sim = _sim_from_resolved(resolved, seed=seed)
     net = generate_topology(sim)
     log = simulate_session(net, sim)
     export_log(log, args.out)

@@ -1,15 +1,28 @@
 """Delay-covariance estimation from packet-pair arrival logs.
 
-The pipeline per receiver pair: align the pair indices both receivers
-observed, normalize each receiver's arrivals into a delay-offset series
-(constant path delay and any constant per-receiver clock offset cancel, so
-no clock synchronization is needed), then take the unbiased sample
-covariance of the two series. Series are integer microseconds; covariances
-come out in ms^2.
+The reference pipeline per receiver pair: align the pair indices both
+receivers observed, normalize each receiver's arrivals into a delay-offset
+series (constant path delay and any constant per-receiver clock offset
+cancel, so no clock synchronization is needed), then take the unbiased
+sample covariance of the two series. Series are integer microseconds;
+covariances come out in ms^2. On integer series the estimate is
+(n*sum(xy) - sum(x)*sum(y)) / (n*(n-1)*10^6) in exact integer arithmetic,
+so it is bit-identical under constant shifts of either series and under
+consistent permutation of the sample pairs.
 
-Integer-valued series go through an exact integer path, so the estimate is
-bit-identical under constant shifts of either series and under consistent
-permutation of the sample pairs.
+`build_covariance_matrix` and `covariance_oracle_from_log` compute that
+same value for every pair from one all-pairs kernel. One pass over the log
+builds a presence mask M and send-to-arrival offsets X (receivers x pair
+indices, zero where a packet was lost, each row shifted by a constant).
+Each pair's sample count, cross sum and the two per-pair sums over its
+common indices are then entries of
+
+    N = M M^T,   Sxy = X X^T,   Sx = X M^T   (Sy = Sx^T)
+
+and cov = (N*Sxy - Sx*Sx^T) / (N*(N-1)*10^6) elementwise. The row shifts
+cancel in the numerator. Magnitude guards keep every step exact (see
+`_columns` and `_cov_from_sums`), so each entry equals the reference
+estimator bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +36,9 @@ from .errors import InputError, InsufficientDataError, InvariantError, Measureme
 from .model import CovarianceMatrix, DelaySeries, MeasurementLog, NodeId
 
 _US2_PER_MS2 = 10**6
+_F64_EXACT = 2**53  # float64 holds every integer of smaller magnitude
+_I64_LIMIT = 2**63
+_RAW_LIMIT = 2**62  # int64 timestamps below this give exact int64 differences
 
 
 def align_pairs(log: MeasurementLog, receivers) -> tuple[int, ...]:
@@ -76,14 +92,15 @@ def normalize_series(log: MeasurementLog, receiver: NodeId, aligned) -> DelaySer
     return DelaySeries(receiver=receiver, indices=aligned, values=tuple(values))
 
 
-def _exact_int_cov_ms2(xs, ys, n: int) -> float:
+def _int_cov_ms2(n: int, sx: int, sy: int, sxy: int) -> float:
     # n*sum(xy) - sum(x)*sum(y) is shift-invariant in exact integer
-    # arithmetic, so constant offsets cancel bit-exactly.
-    sx = sum(xs)
-    sy = sum(ys)
-    sxy = sum(x * y for x, y in zip(xs, ys))
-    num = n * sxy - sx * sy
-    return num / (n * (n - 1) * _US2_PER_MS2)
+    # arithmetic, so constant offsets cancel bit-exactly; int / int is
+    # correctly rounded
+    return (n * sxy - sx * sy) / (n * (n - 1) * _US2_PER_MS2)
+
+
+def _exact_int_cov_ms2(xs, ys, n: int) -> float:
+    return _int_cov_ms2(n, sum(xs), sum(ys), sum(x * y for x, y in zip(xs, ys)))
 
 
 def estimate_covariance(sa: DelaySeries, sb: DelaySeries) -> float:
@@ -107,43 +124,114 @@ def estimate_covariance(sa: DelaySeries, sb: DelaySeries) -> float:
     return acc / (n - 1) / _US2_PER_MS2
 
 
-def _receiver_arrays(log: MeasurementLog, receivers):
-    """Per-receiver presence mask and send-to-arrival offsets over 0..n-1."""
+def _within_raw_limit(values) -> bool:
+    return not values.size or (-_RAW_LIMIT < values.min() and values.max() < _RAW_LIMIT)
+
+
+def _fill_columns(log: MeasurementLog, ids, dtype):
+    """Presence mask and row-shifted send-to-arrival offsets over pair
+    indices 0..n-1, plus the largest offset magnitude.
+
+    With ``dtype=np.int64`` offsets are taken in int64 and stored as float64
+    (OverflowError when a timestamp is 2^62 or more in magnitude); with
+    ``dtype=object`` both arrays hold Python ints. Each row is shifted by
+    its integer midrange, which minimises its largest |x|.
+    """
     n = log.n_pairs
-    sender = np.array([log.sender_ts[k] for k in range(n)], dtype=np.int64)
-    masks = {}
-    offsets = {}
-    for r in receivers:
+    store = np.float64 if dtype is np.int64 else object
+    sender = np.fromiter((log.sender_ts[k] for k in range(n)), dtype, n)
+    if dtype is np.int64 and not _within_raw_limit(sender):
+        raise OverflowError("sender timestamp too large for int64 offsets")
+    mask = np.zeros((len(ids), n), dtype=store)
+    offsets = np.zeros((len(ids), n), dtype=store)
+    xmax = 0
+    for i, r in enumerate(ids):
         entries = log.arrivals.get(r, {})
-        mask = np.zeros(n, dtype=bool)
-        vals = np.zeros(n, dtype=np.int64)
-        for k, ts in entries.items():
-            mask[k] = True
-            vals[k] = ts
-        vals -= sender
-        masks[r] = mask
-        offsets[r] = vals
-    return masks, offsets
+        keys = np.fromiter(entries, np.intp, len(entries))
+        arrival = np.fromiter(entries.values(), dtype, len(entries))
+        mask[i, keys] = 1
+        if not keys.size:
+            continue
+        if dtype is np.int64 and not _within_raw_limit(arrival):
+            raise OverflowError(f"arrival timestamp at {r!r} too large for int64 offsets")
+        off = arrival - sender[keys]
+        lo, hi = int(off.min()), int(off.max())
+        mid = (lo + hi) // 2
+        offsets[i, keys] = off - mid
+        xmax = max(xmax, hi - mid, mid - lo)
+    return mask, offsets, xmax
 
 
-def _pair_cov_ms2(xm, ym, n: int) -> float:
-    # shift by the first sample to keep int64 products small, then use the
-    # same exact integer formula as estimate_covariance
-    x = xm - xm[0]
-    y = ym - ym[0]
-    sx = int(x.sum())
-    sy = int(y.sum())
-    sxy = int((x * y).sum())
-    num = n * sxy - sx * sy
-    return num / (n * (n - 1) * _US2_PER_MS2)
+def _columns(log: MeasurementLog, ids):
+    """The kernel's inputs for ``ids``: presence mask M, shifted offsets X,
+    and whether the numerator needs Python ints.
+
+    Exactness contract, with n the most arrivals of any receiver and x the
+    largest shifted offset:
+
+    * M and X are float64 only while n * x^2 < 2^53. Every product and
+      partial sum of the BLAS sums is then an integer below 2^53, so they
+      are exact whatever the summation order.
+    * The numerator then fits int64 while n^2 * x^2 < 2^63 (it is at most
+      n^2 * x^2 by Cauchy-Schwarz, as is each of its two products), and the
+      denominator while n^2 * 10^6 < 2^63; otherwise both are taken in
+      Python ints (the returned flag).
+    * When the float64 guard fails, or a timestamp is too large for int64
+      offsets, M and X hold Python ints (dtype=object), and numpy's object
+      matmul sums them exactly with the same formula.
+    """
+    try:
+        mask, offsets, xmax = _fill_columns(log, ids, np.int64)
+    except OverflowError:
+        pass
+    else:
+        nmax = int(mask.sum(axis=1).max(initial=0))
+        if nmax * xmax**2 < _F64_EXACT:
+            return mask, offsets, nmax**2 * max(xmax**2, _US2_PER_MS2) >= _I64_LIMIT
+    mask, offsets, _ = _fill_columns(log, ids, object)
+    return mask, offsets, True
+
+
+def _cov_from_sums(counts, cross, sums, wide: bool) -> np.ndarray:
+    """(N*Sxy - Sx*Sx^T) / (N*(N-1)*10^6) elementwise, each entry equal to
+    Python's correctly rounded int / int on the exact numerator.
+
+    Float64 sums are exact integers (see `_columns`) and are taken to int64,
+    or to Python ints when ``wide``. A float64 division is correctly rounded
+    only while numerator and denominator are below 2^53 in magnitude; the
+    other entries are divided as Python ints.
+    """
+    if counts.dtype != object:
+        ints = object if wide else np.int64
+        counts, cross, sums = (
+            a.astype(np.int64).astype(ints, copy=False) for a in (counts, cross, sums)
+        )
+    num = counts * cross - sums * sums.T
+    den = counts * (counts - 1) * _US2_PER_MS2
+    if num.dtype == object:
+        return (num / den).astype(np.float64)
+    values = num / den
+    for i, j in zip(*np.nonzero((np.abs(num) >= _F64_EXACT) | (den >= _F64_EXACT))):
+        values[i, j] = int(num[i, j]) / int(den[i, j])
+    return values
 
 
 def build_covariance_matrix(log: MeasurementLog, receivers) -> CovarianceMatrix:
     """Pairwise covariance matrix over the given receiver order.
 
-    Each unordered pair is aligned on its own common index set (this keeps
-    the most samples per pair); the matrix is exactly symmetric and the
-    diagonal holds each receiver's sample variance over its own arrivals.
+    Each unordered pair is estimated over its own common index set (this
+    keeps the most samples per pair), and the diagonal holds each
+    receiver's sample variance over its own arrivals. All pairs come from
+    one all-pairs kernel: three matrix products of the presence mask and
+    the shifted offsets (see the module docstring). Under the guards of
+    `_columns` the products are exact float64 integer sums, the numerator
+    is exact in int64 or Python ints, and every entry equals
+    `estimate_covariance` on the pair's aligned series bit for bit; the
+    matrix is exactly symmetric.
+
+    Raises InsufficientDataError for the first receiver with fewer than 2
+    arrivals or pair with fewer than 2 common indices, in row-major order
+    over the upper triangle (receiver i before the pairs (i, j > i)).
     """
     ids = tuple(receivers)
     if len(ids) < 2:
@@ -153,46 +241,48 @@ def build_covariance_matrix(log: MeasurementLog, receivers) -> CovarianceMatrix:
     unknown = set(ids) - set(log.receivers)
     if unknown:
         raise InputError(f"receivers not in log: {sorted(unknown)}")
-    masks, offsets = _receiver_arrays(log, ids)
-    values = np.zeros((len(ids), len(ids)), dtype=float)
-    for i, a in enumerate(ids):
-        na = int(masks[a].sum())
-        if na < 2:
-            raise InsufficientDataError(f"receiver {a!r} has only {na} arrivals")
-        xa = offsets[a][masks[a]]
-        values[i, i] = _pair_cov_ms2(xa, xa, na)
-        for j in range(i + 1, len(ids)):
-            b = ids[j]
-            common = masks[a] & masks[b]
-            n = int(common.sum())
-            if n < 2:
-                raise InsufficientDataError(
-                    f"pair ({a!r}, {b!r}) shares only {n} pair indices"
-                )
-            cov = _pair_cov_ms2(offsets[a][common], offsets[b][common], n)
-            values[i, j] = cov
-            values[j, i] = cov
+    mask, offsets, wide = _columns(log, ids)
+    counts = mask @ mask.T
+    short = np.argwhere(np.triu(counts < 2))
+    if len(short):
+        i, j = short[0]
+        n = int(counts[i, j])
+        if i == j:
+            raise InsufficientDataError(f"receiver {ids[i]!r} has only {n} arrivals")
+        raise InsufficientDataError(f"pair ({ids[i]!r}, {ids[j]!r}) shares only {n} pair indices")
+    values = _cov_from_sums(counts, offsets @ offsets.T, offsets @ mask.T, wide)
     return CovarianceMatrix(ids, values)
 
 
 def covariance_oracle_from_log(log: MeasurementLog):
     """Pairwise-covariance provider backed by a measurement log, with a small
-    cache; raises MeasurementGapError when a pair cannot be estimated."""
+    cache; raises MeasurementGapError when a pair cannot be estimated.
+
+    The kernel's columns are built once; each requested pair's sums are
+    dot products of its two rows, so a value equals the matrix entry.
+    """
+    ids = sorted(log.receivers)
+    row = {r: i for i, r in enumerate(ids)}
+    mask, offsets, _ = _columns(log, ids)
     cache: dict[frozenset, float] = {}
-    masks, offsets = _receiver_arrays(log, sorted(log.receivers))
 
     def oracle(a: NodeId, b: NodeId) -> float:
         key = frozenset((a, b))
         if key in cache:
             return cache[key]
-        if a not in masks or b not in masks:
-            missing = a if a not in masks else b
+        if a not in row or b not in row:
+            missing = a if a not in row else b
             raise MeasurementGapError(f"no measurements for {missing!r} (pair ({a!r}, {b!r}))")
-        common = masks[a] & masks[b]
-        n = int(common.sum())
+        i, j = row[a], row[b]
+        n = int(mask[i] @ mask[j])
         if n < 2:
             raise MeasurementGapError(f"pair ({a!r}, {b!r}) shares only {n} pair indices")
-        cov = _pair_cov_ms2(offsets[a][common], offsets[b][common], n)
+        cov = _int_cov_ms2(
+            n,
+            int(offsets[i] @ mask[j]),
+            int(mask[i] @ offsets[j]),
+            int(offsets[i] @ offsets[j]),
+        )
         cache[key] = cov
         return cov
 

@@ -24,7 +24,7 @@ timing and drops packets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
@@ -440,7 +440,3 @@ def analytic_path_variance(net: SimulatedNetwork, i: NodeId) -> float:
     """Total delay variance of one client's path (used for stderr bands in
     convergence checks)."""
     return sum(net.link_params[l][1] for l in net.path_links(i))
-
-
-def with_seed(config: SimulatorConfig, seed: int) -> SimulatorConfig:
-    return replace(config, seed=seed)

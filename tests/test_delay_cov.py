@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covtomo.delay_cov import (
     align_pairs,
@@ -314,6 +317,16 @@ def test_matrix_errors_name_the_pair():
         build_covariance_matrix(log, ["a", "b"])
     with pytest.raises(InputError):
         build_covariance_matrix(log, ["a"])
+    # the first failure in row-major order over the upper triangle wins:
+    # receiver i is checked before the pairs (i, j > i), so the short pair
+    # (a, b) is reported ahead of receiver c and its single arrival
+    log = fixed_log({"a": {0: 10, 1: 40}, "b": {2: 70, 3: 100}, "c": {4: 130}}, 5, 30)
+    with pytest.raises(InsufficientDataError) as err:
+        build_covariance_matrix(log, ["a", "b", "c"])
+    assert str(err.value) == "pair ('a', 'b') shares only 0 pair indices"
+    with pytest.raises(InsufficientDataError) as err:
+        build_covariance_matrix(log, ["c", "a", "b"])
+    assert str(err.value) == "receiver 'c' has only 1 arrivals"
 
 
 def test_oracle_from_log_matches_matrix_and_reports_gaps():
@@ -331,3 +344,92 @@ def test_oracle_from_log_matches_matrix_and_reports_gaps():
         oracle("a", "c")
     with pytest.raises(MeasurementGapError):
         oracle("a", "unknown")
+
+
+# ----------------------------------------------------------------------
+# exactness of the all-pairs kernel against the reference estimator
+
+
+def reference_cov(log, a, b):
+    aligned = align_pairs(log, {a, b})
+    return estimate_covariance(normalize_series(log, a, aligned), normalize_series(log, b, aligned))
+
+
+def assert_kernel_matches_reference(log):
+    """Every matrix entry, diagonal included, and every oracle value equals
+    the reference estimator bit for bit."""
+    ids = sorted(log.receivers)
+    cov = build_covariance_matrix(log, ids)
+    cov.validate()
+    oracle = covariance_oracle_from_log(log)
+    for a in ids:
+        for b in ids:
+            want = reference_cov(log, a, b).hex()
+            assert cov.get(a, b).hex() == want, (a, b)
+            assert oracle(a, b).hex() == want, (a, b)
+
+
+@pytest.mark.parametrize(
+    "n, swing, clock",
+    [
+        (50, 2 * 10**11, 0),  # int64 products overflow: Python-int sums
+        (2000, 3_800_000, 0),  # exact float64 sums, numerator beyond int64
+        (2000, 2_999_999, 0),  # int64 numerator beyond 2^53: exact division
+        (50, 1000, 2**64),  # timestamps beyond int64
+    ],
+)
+def test_kernel_exact_at_large_magnitudes(n, swing, clock):
+    # each delay is 0 or swing, so the offsets sit at the guards' worst case;
+    # receivers share most of their bits, so off-diagonal entries are large too
+    rng = np.random.default_rng(11)
+    delta = 1000
+    bits = rng.integers(0, 2, n) ^ (rng.random((6, n)) < 0.2)
+    arrivals = {
+        f"r{r}": {k: clock + k * delta + swing * int(bits[r, k]) for k in range(n)}
+        for r in range(len(bits))
+    }
+    assert_kernel_matches_reference(fixed_log(arrivals, n, delta))
+
+
+def test_kernel_exact_when_offsets_wrap_int64():
+    # every timestamp fits int64, but the send-to-arrival offsets span 2^64
+    n, delta = 40, 1000
+    sender = [-(2**63) + k * delta for k in range(n)]
+    jump = 2**64 - 2**20
+    arrivals = {
+        r: {k: sender[k] + (k % 2) * jump + k * step for k in range(n)}
+        for r, step in (("a", 3), ("b", 5))
+    }
+    assert_kernel_matches_reference(make_log(sender, arrivals, interval_us=delta))
+
+
+@st.composite
+def lossy_logs(draw):
+    """Integer logs in fixed-interval or timestamped mode where every pair of
+    receivers shares at least the two anchor indices (often exactly those)."""
+    n = draw(st.integers(2, 24))
+    if draw(st.booleans()):
+        interval = draw(st.integers(1, 1000))
+        start = draw(st.integers(0, 10**6))
+        sender = [start + k * interval for k in range(n)]
+    else:
+        interval = None
+        gaps = draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
+        sender = list(itertools.accumulate(gaps))
+    anchors = set(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    swing = draw(st.sampled_from([10, 10**4, 10**7, 10**11]))
+    clock = draw(st.sampled_from([0, 10**9, 2**64]))
+    arrivals = {}
+    for r in range(draw(st.integers(2, 5))):
+        present = anchors | draw(st.sets(st.integers(0, n - 1)))
+        offset = draw(st.integers(0, clock))
+        delays = draw(st.lists(st.integers(0, swing), min_size=n, max_size=n))
+        arrivals[f"r{r}"] = {k: sender[k] + offset + delays[k] for k in sorted(present)}
+    return make_log(sender, arrivals, interval_us=interval)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(lossy_logs())
+def test_kernel_equals_reference_on_random_lossy_logs(log):
+    log.validate()
+    assert_kernel_matches_reference(log)
