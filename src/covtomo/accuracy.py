@@ -7,6 +7,9 @@ the fraction of correct triples over the full |X|^3 cube, repeated indices
 included; a self-share counts the leaf's full depth, which makes every
 degenerate triple classify correctly in any pair of trees, so a
 distinct-triples variant is reported alongside for sharper comparisons.
+
+Both variants come from one exact integer count of correct triples, made
+from per-row histograms of shared-path lengths (see `_correct_triples`).
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ def shared_length_matrix(tree: RoutingTree, leaf_order) -> np.ndarray:
     """Matrix of pairwise shared-path lengths (links from the root to the
     LCA); the diagonal holds each leaf's depth."""
     ids = list(leaf_order)
+    if not ids:
+        raise InputError("leaf_order must not be empty")
     paths = [tree.path_from_root(x) for x in ids]
     depth = max(len(p) for p in paths)
     node_code = {}
@@ -68,6 +73,73 @@ def shared_length_matrix(tree: RoutingTree, leaf_order) -> np.ndarray:
     return common - 1
 
 
+# histogram cells (and index entries) built per block of rows, which keeps
+# the kernel's scratch arrays to a few MB; a block holds at least one row
+_BLOCK_CELLS = 1 << 18
+
+
+def _dense_ranks(lengths: np.ndarray) -> np.ndarray:
+    """Each length replaced by its rank among the distinct lengths present.
+
+    Only the order of lengths enters a comparison, and a tree over n leaves
+    has at most 2n - 1 distinct shared lengths (n leaf depths, n - 1
+    branching LCAs), so relay chains cannot inflate the histograms."""
+    present = np.zeros(int(lengths.max()) + 1, dtype=bool)
+    present[lengths] = True
+    return (np.cumsum(present) - 1)[lengths]
+
+
+def _correct_triples(rec: np.ndarray, tru: np.ndarray) -> int:
+    """Number of ordered triples (i, j, k) with
+    ``(rec[i,j] >= rec[i,k]) == (tru[i,j] >= tru[i,k])``, counted exactly.
+
+    For each row i, H[i, a, b] counts the k with (rec, tru) lengths (a, b).
+    Two cumulative sums give le[i, a, b], the k with rec <= a and tru <= b;
+    inclusion-exclusion gives gt, the k with rec > a and tru > b. A j with
+    lengths (a, b) agrees with exactly the k counted by le + gt, so
+    correct = sum(H * (le + gt)). That is O(n^2 + n * A * B) for A and B
+    distinct lengths per tree, instead of comparing n^2 pairs per row.
+
+    Exactness: every array holds counts; H * (le + gt) sums to at most n^2
+    per row, so the int64 total is at most n^3 < 2^63 for any n below 2^21,
+    far past any n whose n x n matrices fit in memory. The result is a
+    Python int."""
+    n = rec.shape[0]
+    rec, tru = _dense_ranks(rec), _dense_ranks(tru)
+    width = int(tru.max()) + 1
+    cells = (int(rec.max()) + 1) * width
+    block = max(1, _BLOCK_CELLS // max(cells, n))
+    correct = 0
+    for start in range(0, n, block):
+        rows = min(block, n - start)
+        code = rec[start : start + rows] * width + tru[start : start + rows]
+        code += np.arange(0, rows * cells, cells, dtype=np.int64)[:, None]
+        hist = np.bincount(code.ravel(), minlength=rows * cells).reshape(rows, -1, width)
+        le = hist.cumsum(axis=1).cumsum(axis=2)
+        gt = n - le[:, :, -1:] - le[:, -1:, :] + le
+        correct += int((hist * (le + gt)).sum())
+    return correct
+
+
+def _count_correct(recovered: RoutingTree, truth: RoutingTree, ids: list) -> int:
+    return _correct_triples(shared_length_matrix(recovered, ids), shared_length_matrix(truth, ids))
+
+
+def _checked_ids(recovered: RoutingTree, truth: RoutingTree, X) -> list:
+    ids = sorted(set(X))
+    if not ids:
+        raise InputError("X must not be empty")
+    _check_leaves(recovered, truth, ids)
+    return ids
+
+
+def _p_distinct(correct: int, n: int) -> float:
+    # every degenerate triple classifies correctly, so it is counted in
+    # `correct` and subtracted here
+    degenerate = n**3 - n * (n - 1) * (n - 2)
+    return (correct - degenerate) / (n * (n - 1) * (n - 2))
+
+
 def tomography_accuracy(
     recovered: RoutingTree,
     truth: RoutingTree,
@@ -76,25 +148,17 @@ def tomography_accuracy(
 ) -> float:
     """Fraction of ordered leaf triples from X classified consistently by the
     two trees. With include_degenerate=False, triples with repeated indices
-    are dropped (requires |X| >= 3)."""
-    ids = sorted(set(X))
-    if not ids:
-        raise InputError("X must not be empty")
-    _check_leaves(recovered, truth, ids)
+    are dropped (requires |X| >= 3).
+
+    The count of correct triples is an exact integer (see
+    `_correct_triples`) and p is its Python-int division by n^3, so p is
+    the correctly rounded fraction."""
+    ids = _checked_ids(recovered, truth, X)
     n = len(ids)
-    p_rec = shared_length_matrix(recovered, ids)
-    p_tru = shared_length_matrix(truth, ids)
-    correct = 0
-    for i in range(n):
-        rec = p_rec[i][:, None] >= p_rec[i][None, :]
-        tru = p_tru[i][:, None] >= p_tru[i][None, :]
-        correct += int((rec == tru).sum())
-    if include_degenerate:
-        return correct / n**3
-    if n < 3:
+    if not include_degenerate and n < 3:
         raise InputError("distinct-triples accuracy needs at least 3 leaves")
-    degenerate = n**3 - n * (n - 1) * (n - 2)
-    return (correct - degenerate) / (n * (n - 1) * (n - 2))
+    correct = _count_correct(recovered, truth, ids)
+    return correct / n**3 if include_degenerate else _p_distinct(correct, n)
 
 
 @dataclass(frozen=True)
@@ -107,13 +171,13 @@ class AccuracyReport:
 
 
 def score_trees(recovered: RoutingTree, truth: RoutingTree, X=None) -> AccuracyReport:
-    """Convenience wrapper computing both accuracy variants over X (defaults
-    to all shared leaves)."""
-    ids = sorted(recovered.leaves & truth.leaves) if X is None else sorted(set(X))
-    p = tomography_accuracy(recovered, truth, ids)
-    p_distinct = (
-        tomography_accuracy(recovered, truth, ids, include_degenerate=False)
-        if len(ids) >= 3
-        else None
+    """Both accuracy variants over X (defaults to all shared leaves), from
+    one count of correct triples; each equals its `tomography_accuracy`."""
+    ids = _checked_ids(recovered, truth, recovered.leaves & truth.leaves if X is None else X)
+    n = len(ids)
+    correct = _count_correct(recovered, truth, ids)
+    return AccuracyReport(
+        p=correct / n**3,
+        p_distinct=_p_distinct(correct, n) if n >= 3 else None,
+        n_leaves=n,
     )
-    return AccuracyReport(p=p, p_distinct=p_distinct, n_leaves=len(ids))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .model import NodeId, RoutingTree
-from .recover import Case, RecoveryConfig, classify_case, find_attachment_router
+from .recover import Case, RecoveryConfig, attach_shallower, classify_case
 
 
 def select_representatives(tree: RoutingTree, m: NodeId) -> dict[NodeId, NodeId]:
@@ -110,15 +110,7 @@ def attach_peer(tree: RoutingTree, cov_oracle, k: NodeId, config: RecoveryConfig
             m = ctx.best_child
             continue
         # SHALLOWER: the peer split off above m
-        r_star, exact = find_attachment_router(tree, ctx.best_rep, ctx.best_cov, rho)
-        if exact or tree.parent(r_star) is None:
-            tree.add_leaf(k, r_star)
-        elif tree.router_cov.get(r_star, 0.0) >= ctx.best_cov + rho:
-            parent_cov = tree.router_cov.get(tree.parent(r_star), 0.0)
-            hidden = tree.insert_router_above(r_star, max(ctx.best_cov, parent_cov))
-            tree.add_leaf(k, hidden)
-        else:
-            tree.add_leaf(k, r_star)
+        attach_shallower(tree, ctx.best_rep, k, ctx.best_cov, rho)
         return tree
 
 

@@ -91,10 +91,14 @@ def find_attachment_router(
     return node, exact
 
 
-def _attach_shallower(
-    tree: RoutingTree, prev_leaf: NodeId, new_leaf: NodeId, sigma: float, rho: float
+def attach_shallower(
+    tree: RoutingTree, from_leaf: NodeId, new_leaf: NodeId, sigma: float, rho: float
 ) -> None:
-    r_star, exact = find_attachment_router(tree, prev_leaf, sigma, rho)
+    """SHALLOWER case, shared by the static and the join walk: attach
+    ``new_leaf``, whose covariance with ``from_leaf`` is ``sigma``, at the
+    attachment router found from ``from_leaf``, or below a hidden router
+    inserted just above it."""
+    r_star, exact = find_attachment_router(tree, from_leaf, sigma, rho)
     if exact or tree.parent(r_star) is None:
         # direct attachment; the root branch also covers the degenerate
         # negative-target fallback where no insertion point exists above
@@ -157,6 +161,6 @@ def recover_tree(
             router = tree.insert_router_above(prev_leaf, max(sigma_cur, parent_cov))
             tree.add_leaf(new_leaf, router)
         else:
-            _attach_shallower(tree, prev_leaf, new_leaf, sigma_cur, rho)
+            attach_shallower(tree, prev_leaf, new_leaf, sigma_cur, rho)
         sigma_prev = sigma_cur
     return tree

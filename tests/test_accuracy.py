@@ -1,9 +1,13 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from covtomo.accuracy import classify_triple, score_trees, tomography_accuracy
+from covtomo import accuracy
+from covtomo.accuracy import classify_triple, score_trees, shared_length_matrix, tomography_accuracy
 from covtomo.errors import InputError
 from covtomo.model import RoutingTree
 
@@ -124,3 +128,89 @@ def test_score_trees_reports_both_variants():
     n = 3
     degenerate = n**3 - n * (n - 1) * (n - 2)
     assert report.p * n**3 == pytest.approx(report.p_distinct * (n**3 - degenerate) + degenerate)
+
+
+def test_score_trees_equals_both_accuracy_calls():
+    rng = np.random.default_rng(34)
+    for _ in range(30):
+        n = int(rng.integers(2, 9))
+        t1, _ = random_truth_tree(rng, n)
+        t2, _ = random_truth_tree(rng, n)
+        leaves = sorted(t1.leaves)
+        size = int(rng.integers(1, n + 1))
+        for X in (None, rng.choice(leaves, size=size, replace=False).tolist()):
+            report = score_trees(t1, t2, X)
+            ids = leaves if X is None else X
+            assert report.n_leaves == len(ids)
+            assert report.p.hex() == tomography_accuracy(t1, t2, ids).hex()
+            if len(ids) >= 3:
+                distinct = tomography_accuracy(t1, t2, ids, include_degenerate=False)
+                assert report.p_distinct.hex() == distinct.hex()
+            else:
+                assert report.p_distinct is None
+
+
+def test_shared_length_matrix_rejects_empty_order():
+    with pytest.raises(InputError, match="must not be empty"):
+        shared_length_matrix(caterpillar(), [])
+
+
+@st.composite
+def routing_trees(draw, leaves):
+    """Star, caterpillar or random branching over ``leaves`` in a drawn
+    order, with single-child relay chains drawn above some nodes."""
+    order = draw(st.permutations(leaves))
+    shape = draw(st.sampled_from(["star", "caterpillar", "random"]))
+    tree = RoutingTree("root")
+    if shape == "star":
+        for leaf in order:
+            tree.add_leaf(leaf, "root")
+    elif shape == "caterpillar":
+        spine = "root"
+        for leaf in order[:-2]:
+            tree.add_leaf(leaf, spine)
+            spine = tree.add_router(spine, 0.0)
+        for leaf in order[-2:]:
+            tree.add_leaf(leaf, spine)
+    else:
+        tree.add_leaf(order[0], "root")
+        for leaf in order[1:]:
+            target = draw(st.sampled_from(sorted(tree.nodes())))
+            if target == "root":
+                tree.add_leaf(leaf, "root")
+            elif draw(st.booleans()):
+                tree.add_leaf(leaf, tree.insert_router_above(target, 0.0))
+            else:
+                tree.add_leaf(leaf, tree.parent(target))
+    for node in draw(st.lists(st.sampled_from(sorted(tree.nodes())), max_size=4)):
+        for _ in range(draw(st.integers(0, 6)) if node != "root" else 0):
+            tree.insert_router_above(node, 0.0)
+    return tree
+
+
+@st.composite
+def scored_pairs(draw):
+    """Two trees over the same leaves, shaped independently (a star can
+    meet a deep caterpillar), and X a subset of the leaves, usually strict."""
+    leaves = [f"h{i:02d}" for i in range(draw(st.integers(2, 12)))]
+    recovered = draw(routing_trees(leaves))
+    truth = draw(routing_trees(leaves))
+    size = draw(st.integers(1, len(leaves) if draw(st.booleans()) else len(leaves) - 1))
+    return recovered, truth, draw(st.permutations(leaves))[:size]
+
+
+@settings(max_examples=200)
+@given(scored_pairs())
+def test_counting_kernel_equals_brute_force(pair):
+    recovered, truth, X = pair
+    p = float(brute_force_p(recovered, truth, X))
+    distinct = float(brute_force_p(recovered, truth, X, distinct=True)) if len(X) >= 3 else None
+    # all rows in one block, then one row per block as at large n
+    for block_cells in (accuracy._BLOCK_CELLS, 1):
+        with mock.patch.object(accuracy, "_BLOCK_CELLS", block_cells):
+            assert tomography_accuracy(recovered, truth, X) == p
+            if distinct is None:
+                with pytest.raises(InputError, match="at least 3"):
+                    tomography_accuracy(recovered, truth, X, include_degenerate=False)
+            else:
+                assert tomography_accuracy(recovered, truth, X, include_degenerate=False) == distinct

@@ -428,7 +428,7 @@ def lossy_logs(draw):
     return make_log(sender, arrivals, interval_us=interval)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(lossy_logs())
 def test_kernel_equals_reference_on_random_lossy_logs(log):
     log.validate()
