@@ -11,9 +11,10 @@ so it is bit-identical under constant shifts of either series and under
 consistent permutation of the sample pairs.
 
 `build_covariance_matrix` and `covariance_oracle_from_log` compute that
-same value for every pair from one all-pairs kernel. One pass over the log
-builds a presence mask M and send-to-arrival offsets X (receivers x pair
-indices, zero where a packet was lost, each row shifted by a constant).
+same value for every pair from one all-pairs kernel. Whole-array operations
+on the log's columns (`MeasurementLog.present`, `recv` and `sender`) give a
+presence mask M and send-to-arrival offsets X (receivers x pair indices,
+zero where a packet was lost, each row shifted by a constant).
 Each pair's sample count, cross sum and the two per-pair sums over its
 common indices are then entries of
 
@@ -48,17 +49,16 @@ def align_pairs(log: MeasurementLog, receivers) -> tuple[int, ...]:
     Raises InsufficientDataError when fewer than 2 indices survive.
     """
     receivers = set(receivers)
-    unknown = receivers - set(log.receivers)
+    unknown = receivers - log.receivers
     if unknown:
         raise InputError(f"receivers not in log: {sorted(unknown)}")
-    common = set(log.sender_ts)
-    for r in receivers:
-        common &= set(log.arrivals.get(r, {}))
+    rows = [log.row(r) for r in receivers]
+    common = np.flatnonzero(np.logical_and.reduce(log.present[rows], axis=0))
     if len(common) < 2:
         raise InsufficientDataError(
             f"only {len(common)} pair indices shared by {sorted(receivers)}"
         )
-    return tuple(sorted(common))
+    return tuple(common.tolist())
 
 
 def normalize_series(log: MeasurementLog, receiver: NodeId, aligned) -> DelaySeries:
@@ -73,23 +73,19 @@ def normalize_series(log: MeasurementLog, receiver: NodeId, aligned) -> DelaySer
     if not aligned:
         raise InputError("empty aligned index set")
     arr = log.arrivals.get(receiver, {})
-    k0 = aligned[0]
-    try:
-        base = arr[k0]
-    except KeyError:
-        raise InvariantError(f"receiver {receiver!r} missing arrival at k={k0}") from None
-    values = []
-    for k in aligned:
-        try:
-            t = arr[k]
-        except KeyError:
-            raise InvariantError(f"receiver {receiver!r} missing arrival at k={k}") from None
-        if log.fixed_mode:
-            sender_diff = (k - k0) * log.interval_us
-        else:
-            sender_diff = log.sender_ts[k] - log.sender_ts[k0]
-        values.append(int(t - base - sender_diff))
-    return DelaySeries(receiver=receiver, indices=aligned, values=tuple(values))
+    missing = next((k for k in aligned if k not in arr), None)
+    if missing is not None:
+        raise InvariantError(f"receiver {receiver!r} missing arrival at k={missing}")
+    idx = np.asarray(aligned, dtype=np.intp)
+    recv = log.recv[log.row(receiver), idx].tolist()
+    k0, base = aligned[0], recv[0]
+    if log.fixed_mode:
+        sender_diff = [(k - k0) * log.interval_us for k in aligned]
+    else:
+        sender = log.sender[idx].tolist()
+        sender_diff = [ts - sender[0] for ts in sender]
+    values = tuple(int(t - base - d) for t, d in zip(recv, sender_diff))
+    return DelaySeries(receiver=receiver, indices=aligned, values=values)
 
 
 def _int_cov_ms2(n: int, sx: int, sy: int, sxy: int) -> float:
@@ -137,29 +133,26 @@ def _fill_columns(log: MeasurementLog, ids, dtype):
     ``dtype=object`` both arrays hold Python ints. Each row is shifted by
     its integer midrange, which minimises its largest |x|.
     """
-    n = log.n_pairs
+    rows = [log.row(r) for r in ids]
+    present, recv = log.present[rows], log.recv[rows]
+    if dtype is np.int64:
+        if recv.dtype == object or not (_within_raw_limit(log.sender) and _within_raw_limit(recv)):
+            raise OverflowError("timestamps too large for int64 offsets")
+        off = recv - log.sender
+        bound = int(np.iinfo(np.int64).max)
+    else:
+        off = recv.astype(object) - log.sender.astype(object)
+        bound = int(np.abs(off).max(initial=0)) + 1
+    # absent slots read as +-bound, beyond every offset, so they never win
+    lo = np.where(present, off, bound).min(axis=1, initial=bound).tolist()
+    hi = np.where(present, off, -bound).max(axis=1, initial=-bound).tolist()
+    # in Python ints, as lo + hi can overflow int64; a row without arrivals
+    # gets mid 0 and a negative spread
+    mids = [(a + b) // 2 for a, b in zip(lo, hi)]
+    xmax = max([0] + [max(b - m, m - a) for a, b, m in zip(lo, hi, mids)])
     store = np.float64 if dtype is np.int64 else object
-    sender = np.fromiter((log.sender_ts[k] for k in range(n)), dtype, n)
-    if dtype is np.int64 and not _within_raw_limit(sender):
-        raise OverflowError("sender timestamp too large for int64 offsets")
-    mask = np.zeros((len(ids), n), dtype=store)
-    offsets = np.zeros((len(ids), n), dtype=store)
-    xmax = 0
-    for i, r in enumerate(ids):
-        entries = log.arrivals.get(r, {})
-        keys = np.fromiter(entries, np.intp, len(entries))
-        arrival = np.fromiter(entries.values(), dtype, len(entries))
-        mask[i, keys] = 1
-        if not keys.size:
-            continue
-        if dtype is np.int64 and not _within_raw_limit(arrival):
-            raise OverflowError(f"arrival timestamp at {r!r} too large for int64 offsets")
-        off = arrival - sender[keys]
-        lo, hi = int(off.min()), int(off.max())
-        mid = (lo + hi) // 2
-        offsets[i, keys] = off - mid
-        xmax = max(xmax, hi - mid, mid - lo)
-    return mask, offsets, xmax
+    shifted = np.where(present, off - np.array(mids, dtype=dtype)[:, None], 0)
+    return present.astype(np.int64).astype(store), shifted.astype(store), xmax
 
 
 def _columns(log: MeasurementLog, ids):

@@ -9,7 +9,12 @@ microseconds throughout:
 The format is streamable and loss-tolerant: a lost packet is simply an
 absent recv record. Senders with exactly even spacing import back in
 fixed-interval mode (the wire format carries no mode flag, so evenly spaced
-timestamped schedules canonicalize to fixed mode on import).
+timestamped schedules canonicalize to fixed mode on import). A receiver
+without arrivals has no record, so it does not survive a round trip.
+
+`export_log` formats the records straight from the log's columns.
+`import_log` parses and checks each line into dicts, builds the columns
+with `MeasurementLog.from_dicts`, and drops the dicts.
 """
 
 from __future__ import annotations
@@ -17,25 +22,26 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .errors import LogFormatError
 from .model import CovarianceMatrix, MeasurementLog, RoutingTree
 
 
 def export_log(log: MeasurementLog, path) -> None:
     """Write a log as NDJSON: send records by pair index, then recv records
-    by (receiver, index). Byte-deterministic for a given log."""
-    lines = []
-    for k in range(log.n_pairs):
-        lines.append(json.dumps({"type": "send", "k": k, "ts_us": log.sender_ts[k]}, sort_keys=True))
-    for receiver in sorted(log.receivers):
-        entries = log.arrivals.get(receiver, {})
-        for k in sorted(entries):
-            lines.append(
-                json.dumps(
-                    {"type": "recv", "receiver": receiver, "k": k, "ts_us": entries[k]},
-                    sort_keys=True,
-                )
-            )
+    by (receiver, index). Byte-deterministic for a given log.
+
+    Records are formatted from the columns with one template per record
+    kind and receiver; the bytes equal ``json.dumps(record, sort_keys=True)``
+    per record.
+    """
+    lines = ['{"k": %d, "ts_us": %d, "type": "send"}' % kt for kt in enumerate(log.sender.tolist())]
+    for i, receiver in enumerate(log.ids):
+        name = json.dumps(receiver).replace("%", "%%")
+        template = '{"k": %d, "receiver": ' + name + ', "ts_us": %d, "type": "recv"}'
+        ks = np.flatnonzero(log.present[i])
+        lines.extend(template % kt for kt in zip(ks.tolist(), log.recv[i, ks].tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -110,18 +116,14 @@ def import_log(path) -> MeasurementLog:
                 f"arrival at {ts} before send at {sender_ts[k]} for ({receiver!r}, k={k})", lineno
             )
 
+    del recv_lines
+
     interval = None
     if n_pairs >= 2:
         delta = sender_ts[1] - sender_ts[0]
         if delta > 0 and all(sender_ts[k] - sender_ts[0] == k * delta for k in range(n_pairs)):
             interval = delta
-    return MeasurementLog(
-        receivers=frozenset(arrivals),
-        sender_ts=sender_ts,
-        arrivals=arrivals,
-        n_pairs=n_pairs,
-        interval_us=interval,
-    )
+    return MeasurementLog.from_dicts(sender_ts, arrivals, interval)
 
 
 def save_tree(tree: RoutingTree, path) -> None:

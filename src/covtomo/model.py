@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -278,57 +279,184 @@ class RoutingTree:
 # measurement-side types
 
 
-@dataclass(frozen=True)
-class MeasurementLog:
-    """Per-session record of sender timestamps and per-receiver arrivals.
+class _Timestamps(Mapping):
+    """Read-only {pair index: timestamp} view of one log column. Indices
+    where ``present`` is False are absent; ``present=None`` means none is."""
 
-    ``sender_ts[k]`` is the time (us) the k-th packet burst left the sender;
-    ``arrivals[r][k]`` the arrival time (us) at receiver ``r`` (missing key =
-    packet lost). ``interval_us`` is the fixed inter-burst spacing, or None
-    when the sender schedule is irregular and must be read from the
-    timestamps themselves.
+    __slots__ = ("_ts", "_present", "_len")
+
+    def __init__(self, ts: np.ndarray, present: np.ndarray | None, count: int):
+        self._ts = ts
+        self._present = present
+        self._len = count
+
+    def __getitem__(self, k):
+        if (
+            isinstance(k, (int, np.integer))
+            and 0 <= k < len(self._ts)
+            and (self._present is None or self._present[k])
+        ):
+            return int(self._ts[k])
+        raise KeyError(k)
+
+    def __iter__(self):
+        if self._present is None:
+            return iter(range(len(self._ts)))
+        return iter(np.flatnonzero(self._present).tolist())
+
+    def __len__(self) -> int:
+        return self._len
+
+
+class _Arrivals(Mapping):
+    """Read-only {receiver: {pair index: arrival}} view of a log's rows."""
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: "MeasurementLog"):
+        self._log = log
+
+    def __getitem__(self, receiver):
+        log = self._log
+        i = log._row[receiver]
+        return _Timestamps(log.recv[i], log.present[i], log._counts[i])
+
+    def __iter__(self):
+        return iter(self._log.ids)
+
+    def __len__(self) -> int:
+        return len(self._log.ids)
+
+
+class MeasurementLog:
+    """Per-session packet-pair timestamps, stored as columns.
+
+    * ``ids``: the receivers, sorted, one row each;
+    * ``sender[k]``: the time (us) the k-th packet pair left the sender;
+    * ``recv[i, k]``: the time (us) pair k arrived at ``ids[i]``, and
+      ``present[i, k]`` (bool) False where that packet was lost, in which
+      case ``recv[i, k]`` holds 0.
+
+    ``sender`` and ``recv`` are int64 when every timestamp fits int64 and
+    dtype=object arrays of Python ints otherwise. ``interval_us`` is the
+    fixed inter-pair spacing, or None when the sender schedule is irregular
+    and must be read from the timestamps themselves. The arrays are
+    read-only. Logs built from dicts go through `from_dicts`.
+
+    ``sender_ts`` ({k: ts}) and ``arrivals`` ({receiver: {k: ts}}) are
+    read-only Mapping views over the columns. They copy nothing:
+    ``len(log.arrivals[r])`` is a per-row count taken at construction.
     """
 
-    receivers: frozenset[NodeId]
-    sender_ts: dict[int, int]
-    arrivals: dict[NodeId, dict[int, int]]
-    n_pairs: int
-    interval_us: int | None = None
+    def __init__(self, ids, sender, recv, present, interval_us: int | None = None):
+        self.ids = tuple(ids)
+        if list(self.ids) != sorted(set(self.ids)):
+            raise InputError("receiver ids must be sorted and distinct")
+        shape = (len(self.ids), len(sender))
+        if sender.ndim != 1 or recv.shape != shape or present.shape != shape:
+            raise InputError("log columns do not match the receivers and the sender column")
+        for column in (sender, recv, present):
+            column.flags.writeable = False
+        self.sender = sender
+        self.recv = recv
+        self.present = present
+        self.interval_us = interval_us
+        self.receivers = frozenset(self.ids)
+        self._row = {r: i for i, r in enumerate(self.ids)}
+        self._counts = present.sum(axis=1).tolist()
+        self.sender_ts = _Timestamps(sender, None, len(sender))
+        self.arrivals = _Arrivals(self)
+
+    @classmethod
+    def from_dicts(cls, sender_ts, arrivals, interval_us: int | None = None) -> "MeasurementLog":
+        """Log from ``sender_ts`` ({k: ts} over k = 0..n-1) and ``arrivals``
+        ({receiver: {k: ts}}; a missing k is a lost packet).
+
+        Raises InvariantError when the sender indices are not 0..n-1 or an
+        arrival names an index outside them.
+        """
+        n = len(sender_ts)
+        if sorted(sender_ts) != list(range(n)):
+            raise InvariantError("sender timestamps must cover pair indices 0..n-1")
+        ids = sorted(arrivals)
+        rows = []
+        for r in ids:
+            entries = arrivals[r]
+            keys = list(entries)
+            if keys and (min(keys) < 0 or max(keys) >= n):
+                k = next(k for k in keys if not 0 <= k < n)
+                raise InvariantError(f"arrival for unknown pair index {k} at {r!r}")
+            rows.append((np.array(keys, dtype=np.intp), list(entries.values())))
+        present = np.zeros((len(ids), n), dtype=bool)
+        for i, (keys, _) in enumerate(rows):
+            present[i, keys] = True
+
+        def columns(dtype):
+            recv = np.zeros((len(ids), n), dtype=dtype)
+            for i, (keys, ts) in enumerate(rows):
+                recv[i, keys] = ts
+            return np.array([sender_ts[k] for k in range(n)], dtype=dtype), recv
+
+        try:
+            sender, recv = columns(np.int64)
+        except OverflowError:
+            sender, recv = columns(object)
+        return cls(ids, sender, recv, present, interval_us)
+
+    @property
+    def n_pairs(self) -> int:
+        return len(self.sender)
 
     @property
     def fixed_mode(self) -> bool:
         return self.interval_us is not None
 
+    def row(self, receiver: NodeId) -> int:
+        try:
+            return self._row[receiver]
+        except KeyError:
+            raise InputError(f"unknown receiver {receiver!r}") from None
+
     def arrival(self, receiver: NodeId, k: int) -> int | None:
-        return self.arrivals.get(receiver, {}).get(k)
+        return self.arrivals[receiver].get(k) if receiver in self._row else None
 
     def present_indices(self, receiver: NodeId) -> list[int]:
-        return sorted(self.arrivals.get(receiver, {}))
+        return list(self.arrivals[receiver]) if receiver in self._row else []
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MeasurementLog):
+            return NotImplemented
+        return (
+            self.ids == other.ids
+            and self.interval_us == other.interval_us
+            and np.array_equal(self.sender, other.sender)
+            and np.array_equal(self.present, other.present)
+            and np.array_equal(self.recv[self.present], other.recv[other.present])
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"MeasurementLog({len(self.ids)} receivers, n_pairs={self.n_pairs}, "
+            f"interval_us={self.interval_us})"
+        )
 
     def validate(self) -> None:
         if self.n_pairs < 1:
             raise InvariantError("log holds no packet pairs")
-        if sorted(self.sender_ts) != list(range(self.n_pairs)):
-            raise InvariantError("sender timestamps must cover pair indices 0..n-1")
-        prev = None
-        for k in range(self.n_pairs):
-            ts = self.sender_ts[k]
-            if prev is not None and ts <= prev:
+        sender = self.sender.tolist()
+        for k in range(1, self.n_pairs):
+            if sender[k] <= sender[k - 1]:
                 raise InvariantError(f"sender timestamps not strictly increasing at k={k}")
-            prev = ts
         if self.fixed_mode:
-            base = self.sender_ts[0]
             for k in range(self.n_pairs):
-                if self.sender_ts[k] - base != k * self.interval_us:
+                if sender[k] - sender[0] != k * self.interval_us:
                     raise InvariantError(f"fixed-interval contract broken at k={k}")
-        for r, entries in self.arrivals.items():
-            if r not in self.receivers:
-                raise InvariantError(f"arrivals recorded for unknown receiver {r!r}")
-            for k, ts in entries.items():
-                if k not in self.sender_ts:
-                    raise InvariantError(f"arrival for unknown pair index {k} at {r!r}")
-                if ts < self.sender_ts[k]:
-                    raise InvariantError(f"arrival before send for ({r!r}, k={k})")
+        early = np.argwhere(self.present & (self.recv < self.sender))
+        if len(early):
+            i, k = early[0].tolist()
+            raise InvariantError(f"arrival before send for ({self.ids[i]!r}, k={k})")
 
 
 @dataclass(frozen=True)

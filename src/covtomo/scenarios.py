@@ -24,6 +24,8 @@ import math
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .accuracy import score_trees
 from .delay_cov import build_covariance_matrix, covariance_oracle_from_log
 from .dynamic import attach_peer
@@ -149,8 +151,7 @@ def _mean_stderr(values) -> tuple[float, float]:
 
 
 def _cov_summary(cov) -> dict:
-    n = len(cov.receivers)
-    off = [float(cov.values[i, j]) for i in range(n) for j in range(i + 1, n)]
+    off = cov.values[np.triu_indices(len(cov.receivers), 1)].tolist()
     return {
         "min_offdiag": min(off),
         "max_offdiag": max(off),

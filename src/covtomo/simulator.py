@@ -405,20 +405,9 @@ def simulate_session(net: SimulatedNetwork, config: SimulatorConfig, stream: int
     lost = rng.random((len(clients), n)) >= survival[:, None]
 
     arrivals_ts = schedule[None, :] + np.rint(delays).astype(np.int64)
-    arrivals: dict[NodeId, dict[int, int]] = {}
-    for ci, c in enumerate(clients):
-        keep = ~lost[ci]
-        ks = np.nonzero(keep)[0]
-        arrivals[c] = dict(zip(ks.tolist(), arrivals_ts[ci, keep].tolist()))
-
+    arrivals_ts[lost] = 0
     interval = None if config.pair_schedule_us is not None else int(config.pair_interval_us)
-    return MeasurementLog(
-        receivers=frozenset(clients),
-        sender_ts={k: int(schedule[k]) for k in range(n)},
-        arrivals=arrivals,
-        n_pairs=n,
-        interval_us=interval,
-    )
+    return MeasurementLog(clients, schedule, arrivals_ts, ~lost, interval)
 
 
 def analytic_covariance(net: SimulatedNetwork, i: NodeId, j: NodeId) -> float:

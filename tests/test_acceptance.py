@@ -77,15 +77,13 @@ def test_criterion_1_estimator_properties():
         delta = int(rng.integers(5, 60))
         da = rng.integers(50, 8000, n)
         db = rng.integers(50, 8000, n)
-        log = MeasurementLog(
-            receivers=frozenset({"a", "b"}),
-            sender_ts={k: k * delta for k in range(n)},
-            arrivals={
+        log = MeasurementLog.from_dicts(
+            {k: k * delta for k in range(n)},
+            {
                 "a": {k: k * delta + int(da[k]) for k in range(n)},
                 "b": {k: k * delta + int(db[k]) for k in range(n)},
             },
-            n_pairs=n,
-            interval_us=delta,
+            delta,
         )
         aligned = align_pairs(log, {"a", "b"})
         got = estimate_covariance(

@@ -20,13 +20,7 @@ MS2 = 10**6  # us^2 per ms^2
 
 
 def make_log(sender_ts, arrivals, interval_us=None):
-    return MeasurementLog(
-        receivers=frozenset(arrivals),
-        sender_ts=dict(enumerate(sender_ts)),
-        arrivals={r: dict(entries) for r, entries in arrivals.items()},
-        n_pairs=len(sender_ts),
-        interval_us=interval_us,
-    )
+    return MeasurementLog.from_dicts(dict(enumerate(sender_ts)), arrivals, interval_us)
 
 
 def series(values, receiver="x", indices=None):

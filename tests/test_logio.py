@@ -19,13 +19,7 @@ def sample_log(with_losses=False):
     if with_losses:
         del arrivals["a"][2]
         del arrivals["b"][4]
-    return MeasurementLog(
-        receivers=frozenset(arrivals),
-        sender_ts={k: k * 30 for k in range(6)},
-        arrivals=arrivals,
-        n_pairs=6,
-        interval_us=30,
-    )
+    return MeasurementLog.from_dicts({k: k * 30 for k in range(6)}, arrivals, 30)
 
 
 def test_round_trip_identical(tmp_path):
@@ -55,6 +49,32 @@ def test_simulated_log_round_trip(tmp_path):
     log = simulate_session(net, cfg)
     path = tmp_path / "log.ndjson"
     export_log(log, path)
+    assert import_log(path) == log
+
+
+def reference_ndjson(log) -> bytes:
+    """One json.dumps(record, sort_keys=True) per record."""
+    lines = [
+        json.dumps({"type": "send", "k": k, "ts_us": ts}, sort_keys=True)
+        for k, ts in log.sender_ts.items()
+    ]
+    for receiver in sorted(log.receivers):
+        for k, ts in log.arrivals[receiver].items():
+            record = {"type": "recv", "receiver": receiver, "k": k, "ts_us": ts}
+            lines.append(json.dumps(record, sort_keys=True))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("clock", [0, 2**64])
+def test_export_bytes_equal_per_record_json_dumps(tmp_path, clock):
+    names = ["plain", 'quo"te', "back\\slash", "pct%d%s%%", "na\u00efve-\u03c0\u03c1", "\U0001f600", "tab\t"]
+    arrivals = {
+        name: {k: clock + k * 30 + i for k in range(5) if (k + i) % 3} for i, name in enumerate(names)
+    }
+    log = MeasurementLog.from_dicts({k: clock + k * 30 for k in range(5)}, arrivals, 30)
+    path = tmp_path / "log.ndjson"
+    export_log(log, path)
+    assert path.read_bytes() == reference_ndjson(log)
     assert import_log(path) == log
 
 

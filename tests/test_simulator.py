@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from covtomo.delay_cov import align_pairs, build_covariance_matrix, normalize_series
 from covtomo.errors import ConfigError, InputError
+from covtomo.logio import export_log
 from covtomo.model import RoutingTree
 from covtomo.simulator import (
     SimulatedNetwork,
@@ -195,6 +197,31 @@ def test_timestamped_schedule_mode():
     client = sorted(net.clients)[0]
     out = normalize_series(log, client, align_pairs(log, {client}))
     assert out.values == (0,) * len(schedule)
+
+
+def log_digest(log, tmp_path) -> str:
+    path = tmp_path / "log.ndjson"
+    export_log(log, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_simulated_logs_match_pinned_digests(tmp_path):
+    # fixed interval, with a forced 30% loss on one client's access link
+    cfg = SimulatorConfig(n_hosts=12, n_routers=5, seed=13, n_pairs=300, pair_interval_us=5000)
+    net = generate_topology(cfg)
+    net.drop_override[net.path_links(sorted(net.clients)[0])[-1]] = 0.3
+    log = simulate_session(net, cfg)
+    assert not log.recv[~log.present].any()
+    assert log_digest(log, tmp_path) == "f283bd6e12256d1087e99775e0e50008eb1be3f7c65fa9c2f15212c5990a1096"
+
+    # timestamped schedule at a background rate that congests every link
+    schedule = tuple(int(x) for x in np.cumsum([1000] + [700, 1300, 900, 1100] * 60))
+    cfg = SimulatorConfig(
+        n_hosts=12, n_routers=5, seed=17, pair_schedule_us=schedule, bg_rate_bytes_per_sec=12e6
+    )
+    log = simulate_session(generate_topology(cfg), cfg, stream=2)
+    assert not log.fixed_mode and log.present.sum() < log.present.size
+    assert log_digest(log, tmp_path) == "6b957628a4891b09c72281abc87df02bda87c419161d8ec92e7b281be34418c6"
 
 
 def test_grow_network_extends_truth_deterministically():
