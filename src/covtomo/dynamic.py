@@ -30,7 +30,7 @@ def select_representatives(tree: RoutingTree, m: NodeId) -> dict[NodeId, NodeId]
     kids = tree.children(m)
     if not kids:
         raise InputError(f"{m!r} has no children")
-    return {c: (c if tree.is_leaf(c) else min(tree.leaves_under(c))) for c in kids}
+    return {c: tree.min_leaf_under(c) for c in kids}
 
 
 @dataclass(frozen=True)

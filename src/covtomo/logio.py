@@ -1,4 +1,4 @@
-"""Measurement-log and tree serialization.
+r"""Measurement-log and tree serialization.
 
 Logs travel as newline-delimited JSON, one record per line, integer
 microseconds throughout:
@@ -13,8 +13,17 @@ timestamped schedules canonicalize to fixed mode on import). A receiver
 without arrivals has no record, so it does not survive a round trip.
 
 `export_log` formats the records straight from the log's columns.
-`import_log` parses and checks each line into dicts, builds the columns
-with `MeasurementLog.from_dicts`, and drops the dicts.
+
+`import_log` reads the file in text mode, line by line, so a line ends at
+``\n``, ``\r\n`` or ``\r`` and nowhere else (not at U+2028 or ``\x1c``,
+which `str.splitlines` would split on). Line numbers in errors are 1-based
+and count blank lines. Each stripped line goes to the C JSON scanner, which
+must consume all of it; a line it rejects goes once more to `json.loads`,
+only to raise the exact ``invalid JSON`` message. The records fill
+{k: ts} dicts, which `MeasurementLog.from_dicts` turns into columns.
+Checks that need every send record run after the last line: first gaps and
+order among the send records, then unknown indices and early arrivals, in
+line order, over flat lists kept per recv line.
 """
 
 from __future__ import annotations
@@ -64,18 +73,30 @@ def import_log(path) -> MeasurementLog:
     records, duplicate send/recv entries, non-monotone sender timestamps,
     unknown pair indices, or arrivals before the matching send.
     """
+    scan_once = json.JSONDecoder().scan_once
     sender_ts: dict[int, int] = {}
     arrivals: dict[str, dict[int, int]] = {}
-    recv_lines: list[tuple[int, str, int, int]] = []
+    # one entry per recv line, for the checks that need every send record
+    recv_lineno: list[int] = []
+    recv_name: list[str] = []
+    recv_k: list[int] = []
+    recv_ts: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LogFormatError(f"invalid JSON: {exc.msg}", lineno) from None
+                record, end = scan_once(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            if end != len(line):
+                # rejected, or not all of the line: json.loads accepts the
+                # same stripped lines and raises the message to report
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise LogFormatError(f"invalid JSON: {exc.msg}", lineno) from None
             if not isinstance(record, dict):
                 raise LogFormatError("record must be a JSON object", lineno)
             rtype = record.get("type")
@@ -88,35 +109,47 @@ def import_log(path) -> MeasurementLog:
                     raise LogFormatError("pair index must be non-negative", lineno)
                 sender_ts[k] = ts
             elif rtype == "recv":
-                k = _field(record, "k", int, lineno)
-                ts = _field(record, "ts_us", int, lineno)
-                receiver = _field(record, "receiver", str, lineno)
-                entries = arrivals.setdefault(receiver, {})
+                k = record.get("k")
+                ts = record.get("ts_us")
+                receiver = record.get("receiver")
+                if type(k) is not int or type(ts) is not int or type(receiver) is not str:
+                    k = _field(record, "k", int, lineno)
+                    ts = _field(record, "ts_us", int, lineno)
+                    receiver = _field(record, "receiver", str, lineno)
+                entries = arrivals.get(receiver)
+                if entries is None:
+                    entries = arrivals[receiver] = {}
                 if k in entries:
                     raise LogFormatError(f"duplicate recv record for ({receiver!r}, k={k})", lineno)
                 entries[k] = ts
-                recv_lines.append((lineno, receiver, k, ts))
+                recv_lineno.append(lineno)
+                recv_name.append(receiver)
+                recv_k.append(k)
+                recv_ts.append(ts)
             else:
                 raise LogFormatError(f"unknown record type {rtype!r}", lineno)
 
     if not sender_ts:
         raise LogFormatError("log contains no send records")
     n_pairs = max(sender_ts) + 1
-    if sorted(sender_ts) != list(range(n_pairs)):
-        missing = sorted(set(range(n_pairs)) - set(sender_ts))[0]
+    if n_pairs != len(sender_ts):
+        # len(sender_ts) distinct non-negative indices, one of them above
+        # len(sender_ts) - 1: one below len(sender_ts) is absent
+        missing = next(k for k in range(len(sender_ts)) if k not in sender_ts)
         raise LogFormatError(f"missing send record for k={missing}")
     for k in range(1, n_pairs):
         if sender_ts[k] <= sender_ts[k - 1]:
             raise LogFormatError(f"sender timestamps not strictly increasing at k={k}")
-    for lineno, receiver, k, ts in recv_lines:
-        if k not in sender_ts:
+    for lineno, receiver, k, ts in zip(recv_lineno, recv_name, recv_k, recv_ts):
+        sent = sender_ts.get(k)
+        if sent is None:
             raise LogFormatError(f"recv for unknown pair index k={k}", lineno)
-        if ts < sender_ts[k]:
+        if ts < sent:
             raise LogFormatError(
-                f"arrival at {ts} before send at {sender_ts[k]} for ({receiver!r}, k={k})", lineno
+                f"arrival at {ts} before send at {sent} for ({receiver!r}, k={k})", lineno
             )
 
-    del recv_lines
+    del recv_lineno, recv_name, recv_k, recv_ts
 
     interval = None
     if n_pairs >= 2:

@@ -33,6 +33,12 @@ class RoutingTree:
     router; the root carries 0. Along every root-to-leaf path these labels
     are non-decreasing.
 
+    ``_min_leaf`` maps every node with a leaf below it to the smallest leaf
+    id under it (a leaf maps to itself); nodes without a leaf below are
+    absent. Every mutation keeps it current: `add_leaf` walks up only while
+    the new leaf is smaller, and `remove_leaf` rescans the children of only
+    those ancestors whose minimum it was. `min_leaf_under` reads it.
+
     The tree is mutable through a narrow set of operations (used by the
     incremental tomography); everything else treats instances as read-only.
     Mutation is single-writer: concurrent readers are safe only between
@@ -45,6 +51,7 @@ class RoutingTree:
         self._parent: dict[NodeId, NodeId] = {}
         self.router_cov: dict[NodeId, float] = {root: 0.0}
         self.leaves: set[NodeId] = set()
+        self._min_leaf: dict[NodeId, NodeId] = {}
         self._router_seq = 1
 
     # ------------------------------------------------------------------
@@ -114,6 +121,16 @@ class RoutingTree:
                 stack.extend(reversed(self._children[cur]))
         return out
 
+    def min_leaf_under(self, node: NodeId) -> NodeId:
+        """The smallest leaf id under ``node`` (``node`` itself if a leaf),
+        equal to ``min(self.leaves_under(node))`` without the walk."""
+        if node not in self._children:
+            raise InputError(f"unknown node {node!r}")
+        try:
+            return self._min_leaf[node]
+        except KeyError:
+            raise InputError(f"no leaf under {node!r}") from None
+
     def new_router_id(self) -> NodeId:
         while True:
             candidate = f"{ROUTER_ID_PREFIX}{self._router_seq}"
@@ -135,6 +152,12 @@ class RoutingTree:
         self._children[parent].append(leaf)
         self._parent[leaf] = parent
         self.leaves.add(leaf)
+        self._min_leaf[leaf] = leaf
+        # an ancestor whose minimum is already smaller bounds all above it
+        node = parent
+        while node is not None and self._min_leaf.get(node, leaf) >= leaf:
+            self._min_leaf[node] = leaf
+            node = self._parent.get(node)
 
     def add_router(self, parent: NodeId, cov: float, router_id: NodeId | None = None) -> NodeId:
         if parent not in self._children:
@@ -165,6 +188,8 @@ class RoutingTree:
         self._parent[rid] = parent
         self._parent[node] = rid
         self.router_cov[rid] = float(cov)
+        if node in self._min_leaf:
+            self._min_leaf[rid] = self._min_leaf[node]
         return rid
 
     def remove_leaf(self, leaf: NodeId) -> None:
@@ -174,6 +199,16 @@ class RoutingTree:
         self._children[parent].remove(leaf)
         del self._children[leaf]
         self.leaves.discard(leaf)
+        del self._min_leaf[leaf]
+        # only ancestors whose minimum was this leaf change
+        node = parent
+        while node is not None and self._min_leaf.get(node) == leaf:
+            rest = [self._min_leaf[c] for c in self._children[node] if c in self._min_leaf]
+            if rest:
+                self._min_leaf[node] = min(rest)
+            else:
+                del self._min_leaf[node]
+            node = self._parent.get(node)
 
     def splice_router(self, router: NodeId) -> None:
         """Remove a router that has at most one child, reattaching the child
@@ -193,6 +228,7 @@ class RoutingTree:
             self._children[parent].pop(slot)
         del self._children[router]
         self.router_cov.pop(router, None)
+        self._min_leaf.pop(router, None)
 
     def copy(self) -> "RoutingTree":
         dup = RoutingTree(self.root)
@@ -200,6 +236,7 @@ class RoutingTree:
         dup._parent = dict(self._parent)
         dup.router_cov = dict(self.router_cov)
         dup.leaves = set(self.leaves)
+        dup._min_leaf = dict(self._min_leaf)
         dup._router_seq = self._router_seq
         return dup
 

@@ -1,9 +1,14 @@
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covtomo.dynamic import JoinContext, attach_peer, remove_peer, select_representatives
 from covtomo.errors import InputError
 from covtomo.model import (
+    RoutingTree,
     covariance_matrix_from_tree,
     shared_covariance,
     trees_topologically_equal,
@@ -201,3 +206,66 @@ def test_attach_terminates_by_strict_descent():
     attach_peer(tree, oracle_for(truth), "k", RecoveryConfig(0.4))
     tree.validate()
     assert trees_topologically_equal(tree, truth)
+
+
+def check_min_leaf(tree):
+    expected = {}
+    for node in tree.nodes():
+        leaves = tree.leaves_under(node)
+        if leaves:
+            expected[node] = min(leaves)
+            assert tree.min_leaf_under(node) == expected[node]
+        else:
+            with pytest.raises(InputError):
+                tree.min_leaf_under(node)
+    # no entry outlives its node
+    assert tree._min_leaf == expected
+
+
+# (operation, which node it picks, the new leaf's number); growing is drawn
+# more often than removing so that removals hit routers with many children
+OPS = st.tuples(
+    st.sampled_from(["leaf", "leaf", "router", "insert", "attach", "attach", "remove", "copy"]),
+    st.integers(0, 10**6),
+    st.integers(0, 999),
+)
+
+
+@settings(max_examples=200)
+@given(ops=st.lists(OPS, min_size=8, max_size=40), salt=st.integers(0, 2**16))
+def test_min_leaf_tracks_every_mutation(ops, salt):
+    # a deterministic pseudo-random covariance per leaf pair: attach_peer
+    # keeps labels monotone whatever values it is given
+    def oracle(a, b):
+        return zlib.crc32(f"{min(a, b)}|{max(a, b)}|{salt}".encode()) % 9 / 2.0
+
+    tree = RoutingTree("src")
+    snapshots = []
+    for kind, pick, name in ops:
+        leaf = f"h{name:03d}"
+        inner = sorted(n for n in tree.nodes() if not tree.is_leaf(n))
+        below_root = sorted(n for n in tree.nodes() if n != tree.root)
+        if kind == "leaf" and leaf not in tree:
+            tree.add_leaf(leaf, inner[pick % len(inner)])
+        elif kind == "router" and leaf not in tree:
+            parent = inner[pick % len(inner)]
+            rid = tree.add_router(parent, tree.router_cov[parent] + pick % 5)
+            tree.add_leaf(leaf, rid)
+        elif kind == "insert" and below_root:
+            node = below_root[pick % len(below_root)]
+            low = tree.router_cov[tree.parent(node)]
+            high = tree.router_cov.get(node, low + 4.0)
+            tree.insert_router_above(node, low + (high - low) * (pick % 3) / 2)
+        elif kind == "attach" and leaf not in tree:
+            attach_peer(tree, oracle, leaf, RecoveryConfig(0.5 + pick % 3))
+        elif kind == "remove" and tree.leaves:
+            remove_peer(tree, sorted(tree.leaves)[pick % len(tree.leaves)])
+        elif kind == "copy":
+            snapshots.append((tree.copy(), tree.to_dict()))
+        tree.validate()
+        check_min_leaf(tree)
+        for dup, shape in snapshots:
+            assert dup.to_dict() == shape
+            check_min_leaf(dup)
+    with pytest.raises(InputError):
+        tree.min_leaf_under("nowhere")

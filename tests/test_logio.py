@@ -126,6 +126,89 @@ def test_format_errors(tmp_path, records, message):
         import_log(path)
 
 
+SEND0 = '{"type": "send", "k": 0, "ts_us": 100}'
+SEND1 = '{"type": "send", "k": 1, "ts_us": 200}'
+
+
+def recv(receiver, k, ts):
+    return json.dumps({"type": "recv", "receiver": receiver, "k": k, "ts_us": ts}, ensure_ascii=False)
+
+
+# full message and line of every error kind, and of which error wins when a
+# log has several: any change to the parse loop must keep each one exactly
+ERROR_TABLE = [
+    (SEND0 + "\nnot json\n", "line 2: invalid JSON: Expecting value", 2),
+    ("\ufeff" + SEND0 + "\n", "line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)", 1),
+    (SEND0 + " x\n", "line 1: invalid JSON: Extra data", 1),
+    (SEND0 + "\n" + SEND1[:-1] + "\n", "line 2: invalid JSON: Expecting ',' delimiter", 2),
+    (SEND0 + "\n[1, 2]\n", "line 2: record must be a JSON object", 2),
+    (SEND0 + '\n{"type": "ping", "k": 0, "ts_us": 0}\n', "line 2: unknown record type 'ping'", 2),
+    ('{"type": "send", "k": 0}\n', "line 1: missing field 'ts_us'", 1),
+    ('{"type": "send", "k": 0, "ts_us": 1.5}\n', "line 1: field 'ts_us' must be an integer", 1),
+    (SEND0 + "\n" + recv(7, 0, 150) + "\n", "line 2: field 'receiver' must be str", 2),
+    # k is checked before the receiver
+    (SEND0 + '\n{"type": "recv", "k": true, "ts_us": 150}\n', "line 2: field 'k' must be an integer", 2),
+    (SEND0 + "\n" + SEND0 + "\n", "line 2: duplicate send record for k=0", 2),
+    ('{"type": "send", "k": -1, "ts_us": 0}\n', "line 1: pair index must be non-negative", 1),
+    # blank lines count
+    (
+        SEND0 + "\n\n" + recv("a", 0, 150) + "\n" + recv("a", 0, 160) + "\n",
+        "line 4: duplicate recv record for ('a', k=0)",
+        4,
+    ),
+    (recv("a", 0, 150) + "\n", "log contains no send records", None),
+    (SEND0 + '\n{"type": "send", "k": 3, "ts_us": 400}\n' + SEND1 + "\n", "missing send record for k=2", None),
+    (
+        SEND0 + '\n{"type": "send", "k": 1, "ts_us": 100}\n',
+        "sender timestamps not strictly increasing at k=1",
+        None,
+    ),
+    # an error on a line beats a later error over the whole log
+    (
+        '{"type": "send", "k": 2, "ts_us": 0}\n\n{"type": "recv", "receiver": "a", "k": 0}\n',
+        "line 3: missing field 'ts_us'",
+        3,
+    ),
+    # of an unknown index and an early arrival, the earlier line is reported
+    (
+        SEND0 + "\n" + SEND1 + "\n" + recv("a", 5, 900) + "\n" + recv("b", 1, 150) + "\n",
+        "line 3: recv for unknown pair index k=5",
+        3,
+    ),
+    (
+        SEND0 + "\n" + SEND1 + "\n" + recv("b", 1, 150) + "\n" + recv("a", 5, 900) + "\n",
+        "line 3: arrival at 150 before send at 200 for ('b', k=1)",
+        3,
+    ),
+    # lines end at \n, \r\n or \r only: a raw U+2028 in a name does not
+    # start a new line, as str.splitlines would make it
+    (
+        "\r\n".join([SEND0, SEND1, recv("a\u2028b", 0, 150), recv("a\u2028b", 1, 150), ""]),
+        "line 4: arrival at 150 before send at 200 for ('a\\u2028b', k=1)",
+        4,
+    ),
+]
+
+
+@pytest.mark.parametrize("text,message,line", ERROR_TABLE)
+def test_format_error_messages_exact(tmp_path, text, message, line):
+    path = tmp_path / "bad.ndjson"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(LogFormatError) as exc:
+        import_log(path)
+    assert (str(exc.value), exc.value.line) == (message, line)
+
+
+def test_missing_send_index_costs_nothing_per_absent_index(tmp_path):
+    # a range over the absent indices would need ~100 GB here
+    path = tmp_path / "bad.ndjson"
+    huge = '{"type": "send", "k": 1000000000000000000, "ts_us": 900}'
+    path.write_text("\n".join([SEND0, huge, SEND1, ""]))
+    with pytest.raises(LogFormatError) as exc:
+        import_log(path)
+    assert (str(exc.value), exc.value.line) == ("missing send record for k=2", None)
+
+
 def test_interval_mode_detection(tmp_path):
     path = tmp_path / "log.ndjson"
     even = [{"type": "send", "k": k, "ts_us": 40 * k} for k in range(4)]
