@@ -72,8 +72,8 @@ def normalize_series(log: MeasurementLog, receiver: NodeId, aligned) -> DelaySer
     aligned = tuple(aligned)
     if not aligned:
         raise InputError("empty aligned index set")
-    arr = log.arrivals.get(receiver, {})
-    missing = next((k for k in aligned if k not in arr), None)
+    present = log.present[log.row(receiver)].tolist() if receiver in log.receivers else []
+    missing = next((k for k in aligned if not (0 <= k < len(present) and present[k])), None)
     if missing is not None:
         raise InvariantError(f"receiver {receiver!r} missing arrival at k={missing}")
     idx = np.asarray(aligned, dtype=np.intp)

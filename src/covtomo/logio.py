@@ -12,23 +12,46 @@ fixed-interval mode (the wire format carries no mode flag, so evenly spaced
 timestamped schedules canonicalize to fixed mode on import). A receiver
 without arrivals has no record, so it does not survive a round trip.
 
-`export_log` formats the records straight from the log's columns.
+`export_log` formats the records straight from the log's columns, so an
+exported file has one canonical byte form: each line is exactly
 
-`import_log` reads the file in text mode, line by line, so a line ends at
+    {"k": K, "ts_us": T, "type": "send"}
+    {"k": K, "receiver": NAME, "ts_us": T, "type": "recv"}
+
+followed by ``\n``, where K and T are decimal integers and NAME is
+``json.dumps(receiver)``; send records come first, by k, then recv records
+by receiver and k.
+
+`import_log` has two readers. `_parse_exported` parses the whole file in a
+few numpy passes, with no Python work per line. It takes only canonical
+lines, in any order, whose numbers have 1 to 18 digits (no sign, no
+leading zero) and whose UTF-8 names need no escape (no ``"``, ``\``, or
+byte below 0x20), and returns None for anything else, including every log
+with an error. `_parse_lines` reads any valid JSON records and is the only
+source of `LogFormatError`. The contract is that `_parse_exported` returns
+either None or a log equal to the one `_parse_lines` returns, so every
+log, message and line number is the line loop's.
+
+Both read the bytes of one read of the file. `_parse_lines` reads them as
+`open` reads a file in text mode, line by line, so a line ends at
 ``\n``, ``\r\n`` or ``\r`` and nowhere else (not at U+2028 or ``\x1c``,
 which `str.splitlines` would split on). Line numbers in errors are 1-based
 and count blank lines. Each stripped line goes to the C JSON scanner, which
 must consume all of it; a line it rejects goes once more to `json.loads`,
-only to raise the exact ``invalid JSON`` message. The records fill
-{k: ts} dicts, which `MeasurementLog.from_dicts` turns into columns.
-Checks that need every send record run after the last line: first gaps and
-order among the send records, then unknown indices and early arrivals, in
-line order, over flat lists kept per recv line.
+only to raise the exact ``invalid JSON`` message, and an integer literal
+longer than Python's int string-conversion limit is an ``invalid JSON``
+error too. The records fill {k: ts} dicts, which
+`MeasurementLog.from_dicts` turns into columns. Checks that need every send
+record run after the last line: first gaps and order among the send
+records, then unknown indices and early arrivals, in line order, over flat
+lists kept per recv line.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -43,15 +66,17 @@ def export_log(log: MeasurementLog, path) -> None:
 
     Records are formatted from the columns with one template per record
     kind and receiver; the bytes equal ``json.dumps(record, sort_keys=True)``
-    per record.
+    per record. The file is written one receiver at a time, so only one
+    receiver's records are held as text at once.
     """
-    lines = ['{"k": %d, "ts_us": %d, "type": "send"}' % kt for kt in enumerate(log.sender.tolist())]
-    for i, receiver in enumerate(log.ids):
-        name = json.dumps(receiver).replace("%", "%%")
-        template = '{"k": %d, "receiver": ' + name + ', "ts_us": %d, "type": "recv"}'
-        ks = np.flatnonzero(log.present[i])
-        lines.extend(template % kt for kt in zip(ks.tolist(), log.recv[i, ks].tolist()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join('{"k": %d, "ts_us": %d, "type": "send"}' % kt for kt in enumerate(log.sender.tolist())))
+        fh.write("\n")
+        for i, receiver in enumerate(log.ids):
+            name = json.dumps(receiver).replace("%", "%%")
+            template = '{"k": %d, "receiver": ' + name + ', "ts_us": %d, "type": "recv"}\n'
+            ks = np.flatnonzero(log.present[i])
+            fh.write("".join(template % kt for kt in zip(ks.tolist(), log.recv[i, ks].tolist())))
 
 
 def _field(record: dict, name: str, kind, lineno: int):
@@ -72,7 +97,190 @@ def import_log(path) -> MeasurementLog:
     Raises LogFormatError (with the offending line number) on malformed
     records, duplicate send/recv entries, non-monotone sender timestamps,
     unknown pair indices, or arrivals before the matching send.
+
+    A file in the canonical bytes `export_log` writes is parsed in
+    whole-array passes (`_parse_exported`). Any other file, and every file
+    with an error, goes through the line loop (`_parse_lines`), which alone
+    defines the messages and line numbers; the array reader returns either
+    nothing or a log equal to the loop's (see the module docstring).
     """
+    data = Path(path).read_bytes()
+    log = _parse_exported(data)
+    return _parse_lines(data) if log is None else log
+
+
+# the fixed parts of an exported record; a record is
+#   {"k": K, "ts_us": T, "type": "send"}  or
+#   {"k": K, "receiver": "NAME", "ts_us": T, "type": "recv"}
+_HEAD = b'{"k": '
+_SEND_TS = b', "ts_us": '
+_RECV_NAME = b', "receiver": "'
+_RECV_TS = b'", "ts_us": '
+_SEND_TAIL = b', "type": "send"}'
+_RECV_TAIL = b', "type": "recv"}'
+# numbers are read from windows of _WIDTH bytes, so at most _WIDTH - 1
+# digits: below 10**18, which no uint64 Horner step can overflow
+_WIDTH = 19
+# row n: 1 in the n columns that hold a left- or right-aligned n-digit number
+_LEFT = np.tri(_WIDTH + 1, _WIDTH, -1, np.uint8)
+_RIGHT = np.ascontiguousarray(_LEFT[:, ::-1])
+_POW10 = np.uint64(10) ** np.arange(_WIDTH + 1, dtype=np.uint64)
+# the shortest record: every window read below lies inside a line this long
+_SHORTEST = len(_HEAD + b"0" + _SEND_TS + b"0" + _SEND_TAIL)
+
+
+def _windows(a: np.ndarray, width: int) -> np.ndarray:
+    """Zero-copy view whose element i is the bytes a[i:i + width]."""
+    return np.ndarray((a.size - width + 1,), f"S{width}", a, 0, (1,))
+
+
+def _numbers(a: np.ndarray, at: np.ndarray, right: bool):
+    """(values, digit counts) of the runs of digits that begin the windows
+    a[at:at + _WIDTH], or end them when `right`; None unless every run has
+    1 to _WIDTH - 1 digits and no leading zero."""
+    digit = _windows(a, _WIDTH)[at].view(np.uint8).reshape(-1, _WIDTH)
+    digit -= np.uint8(48)
+    is_digit = digit <= 9
+    # the first non-digit; a row of digits only reads 0
+    size = np.argmin(is_digit[:, ::-1] if right else is_digit, axis=1)
+    del is_digit
+    if size.min() == 0:
+        return None
+    lead = digit[np.arange(len(digit)), _WIDTH - size] if right else digit[:, 0]
+    if ((lead == 0) & (size > 1)).any():
+        return None
+    digit *= (_RIGHT if right else _LEFT)[size]
+    # Horner over whole rows reads a left-aligned number times
+    # 10**(_WIDTH - size), which stays below 10**_WIDTH and so within uint64
+    value = np.zeros(len(digit), np.uint64)
+    for column in np.ascontiguousarray(digit.T):
+        value *= np.uint64(10)
+        value += column
+    if not right:
+        value //= _POW10[_WIDTH - size]
+    return value.astype(np.int64), size
+
+
+def _parse_exported(data: bytes) -> MeasurementLog | None:
+    r"""The log `_parse_lines` returns for `data` when every line of it is
+    one of the two record templates above, or None.
+
+    Lines may come in any order but must end in ``\n``; numbers must have
+    1 to 18 digits without sign or leading zero. Names must not hold ``"``,
+    ``\``, or a byte below 0x20, so no escape sequence and no line break can
+    appear in one, and must be UTF-8; UTF-8 byte order is str order, so
+    `np.unique` gives the receivers sorted. The checks of the line loop run
+    on the arrays, and a log that fails any of them is left to that loop,
+    for its error.
+    """
+    a = np.frombuffer(data, np.uint8)
+    if a.size == 0 or a[-1] != 10:
+        return None
+    ends = np.flatnonzero(a == 10)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if (ends - starts).min() < _SHORTEST or not (_windows(a, len(_HEAD))[starts] == _HEAD).all():
+        return None
+    tail = _windows(a, len(_SEND_TAIL))[ends - len(_SEND_TAIL)]
+    send = tail == _SEND_TAIL
+    recv = ~send
+    if not (tail[recv] == _RECV_TAIL).all():
+        return None
+    del tail
+
+    # k: the digits after the head, left-aligned in their window
+    parsed = _numbers(a, starts + len(_HEAD), right=False)
+    if parsed is None:
+        return None
+    k, size = parsed
+    after_k = starts + len(_HEAD) + size
+    # ts_us: the digits before the tail, right-aligned in their window
+    parsed = _numbers(a, ends - len(_SEND_TAIL) - _WIDTH, right=True)
+    if parsed is None:
+        return None
+    ts, size = parsed
+    at_ts = ends - len(_SEND_TAIL) - size
+
+    if not (at_ts[send] == after_k[send] + len(_SEND_TS)).all():
+        return None
+    if not (_windows(a, len(_SEND_TS))[after_k[send]] == _SEND_TS).all():
+        return None
+    name_lo = after_k[recv] + len(_RECV_NAME)
+    name_hi = at_ts[recv] - len(_RECV_TS)
+    size = name_hi - name_lo
+    if (size < 0).any():
+        return None
+    if not (_windows(a, len(_RECV_NAME))[after_k[recv]] == _RECV_NAME).all():
+        return None
+    if not (_windows(a, len(_RECV_TS))[name_hi] == _RECV_TS).all():
+        return None
+    ids, row = _receiver_rows(a, name_lo, size)
+    if ids is None:
+        return None
+
+    sender_k = k[send]
+    n = sender_k.size
+    if n == 0 or sender_k.max() >= n:
+        return None
+    seen = np.zeros(n, bool)
+    seen[sender_k] = True
+    if not seen.all():
+        return None
+    sender = np.zeros(n, np.int64)
+    sender[sender_k] = ts[send]
+    gaps = np.diff(sender)
+    if (gaps <= 0).any():
+        return None
+    recv_k, recv_ts = k[recv], ts[recv]
+    if recv_k.size and (recv_k.max() >= n or (recv_ts < sender[recv_k]).any()):
+        return None
+    present = np.zeros((len(ids), n), bool)
+    present[row, recv_k] = True
+    if present.sum() != recv_k.size:
+        return None
+    arrivals = np.zeros((len(ids), n), np.int64)
+    arrivals[row, recv_k] = recv_ts
+    interval = int(gaps[0]) if n >= 2 and (gaps == gaps[0]).all() else None
+    return MeasurementLog(ids, sender, arrivals, present, interval)
+
+
+def _receiver_rows(a: np.ndarray, lo: np.ndarray, size: np.ndarray):
+    """(sorted receiver names, row of each name) for the names a[lo:lo +
+    size], or (None, None) when a name holds a byte an exported name cannot
+    hold bare or is not UTF-8. Names are gathered one length at a time, so
+    no name is padded and the gathered bytes never outgrow the buffer."""
+    order = np.argsort(size, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(size[order])) + 1) if order.size else []
+    found = []
+    for group in groups:
+        width = int(size[group[0]])
+        if width == 0:
+            found.append((group, [b""], np.zeros(group.size, np.intp)))
+            continue
+        names = _windows(a, width)[lo[group]]
+        raw = names.view(np.uint8)
+        if ((raw == 34) | (raw == 92) | (raw < 32)).any():
+            return None, None
+        # an exported log holds each receiver's records in one run
+        head = np.ones(names.size, bool)
+        head[1:] = names[1:] != names[:-1]
+        keys, inverse = np.unique(names[head], return_inverse=True)
+        found.append((group, keys.tolist(), inverse[np.cumsum(head) - 1]))
+    ranked = sorted(key for _, keys, _ in found for key in keys)
+    try:
+        ids = tuple(key.decode("utf-8") for key in ranked)
+    except UnicodeDecodeError:
+        return None, None
+    rank = {key: i for i, key in enumerate(ranked)}
+    row = np.empty(lo.size, np.intp)
+    for group, keys, inverse in found:
+        row[group] = np.array([rank[key] for key in keys], np.intp)[inverse]
+    return ids, row
+
+
+def _parse_lines(data: bytes) -> MeasurementLog:
+    """Parse and validate a log one text-mode line at a time, as `open`
+    reads a file in text mode; see the module docstring for the
+    line-numbering contract."""
     scan_once = json.JSONDecoder().scan_once
     sender_ts: dict[int, int] = {}
     arrivals: dict[str, dict[int, int]] = {}
@@ -81,7 +289,7 @@ def import_log(path) -> MeasurementLog:
     recv_name: list[str] = []
     recv_k: list[int] = []
     recv_ts: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -90,6 +298,12 @@ def import_log(path) -> MeasurementLog:
                 record, end = scan_once(line, 0)
             except (StopIteration, json.JSONDecodeError):
                 end = -1
+            except ValueError:
+                # not a JSONDecodeError: int() refuses a literal longer
+                # than sys.get_int_max_str_digits()
+                raise LogFormatError(
+                    f"invalid JSON: integer literal longer than {sys.get_int_max_str_digits()} digits", lineno
+                ) from None
             if end != len(line):
                 # rejected, or not all of the line: json.loads accepts the
                 # same stripped lines and raises the message to report

@@ -99,6 +99,13 @@ def test_data_error_exit_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_overlong_integer_literal_is_a_data_error(tmp_path, capsys):
+    bad_log = tmp_path / "bad.ndjson"
+    bad_log.write_text('{"type": "send", "k": ' + "9" * 5001 + ', "ts_us": 0}\n')
+    assert main(["estimate", "--log", str(bad_log), "--out", str(tmp_path / "c.json")]) == 3
+    assert capsys.readouterr().err == "data error: line 1: invalid JSON: integer literal longer than 4300 digits\n"
+
+
 def test_e2e_static_report_deterministic(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

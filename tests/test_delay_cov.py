@@ -105,8 +105,12 @@ def test_normalize_missing_arrival_is_internal_error():
     from covtomo.errors import InvariantError
 
     log = fixed_log({"a": {0: 10, 2: 70}}, 3, 30)
-    with pytest.raises(InvariantError):
-        normalize_series(log, "a", (0, 1, 2))
+    # the first aligned index without an arrival, whether the slot is empty,
+    # outside the log or on a receiver the log does not hold
+    for receiver, aligned, k in [("a", (0, 1, 2), 1), ("a", (0, 2, 3), 3), ("a", (-1, 0), -1), ("z", (2, 0), 2)]:
+        with pytest.raises(InvariantError) as exc:
+            normalize_series(log, receiver, aligned)
+        assert str(exc.value) == f"receiver {receiver!r} missing arrival at k={k}"
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,28 @@
+import itertools
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covtomo.errors import LogFormatError
-from covtomo.logio import export_log, import_log, load_matrix, load_tree, save_matrix, save_tree
+from covtomo.logio import (
+    _parse_exported,
+    _parse_lines,
+    export_log,
+    import_log,
+    load_matrix,
+    load_tree,
+    save_matrix,
+    save_tree,
+)
 from covtomo.model import CovarianceMatrix, MeasurementLog
 from covtomo.simulator import SimulatorConfig, generate_topology, simulate_session
 
-from treegen import random_truth_tree
-import numpy as np
+from treegen import random_truth_tree, relabel_routers
 
 
 def sample_log(with_losses=False):
@@ -50,6 +64,8 @@ def test_simulated_log_round_trip(tmp_path):
     path = tmp_path / "log.ndjson"
     export_log(log, path)
     assert import_log(path) == log
+    data = path.read_bytes()
+    assert _parse_exported(data) == _parse_lines(data) == log
 
 
 def reference_ndjson(log) -> bytes:
@@ -187,6 +203,12 @@ ERROR_TABLE = [
         "line 4: arrival at 150 before send at 200 for ('a\\u2028b', k=1)",
         4,
     ),
+    # int() refuses literals of more than sys.get_int_max_str_digits()
+    (
+        SEND0 + '\n{"type": "send", "k": ' + "1" * 5001 + ', "ts_us": 200}\n',
+        "line 2: invalid JSON: integer literal longer than 4300 digits",
+        2,
+    ),
 ]
 
 
@@ -237,3 +259,277 @@ def test_tree_and_matrix_files(tmp_path):
     back = load_matrix(cov_path)
     assert back.receivers == cov.receivers
     assert np.array_equal(back.values, cov.values)
+
+
+# ----------------------------------------------------------------------
+# the two readers: _parse_exported must return None or the loop's log
+
+
+def outcome(read, source):
+    """The log `read` returns for `source`, or its error's (message, line)."""
+    try:
+        return read(source)
+    except LogFormatError as exc:
+        return (str(exc), exc.line)
+
+
+BASE_LINES = [
+    '{"k": 0, "ts_us": 100, "type": "send"}',
+    '{"k": 1, "ts_us": 200, "type": "send"}',
+    '{"k": 2, "ts_us": 300, "type": "send"}',
+    '{"k": 0, "receiver": "a", "ts_us": 150, "type": "recv"}',
+    '{"k": 2, "receiver": "a", "ts_us": 390, "type": "recv"}',
+    '{"k": 1, "receiver": "b", "ts_us": 260, "type": "recv"}',
+]
+
+
+def base_text(lines=BASE_LINES, end="\n"):
+    return end.join(lines) + end
+
+
+def swapped(i, old, new):
+    lines = list(BASE_LINES)
+    assert old in lines[i]
+    lines[i] = lines[i].replace(old, new, 1)
+    return base_text(lines)
+
+
+def inserted(i, line):
+    return base_text(BASE_LINES[:i] + [line] + BASE_LINES[i:])
+
+
+# mutations of an exported log: (name, text, the error import_log raises or
+# None for a log, whether _parse_exported reads it). Every error is the one
+# the line loop raised before the array reader existed, except for the
+# literal of 5001 digits, which escaped as a plain ValueError then.
+MUTATIONS = [
+    ("exported", base_text(), None, True),
+    ("blank line", inserted(2, ""), None, False),
+    (
+        "BOM",
+        "\ufeff" + base_text(),
+        ("line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)", 1),
+        False,
+    ),
+    ("CRLF", base_text(end="\r\n"), None, False),
+    ("CR", base_text(end="\r"), None, False),
+    ("no final newline", base_text()[:-1], None, False),
+    (
+        "leading zero k",
+        swapped(1, '"k": 1', '"k": 01'),
+        ("line 2: invalid JSON: Expecting ',' delimiter", 2),
+        False,
+    ),
+    (
+        "leading zero ts",
+        swapped(4, '"ts_us": 390', '"ts_us": 0390'),
+        ("line 5: invalid JSON: Expecting ',' delimiter", 5),
+        False,
+    ),
+    ("minus zero", swapped(0, '"k": 0', '"k": -0'), None, False),
+    ("plus sign", swapped(1, '"k": 1', '"k": +1'), ("line 2: invalid JSON: Expecting value", 2), False),
+    ("19-digit ts", swapped(4, '"ts_us": 390', '"ts_us": 1000000000000000000'), None, False),
+    (
+        "19-digit k",
+        swapped(2, '"k": 2', '"k": 1000000000000000000'),
+        ("missing send record for k=2", None),
+        False,
+    ),
+    (
+        "5001-digit k",
+        swapped(3, '"k": 0', '"k": ' + "7" * 5001),
+        ("line 4: invalid JSON: integer literal longer than 4300 digits", 4),
+        False,
+    ),
+    (
+        "reordered keys",
+        swapped(1, '{"k": 1, "ts_us": 200, "type": "send"}', '{"type": "send", "k": 1, "ts_us": 200}'),
+        None,
+        False,
+    ),
+    ("extra spaces", swapped(3, '"k": 0, ', '"k":  0 , '), None, False),
+    ("trailing spaces", swapped(5, '"recv"}', '"recv"}  '), None, False),
+    ("escaped name", swapped(3, '"a"', '"\\u0061"'), None, False),
+    ("quote in name", swapped(5, '"b"', '"b\\"q"'), None, False),
+    ("raw non-ASCII name", swapped(5, '"b"', '"é  "'), None, True),
+    (
+        "raw tab in name",
+        swapped(5, '"b"', '"b\tq"'),
+        ("line 6: invalid JSON: Invalid control character at", 6),
+        False,
+    ),
+    ("empty name", swapped(5, '"b"', '""'), None, True),
+    ("recv before send", base_text(BASE_LINES[3:] + BASE_LINES[:3]), None, True),
+    (
+        "float ts",
+        swapped(2, '"ts_us": 300', '"ts_us": 300.0'),
+        ("line 3: field 'ts_us' must be an integer", 3),
+        False,
+    ),
+    ("duplicate send", inserted(3, BASE_LINES[1]), ("line 4: duplicate send record for k=1", 4), False),
+    (
+        "duplicate recv",
+        inserted(5, BASE_LINES[4]),
+        ("line 6: duplicate recv record for ('a', k=2)", 6),
+        False,
+    ),
+    ("unknown k", swapped(5, '"k": 1', '"k": 3'), ("line 6: recv for unknown pair index k=3", 6), False),
+    (
+        "early arrival",
+        swapped(4, '"ts_us": 390', '"ts_us": 299'),
+        ("line 5: arrival at 299 before send at 300 for ('a', k=2)", 5),
+        False,
+    ),
+    (
+        "non-increasing sender",
+        swapped(1, '"ts_us": 200', '"ts_us": 100'),
+        ("sender timestamps not strictly increasing at k=1", None),
+        False,
+    ),
+    (
+        "missing send",
+        base_text(BASE_LINES[:1] + BASE_LINES[2:]),
+        ("missing send record for k=1", None),
+        False,
+    ),
+    ("unknown type", swapped(2, '"send"', '"sent"'), ("line 3: unknown record type 'sent'", 3), False),
+    ("empty file", "", ("log contains no send records", None), False),
+    # each breaks one part of the template that the other checks do not see
+    ("misspelt k key", swapped(2, '{"k"', '{"j"'), ("line 3: missing field 'k'", 3), False),
+    ("empty k", swapped(1, '"k": 1, ', '"k": , '), ("line 2: invalid JSON: Expecting value", 2), False),
+    ("misspelt send key", swapped(1, '"ts_us"', '"ts_uX"'), ("line 2: missing field 'ts_us'", 2), False),
+    (
+        "space inside ts",
+        swapped(1, '"ts_us": 200', '"ts_us": 1 150'),
+        ("line 2: invalid JSON: Expecting ',' delimiter", 2),
+        False,
+    ),
+    (
+        "misspelt receiver key",
+        swapped(3, '"receiver"', '"receivex"'),
+        ("line 4: missing field 'receiver'", 4),
+        False,
+    ),
+    ("misspelt recv ts key", swapped(4, '"ts_us"', '"ts_uX"'), ("line 5: missing field 'ts_us'", 5), False),
+    (
+        "misspelt recv type",
+        swapped(5, '"recv"}', '"recX"}'),
+        ("line 6: unknown record type 'recX'", 6),
+        False,
+    ),
+    (
+        "raw quote in name",
+        swapped(5, '"b"', '"b"q"'),
+        ("line 6: invalid JSON: Expecting ',' delimiter", 6),
+        False,
+    ),
+    (
+        "overlapping name",
+        swapped(3, '"a", ', '", '),
+        ("line 4: invalid JSON: Expecting ',' delimiter", 4),
+        False,
+    ),
+    (
+        "duplicate send hides k=0",
+        swapped(0, '"k": 0', '"k": 1'),
+        ("line 2: duplicate send record for k=1", 2),
+        False,
+    ),
+]
+
+
+@pytest.mark.parametrize("text,error,fast", [m[1:] for m in MUTATIONS], ids=[m[0] for m in MUTATIONS])
+def test_mutated_logs_keep_their_outcome(tmp_path, text, error, fast):
+    path = tmp_path / "log.ndjson"
+    path.write_bytes(text.encode("utf-8"))
+    expected = outcome(_parse_lines, path.read_bytes())
+    if error is None:
+        assert isinstance(expected, MeasurementLog)
+    else:
+        assert expected == error
+    assert outcome(import_log, path) == expected
+    parsed = _parse_exported(path.read_bytes())
+    assert (parsed is not None) == fast
+    assert parsed is None or parsed == expected
+
+
+@pytest.mark.parametrize("text", [text for text, _, _ in ERROR_TABLE])
+def test_exported_reader_leaves_every_pinned_error_to_the_loop(text):
+    assert _parse_exported(text.encode("utf-8")) is None
+
+
+def test_exported_reader_leaves_names_that_are_not_utf8_to_the_loop():
+    data = base_text().encode("utf-8")
+    assert _parse_exported(data) is not None
+    assert _parse_exported(data.replace(b'"b"', b'"\xff"')) is None
+
+
+# the characters json.dumps writes unescaped
+BARE = "".join(c for c in map(chr, range(0x20, 0x7F)) if c not in '"\\')
+
+
+@st.composite
+def heard_logs(draw):
+    """Logs that export and import back unchanged: every receiver has an
+    arrival, and an evenly spaced sender carries its interval. Names are
+    printable ASCII or mix in characters the export escapes; timestamps
+    reach up to 2^63 - 1."""
+    n = draw(st.integers(1, 12))
+    top = draw(st.sampled_from([10**6, 10**18 - 1, 2**63 - 1]))
+    clock = draw(st.integers(0, top // 2))
+    if draw(st.booleans()):
+        gaps = [draw(st.integers(1, (top - clock) // max(n, 2)))] * (n - 1)
+    else:
+        gaps = draw(st.lists(st.integers(1, (top - clock) // max(n, 2)), min_size=n - 1, max_size=n - 1))
+    sender = list(itertools.accumulate(gaps, initial=clock))
+    interval = gaps[0] if n >= 2 and len(set(gaps)) == 1 else None
+    chars = st.sampled_from(BARE)
+    if draw(st.booleans()):
+        chars = st.one_of(chars, st.sampled_from('%"\\\t\x00\x7fé \U0001f600'), st.characters(codec="utf-8"))
+    names = draw(st.lists(st.text(chars, max_size=6), min_size=1, max_size=5, unique=True))
+    arrivals = {}
+    for r in names:
+        ks = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        arrivals[r] = {k: draw(st.integers(sender[k], top)) for k in sorted(ks)}
+    return MeasurementLog.from_dicts(dict(enumerate(sender)), arrivals, interval)
+
+
+@settings(max_examples=200)
+@given(heard_logs())
+def test_both_readers_invert_export(log):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.ndjson"
+        export_log(log, path)
+        assert import_log(path) == log
+        assert _parse_lines(path.read_bytes()) == log
+        parsed = _parse_exported(path.read_bytes())
+    # export writes a name bare when json.dumps needs no escape for it
+    bare = all(json.dumps(r) == f'"{r}"' for r in log.ids)
+    if bare and int(max(log.sender.max(), log.recv.max())) < 10**18:
+        assert parsed == log
+        assert parsed.sender.dtype == parsed.recv.dtype == np.int64
+    else:
+        assert parsed is None or parsed == log
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 30),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+)
+def test_tree_file_round_trip(seed, n_leaves, relay_prob, relabel):
+    tree, _ = random_truth_tree(np.random.default_rng(seed), n_leaves, relay_prob=relay_prob)
+    if relabel:
+        tree = relabel_routers(tree, prefix="ré\"%")
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "tree.json", Path(tmp) / "again.json"
+        save_tree(tree, first)
+        back = load_tree(first)
+        back.validate()
+        assert back.to_dict() == tree.to_dict()
+        assert back.leaves == tree.leaves
+        assert all(back.parent(node) == tree.parent(node) for node in tree.nodes() if node != tree.root)
+        save_tree(back, second)
+        assert second.read_bytes() == first.read_bytes()
