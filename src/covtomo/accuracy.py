@@ -121,46 +121,6 @@ def _correct_triples(rec: np.ndarray, tru: np.ndarray) -> int:
     return correct
 
 
-def _count_correct(recovered: RoutingTree, truth: RoutingTree, ids: list) -> int:
-    return _correct_triples(shared_length_matrix(recovered, ids), shared_length_matrix(truth, ids))
-
-
-def _checked_ids(recovered: RoutingTree, truth: RoutingTree, X) -> list:
-    ids = sorted(set(X))
-    if not ids:
-        raise InputError("X must not be empty")
-    _check_leaves(recovered, truth, ids)
-    return ids
-
-
-def _p_distinct(correct: int, n: int) -> float:
-    # every degenerate triple classifies correctly, so it is counted in
-    # `correct` and subtracted here
-    degenerate = n**3 - n * (n - 1) * (n - 2)
-    return (correct - degenerate) / (n * (n - 1) * (n - 2))
-
-
-def tomography_accuracy(
-    recovered: RoutingTree,
-    truth: RoutingTree,
-    X,
-    include_degenerate: bool = True,
-) -> float:
-    """Fraction of ordered leaf triples from X classified consistently by the
-    two trees. With include_degenerate=False, triples with repeated indices
-    are dropped (requires |X| >= 3).
-
-    The count of correct triples is an exact integer (see
-    `_correct_triples`) and p is its Python-int division by n^3, so p is
-    the correctly rounded fraction."""
-    ids = _checked_ids(recovered, truth, X)
-    n = len(ids)
-    if not include_degenerate and n < 3:
-        raise InputError("distinct-triples accuracy needs at least 3 leaves")
-    correct = _count_correct(recovered, truth, ids)
-    return correct / n**3 if include_degenerate else _p_distinct(correct, n)
-
-
 @dataclass(frozen=True)
 class AccuracyReport:
     """Aggregate triple-classification outcome for one recovered tree."""
@@ -172,12 +132,38 @@ class AccuracyReport:
 
 def score_trees(recovered: RoutingTree, truth: RoutingTree, X=None) -> AccuracyReport:
     """Both accuracy variants over X (defaults to all shared leaves), from
-    one count of correct triples; each equals its `tomography_accuracy`."""
-    ids = _checked_ids(recovered, truth, recovered.leaves & truth.leaves if X is None else X)
+    one exact integer count of correct triples (see `_correct_triples`).
+    Each p is a Python-int division, so it is the correctly rounded
+    fraction; ``p_distinct`` is None below 3 leaves."""
+    ids = sorted(set(recovered.leaves & truth.leaves if X is None else X))
+    if not ids:
+        raise InputError("X must not be empty")
+    _check_leaves(recovered, truth, ids)
     n = len(ids)
-    correct = _count_correct(recovered, truth, ids)
+    correct = _correct_triples(shared_length_matrix(recovered, ids), shared_length_matrix(truth, ids))
+    # every degenerate triple classifies correctly, so it is counted in
+    # `correct` and subtracted for p_distinct
+    distinct = n * (n - 1) * (n - 2)
     return AccuracyReport(
         p=correct / n**3,
-        p_distinct=_p_distinct(correct, n) if n >= 3 else None,
+        p_distinct=(correct - (n**3 - distinct)) / distinct if n >= 3 else None,
         n_leaves=n,
     )
+
+
+def tomography_accuracy(
+    recovered: RoutingTree,
+    truth: RoutingTree,
+    X,
+    include_degenerate: bool = True,
+) -> float:
+    """Fraction of ordered leaf triples from X classified consistently by the
+    two trees: `score_trees` over X, its ``p``, or its ``p_distinct`` with
+    include_degenerate=False, which drops triples with repeated indices
+    (requires |X| >= 3)."""
+    report = score_trees(recovered, truth, X)
+    if include_degenerate:
+        return report.p
+    if report.p_distinct is None:
+        raise InputError("distinct-triples accuracy needs at least 3 leaves")
+    return report.p_distinct

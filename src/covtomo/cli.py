@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: simulate, estimate, recover, join, score, e2e, sweep.
+Subcommands: simulate, estimate, recover, join, score, e2e. `e2e` is the
+one way to run a scenario config, static, sweep or dynamic; `recover`
+shares its recovery step, `scenarios.recover_from_matrix`.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
 invariant violation.
 """
@@ -17,11 +19,11 @@ from .dynamic import attach_peer
 from .errors import ConfigError, DataError, InvariantError, TomographyError
 from .logio import export_log, import_log, load_matrix, load_tree, save_matrix, save_tree
 from .model import branching_skeleton
-from .ordering import dfs_order
-from .recover import RecoveryConfig, auto_rho, recover_tree
+from .recover import RecoveryConfig
 from .scenarios import (
     _sim_from_resolved,
     load_config,
+    recover_from_matrix,
     run_dynamic_scenario,
     run_scenario,
     write_report,
@@ -52,13 +54,10 @@ def _cmd_estimate(args) -> None:
 
 
 def _cmd_recover(args) -> None:
-    cov = load_matrix(args.cov)
-    rho = args.rho if args.rho is not None else auto_rho(cov)
-    order = dfs_order(cov)
-    tree = recover_tree(args.source, order, cov, RecoveryConfig(rho))
+    tree, config = recover_from_matrix(args.source, load_matrix(args.cov), args.rho)
     tree.validate()
     save_tree(tree, args.out)
-    print(f"recovered tree over {len(tree.leaves)} leaves (rho={rho:g} ms^2) to {args.out}")
+    print(f"recovered tree over {len(tree.leaves)} leaves (rho={config.rho:g} ms^2) to {args.out}")
 
 
 def _cmd_join(args) -> None:
@@ -92,34 +91,19 @@ def _cmd_score(args) -> None:
 
 def _cmd_e2e(args) -> None:
     resolved = load_config(args.config)
-    if resolved.get("joins"):
-        report = run_dynamic_scenario(resolved)
-        summary = report["summary"]
+    report = (run_dynamic_scenario if resolved.get("joins") else run_scenario)(resolved)
+    summary = report.get("summary")
+    if report["mode"] == "dynamic":
         print(
             f"dynamic: initial mean p={summary['initial_mean_p']:.4f} "
             f"final mean p={summary['final_mean_p']:.4f} drop={summary['mean_drop']:.4f}"
         )
+    elif report["mode"] == "static":
+        print(f"static: mean p={summary['mean_p']:.4f} (stderr {summary['stderr_p']:.4f})")
     else:
-        report = run_scenario(resolved)
-        if report["mode"] == "static":
-            summary = report["summary"]
-            print(f"static: mean p={summary['mean_p']:.4f} (stderr {summary['stderr_p']:.4f})")
-        else:
-            for point in report["points"]:
-                params = {k: v for k, v in point.items() if k not in ("runs", "summary", "tree")}
-                print(f"{params}: mean p={point['summary']['mean_p']:.4f}")
-    write_report(report, args.out)
-    print(f"report written to {args.out}")
-
-
-def _cmd_sweep(args) -> None:
-    resolved = load_config(args.config)
-    if not resolved.get("sweep"):
-        raise ConfigError("sweep: section missing from config")
-    report = run_scenario(resolved)
-    for point in report["points"]:
-        params = {k: v for k, v in point.items() if k not in ("runs", "summary", "tree")}
-        print(f"{params}: mean p={point['summary']['mean_p']:.4f}")
+        for point in report["points"]:
+            params = {k: v for k, v in point.items() if k not in ("runs", "summary", "tree")}
+            print(f"{params}: mean p={point['summary']['mean_p']:.4f}")
     write_report(report, args.out)
     print(f"report written to {args.out}")
 
@@ -171,11 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_e2e)
-
-    p = sub.add_parser("sweep", help="run the sweep section of a config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sweep)
 
     return parser
 

@@ -9,8 +9,10 @@ down to the base router itself):
 * within rho        -> the peer is a child of the base router;
 * at least rho more -> the peer belongs in the best child's branch: descend,
                        or pin a fresh branch point when that child is a leaf;
-* at least rho less -> the peer split off above: reuse the static
-                       attachment-point walk from the representative leaf.
+* at least rho less -> the peer split off above the base router.
+
+The last two leaf placements are the static walk's own step,
+`recover.place_leaf`, anchored at the best child's representative leaf.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .model import NodeId, RoutingTree
-from .recover import Case, RecoveryConfig, attach_shallower, classify_case
+from .recover import Case, RecoveryConfig, classify_case, place_leaf
 
 
 def select_representatives(tree: RoutingTree, m: NodeId) -> dict[NodeId, NodeId]:
@@ -99,18 +101,12 @@ def attach_peer(tree: RoutingTree, cov_oracle, k: NodeId, config: RecoveryConfig
         if case is Case.SAME_SET:
             tree.add_leaf(k, m)
             return tree
-        if case is Case.DEEPER:
-            if tree.is_leaf(ctx.best_child):
-                # no router to descend into: the peer's deeper share with
-                # this single leaf pins the branch point
-                label = max(ctx.best_cov, tree.router_cov.get(m, 0.0))
-                router = tree.insert_router_above(ctx.best_child, label)
-                tree.add_leaf(k, router)
-                return tree
+        if case is Case.DEEPER and not tree.is_leaf(ctx.best_child):
             m = ctx.best_child
             continue
-        # SHALLOWER: the peer split off above m
-        attach_shallower(tree, ctx.best_rep, k, ctx.best_cov, rho)
+        # SHALLOWER: the peer split off above m; DEEPER at a leaf child: the
+        # peer's deeper share with that leaf pins a fresh branch point
+        place_leaf(tree, ctx.best_rep, k, case, ctx.best_cov, rho)
         return tree
 
 

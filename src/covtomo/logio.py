@@ -36,21 +36,24 @@ Both read the bytes of one read of the file. `_parse_lines` reads them as
 `open` reads a file in text mode, line by line, so a line ends at
 ``\n``, ``\r\n`` or ``\r`` and nowhere else (not at U+2028 or ``\x1c``,
 which `str.splitlines` would split on). Line numbers in errors are 1-based
-and count blank lines. Each stripped line goes to the C JSON scanner, which
-must consume all of it; a line it rejects goes once more to `json.loads`,
-only to raise the exact ``invalid JSON`` message, and an integer literal
-longer than Python's int string-conversion limit is an ``invalid JSON``
-error too. The records fill {k: ts} dicts, which
-`MeasurementLog.from_dicts` turns into columns. Checks that need every send
-record run after the last line: first gaps and order among the send
-records, then unknown indices and early arrivals, in line order, over flat
-lists kept per recv line.
+and count blank lines. A line that is not UTF-8 is an ``invalid UTF-8``
+error naming its first bad byte; it is found when the loop reaches that
+line, so an error on an earlier line wins. Each stripped line goes to the
+C JSON scanner, which must consume all of it; a line it rejects goes once
+more to `json.loads`, only to raise the exact ``invalid JSON`` message.
+An integer literal longer than Python's int string-conversion limit, and
+nesting deeper than the recursion limit, are ``invalid JSON`` errors too.
+The records fill {k: ts} dicts, which `MeasurementLog.from_dicts` turns
+into columns. Checks that need every send record run after the last line:
+first gaps and order among the send records, then unknown indices and
+early arrivals, in line order, over flat lists kept per recv line.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -108,6 +111,10 @@ def import_log(path) -> MeasurementLog:
     log = _parse_exported(data)
     return _parse_lines(data) if log is None else log
 
+
+# a byte that is not UTF-8, as the surrogateescape error handler decodes it
+_UNDECODED = re.compile("[\udc80-\udcff]")
+_TOO_DEEP = "invalid JSON: nested too deeply"
 
 # the fixed parts of an exported record; a record is
 #   {"k": K, "ts_us": T, "type": "send"}  or
@@ -289,15 +296,19 @@ def _parse_lines(data: bytes) -> MeasurementLog:
     recv_name: list[str] = []
     recv_k: list[int] = []
     recv_ts: list[int] = []
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
+            if not line.isascii() and (bad := _UNDECODED.search(line)):
+                raise LogFormatError(f"invalid UTF-8: byte 0x{ord(bad.group()) - 0xDC00:02x}", lineno)
             try:
                 record, end = scan_once(line, 0)
             except (StopIteration, json.JSONDecodeError):
                 end = -1
+            except RecursionError:
+                raise LogFormatError(_TOO_DEEP, lineno) from None
             except ValueError:
                 # not a JSONDecodeError: int() refuses a literal longer
                 # than sys.get_int_max_str_digits()
@@ -311,6 +322,8 @@ def _parse_lines(data: bytes) -> MeasurementLog:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise LogFormatError(f"invalid JSON: {exc.msg}", lineno) from None
+                except RecursionError:
+                    raise LogFormatError(_TOO_DEEP, lineno) from None
             if not isinstance(record, dict):
                 raise LogFormatError("record must be a JSON object", lineno)
             rtype = record.get("type")

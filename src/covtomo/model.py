@@ -317,28 +317,22 @@ class RoutingTree:
 
 
 class _Timestamps(Mapping):
-    """Read-only {pair index: timestamp} view of one log column. Indices
-    where ``present`` is False are absent; ``present=None`` means none is."""
+    """Read-only {pair index: timestamp} view of one log row. Indices where
+    ``present`` is False are absent."""
 
     __slots__ = ("_ts", "_present", "_len")
 
-    def __init__(self, ts: np.ndarray, present: np.ndarray | None, count: int):
+    def __init__(self, ts: np.ndarray, present: np.ndarray, count: int):
         self._ts = ts
         self._present = present
         self._len = count
 
     def __getitem__(self, k):
-        if (
-            isinstance(k, (int, np.integer))
-            and 0 <= k < len(self._ts)
-            and (self._present is None or self._present[k])
-        ):
+        if isinstance(k, (int, np.integer)) and 0 <= k < len(self._ts) and self._present[k]:
             return int(self._ts[k])
         raise KeyError(k)
 
     def __iter__(self):
-        if self._present is None:
-            return iter(range(len(self._ts)))
         return iter(np.flatnonzero(self._present).tolist())
 
     def __len__(self) -> int:
@@ -380,9 +374,9 @@ class MeasurementLog:
     and must be read from the timestamps themselves. The arrays are
     read-only. Logs built from dicts go through `from_dicts`.
 
-    ``sender_ts`` ({k: ts}) and ``arrivals`` ({receiver: {k: ts}}) are
-    read-only Mapping views over the columns. They copy nothing:
-    ``len(log.arrivals[r])`` is a per-row count taken at construction.
+    ``arrivals`` ({receiver: {k: ts}}) is a read-only Mapping view over
+    the rows. It copies nothing: ``len(log.arrivals[r])`` is a per-row count
+    taken at construction.
     """
 
     def __init__(self, ids, sender, recv, present, interval_us: int | None = None):
@@ -401,7 +395,6 @@ class MeasurementLog:
         self.receivers = frozenset(self.ids)
         self._row = {r: i for i, r in enumerate(self.ids)}
         self._counts = present.sum(axis=1).tolist()
-        self.sender_ts = _Timestamps(sender, None, len(sender))
         self.arrivals = _Arrivals(self)
 
     @classmethod
@@ -453,12 +446,6 @@ class MeasurementLog:
             return self._row[receiver]
         except KeyError:
             raise InputError(f"unknown receiver {receiver!r}") from None
-
-    def arrival(self, receiver: NodeId, k: int) -> int | None:
-        return self.arrivals[receiver].get(k) if receiver in self._row else None
-
-    def present_indices(self, receiver: NodeId) -> list[int]:
-        return list(self.arrivals[receiver]) if receiver in self._row else []
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MeasurementLog):

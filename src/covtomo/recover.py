@@ -4,7 +4,8 @@ and the covariance matrix by thresholded case analysis.
 Leaves are processed left to right. For each new leaf the covariance with
 its predecessor is compared against the predecessor pair's covariance using
 the resolution threshold rho (the minimum covariance increment one extra
-shared router can contribute):
+shared router can contribute), and `place_leaf` puts the leaf next to its
+predecessor as the case says:
 
 * within rho        -> the new leaf shares exactly the predecessor's
                        routers: attach it as a sibling of the predecessor;
@@ -14,6 +15,9 @@ shared router can contribute):
                        predecessor's ancestors for the farthest router whose
                        label still covers the target, attaching there or
                        inserting a hidden router just above it.
+
+`place_leaf` is the one placement step: the join walk in `dynamic` uses it
+too, with the representative leaf it ends at as the anchor.
 """
 
 from __future__ import annotations
@@ -91,14 +95,23 @@ def find_attachment_router(
     return node, exact
 
 
-def attach_shallower(
-    tree: RoutingTree, from_leaf: NodeId, new_leaf: NodeId, sigma: float, rho: float
+def place_leaf(
+    tree: RoutingTree, anchor: NodeId, new_leaf: NodeId, case: Case, sigma: float, rho: float
 ) -> None:
-    """SHALLOWER case, shared by the static and the join walk: attach
-    ``new_leaf``, whose covariance with ``from_leaf`` is ``sigma``, at the
-    attachment router found from ``from_leaf``, or below a hidden router
-    inserted just above it."""
-    r_star, exact = find_attachment_router(tree, from_leaf, sigma, rho)
+    """Attach ``new_leaf``, whose covariance with the leaf ``anchor`` is
+    ``sigma``, where ``case`` puts it relative to ``anchor``: beside it
+    (SAME_SET), below a router inserted just above it (DEEPER), or at the
+    attachment router found from it, or below a hidden router inserted just
+    above that one (SHALLOWER). New router labels are clamped to the parent's
+    label."""
+    if case is Case.SAME_SET:
+        tree.add_leaf(new_leaf, tree.parent(anchor))
+        return
+    if case is Case.DEEPER:
+        parent_cov = tree.router_cov.get(tree.parent(anchor), 0.0)
+        tree.add_leaf(new_leaf, tree.insert_router_above(anchor, max(sigma, parent_cov)))
+        return
+    r_star, exact = find_attachment_router(tree, anchor, sigma, rho)
     if exact or tree.parent(r_star) is None:
         # direct attachment; the root branch also covers the degenerate
         # negative-target fallback where no insertion point exists above
@@ -150,17 +163,8 @@ def recover_tree(
     tree.add_leaf(leaves[1], boot)
 
     for i in range(2, len(leaves)):
-        new_leaf = leaves[i]
-        prev_leaf = leaves[i - 1]
-        sigma_cur = cov.get(new_leaf, prev_leaf)
+        sigma_cur = cov.get(leaves[i], leaves[i - 1])
         case = classify_case(sigma_cur, sigma_prev, rho)
-        if case is Case.SAME_SET:
-            tree.add_leaf(new_leaf, tree.parent(prev_leaf))
-        elif case is Case.DEEPER:
-            parent_cov = tree.router_cov.get(tree.parent(prev_leaf), 0.0)
-            router = tree.insert_router_above(prev_leaf, max(sigma_cur, parent_cov))
-            tree.add_leaf(new_leaf, router)
-        else:
-            attach_shallower(tree, prev_leaf, new_leaf, sigma_cur, rho)
+        place_leaf(tree, leaves[i - 1], leaves[i], case, sigma_cur, rho)
         sigma_prev = sigma_cur
     return tree

@@ -13,8 +13,11 @@ A scenario config is a JSON document with sections:
     }
 
 Presence of "sweep" switches run_scenario into sweep mode; "joins" selects
-the dynamic scenario. Reports are single JSON documents embedding the full
-resolved config; given the same config they re-serialize byte-identically.
+the dynamic scenario. Every mode runs each seed through one pass,
+`_run_once`: generate -> simulate -> estimate -> `recover_from_matrix`
+(DFS order, then `recover_tree` at the configured or the automatic rho) ->
+score. Reports are single JSON documents embedding the full resolved
+config; given the same config they re-serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import ConfigError
 from .model import branching_skeleton
 from .ordering import dfs_order
 from .recover import RecoveryConfig, auto_rho, recover_tree
-from .simulator import SimulatedNetwork, SimulatorConfig, generate_topology, grow_network, simulate_session
+from .simulator import SimulatorConfig, generate_topology, grow_network, simulate_session
 
 _TOP_KEYS = {"simulator", "recovery", "seeds", "sweep", "joins"}
 _TUPLE_FIELDS = {"link_base_delay_us", "link_delay_var_ms2", "pair_schedule_us"}
@@ -55,15 +58,9 @@ def parse_config(data: dict) -> dict:
     for key in sim_section:
         if key not in valid_fields:
             raise ConfigError(f"simulator.{key}: unknown field")
-    kwargs = dict(sim_section)
-    for key in _TUPLE_FIELDS & set(kwargs):
-        if kwargs[key] is not None:
-            kwargs[key] = tuple(kwargs[key])
     try:
-        sim = SimulatorConfig(**kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"simulator: {exc}") from None
-    except TypeError as exc:
+        sim = _sim_from_resolved({"simulator": sim_section})
+    except (ConfigError, TypeError) as exc:
         raise ConfigError(f"simulator: {exc}") from None
 
     recovery = data.get("recovery", {})
@@ -159,30 +156,31 @@ def _cov_summary(cov) -> dict:
     }
 
 
+def recover_from_matrix(source, cov, rho: float | None):
+    """DFS order of ``cov``, then `recover_tree` from ``source`` at
+    threshold ``rho``, or at `auto_rho` of ``cov`` when ``rho`` is None.
+    Returns the tree and the RecoveryConfig used."""
+    order = dfs_order(cov)
+    config = RecoveryConfig(rho if rho is not None else auto_rho(cov))
+    return recover_tree(source, order, cov, config), config
+
+
 def _run_once(sim: SimulatorConfig, rho: float | None):
     """One generate -> simulate -> estimate -> order -> recover -> score pass."""
     net = generate_topology(sim)
     log = simulate_session(net, sim)
     cov = build_covariance_matrix(log, sorted(net.clients))
-    order = dfs_order(cov)
-    config = RecoveryConfig(rho if rho is not None else auto_rho(cov))
-    tree = recover_tree(net.source, order, cov, config)
+    tree, config = recover_from_matrix(net.source, cov, rho)
     report = score_trees(tree, branching_skeleton(net.truth))
     return net, cov, tree, config, report
 
 
-def run_scenario(resolved: dict) -> dict:
-    """Static scenario (or sweep, when the config has a sweep section):
-    executes the full pipeline once per seed and aggregates accuracy."""
-    if resolved.get("joins"):
-        raise ConfigError("config has a joins section; use the dynamic scenario")
-    if resolved.get("sweep"):
-        return _run_sweep(resolved)
-    rho = resolved["recovery"]["rho_ms2"]
+def _run_seeds(resolved: dict, **overrides) -> tuple[list[dict], dict]:
+    """One run record per seed, each with its ``tree``, and their summary."""
     runs = []
     for seed in resolved["seeds"]:
-        sim = _sim_from_resolved(resolved, seed=seed)
-        _, cov, tree, config, report = _run_once(sim, rho)
+        sim = _sim_from_resolved(resolved, seed=seed, **overrides)
+        _, cov, tree, config, report = _run_once(sim, resolved["recovery"]["rho_ms2"])
         runs.append(
             {
                 "seed": seed,
@@ -195,17 +193,19 @@ def run_scenario(resolved: dict) -> dict:
             }
         )
     mean_p, stderr_p = _mean_stderr([r["p"] for r in runs])
-    return {
-        "config": resolved,
-        "mode": "static",
-        "runs": runs,
-        "summary": {"mean_p": mean_p, "stderr_p": stderr_p},
-    }
+    return runs, {"mean_p": mean_p, "stderr_p": stderr_p}
 
 
-def _run_sweep(resolved: dict) -> dict:
-    sweep = resolved["sweep"]
-    rho = resolved["recovery"]["rho_ms2"]
+def run_scenario(resolved: dict) -> dict:
+    """Static scenario (or sweep, when the config has a sweep section):
+    executes the full pipeline once per seed and aggregates accuracy. A
+    sweep point keeps the tree of its last seed only."""
+    if resolved.get("joins"):
+        raise ConfigError("config has a joins section; use the dynamic scenario")
+    sweep = resolved.get("sweep")
+    if not sweep:
+        runs, summary = _run_seeds(resolved)
+        return {"config": resolved, "mode": "static", "runs": runs, "summary": summary}
     if "bg_rates_bytes_per_sec" in sweep:
         mode = "bg_sweep"
         grid = [{"bg_rate_bytes_per_sec": float(r)} for r in sweep["bg_rates_bytes_per_sec"]]
@@ -218,32 +218,14 @@ def _run_sweep(resolved: dict) -> dict:
         ]
     points = []
     for overrides in grid:
-        runs = []
-        last_tree = None
-        for seed in resolved["seeds"]:
-            sim = _sim_from_resolved(resolved, seed=seed, **overrides)
-            _, cov, tree, config, report = _run_once(sim, rho)
-            last_tree = tree
-            runs.append(
-                {
-                    "seed": seed,
-                    "p": report.p,
-                    "p_distinct": report.p_distinct,
-                    "n_leaves": report.n_leaves,
-                    "rho_ms2": config.rho,
-                    "cov_summary": _cov_summary(cov),
-                }
-            )
-        mean_p, stderr_p = _mean_stderr([r["p"] for r in runs])
-        points.append(
-            {
-                **overrides,
-                "runs": runs,
-                "summary": {"mean_p": mean_p, "stderr_p": stderr_p},
-                "tree": last_tree.to_dict(),
-            }
-        )
+        runs, summary = _run_seeds(resolved, **overrides)
+        trees = [run.pop("tree") for run in runs]
+        points.append({**overrides, "runs": runs, "summary": summary, "tree": trees[-1]})
     return {"config": resolved, "mode": mode, "points": points}
+
+
+def _curve_point(n_nodes: int, report) -> dict:
+    return {"n_nodes": n_nodes, "n_leaves": report.n_leaves, "p": report.p, "p_distinct": report.p_distinct}
 
 
 def run_dynamic_scenario(resolved: dict) -> dict:
@@ -258,14 +240,7 @@ def run_dynamic_scenario(resolved: dict) -> dict:
     for seed in resolved["seeds"]:
         sim = _sim_from_resolved(resolved, seed=seed)
         net, cov, tree, config, report = _run_once(sim, rho)
-        curve = [
-            {
-                "n_nodes": sim.n_routers + sim.n_hosts,
-                "n_leaves": report.n_leaves,
-                "p": report.p,
-                "p_distinct": report.p_distinct,
-            }
-        ]
+        curve = [_curve_point(sim.n_routers + sim.n_hosts, report)]
         join_sim = replace(sim, n_pairs=joins["n_pairs"])
         n_hosts = sim.n_hosts
         consumed = 0
@@ -283,15 +258,7 @@ def run_dynamic_scenario(resolved: dict) -> dict:
             oracle = covariance_oracle_from_log(log)
             for host in new_hosts:
                 attach_peer(tree, oracle, host, config)
-            step_report = score_trees(tree, branching_skeleton(net.truth))
-            curve.append(
-                {
-                    "n_nodes": sim.n_routers + n_hosts,
-                    "n_leaves": step_report.n_leaves,
-                    "p": step_report.p,
-                    "p_distinct": step_report.p_distinct,
-                }
-            )
+            curve.append(_curve_point(sim.n_routers + n_hosts, score_trees(tree, branching_skeleton(net.truth))))
         runs.append({"seed": seed, "curve": curve, "final_tree": tree.to_dict()})
     initial_mean, _ = _mean_stderr([r["curve"][0]["p"] for r in runs])
     final_mean, _ = _mean_stderr([r["curve"][-1]["p"] for r in runs])

@@ -1,7 +1,14 @@
+import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import covtomo
 from covtomo.cli import main
 from covtomo.errors import ConfigError
 from covtomo.scenarios import parse_config
@@ -106,6 +113,24 @@ def test_overlong_integer_literal_is_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == "data error: line 1: invalid JSON: integer literal longer than 4300 digits\n"
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (b'{"type": "send", "k": 0, "ts_us": 0}\n' + b"[" * 200_000 + b"\n", "line 2: invalid JSON: nested too deeply"),
+        (
+            b'{"type": "send", "k": 0, "ts_us": 0}\n{"type": "recv", "receiver": "a\xff", "k": 0, "ts_us": 5}\n',
+            "line 2: invalid UTF-8: byte 0xff",
+        ),
+    ],
+    ids=["nested_too_deeply", "not_utf8"],
+)
+def test_undecodable_log_is_a_data_error(tmp_path, capsys, text, message):
+    bad_log = tmp_path / "bad.ndjson"
+    bad_log.write_bytes(text)
+    assert main(["estimate", "--log", str(bad_log), "--out", str(tmp_path / "c.json")]) == 3
+    assert capsys.readouterr().err == f"data error: {message}\n"
+
+
 def test_e2e_static_report_deterministic(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -143,21 +168,80 @@ def test_e2e_dynamic_and_named_join_collision(tmp_path, capsys):
     assert "already exists" in capsys.readouterr().err
 
 
-def test_sweep_subcommand(tmp_path, capsys):
+def test_e2e_runs_sweeps(tmp_path, capsys):
+    # e2e is the one way to run a config: it runs the sweep section too
     cfg = write_config(
         tmp_path,
         sweep={"bg_rates_bytes_per_sec": [1e6, 4e6]},
         seeds=[1],
     )
     out = tmp_path / "sweep.json"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["e2e", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["mode"] == "bg_sweep"
     assert [p["bg_rate_bytes_per_sec"] for p in report["points"]] == [1e6, 4e6]
+    assert capsys.readouterr().out.splitlines() == [
+        f"{{'bg_rate_bytes_per_sec': {rate}}}: mean p={point['summary']['mean_p']:.4f}"
+        for rate, point in zip([1e6, 4e6], report["points"])
+    ] + [f"report written to {out}"]
+
+
+# SHA-256 of the e2e report of each mode on a small config: any change to
+# the scenario runners must leave every report byte-identical. The bg sweep
+# has two seeds, so its points must keep the last seed's tree, and the grid
+# sweep takes its rho from auto_rho.
+PINNED_REPORTS = [
+    ({}, "21ea20158410baa2d03acb05effe3c4afa26ae2466d00740acd317a473dbc8c2"),
+    (
+        {"sweep": {"bg_rates_bytes_per_sec": [1e6, 4e6]}},
+        "5489ae2164e1f25790c1a35251d0a49cee2c32d98d954870bba7aa98a65ca10f",
+    ),
+    (
+        {"sweep": {"packet_sizes_bytes": [500, 1500], "pair_intervals_us": [5000, 8000]}, "recovery": {}, "seeds": [1]},
+        "5b74ce2b196624afa5a79f5878116e8d08517042c0bf5d462ea60524af381e70",
+    ),
+    (
+        {"joins": {"batches": [2, 2], "n_pairs": 300}},
+        "aa8712d51c55afd2db4c6beb900a91972fe62fa9dd1520a990e701f633deccdd",
+    ),
+]
+
+
+@pytest.mark.parametrize("overrides,digest", PINNED_REPORTS, ids=["static", "bg_sweep", "grid_sweep", "dynamic"])
+def test_e2e_reports_match_pinned_digests(tmp_path, capsys, overrides, digest):
+    out = tmp_path / "report.json"
+    assert main(["e2e", "--config", str(write_config(tmp_path, **overrides)), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     capsys.readouterr()
 
-    no_sweep = write_config(tmp_path, name="plain.json")
-    assert main(["sweep", "--config", str(no_sweep), "--out", str(out)]) == 2
+
+def run_module(*args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(Path(covtomo.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "covtomo", *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_module_entry_point(tmp_path):
+    proc = run_module("--help", cwd=tmp_path)
+    assert proc.returncode == 0
+    choices = re.search(r"\{([a-z0-9,]+)\}", proc.stdout).group(1)
+    assert choices.split(",") == ["simulate", "estimate", "recover", "join", "score", "e2e"]
+
+    cfg = write_config(tmp_path, sweep={"bg_rates_bytes_per_sec": [1e6]}, seeds=[1])
+    proc = run_module("sweep", "--config", str(cfg), "--out", "r.json", cwd=tmp_path)
+    assert proc.returncode == 2 and "invalid choice: 'sweep'" in proc.stderr
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"simulator": {"n_hosts": 1}, "seeds": [1]}))
+    proc = run_module("e2e", "--config", str(bad), "--out", "r.json", cwd=tmp_path)
+    assert proc.returncode == 2 and proc.stderr.startswith("config error: simulator: ")
+
+    bad_log = tmp_path / "bad.ndjson"
+    bad_log.write_text('{"type": "send", "k": 0, "ts_us": 0}\nbroken\n')
+    proc = run_module("estimate", "--log", str(bad_log), "--out", "c.json", cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (3, "data error: line 2: invalid JSON: Expecting value\n")
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "c.json").exists()
 
 
 def test_parse_config_rejects_bad_sections():
@@ -171,3 +255,6 @@ def test_parse_config_rejects_bad_sections():
         parse_config({"seeds": [1], "simulator": {"n_pair": 10}})
     with pytest.raises(ConfigError, match="sweep"):
         parse_config({"seeds": [1], "sweep": {"bogus": []}})
+    # a tuple field that is not a list is a config error, not a TypeError
+    with pytest.raises(ConfigError, match="simulator: 'int' object is not iterable"):
+        parse_config({"seeds": [1], "simulator": {"link_base_delay_us": 5}})

@@ -1,10 +1,13 @@
+import itertools
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covtomo import dynamic
 from covtomo.dynamic import JoinContext, attach_peer, remove_peer, select_representatives
 from covtomo.errors import InputError
 from covtomo.model import (
@@ -14,7 +17,7 @@ from covtomo.model import (
     trees_topologically_equal,
 )
 from covtomo.ordering import dfs_order
-from covtomo.recover import RecoveryConfig, recover_tree
+from covtomo.recover import Case, RecoveryConfig, classify_case, recover_tree
 
 from treegen import build_tree, random_truth_tree
 
@@ -170,13 +173,57 @@ def test_remove_then_reattach_round_trip():
         assert trees_topologically_equal(tree, reference)
 
 
+def join_steps(tree, oracle, k, config):
+    """attach_peer, returning the case of each step of its walk."""
+    steps = []
+
+    def classify(*args):
+        steps.append(classify_case(*args))
+        return steps[-1]
+
+    with mock.patch.object(dynamic, "classify_case", classify):
+        attach_peer(tree, oracle, k, config)
+    return steps
+
+
 def test_attach_then_remove_round_trip():
-    truth = build_tree("src", (2.0, [(5.0, ["a", "k"]), "b"]))
-    tree = build_tree("src", (2.0, ["a", "b"]))
-    reference = tree.copy()
-    attach_peer(tree, oracle_for(truth), "k", RecoveryConfig(0.5))
-    remove_peer(tree, "k")
-    assert trees_topologically_equal(tree, reference)
+    # join then leave is the identity on the skeleton, whatever the oracle
+    # says: every placement adds the peer to an existing node or below one
+    # fresh router, and the leave splices that router out again
+    reached = set()
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 12), st.data())
+    def join_then_leave(seed, n, data):
+        rng = np.random.default_rng(seed)
+        truth, v_min = random_truth_tree(rng, n)
+        leaves = sorted(truth.leaves)
+        k = data.draw(st.sampled_from(leaves))
+        scale = data.draw(st.sampled_from([0.0, 0.3 * v_min, 2.0]))
+        noise = {frozenset(pair): float(rng.normal(0.0, scale)) for pair in itertools.combinations(leaves, 2)}
+        oracle = lambda a, b: shared_covariance(truth, a, b) + noise[frozenset((a, b))]
+        tree = remove_peer(truth.copy(), k)
+        before = tree.copy()
+        rho = data.draw(st.floats(0.2, 0.9)) * v_min
+        steps = join_steps(tree, oracle, k, RecoveryConfig(rho))
+        tree.validate()
+        assert all(case is Case.DEEPER for case in steps[:-1])
+        if len(steps) >= 2:
+            reached.add("deeper descent")
+        if steps[-1] is Case.SHALLOWER and tree.parent(k) not in before:
+            reached.add("shallower, hidden router")
+        elif steps[-1] is Case.DEEPER:
+            assert tree.parent(k) not in before
+            reached.add("deeper at a leaf")
+        else:
+            reached.add(steps[-1].value)
+        remove_peer(tree, k)
+        assert trees_topologically_equal(tree, before)
+        # and no router the join made is left behind
+        assert set(tree.nodes()) <= set(before.nodes())
+
+    join_then_leave()
+    assert reached >= {"same_set", "deeper at a leaf", "deeper descent", "shallower, hidden router"}
 
 
 def test_leave_one_out_matches_static_recovery():

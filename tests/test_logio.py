@@ -54,7 +54,7 @@ def test_round_trip_with_losses(tmp_path):
     export_log(log, path)
     back = import_log(path)
     assert back == log
-    assert back.arrival("a", 2) is None
+    assert not back.present[back.row("a"), 2]
 
 
 def test_simulated_log_round_trip(tmp_path):
@@ -72,11 +72,12 @@ def reference_ndjson(log) -> bytes:
     """One json.dumps(record, sort_keys=True) per record."""
     lines = [
         json.dumps({"type": "send", "k": k, "ts_us": ts}, sort_keys=True)
-        for k, ts in log.sender_ts.items()
+        for k, ts in enumerate(log.sender.tolist())
     ]
-    for receiver in sorted(log.receivers):
-        for k, ts in log.arrivals[receiver].items():
-            record = {"type": "recv", "receiver": receiver, "k": k, "ts_us": ts}
+    for row, receiver in enumerate(log.ids):
+        recv = log.recv[row].tolist()
+        for k in np.flatnonzero(log.present[row]).tolist():
+            record = {"type": "recv", "receiver": receiver, "k": k, "ts_us": recv[k]}
             lines.append(json.dumps(record, sort_keys=True))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -211,11 +212,45 @@ ERROR_TABLE = [
     ),
 ]
 
+# nesting past the recursion limit, and bytes that are not UTF-8, are errors
+# of their line, and an error on an earlier line still wins; named cases,
+# as a 200,000-byte text makes a poor test id
+BAD_TEXT_ERRORS = {
+    "nested_too_deeply": (SEND0 + "\n" + "[" * 200_000 + "\n", "line 2: invalid JSON: nested too deeply", 2),
+    "earlier_error_beats_nesting": (
+        SEND0 + "\n" + SEND0 + "\n" + "[" * 200_000 + "\n",
+        "line 2: duplicate send record for k=0",
+        2,
+    ),
+    "not_utf8": (
+        (SEND0 + "\n" + recv("ab", 0, 150) + "\n").encode().replace(b"ab", b"a\xffb"),
+        "line 2: invalid UTF-8: byte 0xff",
+        2,
+    ),
+    "earlier_error_beats_not_utf8": (
+        ("not json\n" + SEND0 + "\n" + recv("ab", 0, 150) + "\n").encode().replace(b"ab", b"a\xffb"),
+        "line 1: invalid JSON: Expecting value",
+        1,
+    ),
+    # 0xc3 starts a sequence that 0x28 does not continue, and 0x80 is a
+    # stray continuation byte: the first bad byte is named
+    "first_bad_byte_is_named": (
+        (SEND0 + "\n\n" + recv("ab", 0, 150) + "\n").encode().replace(b"ab", b"\xc3\x28\x80"),
+        "line 3: invalid UTF-8: byte 0xc3",
+        3,
+    ),
+}
+ERROR_CASES = ERROR_TABLE + [pytest.param(*case, id=name) for name, case in BAD_TEXT_ERRORS.items()]
 
-@pytest.mark.parametrize("text,message,line", ERROR_TABLE)
+
+def as_bytes(text) -> bytes:
+    return text if isinstance(text, bytes) else text.encode("utf-8")
+
+
+@pytest.mark.parametrize("text,message,line", ERROR_CASES)
 def test_format_error_messages_exact(tmp_path, text, message, line):
     path = tmp_path / "bad.ndjson"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(as_bytes(text))
     with pytest.raises(LogFormatError) as exc:
         import_log(path)
     assert (str(exc.value), exc.value.line) == (message, line)
@@ -453,9 +488,13 @@ def test_mutated_logs_keep_their_outcome(tmp_path, text, error, fast):
     assert parsed is None or parsed == expected
 
 
-@pytest.mark.parametrize("text", [text for text, _, _ in ERROR_TABLE])
+@pytest.mark.parametrize(
+    "text",
+    [text for text, _, _ in ERROR_TABLE]
+    + [pytest.param(text, id=name) for name, (text, _, _) in BAD_TEXT_ERRORS.items()],
+)
 def test_exported_reader_leaves_every_pinned_error_to_the_loop(text):
-    assert _parse_exported(text.encode("utf-8")) is None
+    assert _parse_exported(as_bytes(text)) is None
 
 
 def test_exported_reader_leaves_names_that_are_not_utf8_to_the_loop():

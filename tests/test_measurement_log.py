@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covtomo.errors import InvariantError
+from covtomo.errors import InputError, InvariantError
 from covtomo.logio import export_log, import_log
 from covtomo.model import MeasurementLog
 
@@ -73,18 +73,23 @@ def test_views_equal_the_input_dicts(dicts):
     assert log.n_pairs == len(sender_ts)
     assert (log.sender.dtype == object) == (not fits_int64(sender_ts, arrivals))
     assert log.recv.dtype == log.sender.dtype
-    assert log.sender_ts == sender_ts and dict(log.sender_ts) == sender_ts
+    assert log.sender.tolist() == [sender_ts[k] for k in range(log.n_pairs)]
     assert list(log.arrivals) == sorted(arrivals)
     for r, entries in arrivals.items():
+        row = log.row(r)
+        present = np.flatnonzero(log.present[row]).tolist()
+        assert present == sorted(entries)
+        assert {k: log.recv[row, k] for k in present} == entries
+        assert not log.recv[row][~log.present[row]].any()
         view = log.arrivals[r]
         assert view == entries and dict(view.items()) == entries
         assert len(view) == len(entries)
-        assert list(view) == log.present_indices(r) == sorted(entries)
+        assert list(view) == sorted(entries)
         for k in range(-1, log.n_pairs + 1):
-            assert log.arrival(r, k) == entries.get(k)
+            assert view.get(k) == entries.get(k)
             assert (k in view) == (k in entries)
-        assert not log.recv[log.row(r)][~log.present[log.row(r)]].any()
-    assert log.arrival("no such receiver", 0) is None
+    with pytest.raises(InputError, match="unknown receiver"):
+        log.row("no such receiver")
 
 
 @settings(max_examples=100)
