@@ -10,6 +10,9 @@ distinct-triples variant is reported alongside for sharper comparisons.
 
 Both variants come from one exact integer count of correct triples, made
 from per-row histograms of shared-path lengths (see `_correct_triples`).
+The shared-path lengths come from one DFS per tree: the LCA depth of two
+leaves is a range minimum of the LCA depths of consecutive leaves in DFS
+order (see `shared_length_matrix`).
 """
 
 from __future__ import annotations
@@ -50,27 +53,47 @@ def classify_triple(
 
 def shared_length_matrix(tree: RoutingTree, leaf_order) -> np.ndarray:
     """Matrix of pairwise shared-path lengths (links from the root to the
-    LCA); the diagonal holds each leaf's depth."""
+    LCA) over the leaves in ``leaf_order``; the diagonal holds each leaf's
+    depth. Raises InputError for an id that is not a leaf of ``tree``.
+
+    One DFS lists the leaves in visiting order with their depths. The LCA
+    of two consecutive leaves sits one link above the shallowest node
+    entered between them, and the LCA depth of any two leaves is the
+    minimum of those gaps between them in DFS order."""
     ids = list(leaf_order)
     if not ids:
         raise InputError("leaf_order must not be empty")
-    paths = [tree.path_from_root(x) for x in ids]
-    depth = max(len(p) for p in paths)
-    node_code = {}
-    coded = np.full((len(ids), depth), -1, dtype=np.int64)
-    for r, path in enumerate(paths):
-        for d, node in enumerate(path):
-            coded[r, d] = node_code.setdefault(node, len(node_code))
-    # count common path-prefix nodes level by level; links = nodes - 1
-    n = len(ids)
-    common = np.zeros((n, n), dtype=np.int64)
-    alive = np.ones((n, n), dtype=bool)
-    for d in range(depth):
-        col = coded[:, d]
-        eq = (col[:, None] == col[None, :]) & (col[:, None] >= 0)
-        alive &= eq
-        common += alive
-    return common - 1
+    position: dict[NodeId, int] = {}
+    depths, gaps = [], []
+    low = 0  # shallowest depth entered since the last leaf
+    stack = [(tree.root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        low = min(low, depth)
+        if tree.is_leaf(node):
+            if position:
+                gaps.append(low - 1)
+            position[node] = len(depths)
+            depths.append(depth)
+            low = depth
+        else:
+            stack.extend((c, depth + 1) for c in reversed(tree.children(node)))
+    try:
+        pos = np.array([position[x] for x in ids], dtype=np.intp)
+    except KeyError as exc:
+        raise InputError(f"{exc.args[0]!r} is not a leaf of the tree") from None
+    # the requested leaves in DFS order; the gap between two consecutive
+    # ones is the minimum over the DFS gaps they span
+    visit, rank = np.unique(pos, return_inverse=True)
+    m = len(visit)
+    shared = np.zeros((m, m), dtype=np.int64)
+    if m > 1:
+        gap = np.minimum.reduceat(np.array(gaps[: visit[-1]], dtype=np.int64), visit[:-1])
+        for r in range(m - 1):
+            np.minimum.accumulate(gap[r:], out=shared[r, r + 1 :])
+        shared += shared.T
+    shared[np.diag_indices(m)] = np.array(depths, dtype=np.int64)[visit]
+    return shared[np.ix_(rank, rank)]
 
 
 # histogram cells (and index entries) built per block of rows, which keeps

@@ -23,7 +23,9 @@ common indices are then entries of
 and cov = (N*Sxy - Sx*Sx^T) / (N*(N-1)*10^6) elementwise. The row shifts
 cancel in the numerator. Magnitude guards keep every step exact (see
 `_columns` and `_cov_from_sums`), so each entry equals the reference
-estimator bit for bit.
+estimator bit for bit. M and X are stored once, as one (2, receivers, n)
+array. The pair oracle of a join walk reads a pair's four sums from one
+(2 x n) @ (n x 2) product of the two receivers' rows of that array.
 """
 
 from __future__ import annotations
@@ -126,7 +128,8 @@ def _within_raw_limit(values) -> bool:
 
 def _fill_columns(log: MeasurementLog, ids, dtype):
     """Presence mask and row-shifted send-to-arrival offsets over pair
-    indices 0..n-1, plus the largest offset magnitude.
+    indices 0..n-1, stacked as one (2, receivers, n) array, plus the
+    largest offset magnitude.
 
     With ``dtype=np.int64`` offsets are taken in int64 and stored as float64
     (OverflowError when a timestamp is 2^62 or more in magnitude); with
@@ -143,6 +146,7 @@ def _fill_columns(log: MeasurementLog, ids, dtype):
     else:
         off = recv.astype(object) - log.sender.astype(object)
         bound = int(np.abs(off).max(initial=0)) + 1
+    del recv
     # absent slots read as +-bound, beyond every offset, so they never win
     lo = np.where(present, off, bound).min(axis=1, initial=bound).tolist()
     hi = np.where(present, off, -bound).max(axis=1, initial=-bound).tolist()
@@ -150,14 +154,20 @@ def _fill_columns(log: MeasurementLog, ids, dtype):
     # gets mid 0 and a negative spread
     mids = [(a + b) // 2 for a, b in zip(lo, hi)]
     xmax = max([0] + [max(b - m, m - a) for a, b, m in zip(lo, hi, mids)])
-    store = np.float64 if dtype is np.int64 else object
-    shifted = np.where(present, off - np.array(mids, dtype=dtype)[:, None], 0)
-    return present.astype(np.int64).astype(store), shifted.astype(store), xmax
+    # shifted in place, and lost slots zeroed, so that no full-size
+    # temporary is alive beside the output
+    off -= np.array(mids, dtype=dtype)[:, None]
+    off[~present] = 0
+    cols = np.empty((2,) + present.shape, dtype=np.float64 if dtype is np.int64 else object)
+    cols[0] = present
+    cols[1] = off
+    return cols, xmax
 
 
 def _columns(log: MeasurementLog, ids):
-    """The kernel's inputs for ``ids``: presence mask M, shifted offsets X,
-    and whether the numerator needs Python ints.
+    """The kernel's inputs for ``ids``: presence mask M and shifted offsets
+    X as one (2, receivers, n) array, M at [0] and X at [1], and whether
+    the numerator needs Python ints.
 
     Exactness contract, with n the most arrivals of any receiver and x the
     largest shifted offset:
@@ -174,15 +184,15 @@ def _columns(log: MeasurementLog, ids):
       matmul sums them exactly with the same formula.
     """
     try:
-        mask, offsets, xmax = _fill_columns(log, ids, np.int64)
+        cols, xmax = _fill_columns(log, ids, np.int64)
     except OverflowError:
         pass
     else:
-        nmax = int(mask.sum(axis=1).max(initial=0))
+        nmax = int(cols[0].sum(axis=1).max(initial=0))
         if nmax * xmax**2 < _F64_EXACT:
-            return mask, offsets, nmax**2 * max(xmax**2, _US2_PER_MS2) >= _I64_LIMIT
-    mask, offsets, _ = _fill_columns(log, ids, object)
-    return mask, offsets, True
+            return cols, nmax**2 * max(xmax**2, _US2_PER_MS2) >= _I64_LIMIT
+    cols, _ = _fill_columns(log, ids, object)
+    return cols, True
 
 
 def _cov_from_sums(counts, cross, sums, wide: bool) -> np.ndarray:
@@ -234,7 +244,7 @@ def build_covariance_matrix(log: MeasurementLog, receivers) -> CovarianceMatrix:
     unknown = set(ids) - set(log.receivers)
     if unknown:
         raise InputError(f"receivers not in log: {sorted(unknown)}")
-    mask, offsets, wide = _columns(log, ids)
+    (mask, offsets), wide = _columns(log, ids)
     counts = mask @ mask.T
     short = np.argwhere(np.triu(counts < 2))
     if len(short):
@@ -248,34 +258,33 @@ def build_covariance_matrix(log: MeasurementLog, receivers) -> CovarianceMatrix:
 
 
 def covariance_oracle_from_log(log: MeasurementLog):
-    """Pairwise-covariance provider backed by a measurement log, with a small
-    cache; raises MeasurementGapError when a pair cannot be estimated.
+    """Pairwise-covariance provider backed by a measurement log, with a
+    cache keyed by the sorted pair; raises MeasurementGapError when a pair
+    cannot be estimated.
 
-    The kernel's columns are built once; each requested pair's sums are
-    dot products of its two rows, so a value equals the matrix entry.
+    The kernel's columns are built once. A requested pair's four sums come
+    from one (2 x n) @ (n x 2) product of its rows of M and X, so a value
+    equals the matrix entry.
     """
     ids = sorted(log.receivers)
-    row = {r: i for i, r in enumerate(ids)}
-    mask, offsets, _ = _columns(log, ids)
-    cache: dict[frozenset, float] = {}
+    cols, _ = _columns(log, ids)
+    # each receiver's (2, n) view of the columns: its rows of M and X
+    rows = dict(zip(ids, cols.swapaxes(0, 1)))
+    cache: dict[tuple[NodeId, NodeId], float] = {}
 
     def oracle(a: NodeId, b: NodeId) -> float:
-        key = frozenset((a, b))
+        key = (a, b) if a <= b else (b, a)
         if key in cache:
             return cache[key]
-        if a not in row or b not in row:
-            missing = a if a not in row else b
+        if a not in rows or b not in rows:
+            missing = a if a not in rows else b
             raise MeasurementGapError(f"no measurements for {missing!r} (pair ({a!r}, {b!r}))")
-        i, j = row[a], row[b]
-        n = int(mask[i] @ mask[j])
+        # [[M_a.M_b, M_a.X_b], [X_a.M_b, X_a.X_b]]
+        (n, sy), (sx, sxy) = (rows[a] @ rows[b].T).tolist()
+        n = int(n)
         if n < 2:
             raise MeasurementGapError(f"pair ({a!r}, {b!r}) shares only {n} pair indices")
-        cov = _int_cov_ms2(
-            n,
-            int(offsets[i] @ mask[j]),
-            int(mask[i] @ offsets[j]),
-            int(offsets[i] @ offsets[j]),
-        )
+        cov = _int_cov_ms2(n, int(sx), int(sy), int(sxy))
         cache[key] = cov
         return cov
 

@@ -13,10 +13,11 @@ A scenario config is a JSON document with sections:
     }
 
 Presence of "sweep" switches run_scenario into sweep mode; "joins" selects
-the dynamic scenario. Every mode runs each seed through one pass,
-`_run_once`: generate -> simulate -> estimate -> `recover_from_matrix`
-(DFS order, then `recover_tree` at the configured or the automatic rho) ->
-score. Reports are single JSON documents embedding the full resolved
+the dynamic scenario. A config has at most one of the two, and join names
+are checked against the generated host ids before any run. Every mode runs
+each seed through one pass, `_run_once`: generate -> simulate -> estimate
+-> `recover_from_matrix` (DFS order, then `recover_tree` at the configured
+or the automatic rho) -> score. Reports are single JSON documents embedding the full resolved
 config; given the same config they re-serialize byte-identically.
 """
 
@@ -36,7 +37,7 @@ from .errors import ConfigError
 from .model import branching_skeleton
 from .ordering import dfs_order
 from .recover import RecoveryConfig, auto_rho, recover_tree
-from .simulator import SimulatorConfig, generate_topology, grow_network, simulate_session
+from .simulator import SimulatorConfig, generate_topology, grow_network, host_id, simulate_session
 
 _TOP_KEYS = {"simulator", "recovery", "seeds", "sweep", "joins"}
 _TUPLE_FIELDS = {"link_base_delay_us", "link_delay_var_ms2", "pair_schedule_us"}
@@ -92,6 +93,8 @@ def parse_config(data: dict) -> dict:
             )
 
     joins = data.get("joins")
+    if joins is not None and sweep is not None:
+        raise ConfigError("sweep and joins: a config may have only one of them")
     if joins is not None:
         if not isinstance(joins, dict) or set(joins) - {"batches", "n_pairs", "names"}:
             raise ConfigError("joins: supported fields are batches, n_pairs, names")
@@ -109,6 +112,15 @@ def parse_config(data: dict) -> dict:
                 raise ConfigError("joins.names: list of strings required")
             if len(names) != sum(batches):
                 raise ConfigError("joins.names: length must equal the total of joins.batches")
+            # checked before any run: every seed starts from the same host ids
+            generated = {host_id(i, sim.n_hosts) for i in range(sim.n_hosts)}
+            seen = set()
+            for name in names:
+                if name in generated:
+                    raise ConfigError(f"joins.names: host {name!r} already exists")
+                if name in seen:
+                    raise ConfigError(f"joins.names: host {name!r} appears more than once")
+                seen.add(name)
         joins = {"batches": batches, "n_pairs": n_pairs, "names": names}
 
     resolved = {
@@ -249,9 +261,6 @@ def run_dynamic_scenario(resolved: dict) -> dict:
             if joins["names"] is not None:
                 names = joins["names"][consumed : consumed + batch]
                 consumed += batch
-                for name in names:
-                    if name in net.access_router or name == net.source:
-                        raise ConfigError(f"joins.names: host {name!r} already exists")
             new_hosts = grow_network(net, sim, batch, stream=step, names=names)
             n_hosts += batch
             log = simulate_session(net, join_sim, stream=step)

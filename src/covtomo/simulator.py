@@ -11,6 +11,14 @@ that pair index; that sharing is what creates covariance on shared links,
 and the analytic covariance of two clients is therefore exactly the sum of
 link variances over their common path prefix.
 
+A session accumulates per-link values down the routing tree, visiting each
+link once: a link's jitter row, constant delay, congestion noise variance
+and survival probability start from those of the link above it, so each
+holds the total over the path from the source, and a client takes the
+values of its last link. That takes O(links * pairs) memory, and every
+float sum runs in path order from the source, so a log does not depend on
+a BLAS library's summation order.
+
 Background traffic scales every link's jitter variance linearly with the
 configured rate, and pushes links over a utilization threshold into
 congestion, which adds per-client independent noise and packet loss.
@@ -193,13 +201,19 @@ def _lary_router_graph(cfg: SimulatorConfig, rng: np.random.Generator) -> nx.Gra
     return g
 
 
+def host_id(index: int, n_hosts: int) -> NodeId:
+    """Generated id of host ``index`` in a network configured with
+    ``n_hosts`` hosts: ``h`` and the index zero-padded to at least 4
+    digits. Hosts added by `grow_network` continue the same sequence."""
+    return f"h{index:0{max(4, len(str(n_hosts)))}d}"
+
+
 def generate_topology(config: SimulatorConfig) -> SimulatedNetwork:
     """Build the ground-truth network for the configured seed: router
     interconnect per the topology model, hosts on random routers, a random
     source host, and the lowest-latency routing tree to a random client
     subset. Deterministic given the seed."""
     rng = np.random.default_rng([config.seed, _STREAM_TOPOLOGY])
-    host_pad = max(4, len(str(config.n_hosts)))
     for _ in range(config.max_topology_retries):
         if config.topology_model == "waxman":
             router_graph = _waxman_router_graph(config, rng)
@@ -217,7 +231,7 @@ def generate_topology(config: SimulatorConfig) -> SimulatedNetwork:
     g.add_nodes_from(router_ids)
     for u, v in router_graph.edges():
         g.add_edge(router_ids[u], router_ids[v])
-    hosts = [f"h{i:0{host_pad}d}" for i in range(config.n_hosts)]
+    hosts = [host_id(i, config.n_hosts) for i in range(config.n_hosts)]
     access_router: dict[NodeId, NodeId] = {}
     attach = rng.integers(config.n_routers, size=config.n_hosts)
     for h, r in zip(hosts, attach):
@@ -296,7 +310,6 @@ def grow_network(
     routers = sorted({r for r in net._router_paths})
     base_lo, base_hi = config.link_base_delay_us
     var_lo, var_hi = config.link_delay_var_ms2
-    host_pad = max(4, len(str(config.n_hosts)))
     new_hosts = []
     for slot in range(n_new_hosts):
         if names is not None:
@@ -304,7 +317,7 @@ def grow_network(
             if host in net.access_router or host == net.source:
                 raise InputError(f"host {host!r} already exists in the network")
         else:
-            host = f"h{net._host_seq:0{host_pad}d}"
+            host = host_id(net._host_seq, config.n_hosts)
             net._host_seq += 1
         router = routers[int(rng.integers(len(routers)))]
         base = float(rng.uniform(base_lo, base_hi))
@@ -339,6 +352,17 @@ def _link_utilization(net: SimulatedNetwork, config: SimulatorConfig, client_lin
     return util
 
 
+def _offset_normal(rng: np.random.Generator, sigma: np.ndarray, n: int) -> np.ndarray:
+    """One row of ``n`` draws per entry of ``sigma``: normal at mean
+    5*sigma and standard deviation sigma, clipped at zero. The same draws
+    and arithmetic as ``rng.normal(5*sigma, sigma)``, scaled in place."""
+    draws = rng.standard_normal((len(sigma), n))
+    draws *= sigma[:, None]
+    draws += (_JITTER_OFFSET_SIGMAS * sigma)[:, None]
+    np.clip(draws, 0.0, None, out=draws)
+    return draws
+
+
 def simulate_session(net: SimulatedNetwork, config: SimulatorConfig, stream: int = 0) -> MeasurementLog:
     """Synthesize one measurement session over all current clients.
 
@@ -364,47 +388,54 @@ def simulate_session(net: SimulatedNetwork, config: SimulatorConfig, stream: int
     sigma_us = np.array(
         [math.sqrt(net.link_params[l][1]) * 1000.0 for l in links], dtype=float
     )
-    jitter = rng.normal(
-        _JITTER_OFFSET_SIGMAS * sigma_us[:, None], sigma_us[:, None], size=(len(links), n)
-    )
-    np.clip(jitter, 0.0, None, out=jitter)
+    jitter = _offset_normal(rng, sigma_us, n)
 
     trans_us = config.packet_size_bytes * 8 / config.bandwidth_bps * 1e6
     threshold = config.congestion_threshold
-    incidence = np.zeros((len(clients), len(links)), dtype=float)
-    const_us = np.zeros(len(clients), dtype=float)
-    indep_var_us2 = np.zeros(len(clients), dtype=float)
-    survival = np.ones(len(clients), dtype=float)
-    for ci, c in enumerate(clients):
+    # accumulated down the routing tree (see the module docstring)
+    const_us = [0.0] * len(links)
+    noise_var_us2 = [0.0] * len(links)
+    survival = [1.0] * len(links)
+    summed = [False] * len(links)
+    last = []
+    for c in clients:
+        above = None
         for link in client_links[c]:
-            incidence[ci, link_idx[link]] = 1.0
-            const_us[ci] += net.link_params[link][0] + trans_us
-            over = util[link] - threshold
-            if over > 0:
-                overshoot = over / max(1.0 - threshold, 1e-9)
-                indep_var_us2[ci] += (
-                    net.link_params[link][1] * config.congestion_noise_gain * overshoot * 1e6
-                )
-                survival[ci] *= 1.0 - config.drop_prob
-            drop = net.drop_override.get(link)
-            if drop:
-                survival[ci] *= 1.0 - drop
+            li = link_idx[link]
+            if not summed[li]:
+                summed[li] = True
+                base, var = net.link_params[link]
+                if above is not None:
+                    jitter[li] += jitter[above]
+                    const_us[li], noise_var_us2[li], survival[li] = (
+                        const_us[above], noise_var_us2[above], survival[above]
+                    )
+                const_us[li] += base + trans_us
+                over = util[link] - threshold
+                if over > 0:
+                    overshoot = over / max(1.0 - threshold, 1e-9)
+                    noise_var_us2[li] += var * config.congestion_noise_gain * overshoot * 1e6
+                    survival[li] *= 1.0 - config.drop_prob
+                drop = net.drop_override.get(link)
+                if drop:
+                    survival[li] *= 1.0 - drop
+            above = li
+        last.append(above)
 
-    delays = incidence @ jitter + const_us[:, None]
-    indep_sigma = np.sqrt(indep_var_us2)
-    noisy = indep_sigma > 0
+    # a client's values are those of its last link
+    delays = jitter[last]
+    del jitter
+    delays += np.array(const_us)[last, None]
+    noise_var_us2 = np.array(noise_var_us2)[last]
+    noisy = noise_var_us2 > 0
     if noisy.any():
-        extra = rng.normal(
-            _JITTER_OFFSET_SIGMAS * indep_sigma[noisy, None],
-            indep_sigma[noisy, None],
-            size=(int(noisy.sum()), n),
-        )
-        np.clip(extra, 0.0, None, out=extra)
-        delays[noisy] += extra
+        delays[noisy] += _offset_normal(rng, np.sqrt(noise_var_us2[noisy]), n)
 
-    lost = rng.random((len(clients), n)) >= survival[:, None]
+    lost = rng.random((len(clients), n)) >= np.array(survival)[last, None]
 
-    arrivals_ts = schedule[None, :] + np.rint(delays).astype(np.int64)
+    np.rint(delays, out=delays)
+    arrivals_ts = delays.astype(np.int64)
+    arrivals_ts += schedule
     arrivals_ts[lost] = 0
     interval = None if config.pair_schedule_us is not None else int(config.pair_interval_us)
     return MeasurementLog(clients, schedule, arrivals_ts, ~lost, interval)

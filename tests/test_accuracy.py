@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covtomo import accuracy
-from covtomo.accuracy import classify_triple, score_trees, shared_length_matrix, tomography_accuracy
+from covtomo.accuracy import _shared_len, classify_triple, score_trees, shared_length_matrix, tomography_accuracy
 from covtomo.errors import InputError
 from covtomo.model import RoutingTree
 
@@ -214,3 +214,35 @@ def test_counting_kernel_equals_brute_force(pair):
                     tomography_accuracy(recovered, truth, X, include_degenerate=False)
             else:
                 assert tomography_accuracy(recovered, truth, X, include_degenerate=False) == distinct
+
+
+@st.composite
+def leaf_orders(draw):
+    """A tree from `routing_trees` (up to 30 leaves, so caterpillars run
+    deep) and a permuted, usually partial order of its leaves, sometimes
+    with repeats."""
+    leaves = [f"h{i:02d}" for i in range(draw(st.integers(2, 30)))]
+    tree = draw(routing_trees(leaves))
+    order = draw(st.permutations(leaves))[: draw(st.integers(1, len(leaves)))]
+    order += draw(st.lists(st.sampled_from(order), max_size=2))
+    return tree, order
+
+
+@settings(max_examples=200)
+@given(leaf_orders())
+def test_shared_length_matrix_equals_brute_force(case):
+    tree, order = case
+    want = np.array([[_shared_len(tree, a, b) for b in order] for a in order], dtype=np.int64)
+    got = shared_length_matrix(tree, order)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=50)
+@given(leaf_orders(), st.data())
+def test_shared_length_matrix_rejects_non_leaves(case, data):
+    tree, order = case
+    other = data.draw(st.sampled_from(sorted(set(tree.nodes()) - tree.leaves) + ["zz"]))
+    at = data.draw(st.integers(0, len(order)))
+    with pytest.raises(InputError, match=f"{other!r} is not a leaf of the tree"):
+        shared_length_matrix(tree, order[:at] + [other] + order[at:])

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import covtomo
+from covtomo import scenarios
 from covtomo.cli import main
 from covtomo.errors import ConfigError
 from covtomo.scenarios import parse_config
@@ -166,6 +167,36 @@ def test_e2e_dynamic_and_named_join_collision(tmp_path, capsys):
     )
     assert main(["e2e", "--config", str(collide), "--out", str(out)]) == 2
     assert "already exists" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"joins": {"batches": [2, 1], "n_pairs": 300, "names": ["peerA", "peerA", "peerB"]}},
+            "joins.names: host 'peerA' appears more than once",
+        ),
+        (
+            {"joins": {"batches": [1, 1], "n_pairs": 300, "names": ["peerA", "h0003"]}},
+            "joins.names: host 'h0003' already exists",
+        ),
+        (
+            {"joins": {"batches": [2]}, "sweep": {"bg_rates_bytes_per_sec": [1e6, 4e6]}},
+            "sweep and joins: a config may have only one of them",
+        ),
+    ],
+    ids=["duplicate-name", "generated-name-in-second-batch", "sweep-and-joins"],
+)
+def test_e2e_rejects_bad_joins_before_any_run(tmp_path, capsys, monkeypatch, overrides, message):
+    def no_run(config):
+        raise AssertionError("generate_topology called for a config that parse_config must reject")
+
+    monkeypatch.setattr(scenarios, "generate_topology", no_run)
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "r.json"
+    assert main(["e2e", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_e2e_runs_sweeps(tmp_path, capsys):

@@ -15,6 +15,7 @@ from covtomo.delay_cov import (
 )
 from covtomo.errors import InputError, InsufficientDataError, MeasurementGapError
 from covtomo.model import DelaySeries, MeasurementLog
+from covtomo.simulator import SimulatorConfig, generate_topology, simulate_session
 
 MS2 = 10**6  # us^2 per ms^2
 
@@ -342,6 +343,40 @@ def test_oracle_from_log_matches_matrix_and_reports_gaps():
         oracle("a", "c")
     with pytest.raises(MeasurementGapError):
         oracle("a", "unknown")
+
+
+def test_oracle_agrees_with_matrix_both_ways_on_lossy_log():
+    # bg 12e6 congests every link: ~40% loss, so each pair has its own
+    # common index set
+    cfg = SimulatorConfig(n_hosts=150, n_routers=50, seed=7, n_pairs=600, bg_rate_bytes_per_sec=12e6)
+    log = simulate_session(generate_topology(cfg), cfg)
+    ids = sorted(log.receivers)
+    assert len(ids) >= 100 and log.present.mean() < 0.9
+    cov = build_covariance_matrix(log, ids)
+    forward, backward = covariance_oracle_from_log(log), covariance_oracle_from_log(log)
+    rng = np.random.default_rng(3)
+    pairs = [tuple(rng.choice(ids, size=2, replace=False)) for _ in range(300)] + [(ids[5], ids[5])]
+    for a, b in pairs + pairs[:20]:
+        want = cov.get(a, b).hex()
+        assert forward(a, b).hex() == want, (a, b)
+        assert backward(b, a).hex() == want, (a, b)
+        assert forward(b, a).hex() == want, (a, b)
+
+
+def test_oracle_gap_messages():
+    log = fixed_log({"a": {0: 10, 1: 40, 2: 70}, "b": {0: 12, 1: 45, 2: 71}, "c": {1: 50}}, 3, 30)
+    oracle = covariance_oracle_from_log(log)
+    for args, message in (
+        (("a", "zz"), "no measurements for 'zz' (pair ('a', 'zz'))"),
+        (("zz", "a"), "no measurements for 'zz' (pair ('zz', 'a'))"),
+        (("a", "c"), "pair ('a', 'c') shares only 1 pair indices"),
+        (("c", "b"), "pair ('c', 'b') shares only 1 pair indices"),
+        (("c", "c"), "pair ('c', 'c') shares only 1 pair indices"),
+    ):
+        with pytest.raises(MeasurementGapError) as err:
+            oracle(*args)
+        assert str(err.value) == message
+    assert oracle("b", "a") == oracle("a", "b") == build_covariance_matrix(log, ["a", "b"]).get("a", "b")
 
 
 # ----------------------------------------------------------------------

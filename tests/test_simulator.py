@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from covtomo import simulator
 from covtomo.delay_cov import align_pairs, build_covariance_matrix, normalize_series
 from covtomo.errors import ConfigError, InputError
 from covtomo.logio import export_log
@@ -259,3 +262,90 @@ def test_lary_topology_model():
     net = generate_topology(cfg)
     net.truth.validate()
     assert len(net.truth.leaves) == len(net.clients)
+
+
+def reference_session(net, config, stream=0):
+    """Plain restatement of `simulate_session`: jitter and congestion noise
+    drawn by ``rng.normal(loc, scale)`` in one call each, and each client's
+    jitter summed link by link in path order."""
+    rng = np.random.default_rng([config.seed, simulator._STREAM_SESSION, stream])
+    clients = sorted(net.clients)
+    schedule = config.sender_schedule()
+    n = len(schedule)
+    paths = {c: net.path_links(c) for c in clients}
+    links = sorted({link for ls in paths.values() for link in ls})
+    util = simulator._link_utilization(net, config, paths)
+    sigma = np.array([math.sqrt(net.link_params[link][1]) * 1000.0 for link in links])
+    jitter = np.clip(rng.normal(5.0 * sigma[:, None], sigma[:, None], size=(len(links), n)), 0.0, None)
+    row = dict(zip(links, jitter))
+
+    trans_us = config.packet_size_bytes * 8 / config.bandwidth_bps * 1e6
+    threshold = config.congestion_threshold
+    delays = np.empty((len(clients), n))
+    noise_var = np.zeros(len(clients))
+    survival = np.ones(len(clients))
+    for ci, c in enumerate(clients):
+        summed, const = 0.0, 0.0
+        for link in paths[c]:
+            base, var = net.link_params[link]
+            summed = summed + row[link]
+            const += base + trans_us
+            if util[link] > threshold:
+                overshoot = (util[link] - threshold) / max(1.0 - threshold, 1e-9)
+                noise_var[ci] += var * config.congestion_noise_gain * overshoot * 1e6
+                survival[ci] *= 1.0 - config.drop_prob
+            if net.drop_override.get(link):
+                survival[ci] *= 1.0 - net.drop_override[link]
+        delays[ci] = summed + const
+    noise_sigma = np.sqrt(noise_var)
+    noisy = noise_sigma > 0
+    if noisy.any():
+        loc, scale = 5.0 * noise_sigma[noisy, None], noise_sigma[noisy, None]
+        delays[noisy] += np.clip(rng.normal(loc, scale, size=(int(noisy.sum()), n)), 0.0, None)
+    lost = rng.random((len(clients), n)) >= survival[:, None]
+    recv = schedule[None, :] + np.rint(delays).astype(np.int64)
+    recv[lost] = 0
+    return clients, schedule, recv, ~lost
+
+
+@st.composite
+def session_setups(draw):
+    """A small network, possibly grown, with a fixed or timestamped
+    schedule, a background rate from idle to congesting every link, and
+    forced drops on some links."""
+    if draw(st.booleans()):
+        schedule = {"n_pairs": draw(st.integers(1, 40)), "pair_interval_us": draw(st.sampled_from([200, 5000, 30000]))}
+    else:
+        gaps = draw(st.lists(st.integers(1, 3000), min_size=0, max_size=39))
+        schedule = {"pair_schedule_us": tuple(int(x) for x in np.cumsum([draw(st.integers(0, 10**6))] + gaps))}
+    cfg = SimulatorConfig(
+        n_hosts=draw(st.integers(2, 16)),
+        n_routers=draw(st.integers(1, 7)),
+        topology_model=draw(st.sampled_from(["waxman", "lary"])),
+        lary_arity=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**16)),
+        packet_size_bytes=draw(st.sampled_from([200, 1500])),
+        bg_rate_bytes_per_sec=draw(st.sampled_from([0.0, 1e6, 4e6, 9e6, 12e6])),
+        **schedule,
+    )
+    net = generate_topology(cfg)
+    stream = 0
+    if draw(st.booleans()):
+        stream = draw(st.integers(1, 3))
+        grow_network(net, cfg, draw(st.integers(1, 4)), stream=stream)
+    links = sorted({link for c in net.clients for link in net.path_links(c)})
+    for link in draw(st.lists(st.sampled_from(links), max_size=3)):
+        net.drop_override[link] = draw(st.sampled_from([0.0, 0.2, 0.6]))
+    return net, cfg, stream
+
+
+@settings(max_examples=150, deadline=None)
+@given(session_setups())
+def test_session_equals_plain_reference(setup):
+    net, cfg, stream = setup
+    log = simulate_session(net, cfg, stream=stream)
+    clients, schedule, recv, present = reference_session(net, cfg, stream)
+    assert list(log.ids) == clients
+    assert np.array_equal(log.sender, schedule)
+    assert np.array_equal(log.present, present)
+    assert np.array_equal(log.recv, recv)
