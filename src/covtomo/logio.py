@@ -59,7 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LogFormatError
+from .errors import DataError, LogFormatError
 from .model import CovarianceMatrix, MeasurementLog, RoutingTree
 
 
@@ -105,9 +105,13 @@ def import_log(path) -> MeasurementLog:
     whole-array passes (`_parse_exported`). Any other file, and every file
     with an error, goes through the line loop (`_parse_lines`), which alone
     defines the messages and line numbers; the array reader returns either
-    nothing or a log equal to the loop's (see the module docstring).
+    nothing or a log equal to the loop's (see the module docstring). A file
+    that cannot be read raises DataError naming it.
     """
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read log {path}: {exc.strerror}") from None
     log = _parse_exported(data)
     return _parse_lines(data) if log is None else log
 
@@ -391,7 +395,7 @@ def save_tree(tree: RoutingTree, path) -> None:
 
 
 def load_tree(path) -> RoutingTree:
-    return RoutingTree.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return read_json(path, "tree", build=RoutingTree.from_dict)
 
 
 def save_matrix(cov: CovarianceMatrix, path) -> None:
@@ -399,4 +403,26 @@ def save_matrix(cov: CovarianceMatrix, path) -> None:
 
 
 def load_matrix(path) -> CovarianceMatrix:
-    return CovarianceMatrix.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return read_json(path, "covariance matrix", build=CovarianceMatrix.from_dict)
+
+
+def read_json(path, what: str, error=DataError, build=None):
+    """The JSON document in ``path``, passed through ``build`` if given. A
+    file that cannot be read or parsed, or whose document ``build`` rejects,
+    raises ``error`` naming ``what`` and the file."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc.msg} (line {exc.lineno})") from None
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
+    if build is None:
+        return data
+    try:
+        return build(data)
+    except KeyError as exc:
+        raise error(f"{what} {path} lacks field {exc}") from None
+    except (DataError, TypeError, ValueError, RecursionError) as exc:
+        raise error(f"{what} {path} is malformed: {exc}") from None

@@ -5,9 +5,11 @@ Conventions used throughout the package:
 
 * timestamps are integer microseconds,
 * covariances are reported in ms^2 (1 ms^2 == 10^6 us^2, conversion exact),
-* node ids are plain strings; hosts and routers share one namespace, and
-  synthetic router ids created during inference carry the ``r`` prefix so
-  they can never collide with host ids (hosts use other prefixes, e.g. ``h``).
+* node ids are plain strings; hosts and routers share one namespace.
+  Router ids, the simulator's and those inference creates alike, are
+  ``ROUTER_ID_PREFIX`` (``r``) followed by decimal digits (`is_router_id`).
+  No host id lies in that namespace: generated hosts use ``h``, and names
+  for joining peers inside it are rejected.
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ from .errors import InputError, InvariantError
 NodeId = str
 
 ROUTER_ID_PREFIX = "r"
+
+
+def is_router_id(node: NodeId) -> bool:
+    """True when ``node`` is ``ROUTER_ID_PREFIX`` followed by decimal digits."""
+    digits = node[len(ROUTER_ID_PREFIX) :]
+    return node.startswith(ROUTER_ID_PREFIX) and digits.isascii() and digits.isdigit()
 
 
 class RoutingTree:

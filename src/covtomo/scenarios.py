@@ -14,11 +14,12 @@ A scenario config is a JSON document with sections:
 
 Presence of "sweep" switches run_scenario into sweep mode; "joins" selects
 the dynamic scenario. A config has at most one of the two, and join names
-are checked against the generated host ids before any run. Every mode runs
-each seed through one pass, `_run_once`: generate -> simulate -> estimate
--> `recover_from_matrix` (DFS order, then `recover_tree` at the configured
-or the automatic rho) -> score. Reports are single JSON documents embedding the full resolved
-config; given the same config they re-serialize byte-identically.
+are checked against the generated host ids and the router-id namespace
+before any run. Every mode runs each seed through one pass, `_run_once`:
+generate -> simulate -> estimate -> `recover_from_matrix` (DFS order, then
+`recover_tree` at the configured or the automatic rho) -> score. Reports
+are single JSON documents embedding the full resolved config; given the
+same config they re-serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .accuracy import score_trees
 from .delay_cov import build_covariance_matrix, covariance_oracle_from_log
 from .dynamic import attach_peer
 from .errors import ConfigError
-from .model import branching_skeleton
+from .logio import read_json
+from .model import branching_skeleton, is_router_id
 from .ordering import dfs_order
 from .recover import RecoveryConfig, auto_rho, recover_tree
 from .simulator import SimulatorConfig, generate_topology, grow_network, host_id, simulate_session
@@ -118,6 +120,8 @@ def parse_config(data: dict) -> dict:
             for name in names:
                 if name in generated:
                     raise ConfigError(f"joins.names: host {name!r} already exists")
+                if is_router_id(name):
+                    raise ConfigError(f"joins.names: host {name!r} is in the router-id namespace")
                 if name in seen:
                     raise ConfigError(f"joins.names: host {name!r} appears more than once")
                 seen.add(name)
@@ -134,11 +138,7 @@ def parse_config(data: dict) -> dict:
 
 
 def load_config(path) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc.msg} (line {exc.lineno})") from None
-    return parse_config(raw)
+    return parse_config(read_json(path, "config", ConfigError))
 
 
 def _sim_from_resolved(resolved: dict, **overrides) -> SimulatorConfig:

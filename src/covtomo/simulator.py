@@ -11,13 +11,15 @@ that pair index; that sharing is what creates covariance on shared links,
 and the analytic covariance of two clients is therefore exactly the sum of
 link variances over their common path prefix.
 
-A session accumulates per-link values down the routing tree, visiting each
-link once: a link's jitter row, constant delay, congestion noise variance
-and survival probability start from those of the link above it, so each
+A session walks the ground-truth tree ``truth`` once, each node after its
+parent; a node stands for the link from its parent, and the clients are
+the leaves. A link's jitter row, constant delay, congestion noise variance
+and survival probability start from those of its parent's link, so each
 holds the total over the path from the source, and a client takes the
-values of its last link. That takes O(links * pairs) memory, and every
-float sum runs in path order from the source, so a log does not depend on
-a BLAS library's summation order.
+values of its access link. A link's probe load counts the clients below
+it, in one reverse pass over the same walk. That takes O(links * pairs)
+memory, and every float sum runs in path order from the source, so a log
+does not depend on a BLAS library's summation order.
 
 Background traffic scales every link's jitter variance linearly with the
 configured rate, and pushes links over a utilization threshold into
@@ -38,7 +40,7 @@ import networkx as nx
 import numpy as np
 
 from .errors import ConfigError, InputError, InvariantError, TopologyGenerationError
-from .model import MeasurementLog, NodeId, RoutingTree
+from .model import ROUTER_ID_PREFIX, MeasurementLog, NodeId, RoutingTree, is_router_id, shared_covariance
 
 # rng stream tags so topology, sessions and growth draw independent streams
 _STREAM_TOPOLOGY = 1
@@ -80,6 +82,13 @@ class SimulatorConfig:
     max_topology_retries: int = 20
 
     def __post_init__(self):
+        for name in ("n_hosts", "n_routers", "links_per_node", "max_topology_retries"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("links_per_node", "lary_arity", "max_topology_retries"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_hosts < 2:
             raise ConfigError(f"n_hosts must be >= 2, got {self.n_hosts}")
         if self.n_routers < 1:
@@ -126,14 +135,15 @@ class SimulatedNetwork:
     """Ground-truth topology with per-link delay parameters.
 
     ``truth`` is the routing tree from the source to the clients, its router
-    labels holding cumulative shared-path delay variance. ``link_params``
-    maps each undirected link to (base delay us, effective jitter variance
-    ms^2, already scaled by the configured background rate).
+    labels holding cumulative shared-path delay variance; the clients are
+    its leaves. ``link_params`` maps each undirected link to (base delay us,
+    effective jitter variance ms^2, already scaled by the configured
+    background rate). ``access_router`` and the per-router paths serve only
+    topology generation and growth.
     """
 
-    def __init__(self, source, clients, truth, link_params, access_router, router_paths, host_seq):
+    def __init__(self, source, truth, link_params, access_router, router_paths, host_seq):
         self.source: NodeId = source
-        self.clients: set[NodeId] = set(clients)
         self.truth: RoutingTree = truth
         self.link_params: dict[tuple[NodeId, NodeId], tuple[float, float]] = link_params
         self.access_router: dict[NodeId, NodeId] = access_router
@@ -142,14 +152,19 @@ class SimulatedNetwork:
         # tests may force per-link drop probabilities regardless of congestion
         self.drop_override: dict[tuple[NodeId, NodeId], float] = {}
 
+    @property
+    def clients(self) -> set[NodeId]:
+        """The leaves of ``truth`` (the tree's own set: read, do not mutate)."""
+        return self.truth.leaves
+
     @staticmethod
     def link_key(u: NodeId, v: NodeId) -> tuple[NodeId, NodeId]:
         return (u, v) if u <= v else (v, u)
 
-    def client_path(self, client: NodeId) -> tuple[NodeId, ...]:
-        if client not in self.clients:
+    def client_path(self, client: NodeId) -> list[NodeId]:
+        if client not in self.truth.leaves:
             raise InputError(f"unknown client {client!r}")
-        return self._router_paths[self.access_router[client]] + (client,)
+        return self.truth.path_from_root(client)
 
     def path_links(self, client: NodeId) -> list[tuple[NodeId, NodeId]]:
         path = self.client_path(client)
@@ -227,7 +242,7 @@ def generate_topology(config: SimulatorConfig) -> SimulatedNetwork:
         )
 
     g = nx.Graph()
-    router_ids = [f"r{i}" for i in range(config.n_routers)]
+    router_ids = [f"{ROUTER_ID_PREFIX}{i}" for i in range(config.n_routers)]
     g.add_nodes_from(router_ids)
     for u, v in router_graph.edges():
         g.add_edge(router_ids[u], router_ids[v])
@@ -258,16 +273,14 @@ def generate_topology(config: SimulatorConfig) -> SimulatedNetwork:
     router_paths = {r: tuple(paths[r]) for r in router_ids if r in paths}
 
     truth = _build_truth_tree(source, clients, access_router, router_paths, link_params)
-    net = SimulatedNetwork(
+    return SimulatedNetwork(
         source=source,
-        clients=clients,
         truth=truth,
         link_params=link_params,
         access_router=access_router,
         router_paths=router_paths,
         host_seq=config.n_hosts,
     )
-    return net
 
 
 def _build_truth_tree(source, clients, access_router, router_paths, link_params) -> RoutingTree:
@@ -316,6 +329,8 @@ def grow_network(
             host = names[slot]
             if host in net.access_router or host == net.source:
                 raise InputError(f"host {host!r} already exists in the network")
+            if is_router_id(host):
+                raise InputError(f"host {host!r} is in the router-id namespace")
         else:
             host = host_id(net._host_seq, config.n_hosts)
             net._host_seq += 1
@@ -325,31 +340,9 @@ def grow_network(
         key = SimulatedNetwork.link_key(router, host)
         net.link_params[key] = (base, var)
         net.access_router[host] = router
-        net.clients.add(host)
         _extend_truth_path(net.truth, net._router_paths[router] + (host,), net.link_params)
         new_hosts.append(host)
     return new_hosts
-
-
-def _link_utilization(net: SimulatedNetwork, config: SimulatorConfig, client_links) -> dict:
-    """Utilization per link: uniform background load plus the probe traffic
-    that actually crosses the link (one packet per client per interval)."""
-    schedule = config.sender_schedule()
-    if len(schedule) > 1:
-        mean_interval_s = float(schedule[-1] - schedule[0]) / (len(schedule) - 1) / 1e6
-    else:
-        mean_interval_s = float(config.pair_interval_us) / 1e6
-    probe_bits = config.packet_size_bytes * 8
-    bg_bits = config.bg_rate_bytes_per_sec * 8
-    counts: dict[tuple[NodeId, NodeId], int] = {}
-    for links in client_links.values():
-        for link in links:
-            counts[link] = counts.get(link, 0) + 1
-    util = {}
-    for link, count in counts.items():
-        probe_load = count * probe_bits / mean_interval_s
-        util[link] = (bg_bits + probe_load) / config.bandwidth_bps
-    return util
 
 
 def _offset_normal(rng: np.random.Generator, sigma: np.ndarray, n: int) -> np.ndarray:
@@ -372,66 +365,69 @@ def simulate_session(net: SimulatedNetwork, config: SimulatorConfig, stream: int
     independent congestion noise. Congested links also drop packets, which
     shows up as missing arrivals. Bit-identical for identical inputs.
     """
-    if not net.clients:
+    truth = net.truth
+    if not truth.leaves:
         raise InputError("network has no clients")
     rng = np.random.default_rng([config.seed, _STREAM_SESSION, stream])
-    clients = sorted(net.clients)
+    clients = sorted(truth.leaves)
     schedule = config.sender_schedule()
     n = len(schedule)
 
-    client_links = {c: net.path_links(c) for c in clients}
-    links = sorted({link for ls in client_links.values() for link in ls})
-    link_idx = {link: i for i, link in enumerate(links)}
-    util = _link_utilization(net, config, client_links)
+    # (node, parent) for every node below the source, breadth first (the
+    # loop reads what it appends); a node is the far end of its parent's link
+    walk = [(child, truth.root) for child in truth.children(truth.root)]
+    for node, _ in walk:
+        walk.extend((child, node) for child in truth.children(node))
 
-    # shared per-(link, pair) jitter
-    sigma_us = np.array(
-        [math.sqrt(net.link_params[l][1]) * 1000.0 for l in links], dtype=float
-    )
+    # shared per-(link, pair) jitter, one row per link in link-key order
+    links = sorted((net.link_key(parent, node), node) for node, parent in walk)
+    row = {node: i for i, (_, node) in enumerate(links)}
+    sigma_us = np.array([math.sqrt(net.link_params[link][1]) * 1000.0 for link, _ in links])
     jitter = _offset_normal(rng, sigma_us, n)
+
+    # link load: uniform background plus one probe per client below the
+    # link per mean pair interval
+    mean_interval_us = float(schedule[-1] - schedule[0]) / (n - 1) if n > 1 else float(config.pair_interval_us)
+    mean_interval_s = mean_interval_us / 1e6
+    probe_bits = config.packet_size_bytes * 8
+    bg_bits = config.bg_rate_bytes_per_sec * 8
+    below = dict.fromkeys(truth.leaves, 1)
+    for node, parent in reversed(walk):
+        below[parent] = below.get(parent, 0) + below[node]
 
     trans_us = config.packet_size_bytes * 8 / config.bandwidth_bps * 1e6
     threshold = config.congestion_threshold
     # accumulated down the routing tree (see the module docstring)
-    const_us = [0.0] * len(links)
-    noise_var_us2 = [0.0] * len(links)
-    survival = [1.0] * len(links)
-    summed = [False] * len(links)
-    last = []
-    for c in clients:
-        above = None
-        for link in client_links[c]:
-            li = link_idx[link]
-            if not summed[li]:
-                summed[li] = True
-                base, var = net.link_params[link]
-                if above is not None:
-                    jitter[li] += jitter[above]
-                    const_us[li], noise_var_us2[li], survival[li] = (
-                        const_us[above], noise_var_us2[above], survival[above]
-                    )
-                const_us[li] += base + trans_us
-                over = util[link] - threshold
-                if over > 0:
-                    overshoot = over / max(1.0 - threshold, 1e-9)
-                    noise_var_us2[li] += var * config.congestion_noise_gain * overshoot * 1e6
-                    survival[li] *= 1.0 - config.drop_prob
-                drop = net.drop_override.get(link)
-                if drop:
-                    survival[li] *= 1.0 - drop
-            above = li
-        last.append(above)
+    const_us = {truth.root: 0.0}
+    noise_var_us2 = {truth.root: 0.0}
+    survival = {truth.root: 1.0}
+    for node, parent in walk:
+        link = net.link_key(parent, node)
+        base, var = net.link_params[link]
+        if parent != truth.root:
+            jitter[row[node]] += jitter[row[parent]]
+        const_us[node] = const_us[parent] + (base + trans_us)
+        noise, surv = noise_var_us2[parent], survival[parent]
+        over = (bg_bits + below[node] * probe_bits / mean_interval_s) / config.bandwidth_bps - threshold
+        if over > 0:
+            overshoot = over / max(1.0 - threshold, 1e-9)
+            noise += var * config.congestion_noise_gain * overshoot * 1e6
+            surv *= 1.0 - config.drop_prob
+        drop = net.drop_override.get(link)
+        if drop:
+            surv *= 1.0 - drop
+        noise_var_us2[node], survival[node] = noise, surv
 
-    # a client's values are those of its last link
-    delays = jitter[last]
+    # a client's values are those of its access link
+    delays = jitter[[row[c] for c in clients]]
     del jitter
-    delays += np.array(const_us)[last, None]
-    noise_var_us2 = np.array(noise_var_us2)[last]
-    noisy = noise_var_us2 > 0
+    delays += np.array([const_us[c] for c in clients])[:, None]
+    noise_var = np.array([noise_var_us2[c] for c in clients])
+    noisy = noise_var > 0
     if noisy.any():
-        delays[noisy] += _offset_normal(rng, np.sqrt(noise_var_us2[noisy]), n)
+        delays[noisy] += _offset_normal(rng, np.sqrt(noise_var[noisy]), n)
 
-    lost = rng.random((len(clients), n)) >= np.array(survival)[last, None]
+    lost = rng.random((len(clients), n)) >= np.array([survival[c] for c in clients])[:, None]
 
     np.rint(delays, out=delays)
     arrivals_ts = delays.astype(np.int64)
@@ -443,20 +439,14 @@ def simulate_session(net: SimulatedNetwork, config: SimulatorConfig, stream: int
 
 def analytic_covariance(net: SimulatedNetwork, i: NodeId, j: NodeId) -> float:
     """Noiseless covariance oracle: the sum of effective link delay
-    variances over the links the two clients' paths share."""
-    if i == j:
-        raise InputError("analytic_covariance needs two distinct clients")
-    links_i = net.path_links(i)
-    links_j = net.path_links(j)
-    total = 0.0
-    for a, b in zip(links_i, links_j):
-        if a != b:
-            break
-        total += net.link_params[a][1]
-    return total
+    variances over the links the two clients' paths share, which is the
+    truth label of their lowest common ancestor."""
+    return shared_covariance(net.truth, i, j)
 
 
 def analytic_path_variance(net: SimulatedNetwork, i: NodeId) -> float:
     """Total delay variance of one client's path (used for stderr bands in
-    convergence checks)."""
-    return sum(net.link_params[l][1] for l in net.path_links(i))
+    convergence checks): its access router's truth label plus the access
+    link's variance."""
+    parent = net.client_path(i)[-2]
+    return net.truth.router_cov[parent] + net.link_params[net.link_key(parent, i)][1]

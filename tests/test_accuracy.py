@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from covtomo import accuracy
 from covtomo.accuracy import _shared_len, classify_triple, score_trees, shared_length_matrix, tomography_accuracy
 from covtomo.errors import InputError
-from covtomo.model import RoutingTree
+from covtomo.model import RoutingTree, branching_skeleton
 
 from treegen import build_tree, random_truth_tree, relabel_routers
 
@@ -246,3 +246,16 @@ def test_shared_length_matrix_rejects_non_leaves(case, data):
     at = data.draw(st.integers(0, len(order)))
     with pytest.raises(InputError, match=f"{other!r} is not a leaf of the tree"):
         shared_length_matrix(tree, order[:at] + [other] + order[at:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 14), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.5, 1.0]))
+def test_score_equals_score_against_skeletons(n, seed_a, seed_b, relay_prob):
+    # every lowest common ancestor of two leaves branches, so splicing the
+    # single-child relays keeps the order of each row of shared lengths
+    recovered, _ = random_truth_tree(np.random.default_rng(seed_a), n, relay_prob=relay_prob)
+    truth, _ = random_truth_tree(np.random.default_rng(seed_b), n, relay_prob=relay_prob)
+    want = score_trees(recovered, truth)
+    for pair in ((branching_skeleton(recovered), truth), (recovered, branching_skeleton(truth))):
+        got = score_trees(*pair)
+        assert (got.p, got.p_distinct) == (want.p, want.p_distinct)

@@ -184,8 +184,21 @@ def test_e2e_dynamic_and_named_join_collision(tmp_path, capsys):
             {"joins": {"batches": [2]}, "sweep": {"bg_rates_bytes_per_sec": [1e6, 4e6]}},
             "sweep and joins: a config may have only one of them",
         ),
+        (
+            # a generated router of the ground truth
+            {"joins": {"batches": [1, 1], "n_pairs": 300, "names": ["peerA", "r2"]}},
+            "joins.names: host 'r2' is in the router-id namespace",
+        ),
+        (
+            # only two generated routers, but recovery names its routers r1, r2, ...
+            {
+                "simulator": {"n_hosts": 12, "n_routers": 2, "n_pairs": 400, "pair_interval_us": 5000},
+                "joins": {"batches": [1], "n_pairs": 300, "names": ["r2"]},
+            },
+            "joins.names: host 'r2' is in the router-id namespace",
+        ),
     ],
-    ids=["duplicate-name", "generated-name-in-second-batch", "sweep-and-joins"],
+    ids=["duplicate-name", "generated-name-in-second-batch", "sweep-and-joins", "truth-router-id", "recovered-router-id"],
 )
 def test_e2e_rejects_bad_joins_before_any_run(tmp_path, capsys, monkeypatch, overrides, message):
     def no_run(config):
@@ -196,6 +209,59 @@ def test_e2e_rejects_bad_joins_before_any_run(tmp_path, capsys, monkeypatch, ove
     out = tmp_path / "r.json"
     assert main(["e2e", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+TREE = {"id": "s", "cov": 0.0, "children": [{"id": "a", "cov": None, "children": []}]}
+
+
+@pytest.mark.parametrize(
+    "command, bad, content, code",
+    [
+        ("e2e", "config", None, 2),
+        ("e2e", "config", b"\xff{}", 2),
+        ("estimate", "log", None, 3),
+        ("score", "recovered", None, 3),
+        ("score", "recovered", json.dumps(TREE)[:-7].encode(), 3),
+        ("score", "truth", b'{"children": []}', 3),
+        ("recover", "cov", b'{"receivers": ["a", "b"]}', 3),
+        ("recover", "cov", b"[1, 2]", 3),
+        ("recover", "cov", b'{"receivers": ["a", "b"], "values": [[0.0, 1.0]]}', 3),
+    ],
+    ids=[
+        "config-missing",
+        "config-not-utf8",
+        "log-missing",
+        "tree-missing",
+        "tree-truncated",
+        "tree-without-id",
+        "matrix-without-values",
+        "matrix-not-object",
+        "matrix-wrong-shape",
+    ],
+)
+def test_unreadable_input_file_names_it(tmp_path, capsys, command, bad, content, code):
+    # every input file is readable but the one under test, which is missing
+    # or holds ``content``
+    paths = {name: tmp_path / f"{name}.in" for name in ("config", "log", "recovered", "truth", "cov")}
+    paths["config"] = write_config(tmp_path)
+    for name in ("recovered", "truth"):
+        paths[name].write_text(json.dumps(TREE))
+    paths["bad"] = tmp_path / "bad.in"
+    if content is not None:
+        paths["bad"].write_bytes(content)
+    paths[bad] = paths["bad"]
+    argv = {
+        "e2e": ["--config", paths["config"]],
+        "estimate": ["--log", paths["log"]],
+        "score": ["--recovered", paths["recovered"], "--truth", paths["truth"]],
+        "recover": ["--cov", paths["cov"], "--source", "s"],
+    }[command]
+    out = tmp_path / "out.json"
+    assert main([command, *map(str, argv), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if code == 2 else "data error: ")
+    assert str(paths["bad"]) in err and err.count("\n") == 1
     assert not out.exists()
 
 

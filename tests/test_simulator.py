@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -52,7 +53,6 @@ def manual_net(shared_vars, leaf_vars, base_us=500.0):
     truth.add_leaf("b", last)
     return SimulatedNetwork(
         source="src",
-        clients={"a", "b"},
         truth=truth,
         link_params=link_params,
         access_router={"a": last, "b": last},
@@ -147,7 +147,6 @@ def test_analytic_covariance_examples():
     truth.add_leaf("b", "r1")
     net = SimulatedNetwork(
         source="src",
-        clients={"a", "b"},
         truth=truth,
         link_params={
             ("r0", "src"): (500.0, 1.0),
@@ -257,6 +256,35 @@ def test_config_validation_errors():
         SimulatorConfig(pair_schedule_us=(0, 10, 5))
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n_hosts", 10.0, "n_hosts must be an integer, got 10.0"),
+        ("n_routers", 4.0, "n_routers must be an integer, got 4.0"),
+        ("links_per_node", 2.0, "links_per_node must be an integer, got 2.0"),
+        ("max_topology_retries", 3.0, "max_topology_retries must be an integer, got 3.0"),
+        ("n_hosts", True, "n_hosts must be an integer, got True"),
+        ("links_per_node", -1, "links_per_node must be >= 1, got -1"),
+        ("lary_arity", -1, "lary_arity must be >= 1, got -1"),
+        ("lary_arity", 0, "lary_arity must be >= 1, got 0"),
+        ("max_topology_retries", 0, "max_topology_retries must be >= 1, got 0"),
+    ],
+)
+def test_config_rejects_counts_that_fail_later(field, value, message):
+    with pytest.raises(ConfigError) as info:
+        SimulatorConfig(**{field: value})
+    assert str(info.value) == message
+
+
+def test_grow_network_rejects_router_ids():
+    cfg = small_cfg(seed=31)
+    net = generate_topology(cfg)
+    for name in ("r2", "r999"):
+        with pytest.raises(InputError, match="router-id namespace"):
+            grow_network(net, cfg, 1, stream=1, names=[name])
+    assert grow_network(net, cfg, 1, stream=1, names=["r2x"]) == ["r2x"]
+
+
 def test_lary_topology_model():
     cfg = small_cfg(topology_model="lary", lary_arity=2, seed=8)
     net = generate_topology(cfg)
@@ -274,7 +302,14 @@ def reference_session(net, config, stream=0):
     n = len(schedule)
     paths = {c: net.path_links(c) for c in clients}
     links = sorted({link for ls in paths.values() for link in ls})
-    util = simulator._link_utilization(net, config, paths)
+    # load: background plus one probe per crossing client per mean interval
+    crossing = {link: sum(link in ls for ls in paths.values()) for link in links}
+    mean_interval_s = (schedule[-1] - schedule[0]) / (n - 1) / 1e6 if n > 1 else config.pair_interval_us / 1e6
+    util = {
+        link: (config.bg_rate_bytes_per_sec * 8 + count * config.packet_size_bytes * 8 / mean_interval_s)
+        / config.bandwidth_bps
+        for link, count in crossing.items()
+    }
     sigma = np.array([math.sqrt(net.link_params[link][1]) * 1000.0 for link in links])
     jitter = np.clip(rng.normal(5.0 * sigma[:, None], sigma[:, None], size=(len(links), n)), 0.0, None)
     row = dict(zip(links, jitter))
@@ -343,6 +378,19 @@ def session_setups(draw):
 @given(session_setups())
 def test_session_equals_plain_reference(setup):
     net, cfg, stream = setup
+    assert net.clients == net.truth.leaves
+    # the oracles read the truth tree; restate them from the routed paths
+    paths = {c: net._router_paths[net.access_router[c]] + (c,) for c in net.clients}
+    for a, b in itertools.combinations(sorted(net.clients), 2):
+        shared = 0.0
+        for u, v, w in zip(paths[a], paths[a][1:], paths[b][1:]):
+            if v != w:
+                break
+            shared += net.link_params[SimulatedNetwork.link_key(u, v)][1]
+        assert analytic_covariance(net, a, b) == shared
+    for c in net.clients:
+        links = [SimulatedNetwork.link_key(u, v) for u, v in zip(paths[c], paths[c][1:])]
+        assert analytic_path_variance(net, c) == sum(net.link_params[link][1] for link in links)
     log = simulate_session(net, cfg, stream=stream)
     clients, schedule, recv, present = reference_session(net, cfg, stream)
     assert list(log.ids) == clients
