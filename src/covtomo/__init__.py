@@ -9,7 +9,7 @@ and a triple-classification accuracy metric round out the evaluation
 harness.
 """
 
-from .accuracy import AccuracyReport, classify_triple, score_trees, tomography_accuracy
+from .accuracy import AccuracyReport, classify_triple, score_trees
 from .delay_cov import (
     align_pairs,
     build_covariance_matrix,
@@ -48,7 +48,6 @@ from .scenarios import load_config, parse_config, run_dynamic_scenario, run_scen
 from .simulator import (
     SimulatedNetwork,
     SimulatorConfig,
-    analytic_covariance,
     analytic_path_variance,
     generate_topology,
     grow_network,

@@ -173,20 +173,3 @@ def score_trees(recovered: RoutingTree, truth: RoutingTree, X=None) -> AccuracyR
         n_leaves=n,
     )
 
-
-def tomography_accuracy(
-    recovered: RoutingTree,
-    truth: RoutingTree,
-    X,
-    include_degenerate: bool = True,
-) -> float:
-    """Fraction of ordered leaf triples from X classified consistently by the
-    two trees: `score_trees` over X, its ``p``, or its ``p_distinct`` with
-    include_degenerate=False, which drops triples with repeated indices
-    (requires |X| >= 3)."""
-    report = score_trees(recovered, truth, X)
-    if include_degenerate:
-        return report.p
-    if report.p_distinct is None:
-        raise InputError("distinct-triples accuracy needs at least 3 leaves")
-    return report.p_distinct

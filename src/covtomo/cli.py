@@ -8,7 +8,8 @@ of two leaves branches, so splicing single-child routers keeps the order
 of shared path lengths, and `p` is the same as against the raw tree.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
 invariant violation. A config file that cannot be read or parsed exits 2,
-and a log, tree or matrix file 3, with a message naming the file.
+and a log, tree or matrix file 3, with a message naming the file. An
+output file that cannot be written exits 3, naming the file.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .accuracy import score_trees
 from .delay_cov import build_covariance_matrix, covariance_oracle_from_log
 from .dynamic import attach_peer
 from .errors import ConfigError, DataError, InvariantError, TomographyError
-from .logio import export_log, import_log, load_matrix, load_tree, save_matrix, save_tree
+from .logio import export_log, import_log, load_matrix, load_tree, save_matrix, save_tree, write_json
 from .model import branching_skeleton
 from .recover import RecoveryConfig
 from .scenarios import (
@@ -76,16 +78,9 @@ def _cmd_join(args) -> None:
 
 def _cmd_score(args) -> None:
     report = score_trees(load_tree(args.recovered), branching_skeleton(load_tree(args.truth)))
-    out = {
-        "p": report.p,
-        "p_distinct": report.p_distinct,
-        "n_leaves": report.n_leaves,
-        "against": "truth-skeleton",
-    }
+    out = {**asdict(report), "against": "truth-skeleton"}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(out, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(out, args.out, "score")
     print(json.dumps(out, sort_keys=True))
 
 

@@ -67,9 +67,8 @@ def normalize_series(log: MeasurementLog, receiver: NodeId, aligned) -> DelaySer
     """Delay-offset series for one receiver over an aligned index set.
 
     Entry k is (t_recv(k) - t_recv(k0)) - (t_send(k) - t_send(k0)) with k0
-    the first aligned index; in fixed-interval mode the sender difference is
-    (k - k0) * interval, in timestamped mode it is read from the recorded
-    sender timestamps.
+    the first aligned index, the send times read from the log's sender
+    column.
     """
     aligned = tuple(aligned)
     if not aligned:
@@ -80,13 +79,8 @@ def normalize_series(log: MeasurementLog, receiver: NodeId, aligned) -> DelaySer
         raise InvariantError(f"receiver {receiver!r} missing arrival at k={missing}")
     idx = np.asarray(aligned, dtype=np.intp)
     recv = log.recv[log.row(receiver), idx].tolist()
-    k0, base = aligned[0], recv[0]
-    if log.fixed_mode:
-        sender_diff = [(k - k0) * log.interval_us for k in aligned]
-    else:
-        sender = log.sender[idx].tolist()
-        sender_diff = [ts - sender[0] for ts in sender]
-    values = tuple(int(t - base - d) for t, d in zip(recv, sender_diff))
+    sender = log.sender[idx].tolist()
+    values = tuple(int(t - recv[0] - (s - sender[0])) for t, s in zip(recv, sender))
     return DelaySeries(receiver=receiver, indices=aligned, values=values)
 
 

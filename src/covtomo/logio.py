@@ -7,10 +7,9 @@ microseconds throughout:
     {"k": 0, "receiver": "h0001", "ts_us": 5210, "type": "recv"}
 
 The format is streamable and loss-tolerant: a lost packet is simply an
-absent recv record. Senders with exactly even spacing import back in
-fixed-interval mode (the wire format carries no mode flag, so evenly spaced
-timestamped schedules canonicalize to fixed mode on import). A receiver
-without arrivals has no record, so it does not survive a round trip.
+absent recv record. The send records are the whole send schedule, evenly
+spaced or not. A receiver without arrivals has no record, so it does not
+survive a round trip.
 
 `export_log` formats the records straight from the log's columns, so an
 exported file has one canonical byte form: each line is exactly
@@ -47,6 +46,8 @@ The records fill {k: ts} dicts, which `MeasurementLog.from_dicts` turns
 into columns. Checks that need every send record run after the last line:
 first gaps and order among the send records, then unknown indices and
 early arrivals, in line order, over flat lists kept per recv line.
+
+A file that cannot be read or written raises DataError naming it.
 """
 
 from __future__ import annotations
@@ -72,14 +73,17 @@ def export_log(log: MeasurementLog, path) -> None:
     per record. The file is written one receiver at a time, so only one
     receiver's records are held as text at once.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join('{"k": %d, "ts_us": %d, "type": "send"}' % kt for kt in enumerate(log.sender.tolist())))
-        fh.write("\n")
-        for i, receiver in enumerate(log.ids):
-            name = json.dumps(receiver).replace("%", "%%")
-            template = '{"k": %d, "receiver": ' + name + ', "ts_us": %d, "type": "recv"}\n'
-            ks = np.flatnonzero(log.present[i])
-            fh.write("".join(template % kt for kt in zip(ks.tolist(), log.recv[i, ks].tolist())))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join('{"k": %d, "ts_us": %d, "type": "send"}' % kt for kt in enumerate(log.sender.tolist())))
+            fh.write("\n")
+            for i, receiver in enumerate(log.ids):
+                name = json.dumps(receiver).replace("%", "%%")
+                template = '{"k": %d, "receiver": ' + name + ', "ts_us": %d, "type": "recv"}\n'
+                ks = np.flatnonzero(log.present[i])
+                fh.write("".join(template % kt for kt in zip(ks.tolist(), log.recv[i, ks].tolist())))
+    except OSError as exc:
+        raise DataError(f"cannot write log {path}: {exc.strerror}") from None
 
 
 def _field(record: dict, name: str, kind, lineno: int):
@@ -238,8 +242,7 @@ def _parse_exported(data: bytes) -> MeasurementLog | None:
         return None
     sender = np.zeros(n, np.int64)
     sender[sender_k] = ts[send]
-    gaps = np.diff(sender)
-    if (gaps <= 0).any():
+    if (np.diff(sender) <= 0).any():
         return None
     recv_k, recv_ts = k[recv], ts[recv]
     if recv_k.size and (recv_k.max() >= n or (recv_ts < sender[recv_k]).any()):
@@ -250,8 +253,7 @@ def _parse_exported(data: bytes) -> MeasurementLog | None:
         return None
     arrivals = np.zeros((len(ids), n), np.int64)
     arrivals[row, recv_k] = recv_ts
-    interval = int(gaps[0]) if n >= 2 and (gaps == gaps[0]).all() else None
-    return MeasurementLog(ids, sender, arrivals, present, interval)
+    return MeasurementLog(ids, sender, arrivals, present)
 
 
 def _receiver_rows(a: np.ndarray, lo: np.ndarray, size: np.ndarray):
@@ -381,17 +383,21 @@ def _parse_lines(data: bytes) -> MeasurementLog:
             )
 
     del recv_lineno, recv_name, recv_k, recv_ts
+    return MeasurementLog.from_dicts(sender_ts, arrivals)
 
-    interval = None
-    if n_pairs >= 2:
-        delta = sender_ts[1] - sender_ts[0]
-        if delta > 0 and all(sender_ts[k] - sender_ts[0] == k * delta for k in range(n_pairs)):
-            interval = delta
-    return MeasurementLog.from_dicts(sender_ts, arrivals, interval)
+
+def write_json(data, path, what: str) -> None:
+    """Write ``data`` to ``path`` as JSON: sorted keys, two-space indent
+    and a final newline. An unwritable file raises DataError naming it."""
+    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write {what} {path}: {exc.strerror}") from None
 
 
 def save_tree(tree: RoutingTree, path) -> None:
-    Path(path).write_text(json.dumps(tree.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(tree.to_dict(), path, "tree")
 
 
 def load_tree(path) -> RoutingTree:
@@ -399,7 +405,7 @@ def load_tree(path) -> RoutingTree:
 
 
 def save_matrix(cov: CovarianceMatrix, path) -> None:
-    Path(path).write_text(json.dumps(cov.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(cov.to_dict(), path, "covariance matrix")
 
 
 def load_matrix(path) -> CovarianceMatrix:

@@ -181,15 +181,13 @@ class RoutingTree:
         self.router_cov[rid] = float(cov)
         return rid
 
-    def insert_router_above(self, node: NodeId, cov: float, router_id: NodeId | None = None) -> NodeId:
+    def insert_router_above(self, node: NodeId, cov: float) -> NodeId:
         """Create a router in ``node``'s slot under its parent and re-hang
         ``node`` beneath it. ``node`` must not be the root."""
         parent = self.parent(node)
         if parent is None:
             raise InputError(f"cannot insert above the root {node!r}")
-        rid = router_id if router_id is not None else self.new_router_id()
-        if rid in self._children:
-            raise InputError(f"node {rid!r} already in tree")
+        rid = self.new_router_id()
         slot = self._children[parent].index(node)
         self._children[parent][slot] = rid
         self._children[rid] = [node]
@@ -376,10 +374,9 @@ class MeasurementLog:
       ``present[i, k]`` (bool) False where that packet was lost, in which
       case ``recv[i, k]`` holds 0.
 
-    ``sender`` and ``recv`` are int64 when every timestamp fits int64 and
-    dtype=object arrays of Python ints otherwise. ``interval_us`` is the
-    fixed inter-pair spacing, or None when the sender schedule is irregular
-    and must be read from the timestamps themselves. The arrays are
+    ``sender`` is the send schedule, evenly spaced or not: the pairs ride on
+    a data flow. ``sender`` and ``recv`` are int64 when every timestamp fits
+    int64 and dtype=object arrays of Python ints otherwise. The arrays are
     read-only. Logs built from dicts go through `from_dicts`.
 
     ``arrivals`` ({receiver: {k: ts}}) is a read-only Mapping view over
@@ -387,7 +384,7 @@ class MeasurementLog:
     taken at construction.
     """
 
-    def __init__(self, ids, sender, recv, present, interval_us: int | None = None):
+    def __init__(self, ids, sender, recv, present):
         self.ids = tuple(ids)
         if list(self.ids) != sorted(set(self.ids)):
             raise InputError("receiver ids must be sorted and distinct")
@@ -399,14 +396,13 @@ class MeasurementLog:
         self.sender = sender
         self.recv = recv
         self.present = present
-        self.interval_us = interval_us
         self.receivers = frozenset(self.ids)
         self._row = {r: i for i, r in enumerate(self.ids)}
         self._counts = present.sum(axis=1).tolist()
         self.arrivals = _Arrivals(self)
 
     @classmethod
-    def from_dicts(cls, sender_ts, arrivals, interval_us: int | None = None) -> "MeasurementLog":
+    def from_dicts(cls, sender_ts, arrivals) -> "MeasurementLog":
         """Log from ``sender_ts`` ({k: ts} over k = 0..n-1) and ``arrivals``
         ({receiver: {k: ts}}; a missing k is a lost packet).
 
@@ -439,15 +435,11 @@ class MeasurementLog:
             sender, recv = columns(np.int64)
         except OverflowError:
             sender, recv = columns(object)
-        return cls(ids, sender, recv, present, interval_us)
+        return cls(ids, sender, recv, present)
 
     @property
     def n_pairs(self) -> int:
         return len(self.sender)
-
-    @property
-    def fixed_mode(self) -> bool:
-        return self.interval_us is not None
 
     def row(self, receiver: NodeId) -> int:
         try:
@@ -460,7 +452,6 @@ class MeasurementLog:
             return NotImplemented
         return (
             self.ids == other.ids
-            and self.interval_us == other.interval_us
             and np.array_equal(self.sender, other.sender)
             and np.array_equal(self.present, other.present)
             and np.array_equal(self.recv[self.present], other.recv[other.present])
@@ -469,10 +460,7 @@ class MeasurementLog:
     __hash__ = None
 
     def __repr__(self) -> str:
-        return (
-            f"MeasurementLog({len(self.ids)} receivers, n_pairs={self.n_pairs}, "
-            f"interval_us={self.interval_us})"
-        )
+        return f"MeasurementLog({len(self.ids)} receivers, n_pairs={self.n_pairs})"
 
     def validate(self) -> None:
         if self.n_pairs < 1:
@@ -481,10 +469,6 @@ class MeasurementLog:
         for k in range(1, self.n_pairs):
             if sender[k] <= sender[k - 1]:
                 raise InvariantError(f"sender timestamps not strictly increasing at k={k}")
-        if self.fixed_mode:
-            for k in range(self.n_pairs):
-                if sender[k] - sender[0] != k * self.interval_us:
-                    raise InvariantError(f"fixed-interval contract broken at k={k}")
         early = np.argwhere(self.present & (self.recv < self.sender))
         if len(early):
             i, k = early[0].tolist()
@@ -581,12 +565,12 @@ def shared_covariance(tree: RoutingTree, i: NodeId, j: NodeId) -> float:
     return tree.router_cov[tree.lca(i, j)]
 
 
-def covariance_matrix_from_tree(tree: RoutingTree, receivers=None) -> CovarianceMatrix:
-    """Analytic covariance matrix for the tree's leaves. Off-diagonal entries
-    come from shared_covariance; the diagonal holds the label of each leaf's
-    parent (the leaf's own last-hop variance is unidentifiable from pair
-    covariances and never read by the inference)."""
-    ids = tuple(sorted(tree.leaves) if receivers is None else receivers)
+def covariance_matrix_from_tree(tree: RoutingTree) -> CovarianceMatrix:
+    """Analytic covariance matrix over the tree's leaves, sorted.
+    Off-diagonal entries come from shared_covariance; the diagonal holds the
+    label of each leaf's parent (the leaf's own last-hop variance is
+    unidentifiable from pair covariances and never read by the inference)."""
+    ids = tuple(sorted(tree.leaves))
     n = len(ids)
     values = np.zeros((n, n), dtype=float)
     for a in range(n):

@@ -52,10 +52,10 @@ def _bisect(cov: CovarianceMatrix, ids: list[NodeId]) -> list[NodeId]:
     return _bisect(cov, side_p) + _bisect(cov, side_q)
 
 
-def is_valid_dfs_order(order, cov: CovarianceMatrix, tol: float = 0.0) -> bool:
+def is_valid_dfs_order(order, cov: CovarianceMatrix) -> bool:
     """Check the defining consecutive-minimum property of DFS leaf orders:
     for every i < j < k in the order, cov(x_i, x_k) must not exceed
-    min(cov(x_i, x_j), cov(x_j, x_k)) by more than ``tol``."""
+    min(cov(x_i, x_j), cov(x_j, x_k))."""
     order = list(order)
     if sorted(order) != sorted(cov.receivers):
         raise InputError("order is not a permutation of the matrix receivers")
@@ -67,6 +67,6 @@ def is_valid_dfs_order(order, cov: CovarianceMatrix, tol: float = 0.0) -> bool:
             vij = v[idx[i], idx[j]]
             for k in range(j + 1, n):
                 vik = v[idx[i], idx[k]]
-                if vik > min(vij, v[idx[j], idx[k]]) + tol:
+                if vik > min(vij, v[idx[j], idx[k]]):
                     return False
     return True

@@ -49,17 +49,20 @@ class RecoveryConfig:
             raise ConfigError(f"rho must be positive, got {self.rho}")
 
 
-def auto_rho(cov: CovarianceMatrix, floor: float = 0.01) -> float:
+AUTO_RHO_FLOOR_MS2 = 0.01
+
+
+def auto_rho(cov: CovarianceMatrix) -> float:
     """Heuristic threshold when none is supplied: half the minimum positive
     gap between distinct covariance values in the matrix, never below
-    ``floor``. Meant for clean (low-noise) matrices; noisy data wants an
-    explicitly configured rho."""
+    ``AUTO_RHO_FLOOR_MS2``. Meant for clean (low-noise) matrices; noisy data
+    wants an explicitly configured rho."""
     vals = np.unique(cov.values)
     gaps = np.diff(vals)
     gaps = gaps[gaps > 0]
     if gaps.size == 0:
-        return floor
-    return max(floor, float(gaps.min()) / 2.0)
+        return AUTO_RHO_FLOOR_MS2
+    return max(AUTO_RHO_FLOOR_MS2, float(gaps.min()) / 2.0)
 
 
 def classify_case(sigma_cur: float, sigma_prev: float, rho: float) -> Case:
@@ -126,12 +129,7 @@ def place_leaf(
         tree.add_leaf(new_leaf, r_star)
 
 
-def recover_tree(
-    source: NodeId,
-    ordered_leaves,
-    cov: CovarianceMatrix,
-    config: RecoveryConfig | None = None,
-) -> RoutingTree:
+def recover_tree(source: NodeId, ordered_leaves, cov: CovarianceMatrix, config: RecoveryConfig) -> RoutingTree:
     """Recover the routing tree rooted at ``source`` over leaves given in an
     estimated DFS order.
 
@@ -148,8 +146,6 @@ def recover_tree(
         raise InputError("duplicate leaf in order")
     for leaf in leaves:
         cov.index(leaf)  # raises InputError for unknown ids
-    if config is None:
-        config = RecoveryConfig(auto_rho(cov))
     rho = config.rho
 
     tree = RoutingTree(source)

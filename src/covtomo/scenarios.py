@@ -24,10 +24,8 @@ same config they re-serialize byte-identically.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -35,7 +33,7 @@ from .accuracy import score_trees
 from .delay_cov import build_covariance_matrix, covariance_oracle_from_log
 from .dynamic import attach_peer
 from .errors import ConfigError
-from .logio import read_json
+from .logio import read_json, write_json
 from .model import branching_skeleton, is_router_id
 from .ordering import dfs_order
 from .recover import RecoveryConfig, auto_rho, recover_tree
@@ -196,9 +194,7 @@ def _run_seeds(resolved: dict, **overrides) -> tuple[list[dict], dict]:
         runs.append(
             {
                 "seed": seed,
-                "p": report.p,
-                "p_distinct": report.p_distinct,
-                "n_leaves": report.n_leaves,
+                **asdict(report),
                 "rho_ms2": config.rho,
                 "cov_summary": _cov_summary(cov),
                 "tree": tree.to_dict(),
@@ -237,7 +233,7 @@ def run_scenario(resolved: dict) -> dict:
 
 
 def _curve_point(n_nodes: int, report) -> dict:
-    return {"n_nodes": n_nodes, "n_leaves": report.n_leaves, "p": report.p, "p_distinct": report.p_distinct}
+    return {"n_nodes": n_nodes, **asdict(report)}
 
 
 def run_dynamic_scenario(resolved: dict) -> dict:
@@ -284,4 +280,4 @@ def run_dynamic_scenario(resolved: dict) -> dict:
 
 
 def write_report(report: dict, path) -> None:
-    Path(path).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(report, path, "report")

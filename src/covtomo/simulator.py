@@ -40,7 +40,7 @@ import networkx as nx
 import numpy as np
 
 from .errors import ConfigError, InputError, InvariantError, TopologyGenerationError
-from .model import ROUTER_ID_PREFIX, MeasurementLog, NodeId, RoutingTree, is_router_id, shared_covariance
+from .model import ROUTER_ID_PREFIX, MeasurementLog, NodeId, RoutingTree, is_router_id
 
 # rng stream tags so topology, sessions and growth draw independent streams
 _STREAM_TOPOLOGY = 1
@@ -314,26 +314,31 @@ def grow_network(
 ):
     """Attach new client hosts to random routers, extending the ground truth
     in place. Returns the new host ids (generated, or taken from ``names``).
-    Deterministic given (config.seed, stream)."""
+    Deterministic given (config.seed, stream). Every name is checked before
+    anything is drawn or attached, so a rejected call changes nothing."""
     if n_new_hosts < 1:
         raise InputError(f"n_new_hosts must be >= 1, got {n_new_hosts}")
-    if names is not None and len(names) != n_new_hosts:
+    if names is None:
+        hosts = [host_id(net._host_seq + i, config.n_hosts) for i in range(n_new_hosts)]
+        net._host_seq += n_new_hosts
+    elif len(names) != n_new_hosts:
         raise InputError("names must match n_new_hosts")
-    rng = np.random.default_rng([config.seed, _STREAM_GROWTH, stream])
-    routers = sorted({r for r in net._router_paths})
-    base_lo, base_hi = config.link_base_delay_us
-    var_lo, var_hi = config.link_delay_var_ms2
-    new_hosts = []
-    for slot in range(n_new_hosts):
-        if names is not None:
-            host = names[slot]
+    else:
+        hosts = list(names)
+        seen = set()
+        for host in hosts:
             if host in net.access_router or host == net.source:
                 raise InputError(f"host {host!r} already exists in the network")
             if is_router_id(host):
                 raise InputError(f"host {host!r} is in the router-id namespace")
-        else:
-            host = host_id(net._host_seq, config.n_hosts)
-            net._host_seq += 1
+            if host in seen:
+                raise InputError(f"host {host!r} appears more than once in names")
+            seen.add(host)
+    rng = np.random.default_rng([config.seed, _STREAM_GROWTH, stream])
+    routers = sorted({r for r in net._router_paths})
+    base_lo, base_hi = config.link_base_delay_us
+    var_lo, var_hi = config.link_delay_var_ms2
+    for host in hosts:
         router = routers[int(rng.integers(len(routers)))]
         base = float(rng.uniform(base_lo, base_hi))
         var = float(rng.uniform(var_lo, var_hi)) * config.bg_scale
@@ -341,8 +346,7 @@ def grow_network(
         net.link_params[key] = (base, var)
         net.access_router[host] = router
         _extend_truth_path(net.truth, net._router_paths[router] + (host,), net.link_params)
-        new_hosts.append(host)
-    return new_hosts
+    return hosts
 
 
 def _offset_normal(rng: np.random.Generator, sigma: np.ndarray, n: int) -> np.ndarray:
@@ -433,15 +437,7 @@ def simulate_session(net: SimulatedNetwork, config: SimulatorConfig, stream: int
     arrivals_ts = delays.astype(np.int64)
     arrivals_ts += schedule
     arrivals_ts[lost] = 0
-    interval = None if config.pair_schedule_us is not None else int(config.pair_interval_us)
-    return MeasurementLog(clients, schedule, arrivals_ts, ~lost, interval)
-
-
-def analytic_covariance(net: SimulatedNetwork, i: NodeId, j: NodeId) -> float:
-    """Noiseless covariance oracle: the sum of effective link delay
-    variances over the links the two clients' paths share, which is the
-    truth label of their lowest common ancestor."""
-    return shared_covariance(net.truth, i, j)
+    return MeasurementLog(clients, schedule, arrivals_ts, ~lost)
 
 
 def analytic_path_variance(net: SimulatedNetwork, i: NodeId) -> float:

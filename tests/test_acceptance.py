@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from covtomo.accuracy import classify_triple, score_trees, tomography_accuracy
+from covtomo.accuracy import classify_triple, score_trees
 from covtomo.delay_cov import build_covariance_matrix, estimate_covariance, normalize_series, align_pairs
 from covtomo.dynamic import attach_peer
 from covtomo.logio import export_log, import_log
@@ -83,7 +83,6 @@ def test_criterion_1_estimator_properties():
                 "a": {k: k * delta + int(da[k]) for k in range(n)},
                 "b": {k: k * delta + int(db[k]) for k in range(n)},
             },
-            delta,
         )
         aligned = align_pairs(log, {"a", "b"})
         got = estimate_covariance(
@@ -132,7 +131,7 @@ def test_criterion_2_noiseless_oracle_recovery():
         recovered.validate()
         if trees_topologically_equal(recovered, tree):
             equal_count += 1
-        if tomography_accuracy(recovered, branching_skeleton(tree), tree.leaves) == 1.0:
+        if score_trees(recovered, branching_skeleton(tree), tree.leaves).p == 1.0:
             perfect_p += 1
     elapsed = time.monotonic() - start
     _report(
@@ -281,7 +280,7 @@ def test_criterion_8_accuracy_metric_oracle():
         t1, _ = random_truth_tree(rng, n)
         t2, _ = random_truth_tree(rng, n)
         leaves = sorted(t1.leaves)
-        if tomography_accuracy(t1, t2, leaves) != float(brute_force(t1, t2, leaves)):
+        if score_trees(t1, t2, leaves).p != float(brute_force(t1, t2, leaves)):
             mismatches += 1
     _report(
         "criterion 8 (optimized accuracy == brute-force enumeration)",

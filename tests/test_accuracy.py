@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covtomo import accuracy
-from covtomo.accuracy import _shared_len, classify_triple, score_trees, shared_length_matrix, tomography_accuracy
+from covtomo.accuracy import _shared_len, classify_triple, score_trees, shared_length_matrix
 from covtomo.errors import InputError
 from covtomo.model import RoutingTree, branching_skeleton
 
@@ -45,7 +45,7 @@ def test_identical_trees_every_triple_correct():
         for j in "abc":
             for k in "abc":
                 assert classify_triple(i, j, k, tree, tree) == 1
-    assert tomography_accuracy(tree, tree, {"a", "b", "c"}) == 1.0
+    assert score_trees(tree, tree, {"a", "b", "c"}).p == 1.0
 
 
 def test_degenerate_triples_classify_correctly():
@@ -73,7 +73,7 @@ def test_star_recovered_for_caterpillar_truth():
     assert classify_triple("a", "c", "b", recovered, truth) == 0
     expected = brute_force_p(recovered, truth, ["a", "b", "c"])
     assert expected == Fraction(25, 27)
-    assert tomography_accuracy(recovered, truth, {"a", "b", "c"}) == float(expected)
+    assert score_trees(recovered, truth, {"a", "b", "c"}).p == float(expected)
 
 
 def test_single_leaf_accuracy_is_one():
@@ -83,14 +83,14 @@ def test_single_leaf_accuracy_is_one():
     t2b = RoutingTree("root")
     t2b.add_leaf("a", "root")
     t1b = build_tree("root", (1.0, ["a"]))
-    assert tomography_accuracy(t1b, t2b, {"a"}) == 1.0
+    assert score_trees(t1b, t2b, {"a"}).p == 1.0
     with pytest.raises(InputError):
-        tomography_accuracy(t1, t2, set())
+        score_trees(t1, t2, set())
 
 
 def test_unknown_leaf_errors():
     with pytest.raises(InputError):
-        tomography_accuracy(star(), caterpillar(), {"a", "zz"})
+        score_trees(star(), caterpillar(), {"a", "zz"})
     with pytest.raises(InputError):
         classify_triple("a", "b", "zz", star(), caterpillar())
 
@@ -100,10 +100,10 @@ def test_accuracy_in_unit_interval_and_relabel_invariant():
     for _ in range(25):
         t1, _ = random_truth_tree(rng, int(rng.integers(2, 8)))
         t2, _ = random_truth_tree(rng, len(t1.leaves))
-        p = tomography_accuracy(t1, t2, t1.leaves)
+        p = score_trees(t1, t2, t1.leaves).p
         assert 0.0 <= p <= 1.0
-        assert tomography_accuracy(relabel_routers(t1), t2, t1.leaves) == p
-        assert tomography_accuracy(t1, relabel_routers(t2), t1.leaves) == p
+        assert score_trees(relabel_routers(t1), t2, t1.leaves).p == p
+        assert score_trees(t1, relabel_routers(t2), t1.leaves).p == p
 
 
 def test_optimized_matches_brute_force():
@@ -113,10 +113,10 @@ def test_optimized_matches_brute_force():
         t1, _ = random_truth_tree(rng, n)
         t2, _ = random_truth_tree(rng, n)
         leaves = sorted(t1.leaves)
-        assert tomography_accuracy(t1, t2, leaves) == float(brute_force_p(t1, t2, leaves))
+        report = score_trees(t1, t2, leaves)
+        assert report.p == float(brute_force_p(t1, t2, leaves))
         if n >= 3:
-            got = tomography_accuracy(t1, t2, leaves, include_degenerate=False)
-            assert got == float(brute_force_p(t1, t2, leaves, distinct=True))
+            assert report.p_distinct == float(brute_force_p(t1, t2, leaves, distinct=True))
 
 
 def test_score_trees_reports_both_variants():
@@ -130,7 +130,7 @@ def test_score_trees_reports_both_variants():
     assert report.p * n**3 == pytest.approx(report.p_distinct * (n**3 - degenerate) + degenerate)
 
 
-def test_score_trees_equals_both_accuracy_calls():
+def test_score_trees_defaults_to_every_shared_leaf():
     rng = np.random.default_rng(34)
     for _ in range(30):
         n = int(rng.integers(2, 9))
@@ -138,16 +138,11 @@ def test_score_trees_equals_both_accuracy_calls():
         t2, _ = random_truth_tree(rng, n)
         leaves = sorted(t1.leaves)
         size = int(rng.integers(1, n + 1))
-        for X in (None, rng.choice(leaves, size=size, replace=False).tolist()):
-            report = score_trees(t1, t2, X)
-            ids = leaves if X is None else X
+        assert score_trees(t1, t2) == score_trees(t1, t2, leaves)
+        for ids in (leaves, rng.choice(leaves, size=size, replace=False).tolist()):
+            report = score_trees(t1, t2, ids)
             assert report.n_leaves == len(ids)
-            assert report.p.hex() == tomography_accuracy(t1, t2, ids).hex()
-            if len(ids) >= 3:
-                distinct = tomography_accuracy(t1, t2, ids, include_degenerate=False)
-                assert report.p_distinct.hex() == distinct.hex()
-            else:
-                assert report.p_distinct is None
+            assert (report.p_distinct is None) == (len(ids) < 3)
 
 
 def test_shared_length_matrix_rejects_empty_order():
@@ -208,12 +203,8 @@ def test_counting_kernel_equals_brute_force(pair):
     # all rows in one block, then one row per block as at large n
     for block_cells in (accuracy._BLOCK_CELLS, 1):
         with mock.patch.object(accuracy, "_BLOCK_CELLS", block_cells):
-            assert tomography_accuracy(recovered, truth, X) == p
-            if distinct is None:
-                with pytest.raises(InputError, match="at least 3"):
-                    tomography_accuracy(recovered, truth, X, include_degenerate=False)
-            else:
-                assert tomography_accuracy(recovered, truth, X, include_degenerate=False) == distinct
+            report = score_trees(recovered, truth, X)
+            assert (report.p, report.p_distinct) == (p, distinct)
 
 
 @st.composite

@@ -265,6 +265,44 @@ def test_unreadable_input_file_names_it(tmp_path, capsys, command, bad, content,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, option, what",
+    [
+        ("simulate", "--out", "log"),
+        ("simulate", "--truth-out", "tree"),
+        ("estimate", "--out", "covariance matrix"),
+        ("recover", "--out", "tree"),
+        ("join", "--out", "tree"),
+        ("score", "--out", "score"),
+        ("e2e", "--out", "report"),
+    ],
+)
+def test_unwritable_output_file_names_it(tmp_path, capsys, command, option, what):
+    # every input is valid; the output under test goes into a missing directory
+    cfg = write_config(tmp_path, seeds=[1])
+    log, truth, cov, tree = (str(tmp_path / name) for name in ("log.ndjson", "truth.json", "cov.json", "tree.json"))
+    assert main(["simulate", "--config", str(cfg), "--out", log, "--truth-out", truth]) == 0
+    source = json.loads(Path(truth).read_text())["id"]
+    receivers = covtomo.import_log(log).ids
+    assert main(["estimate", "--log", log, "--receivers", ",".join(receivers[:-1]), "--out", cov]) == 0
+    assert main(["recover", "--cov", cov, "--source", source, "--rho", "0.25", "--out", tree]) == 0
+    argv = {
+        "simulate": ["--config", str(cfg)],
+        "estimate": ["--log", log],
+        "recover": ["--cov", cov, "--source", source],
+        "join": ["--tree", tree, "--log", log, "--peer", receivers[-1], "--rho", "0.25"],
+        "score": ["--recovered", tree, "--truth", truth],
+        "e2e": ["--config", str(cfg)],
+    }[command]
+    if option == "--truth-out":
+        argv += ["--out", str(tmp_path / "again.ndjson")]
+    out = tmp_path / "missing" / "out.file"
+    capsys.readouterr()
+    assert main([command, *argv, option, str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot write {what} {out}: ") and err.count("\n") == 1
+
+
 def test_e2e_runs_sweeps(tmp_path, capsys):
     # e2e is the one way to run a config: it runs the sweep section too
     cfg = write_config(

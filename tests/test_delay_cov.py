@@ -20,8 +20,8 @@ from covtomo.simulator import SimulatorConfig, generate_topology, simulate_sessi
 MS2 = 10**6  # us^2 per ms^2
 
 
-def make_log(sender_ts, arrivals, interval_us=None):
-    return MeasurementLog.from_dicts(dict(enumerate(sender_ts)), arrivals, interval_us)
+def make_log(sender_ts, arrivals):
+    return MeasurementLog.from_dicts(dict(enumerate(sender_ts)), arrivals)
 
 
 def series(values, receiver="x", indices=None):
@@ -29,12 +29,12 @@ def series(values, receiver="x", indices=None):
     return DelaySeries(receiver=receiver, indices=idx, values=tuple(values))
 
 
-def fixed_log(arrivals_by_receiver, n, delta):
+def even_log(arrivals_by_receiver, n, delta):
     sender = [k * delta for k in range(n)]
     arrivals = {
         r: {k: ts for k, ts in entries.items()} for r, entries in arrivals_by_receiver.items()
     }
-    return make_log(sender, arrivals, interval_us=delta)
+    return make_log(sender, arrivals)
 
 
 # ----------------------------------------------------------------------
@@ -43,25 +43,25 @@ def fixed_log(arrivals_by_receiver, n, delta):
 
 def test_align_no_losses_identity():
     n = 100
-    log = fixed_log({r: {k: k * 30 + 500 for k in range(n)} for r in ("a", "b")}, n, 30)
+    log = even_log({r: {k: k * 30 + 500 for k in range(n)} for r in ("a", "b")}, n, 30)
     assert align_pairs(log, {"a", "b"}) == tuple(range(n))
 
 
 def test_align_drops_union_of_losses():
     arrivals_a = {k: k * 30 + 10 for k in range(10) if k != 3}
     arrivals_b = {k: k * 30 + 20 for k in range(10) if k != 7}
-    log = fixed_log({"a": arrivals_a, "b": arrivals_b}, 10, 30)
+    log = even_log({"a": arrivals_a, "b": arrivals_b}, 10, 30)
     assert align_pairs(log, {"a", "b"}) == (0, 1, 2, 4, 5, 6, 8, 9)
 
 
 def test_align_all_lost_is_insufficient():
-    log = fixed_log({"a": {k: k * 30 + 10 for k in range(10)}, "b": {}}, 10, 30)
+    log = even_log({"a": {k: k * 30 + 10 for k in range(10)}, "b": {}}, 10, 30)
     with pytest.raises(InsufficientDataError):
         align_pairs(log, {"a", "b"})
 
 
 def test_align_unknown_receiver():
-    log = fixed_log({"a": {0: 5, 1: 35}}, 2, 30)
+    log = even_log({"a": {0: 5, 1: 35}}, 2, 30)
     with pytest.raises(InputError):
         align_pairs(log, {"a", "nope"})
 
@@ -72,20 +72,19 @@ def test_align_unknown_receiver():
 
 def test_normalize_constant_delay_cancels():
     n, delta, d = 50, 30, 777
-    log = fixed_log({"a": {k: k * delta + d for k in range(n)}}, n, delta)
+    log = even_log({"a": {k: k * delta + d for k in range(n)}}, n, delta)
     out = normalize_series(log, "a", align_pairs(log, {"a"}))
     assert out.values == (0,) * n
 
 
-def test_normalize_fixed_mode_example():
-    log = fixed_log({"a": {0: 100, 1: 135, 2: 162}}, 3, 30)
+def test_normalize_even_schedule_example():
+    log = even_log({"a": {0: 100, 1: 135, 2: 162}}, 3, 30)
     out = normalize_series(log, "a", (0, 1, 2))
     assert out.values == (0, 5, 2)
 
 
 def test_normalize_timestamped_example():
     log = make_log([0, 40, 70], {"a": {0: 10, 1: 55, 2: 95}})
-    assert not log.fixed_mode
     out = normalize_series(log, "a", (0, 1, 2))
     assert out.values == (0, 5, 15)
 
@@ -96,7 +95,7 @@ def test_normalize_clock_offset_cancels():
     delays = rng.integers(100, 900, size=n)
     base = {k: k * delta + int(delays[k]) for k in range(n)}
     shifted = {k: ts + 123456 for k, ts in base.items()}
-    log = fixed_log({"a": base, "b": shifted}, n, delta)
+    log = even_log({"a": base, "b": shifted}, n, delta)
     sa = normalize_series(log, "a", align_pairs(log, {"a", "b"}))
     sb = normalize_series(log, "b", align_pairs(log, {"a", "b"}))
     assert sa.values == sb.values
@@ -105,7 +104,7 @@ def test_normalize_clock_offset_cancels():
 def test_normalize_missing_arrival_is_internal_error():
     from covtomo.errors import InvariantError
 
-    log = fixed_log({"a": {0: 10, 2: 70}}, 3, 30)
+    log = even_log({"a": {0: 10, 2: 70}}, 3, 30)
     # the first aligned index without an arrival, whether the slot is empty,
     # outside the log or on a receiver the log does not hold
     for receiver, aligned, k in [("a", (0, 1, 2), 1), ("a", (0, 2, 3), 3), ("a", (-1, 0), -1), ("z", (2, 0), 2)]:
@@ -220,7 +219,7 @@ def test_delay_offset_series_equals_raw_delay_series_exactly():
         delta = int(rng.integers(10, 50))
         da = rng.integers(100, 5000, n)
         db = rng.integers(100, 5000, n)
-        log = fixed_log(
+        log = even_log(
             {
                 "a": {k: k * delta + int(da[k]) for k in range(n)},
                 "b": {k: k * delta + int(db[k]) for k in range(n)},
@@ -261,7 +260,7 @@ def test_matrix_identical_series_all_entries_equal():
     rng = np.random.default_rng(7)
     delays = rng.integers(100, 3000, size=n)
     entries = {k: k * delta + int(delays[k]) for k in range(n)}
-    log = fixed_log({"a": dict(entries), "b": dict(entries)}, n, delta)
+    log = even_log({"a": dict(entries), "b": dict(entries)}, n, delta)
     cov = build_covariance_matrix(log, ["a", "b"])
     assert cov.get("a", "b") == cov.get("a", "a") == cov.get("b", "b")
 
@@ -272,7 +271,7 @@ def test_matrix_independent_series_near_zero():
     var_us2 = 1000.0**2  # 1 ms^2 per receiver, nothing shared
     da = np.rint(rng.normal(3000, 1000, n)).astype(int)
     db = np.rint(rng.normal(3000, 1000, n)).astype(int)
-    log = fixed_log(
+    log = even_log(
         {
             "a": {k: k * delta + int(da[k]) for k in range(n)},
             "b": {k: k * delta + int(db[k]) for k in range(n)},
@@ -297,7 +296,7 @@ def test_matrix_matches_scalar_estimator_exactly_with_losses():
                 continue  # lost
             entries[k] = k * delta + int(rng.integers(200, 4000))
         arrivals[r] = entries
-    log = fixed_log(arrivals, n, delta)
+    log = even_log(arrivals, n, delta)
     cov = build_covariance_matrix(log, receivers)
     cov.validate()
     for i, a in enumerate(receivers):
@@ -311,7 +310,7 @@ def test_matrix_matches_scalar_estimator_exactly_with_losses():
 
 
 def test_matrix_errors_name_the_pair():
-    log = fixed_log({"a": {k: k * 30 + 10 for k in range(5)}, "b": {0: 11}}, 5, 30)
+    log = even_log({"a": {k: k * 30 + 10 for k in range(5)}, "b": {0: 11}}, 5, 30)
     with pytest.raises(InsufficientDataError, match="'b'"):
         build_covariance_matrix(log, ["a", "b"])
     with pytest.raises(InputError):
@@ -319,7 +318,7 @@ def test_matrix_errors_name_the_pair():
     # the first failure in row-major order over the upper triangle wins:
     # receiver i is checked before the pairs (i, j > i), so the short pair
     # (a, b) is reported ahead of receiver c and its single arrival
-    log = fixed_log({"a": {0: 10, 1: 40}, "b": {2: 70, 3: 100}, "c": {4: 130}}, 5, 30)
+    log = even_log({"a": {0: 10, 1: 40}, "b": {2: 70, 3: 100}, "c": {4: 130}}, 5, 30)
     with pytest.raises(InsufficientDataError) as err:
         build_covariance_matrix(log, ["a", "b", "c"])
     assert str(err.value) == "pair ('a', 'b') shares only 0 pair indices"
@@ -335,7 +334,7 @@ def test_oracle_from_log_matches_matrix_and_reports_gaps():
         r: {k: k * delta + int(rng.integers(100, 2000)) for k in range(n)} for r in ("a", "b")
     }
     arrivals["c"] = {0: 55}
-    log = fixed_log(arrivals, n, delta)
+    log = even_log(arrivals, n, delta)
     oracle = covariance_oracle_from_log(log)
     cov = build_covariance_matrix(log, ["a", "b"])
     assert oracle("a", "b") == cov.get("a", "b")
@@ -364,7 +363,7 @@ def test_oracle_agrees_with_matrix_both_ways_on_lossy_log():
 
 
 def test_oracle_gap_messages():
-    log = fixed_log({"a": {0: 10, 1: 40, 2: 70}, "b": {0: 12, 1: 45, 2: 71}, "c": {1: 50}}, 3, 30)
+    log = even_log({"a": {0: 10, 1: 40, 2: 70}, "b": {0: 12, 1: 45, 2: 71}, "c": {1: 50}}, 3, 30)
     oracle = covariance_oracle_from_log(log)
     for args, message in (
         (("a", "zz"), "no measurements for 'zz' (pair ('a', 'zz'))"),
@@ -421,7 +420,7 @@ def test_kernel_exact_at_large_magnitudes(n, swing, clock):
         f"r{r}": {k: clock + k * delta + swing * int(bits[r, k]) for k in range(n)}
         for r in range(len(bits))
     }
-    assert_kernel_matches_reference(fixed_log(arrivals, n, delta))
+    assert_kernel_matches_reference(even_log(arrivals, n, delta))
 
 
 def test_kernel_exact_when_offsets_wrap_int64():
@@ -433,20 +432,20 @@ def test_kernel_exact_when_offsets_wrap_int64():
         r: {k: sender[k] + (k % 2) * jump + k * step for k in range(n)}
         for r, step in (("a", 3), ("b", 5))
     }
-    assert_kernel_matches_reference(make_log(sender, arrivals, interval_us=delta))
+    assert_kernel_matches_reference(make_log(sender, arrivals))
 
 
 @st.composite
 def lossy_logs(draw):
-    """Integer logs in fixed-interval or timestamped mode where every pair of
-    receivers shares at least the two anchor indices (often exactly those)."""
+    """Integer logs with evenly or unevenly spaced senders where every pair
+    of receivers shares at least the two anchor indices (often exactly
+    those)."""
     n = draw(st.integers(2, 24))
     if draw(st.booleans()):
         interval = draw(st.integers(1, 1000))
         start = draw(st.integers(0, 10**6))
         sender = [start + k * interval for k in range(n)]
     else:
-        interval = None
         gaps = draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
         sender = list(itertools.accumulate(gaps))
     anchors = set(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
@@ -458,7 +457,7 @@ def lossy_logs(draw):
         offset = draw(st.integers(0, clock))
         delays = draw(st.lists(st.integers(0, swing), min_size=n, max_size=n))
         arrivals[f"r{r}"] = {k: sender[k] + offset + delays[k] for k in sorted(present)}
-    return make_log(sender, arrivals, interval_us=interval)
+    return make_log(sender, arrivals)
 
 
 @settings(max_examples=150)

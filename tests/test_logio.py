@@ -33,7 +33,7 @@ def sample_log(with_losses=False):
     if with_losses:
         del arrivals["a"][2]
         del arrivals["b"][4]
-    return MeasurementLog.from_dicts({k: k * 30 for k in range(6)}, arrivals, 30)
+    return MeasurementLog.from_dicts({k: k * 30 for k in range(6)}, arrivals)
 
 
 def test_round_trip_identical(tmp_path):
@@ -88,7 +88,7 @@ def test_export_bytes_equal_per_record_json_dumps(tmp_path, clock):
     arrivals = {
         name: {k: clock + k * 30 + i for k in range(5) if (k + i) % 3} for i, name in enumerate(names)
     }
-    log = MeasurementLog.from_dicts({k: clock + k * 30 for k in range(5)}, arrivals, 30)
+    log = MeasurementLog.from_dicts({k: clock + k * 30 for k in range(5)}, arrivals)
     path = tmp_path / "log.ndjson"
     export_log(log, path)
     assert path.read_bytes() == reference_ndjson(log)
@@ -264,21 +264,6 @@ def test_missing_send_index_costs_nothing_per_absent_index(tmp_path):
     with pytest.raises(LogFormatError) as exc:
         import_log(path)
     assert (str(exc.value), exc.value.line) == ("missing send record for k=2", None)
-
-
-def test_interval_mode_detection(tmp_path):
-    path = tmp_path / "log.ndjson"
-    even = [{"type": "send", "k": k, "ts_us": 40 * k} for k in range(4)]
-    even.append({"type": "recv", "receiver": "a", "k": 0, "ts_us": 3})
-    even.append({"type": "recv", "receiver": "a", "k": 1, "ts_us": 44})
-    path.write_text("\n".join(json.dumps(r) for r in even) + "\n")
-    assert import_log(path).interval_us == 40
-
-    uneven = [{"type": "send", "k": k, "ts_us": ts} for k, ts in enumerate((0, 40, 70))]
-    uneven.append({"type": "recv", "receiver": "a", "k": 0, "ts_us": 3})
-    uneven.append({"type": "recv", "receiver": "a", "k": 1, "ts_us": 44})
-    path.write_text("\n".join(json.dumps(r) for r in uneven) + "\n")
-    assert import_log(path).interval_us is None
 
 
 def test_tree_and_matrix_files(tmp_path):
@@ -510,7 +495,7 @@ BARE = "".join(c for c in map(chr, range(0x20, 0x7F)) if c not in '"\\')
 @st.composite
 def heard_logs(draw):
     """Logs that export and import back unchanged: every receiver has an
-    arrival, and an evenly spaced sender carries its interval. Names are
+    arrival, and senders are evenly or unevenly spaced. Names are
     printable ASCII or mix in characters the export escapes; timestamps
     reach up to 2^63 - 1."""
     n = draw(st.integers(1, 12))
@@ -521,7 +506,6 @@ def heard_logs(draw):
     else:
         gaps = draw(st.lists(st.integers(1, (top - clock) // max(n, 2)), min_size=n - 1, max_size=n - 1))
     sender = list(itertools.accumulate(gaps, initial=clock))
-    interval = gaps[0] if n >= 2 and len(set(gaps)) == 1 else None
     chars = st.sampled_from(BARE)
     if draw(st.booleans()):
         chars = st.one_of(chars, st.sampled_from('%"\\\t\x00\x7fé \U0001f600'), st.characters(codec="utf-8"))
@@ -530,7 +514,7 @@ def heard_logs(draw):
     for r in names:
         ks = draw(st.sets(st.integers(0, n - 1), min_size=1))
         arrivals[r] = {k: draw(st.integers(sender[k], top)) for k in sorted(ks)}
-    return MeasurementLog.from_dicts(dict(enumerate(sender)), arrivals, interval)
+    return MeasurementLog.from_dicts(dict(enumerate(sender)), arrivals)
 
 
 @settings(max_examples=200)

@@ -19,9 +19,9 @@ I64 = 2**63
 
 @st.composite
 def log_dicts(draw):
-    """(sender_ts, arrivals, interval_us) in the form `import_log` gives back:
-    evenly spaced senders carry their interval, receivers are in sorted
-    order, some receivers have no arrivals, and timestamps may pass 2^63."""
+    """(sender_ts, arrivals) in the form `import_log` gives back: senders
+    evenly or unevenly spaced, receivers in sorted order, some receivers
+    without arrivals, and timestamps that may pass 2^63."""
     n = draw(st.integers(1, 12))
     clock = draw(st.sampled_from([0, 10**9, I64 - 2**20, 2**64]))
     if draw(st.booleans()):
@@ -29,17 +29,16 @@ def log_dicts(draw):
     else:
         gaps = draw(st.lists(st.integers(1, 10**6), min_size=n - 1, max_size=n - 1))
     sender = list(itertools.accumulate(gaps, initial=clock))
-    interval = gaps[0] if n >= 2 and len(set(gaps)) == 1 else None
     names = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=4, unique=True))
     arrivals = {}
     for r in sorted(names):
         ks = sorted(draw(st.sets(st.integers(0, n - 1))))
         delays = draw(st.lists(st.integers(0, 10**7), min_size=len(ks), max_size=len(ks)))
         arrivals[r] = {k: sender[k] + d for k, d in zip(ks, delays)}
-    return dict(enumerate(sender)), arrivals, interval
+    return dict(enumerate(sender)), arrivals
 
 
-def reference_validate(sender_ts, arrivals, interval_us):
+def reference_validate(sender_ts, arrivals):
     """The checks `validate()` makes, in their order, on the dicts."""
     n = len(sender_ts)
     if n < 1:
@@ -47,10 +46,6 @@ def reference_validate(sender_ts, arrivals, interval_us):
     for k in range(1, n):
         if sender_ts[k] <= sender_ts[k - 1]:
             raise InvariantError(f"sender timestamps not strictly increasing at k={k}")
-    if interval_us is not None:
-        for k in range(n):
-            if sender_ts[k] - sender_ts[0] != k * interval_us:
-                raise InvariantError(f"fixed-interval contract broken at k={k}")
     for r, entries in arrivals.items():
         for k, ts in entries.items():
             if ts < sender_ts[k]:
@@ -65,8 +60,8 @@ def fits_int64(sender_ts, arrivals):
 @settings(max_examples=150)
 @given(log_dicts())
 def test_views_equal_the_input_dicts(dicts):
-    sender_ts, arrivals, interval = dicts
-    log = MeasurementLog.from_dicts(sender_ts, arrivals, interval)
+    sender_ts, arrivals = dicts
+    log = MeasurementLog.from_dicts(sender_ts, arrivals)
     log.validate()
     assert log.ids == tuple(sorted(arrivals))
     assert log.receivers == frozenset(arrivals)
@@ -94,43 +89,45 @@ def test_views_equal_the_input_dicts(dicts):
 
 @settings(max_examples=100)
 @given(log_dicts(), st.data())
-def test_equality_compares_ids_interval_and_present_arrivals(dicts, data):
-    sender_ts, arrivals, interval = dicts
-    log = MeasurementLog.from_dicts(sender_ts, arrivals, interval)
-    assert log == MeasurementLog.from_dicts(dict(sender_ts), arrivals, interval)
+def test_equality_compares_ids_sender_and_present_arrivals(dicts, data):
+    sender_ts, arrivals = dicts
+    log = MeasurementLog.from_dicts(sender_ts, arrivals)
+    assert log == MeasurementLog.from_dicts(dict(sender_ts), arrivals)
     silent = dict(arrivals, **{"".join(arrivals) + "!": {}})  # a name longer than any drawn
-    assert log != MeasurementLog.from_dicts(sender_ts, silent, interval)
-    assert log != MeasurementLog.from_dicts(sender_ts, arrivals, 10**9 if interval is None else None)
+    assert log != MeasurementLog.from_dicts(sender_ts, silent)
+    later = dict(sender_ts)
+    later[data.draw(st.sampled_from(sorted(later)))] += 1
+    assert log != MeasurementLog.from_dicts(later, arrivals)
     # an absent slot's stored value is not part of the log
     recv = log.recv.copy()
     recv[~log.present] = 7
-    assert log == MeasurementLog(log.ids, log.sender, recv, log.present, interval)
+    assert log == MeasurementLog(log.ids, log.sender, recv, log.present)
     full = [(r, k) for r, entries in arrivals.items() for k in entries]
     if full:
         r, k = data.draw(st.sampled_from(full))
         moved = {q: dict(e) for q, e in arrivals.items()}
         moved[r][k] += 1
-        assert log != MeasurementLog.from_dicts(sender_ts, moved, interval)
+        assert log != MeasurementLog.from_dicts(sender_ts, moved)
         del moved[r][k]
-        assert log != MeasurementLog.from_dicts(sender_ts, moved, interval)
+        assert log != MeasurementLog.from_dicts(sender_ts, moved)
         gaps = sorted(set(range(len(sender_ts))) - set(arrivals[r]))
         if gaps:
             moved[r][data.draw(st.sampled_from(gaps))] = arrivals[r][k]
-            assert log != MeasurementLog.from_dicts(sender_ts, moved, interval)
+            assert log != MeasurementLog.from_dicts(sender_ts, moved)
 
 
 @settings(max_examples=100)
 @given(log_dicts())
 def test_export_then_import_is_the_identity(dicts):
-    sender_ts, arrivals, interval = dicts
-    log = MeasurementLog.from_dicts(sender_ts, arrivals, interval)
+    sender_ts, arrivals = dicts
+    log = MeasurementLog.from_dicts(sender_ts, arrivals)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.ndjson"
         export_log(log, path)
         back = import_log(path)
         # the wire format has no record for a receiver without arrivals
         heard = {r: entries for r, entries in arrivals.items() if entries}
-        assert back == MeasurementLog.from_dicts(sender_ts, heard, interval)
+        assert back == MeasurementLog.from_dicts(sender_ts, heard)
         assert back.sender.dtype == log.sender.dtype
         export_log(back, Path(tmp) / "again.ndjson")
         assert (Path(tmp) / "again.ndjson").read_bytes() == path.read_bytes()
@@ -139,7 +136,7 @@ def test_export_then_import_is_the_identity(dicts):
 @settings(max_examples=200)
 @given(log_dicts(), st.sampled_from(["repeat_send", "shift_send", "early_arrival"]), st.data())
 def test_validate_raises_the_dict_checks_messages(dicts, fault, data):
-    sender_ts, arrivals, interval = dicts
+    sender_ts, arrivals = dicts
     n = len(sender_ts)
     if fault == "repeat_send" and n >= 2:
         k = data.draw(st.integers(1, n - 1))
@@ -151,9 +148,9 @@ def test_validate_raises_the_dict_checks_messages(dicts, fault, data):
         if full:
             r, k = data.draw(st.sampled_from(full))
             arrivals[r][k] = sender_ts[k] - data.draw(st.integers(1, 10))
-    log = MeasurementLog.from_dicts(sender_ts, arrivals, interval)
+    log = MeasurementLog.from_dicts(sender_ts, arrivals)
     try:
-        reference_validate(sender_ts, arrivals, interval)
+        reference_validate(sender_ts, arrivals)
     except InvariantError as exc:
         with pytest.raises(InvariantError) as got:
             log.validate()
@@ -176,7 +173,7 @@ def test_from_dicts_rejects_indices_outside_the_sender(sender_ts, arrivals, mess
 
 
 def test_columns_are_read_only():
-    log = MeasurementLog.from_dicts({0: 0, 1: 10}, {"a": {0: 3}, "b": {}}, 10)
+    log = MeasurementLog.from_dicts({0: 0, 1: 10}, {"a": {0: 3}, "b": {}})
     assert len(log.arrivals["b"]) == 0 and log.arrivals["b"] == {}
     for column in (log.sender, log.recv, log.present):
         with pytest.raises(ValueError):

@@ -57,8 +57,8 @@ def test_noiseless_orders_valid_on_random_trees():
         cov = covariance_matrix_from_tree(tree)
         order = dfs_order(cov)
         assert sorted(order) == sorted(tree.leaves)
-        assert is_valid_dfs_order(order, cov, tol=0.0)
-        assert is_valid_dfs_order(list(reversed(order)), cov, tol=0.0)
+        assert is_valid_dfs_order(order, cov)
+        assert is_valid_dfs_order(list(reversed(order)), cov)
 
 
 def test_order_matches_some_true_dfs_traversal():

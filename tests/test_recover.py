@@ -17,6 +17,7 @@ from covtomo.recover import (
     find_attachment_router,
     recover_tree,
 )
+from covtomo.scenarios import recover_from_matrix
 
 from treegen import build_tree, random_truth_tree
 
@@ -181,5 +182,6 @@ def test_recover_with_auto_rho_on_noiseless_matrix():
     rng = np.random.default_rng(45)
     tree, _ = random_truth_tree(rng, 7, relay_prob=0.0)
     cov = covariance_matrix_from_tree(tree)
-    recovered = recover_tree("src", dfs_order(cov), cov)
+    recovered, config = recover_from_matrix("src", cov, None)
+    assert config.rho == auto_rho(cov)
     assert trees_topologically_equal(recovered, tree)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,11 @@ from hypothesis import strategies as st
 from covtomo import simulator
 from covtomo.delay_cov import align_pairs, build_covariance_matrix, normalize_series
 from covtomo.errors import ConfigError, InputError
-from covtomo.logio import export_log
-from covtomo.model import RoutingTree
+from covtomo.logio import export_log, import_log
+from covtomo.model import RoutingTree, shared_covariance
 from covtomo.simulator import (
     SimulatedNetwork,
     SimulatorConfig,
-    analytic_covariance,
     analytic_path_variance,
     generate_topology,
     grow_network,
@@ -158,16 +158,16 @@ def test_analytic_covariance_examples():
         router_paths={"r0": ("src", "r0"), "r1": ("src", "r1")},
         host_seq=0,
     )
-    assert analytic_covariance(net, "a", "b") == 0.0
+    assert shared_covariance(net.truth, "a", "b") == 0.0
 
     # sibling pair: every common link contributes
     shared = manual_net([1.5, 2.5], [0.7, 0.9])
-    assert analytic_covariance(shared, "a", "b") == 4.0
+    assert shared_covariance(shared.truth, "a", "b") == 4.0
     assert analytic_path_variance(shared, "a") == pytest.approx(4.7)
     with pytest.raises(InputError):
-        analytic_covariance(shared, "a", "a")
+        shared_covariance(shared.truth, "a", "a")
     with pytest.raises(InputError):
-        analytic_covariance(shared, "a", "zz")
+        shared_covariance(shared.truth, "a", "zz")
 
 
 def test_monte_carlo_convergence_to_analytic():
@@ -193,11 +193,23 @@ def test_timestamped_schedule_mode():
     cfg = small_cfg(pair_schedule_us=schedule, link_delay_var_ms2=(0.0, 0.0))
     net = generate_topology(cfg)
     log = simulate_session(net, cfg)
-    assert not log.fixed_mode
     assert log.n_pairs == len(schedule)
     client = sorted(net.clients)[0]
     out = normalize_series(log, client, align_pairs(log, {client}))
     assert out.values == (0,) * len(schedule)
+
+
+def test_even_schedule_log_equals_interval_log_and_its_import(tmp_path):
+    # the sender column is the whole schedule: one even spacing, given as a
+    # schedule or as an interval, is one log, and a round trip keeps it
+    cfg = small_cfg(n_pairs=60, pair_interval_us=5000)
+    net = generate_topology(cfg)
+    by_interval = simulate_session(net, cfg)
+    by_schedule = simulate_session(net, replace(cfg, pair_schedule_us=tuple(range(0, 60 * 5000, 5000))))
+    assert by_schedule == by_interval
+    path = tmp_path / "log.ndjson"
+    export_log(by_schedule, path)
+    assert import_log(path) == by_schedule
 
 
 def log_digest(log, tmp_path) -> str:
@@ -221,7 +233,7 @@ def test_simulated_logs_match_pinned_digests(tmp_path):
         n_hosts=12, n_routers=5, seed=17, pair_schedule_us=schedule, bg_rate_bytes_per_sec=12e6
     )
     log = simulate_session(generate_topology(cfg), cfg, stream=2)
-    assert not log.fixed_mode and log.present.sum() < log.present.size
+    assert log.present.sum() < log.present.size
     assert log_digest(log, tmp_path) == "6b957628a4891b09c72281abc87df02bda87c419161d8ec92e7b281be34418c6"
 
 
@@ -274,6 +286,28 @@ def test_config_rejects_counts_that_fail_later(field, value, message):
     with pytest.raises(ConfigError) as info:
         SimulatorConfig(**{field: value})
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("names", [["peerA", "r2"], ["peerB", "peerB"], ["peerC", "h0003"]])
+def test_rejected_grow_network_changes_nothing(names):
+    cfg = small_cfg()
+    net = generate_topology(cfg)
+
+    def state():
+        return net.truth.to_dict(), set(net.clients), dict(net.link_params), dict(net.access_router)
+
+    before = state()
+    with pytest.raises(InputError):
+        grow_network(net, cfg, 2, stream=1, names=names)
+    assert state() == before
+    # names take no draws: an accepted call attaches where generated hosts would
+    generated = generate_topology(cfg)
+    hosts = grow_network(generated, cfg, 2, stream=1)
+    assert grow_network(net, cfg, 2, stream=1, names=["peerD", "peerE"]) == ["peerD", "peerE"]
+    for host, name in zip(hosts, ("peerD", "peerE")):
+        router = generated.access_router[host]
+        assert net.access_router[name] == router
+        assert net.link_params[net.link_key(router, name)] == generated.link_params[net.link_key(router, host)]
 
 
 def test_grow_network_rejects_router_ids():
@@ -387,7 +421,7 @@ def test_session_equals_plain_reference(setup):
             if v != w:
                 break
             shared += net.link_params[SimulatedNetwork.link_key(u, v)][1]
-        assert analytic_covariance(net, a, b) == shared
+        assert shared_covariance(net.truth, a, b) == shared
     for c in net.clients:
         links = [SimulatedNetwork.link_key(u, v) for u, v in zip(paths[c], paths[c][1:])]
         assert analytic_path_variance(net, c) == sum(net.link_params[link][1] for link in links)
