@@ -27,7 +27,6 @@ from .errors import (
     LogFormatError,
     MeasurementGapError,
     TomographyError,
-    TopologyGenerationError,
 )
 from .logio import export_log, import_log, load_matrix, load_tree, save_matrix, save_tree
 from .model import (

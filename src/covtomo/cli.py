@@ -9,7 +9,8 @@ of shared path lengths, and `p` is the same as against the raw tree.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
 invariant violation. A config file that cannot be read or parsed exits 2,
 and a log, tree or matrix file 3, with a message naming the file. An
-output file that cannot be written exits 3, naming the file.
+output file that cannot be written exits 3, naming the file; `e2e` checks
+its report path before it runs the scenario.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .accuracy import score_trees
 from .delay_cov import build_covariance_matrix, covariance_oracle_from_log
 from .dynamic import attach_peer
 from .errors import ConfigError, DataError, InvariantError, TomographyError
-from .logio import export_log, import_log, load_matrix, load_tree, save_matrix, save_tree, write_json
+from .logio import check_writable, export_log, import_log, load_matrix, load_tree, save_matrix, save_tree, write_json
 from .model import branching_skeleton
 from .recover import RecoveryConfig
 from .scenarios import (
@@ -86,6 +87,7 @@ def _cmd_score(args) -> None:
 
 def _cmd_e2e(args) -> None:
     resolved = load_config(args.config)
+    check_writable(args.out, "report")
     report = (run_dynamic_scenario if resolved.get("joins") else run_scenario)(resolved)
     summary = report.get("summary")
     if report["mode"] == "dynamic":

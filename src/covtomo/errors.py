@@ -13,10 +13,6 @@ class ConfigError(TomographyError):
     """Invalid or inconsistent configuration."""
 
 
-class TopologyGenerationError(ConfigError):
-    """Topology generation failed (e.g. graph still disconnected after retries)."""
-
-
 class DataError(TomographyError):
     """Problems with measurement data or operation arguments."""
 

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -83,7 +84,7 @@ def export_log(log: MeasurementLog, path) -> None:
                 ks = np.flatnonzero(log.present[i])
                 fh.write("".join(template % kt for kt in zip(ks.tolist(), log.recv[i, ks].tolist())))
     except OSError as exc:
-        raise DataError(f"cannot write log {path}: {exc.strerror}") from None
+        raise _write_error("log", path, exc) from None
 
 
 def _field(record: dict, name: str, kind, lineno: int):
@@ -393,7 +394,25 @@ def write_json(data, path, what: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise DataError(f"cannot write {what} {path}: {exc.strerror}") from None
+        raise _write_error(what, path, exc) from None
+
+
+def check_writable(path, what: str) -> None:
+    """Raise the DataError that writing ``path`` would raise, before the
+    work that produces it: open the file for appending, which leaves an
+    existing file as it is, and remove it again if this created it."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise _write_error(what, path, exc) from None
+    if not existed:
+        os.remove(path)
+
+
+def _write_error(what: str, path, exc: OSError) -> DataError:
+    return DataError(f"cannot write {what} {path}: {exc.strerror}")
 
 
 def save_tree(tree: RoutingTree, path) -> None:

@@ -33,13 +33,14 @@ timing and drops packets.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
-from .errors import ConfigError, InputError, InvariantError, TopologyGenerationError
+from .errors import ConfigError, InputError, InvariantError
 from .model import ROUTER_ID_PREFIX, MeasurementLog, NodeId, RoutingTree, is_router_id
 
 # rng stream tags so topology, sessions and growth draw independent streams
@@ -61,7 +62,6 @@ class SimulatorConfig:
     n_hosts: int = 150
     n_routers: int = 50
     topology_model: str = "waxman"  # "waxman" | "lary"
-    waxman_alpha: float = 0.15
     waxman_beta: float = 0.2
     links_per_node: int = 2  # attachments per router during incremental growth
     lary_arity: int = 3
@@ -79,14 +79,13 @@ class SimulatorConfig:
     congestion_threshold: float = 0.8
     congestion_noise_gain: float = 12.0
     drop_prob: float = 0.08
-    max_topology_retries: int = 20
 
     def __post_init__(self):
-        for name in ("n_hosts", "n_routers", "links_per_node", "max_topology_retries"):
+        for name in ("n_hosts", "n_routers", "links_per_node"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("links_per_node", "lary_arity", "max_topology_retries"):
+        for name in ("links_per_node", "lary_arity"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_hosts < 2:
@@ -95,6 +94,8 @@ class SimulatorConfig:
             raise ConfigError(f"n_routers must be >= 1, got {self.n_routers}")
         if self.topology_model not in ("waxman", "lary"):
             raise ConfigError(f"unknown topology_model {self.topology_model!r}")
+        if not self.waxman_beta > 0:
+            raise ConfigError(f"waxman_beta must be > 0, got {self.waxman_beta}")
         if not 0 < self.client_fraction <= 1:
             raise ConfigError(f"client_fraction must be in (0, 1], got {self.client_fraction}")
         for name in ("link_base_delay_us", "link_delay_var_ms2"):
@@ -171,49 +172,80 @@ class SimulatedNetwork:
         return [self.link_key(a, b) for a, b in zip(path, path[1:])]
 
 
-def _waxman_router_graph(cfg: SimulatorConfig, rng: np.random.Generator) -> nx.Graph:
+def _waxman_router_graph(cfg: SimulatorConfig, rng: np.random.Generator) -> list[tuple[int, int]]:
     """Incremental Waxman growth: routers placed uniformly in the unit
     square; each new router attaches to ``links_per_node`` earlier routers
-    chosen with probability proportional to alpha*exp(-d/(beta*L)). Growing
-    incrementally keeps the graph connected, which a flat Waxman trial at
-    realistic alpha/beta almost never is at this size."""
+    chosen with probability proportional to exp(-d/(beta*L)), L the largest
+    distance. Every router but the first links to an earlier one, so the
+    graph is connected by construction, which a flat Waxman trial at
+    realistic beta almost never is at this size. Returns the links as
+    (earlier router, new router) index pairs."""
     n = cfg.n_routers
     pos = rng.random((n, 2))
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    if n == 1:
-        return g
     diffs = pos[:, None, :] - pos[None, :, :]
     dist = np.sqrt((diffs**2).sum(axis=2))
     span = float(dist.max())
     if span <= 0:
         span = 1.0
+    edges: list[tuple[int, int]] = []
     for i in range(1, n):
-        weights = cfg.waxman_alpha * np.exp(-dist[i, :i] / (cfg.waxman_beta * span))
-        total = weights.sum()
-        probs = weights / total if total > 0 else np.full(i, 1.0 / i)
+        weights = np.exp(-dist[i, :i] / (cfg.waxman_beta * span))
         m = min(cfg.links_per_node, i)
-        targets = rng.choice(i, size=m, replace=False, p=probs)
-        for t in targets:
-            g.add_edge(i, int(t))
-    return g
+        nonzero = np.count_nonzero(weights)
+        if nonzero < m:
+            raise ConfigError(
+                f"waxman_beta {cfg.waxman_beta} is too small: router {i} needs {m} earlier routers "
+                f"with a nonzero Waxman weight and has {nonzero}"
+            )
+        targets = rng.choice(i, size=m, replace=False, p=weights / weights.sum())
+        edges.extend((int(t), i) for t in targets)
+    return edges
 
 
-def _lary_router_graph(cfg: SimulatorConfig, rng: np.random.Generator) -> nx.Graph:
+def _lary_router_graph(cfg: SimulatorConfig, rng: np.random.Generator) -> list[tuple[int, int]]:
     """Random l-ary router tree: each new router hangs under a uniformly
-    chosen earlier router that still has capacity."""
-    g = nx.Graph()
-    g.add_nodes_from(range(cfg.n_routers))
+    chosen earlier router that still has capacity. Returns the links as
+    (parent, child) index pairs."""
+    edges: list[tuple[int, int]] = []
     open_slots = {0: cfg.lary_arity}
     for i in range(1, cfg.n_routers):
         candidates = sorted(open_slots)
         parent = int(candidates[rng.integers(len(candidates))])
-        g.add_edge(parent, i)
+        edges.append((parent, i))
         open_slots[parent] -= 1
         if open_slots[parent] == 0:
             del open_slots[parent]
         open_slots[i] = cfg.lary_arity
-    return g
+    return edges
+
+
+def _shortest_paths(source: NodeId, links) -> dict[NodeId, tuple[NodeId, ...]]:
+    """Lowest-weight path from ``source`` to every node it reaches over the
+    undirected ``links``, (u, v, weight) triples. Ties resolve as in
+    networkx's ``single_source_dijkstra_path``: neighbours in link order,
+    heap ties by push order, and a path replaced only by a strictly shorter
+    one."""
+    adjacent: dict[NodeId, list[tuple[NodeId, float]]] = {}
+    for u, v, weight in links:
+        adjacent.setdefault(u, []).append((v, weight))
+        adjacent.setdefault(v, []).append((u, weight))
+    paths = {source: (source,)}
+    best = {source: 0}
+    done = set()
+    pushes = itertools.count(1)
+    heap = [(0, 0, source)]
+    while heap:
+        dist, _, node = heapq.heappop(heap)
+        if node in done:
+            continue
+        done.add(node)
+        for nbr, weight in adjacent.get(node, ()):
+            alt = dist + weight
+            if nbr not in done and (nbr not in best or alt < best[nbr]):
+                best[nbr] = alt
+                paths[nbr] = paths[node] + (nbr,)
+                heapq.heappush(heap, (alt, next(pushes), nbr))
+    return paths
 
 
 def host_id(index: int, n_hosts: int) -> NodeId:
@@ -229,48 +261,34 @@ def generate_topology(config: SimulatorConfig) -> SimulatedNetwork:
     source host, and the lowest-latency routing tree to a random client
     subset. Deterministic given the seed."""
     rng = np.random.default_rng([config.seed, _STREAM_TOPOLOGY])
-    for _ in range(config.max_topology_retries):
-        if config.topology_model == "waxman":
-            router_graph = _waxman_router_graph(config, rng)
-        else:
-            router_graph = _lary_router_graph(config, rng)
-        if nx.is_connected(router_graph):
-            break
-    else:
-        raise TopologyGenerationError(
-            f"router graph still disconnected after {config.max_topology_retries} attempts"
-        )
-
-    g = nx.Graph()
+    build = _waxman_router_graph if config.topology_model == "waxman" else _lary_router_graph
     router_ids = [f"{ROUTER_ID_PREFIX}{i}" for i in range(config.n_routers)]
-    g.add_nodes_from(router_ids)
-    for u, v in router_graph.edges():
-        g.add_edge(router_ids[u], router_ids[v])
+    # sorted: each router's neighbours in ascending index order fix how
+    # routes of equal latency tie
+    router_links = [(router_ids[u], router_ids[v]) for u, v in sorted(build(config, rng))]
     hosts = [host_id(i, config.n_hosts) for i in range(config.n_hosts)]
-    access_router: dict[NodeId, NodeId] = {}
     attach = rng.integers(config.n_routers, size=config.n_hosts)
-    for h, r in zip(hosts, attach):
-        access_router[h] = router_ids[int(r)]
-        g.add_edge(h, access_router[h])
+    access_router = {h: router_ids[int(r)] for h, r in zip(hosts, attach)}
 
     source = hosts[int(rng.integers(config.n_hosts))]
     others = [h for h in hosts if h != source]
     n_clients = min(len(others), int(round(config.client_fraction * config.n_hosts)))
     clients = sorted(rng.choice(others, size=n_clients, replace=False).tolist())
 
-    # sample per-link delay parameters in a fixed edge order
+    # sample per-link delay parameters in a fixed link order
     base_lo, base_hi = config.link_base_delay_us
     var_lo, var_hi = config.link_delay_var_ms2
     link_params: dict[tuple[NodeId, NodeId], tuple[float, float]] = {}
-    for u, v in sorted(SimulatedNetwork.link_key(a, b) for a, b in g.edges()):
+    for link in sorted(SimulatedNetwork.link_key(a, b) for a, b in router_links + list(access_router.items())):
         base = float(rng.uniform(base_lo, base_hi))
         var = float(rng.uniform(var_lo, var_hi)) * config.bg_scale
-        link_params[(u, v)] = (base, var)
-        g[u][v]["delay_us"] = base
+        link_params[link] = (base, var)
 
     # lowest-latency routing: hosts have degree 1, so they are never transit
-    paths = nx.single_source_dijkstra_path(g, source, weight="delay_us")
-    router_paths = {r: tuple(paths[r]) for r in router_ids if r in paths}
+    # and only the source's access link carries routes
+    routed = router_links + [(source, access_router[source])]
+    paths = _shortest_paths(source, [(u, v, link_params[SimulatedNetwork.link_key(u, v)][0]) for u, v in routed])
+    router_paths = {r: paths[r] for r in router_ids}
 
     truth = _build_truth_tree(source, clients, access_router, router_paths, link_params)
     return SimulatedNetwork(
@@ -313,14 +331,20 @@ def grow_network(
     names=None,
 ):
     """Attach new client hosts to random routers, extending the ground truth
-    in place. Returns the new host ids (generated, or taken from ``names``).
+    in place. Returns the new host ids: taken from ``names``, or generated
+    by `host_id` in sequence, skipping any id the network already holds.
     Deterministic given (config.seed, stream). Every name is checked before
     anything is drawn or attached, so a rejected call changes nothing."""
     if n_new_hosts < 1:
         raise InputError(f"n_new_hosts must be >= 1, got {n_new_hosts}")
     if names is None:
-        hosts = [host_id(net._host_seq + i, config.n_hosts) for i in range(n_new_hosts)]
-        net._host_seq += n_new_hosts
+        # generated ids skip those that named hosts already hold
+        hosts = []
+        while len(hosts) < n_new_hosts:
+            host = host_id(net._host_seq, config.n_hosts)
+            net._host_seq += 1
+            if host not in net.access_router and host != net.source:
+                hosts.append(host)
     elif len(names) != n_new_hosts:
         raise InputError("names must match n_new_hosts")
     else:

@@ -212,6 +212,46 @@ def test_e2e_rejects_bad_joins_before_any_run(tmp_path, capsys, monkeypatch, ove
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["waxman_alpha", "max_topology_retries"])
+def test_e2e_rejects_removed_simulator_fields(tmp_path, capsys, monkeypatch, field):
+    def no_run(config):
+        raise AssertionError("generate_topology called for a config that parse_config must reject")
+
+    monkeypatch.setattr(scenarios, "generate_topology", no_run)
+    cfg = write_config(tmp_path, simulator={"n_hosts": 10, "n_routers": 4, field: 1})
+    assert main(["e2e", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"config error: simulator.{field}: unknown field\n"
+
+
+def test_e2e_rejects_a_waxman_beta_that_underflows(tmp_path, capsys):
+    # the report path is checked before the run fails: no file is left
+    # behind, and an existing one is kept as it was
+    cfg = write_config(tmp_path, simulator={"n_hosts": 10, "n_routers": 4, "waxman_beta": 0.0005})
+    new, kept = tmp_path / "new.json", tmp_path / "kept.json"
+    kept.write_text("old\n")
+    for out in (new, kept):
+        assert main(["e2e", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: waxman_beta 0.0005 is too small: router 1 needs 1 earlier routers "
+            "with a nonzero Waxman weight and has 0\n"
+        )
+    assert not new.exists() and kept.read_text() == "old\n"
+
+
+@pytest.mark.parametrize(
+    "parent, strerror", [("missing", "No such file or directory"), ("file", "Not a directory")]
+)
+def test_e2e_checks_its_report_path_before_any_run(tmp_path, capsys, monkeypatch, parent, strerror):
+    def no_run(config):
+        raise AssertionError("generate_topology called before the report path was checked")
+
+    monkeypatch.setattr(scenarios, "generate_topology", no_run)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / parent / "r.json"
+    assert main(["e2e", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", f"data error: cannot write report {out}: {strerror}\n")
+
+
 TREE = {"id": "s", "cov": 0.0, "children": [{"id": "a", "cov": None, "children": []}]}
 
 
@@ -326,18 +366,18 @@ def test_e2e_runs_sweeps(tmp_path, capsys):
 # has two seeds, so its points must keep the last seed's tree, and the grid
 # sweep takes its rho from auto_rho.
 PINNED_REPORTS = [
-    ({}, "21ea20158410baa2d03acb05effe3c4afa26ae2466d00740acd317a473dbc8c2"),
+    ({}, "4350f7d7feb7023b89a9a4f2ba9679d13741d7712dab4138bd0330bde6706a73"),
     (
         {"sweep": {"bg_rates_bytes_per_sec": [1e6, 4e6]}},
-        "5489ae2164e1f25790c1a35251d0a49cee2c32d98d954870bba7aa98a65ca10f",
+        "4835f3fbe14e9495f7a848e582921a44b55efa7649ab4c1388a9abeaa264bb26",
     ),
     (
         {"sweep": {"packet_sizes_bytes": [500, 1500], "pair_intervals_us": [5000, 8000]}, "recovery": {}, "seeds": [1]},
-        "5b74ce2b196624afa5a79f5878116e8d08517042c0bf5d462ea60524af381e70",
+        "4d8719364cb11b22628e5047925ca1e76daf7d404f595cbb5e04680169061425",
     ),
     (
         {"joins": {"batches": [2, 2], "n_pairs": 300}},
-        "aa8712d51c55afd2db4c6beb900a91972fe62fa9dd1520a990e701f633deccdd",
+        "8ee91e2c0218a74d5bd617a745651beb57f395096e1011959d37f26d47d54982",
     ),
 ]
 

@@ -1,8 +1,13 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,18 +279,29 @@ def test_config_validation_errors():
         ("n_hosts", 10.0, "n_hosts must be an integer, got 10.0"),
         ("n_routers", 4.0, "n_routers must be an integer, got 4.0"),
         ("links_per_node", 2.0, "links_per_node must be an integer, got 2.0"),
-        ("max_topology_retries", 3.0, "max_topology_retries must be an integer, got 3.0"),
         ("n_hosts", True, "n_hosts must be an integer, got True"),
         ("links_per_node", -1, "links_per_node must be >= 1, got -1"),
         ("lary_arity", -1, "lary_arity must be >= 1, got -1"),
         ("lary_arity", 0, "lary_arity must be >= 1, got 0"),
-        ("max_topology_retries", 0, "max_topology_retries must be >= 1, got 0"),
+        ("waxman_beta", 0.0, "waxman_beta must be > 0, got 0.0"),
+        ("waxman_beta", -0.2, "waxman_beta must be > 0, got -0.2"),
+        ("waxman_beta", float("nan"), "waxman_beta must be > 0, got nan"),
     ],
 )
 def test_config_rejects_counts_that_fail_later(field, value, message):
     with pytest.raises(ConfigError) as info:
         SimulatorConfig(**{field: value})
     assert str(info.value) == message
+
+
+def test_waxman_beta_too_small_for_a_draw():
+    # both weights of router 2 underflow to zero, and it needs two
+    cfg = SimulatorConfig(n_hosts=1500, n_routers=500, links_per_node=3, waxman_beta=0.0005, n_pairs=10)
+    with pytest.raises(ConfigError) as info:
+        generate_topology(cfg)
+    assert str(info.value) == (
+        "waxman_beta 0.0005 is too small: router 2 needs 2 earlier routers with a nonzero Waxman weight and has 0"
+    )
 
 
 @pytest.mark.parametrize("names", [["peerA", "r2"], ["peerB", "peerB"], ["peerC", "h0003"]])
@@ -317,6 +333,17 @@ def test_grow_network_rejects_router_ids():
         with pytest.raises(InputError, match="router-id namespace"):
             grow_network(net, cfg, 1, stream=1, names=[name])
     assert grow_network(net, cfg, 1, stream=1, names=["r2x"]) == ["r2x"]
+
+
+def test_generated_host_ids_skip_named_hosts():
+    cfg = small_cfg()
+    net = generate_topology(cfg)
+    assert grow_network(net, cfg, 1, names=["h0010"]) == ["h0010"]
+    router = net.access_router["h0010"]
+    link = net.link_params[net.link_key(router, "h0010")]
+    assert grow_network(net, cfg, 1, stream=2) == ["h0011"]
+    assert len(net.clients) == 9
+    assert net.access_router["h0010"] == router and net.link_params[net.link_key(router, "h0010")] == link
 
 
 def test_lary_topology_model():
@@ -431,3 +458,31 @@ def test_session_equals_plain_reference(setup):
     assert np.array_equal(log.sender, schedule)
     assert np.array_equal(log.present, present)
     assert np.array_equal(log.recv, recv)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A small undirected graph as a list of distinct links with integer
+    weights from 0 to 3, so that equal-length routes are common."""
+    n = draw(st.integers(1, 9))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), unique_by=frozenset, max_size=20))
+    return n, [(u, v, draw(st.integers(0, 3))) for u, v in pairs], draw(node)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_graphs())
+def test_shortest_paths_match_networkx(graph):
+    n, links, source = graph
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    for u, v, w in links:
+        g.add_edge(u, v, delay_us=w)
+    expected = nx.single_source_dijkstra_path(g, source, weight="delay_us")
+    assert simulator._shortest_paths(source, links) == {node: tuple(path) for node, path in expected.items()}
+
+
+def test_import_leaves_networkx_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(simulator.__file__).parents[1]))
+    code = "import covtomo, sys; assert 'networkx' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
