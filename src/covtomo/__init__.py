@@ -41,16 +41,9 @@ from .model import (
     shared_path_length,
     trees_topologically_equal,
 )
-from .ordering import dfs_order, is_valid_dfs_order
+from .ordering import dfs_order
 from .recover import Case, RecoveryConfig, auto_rho, classify_case, find_attachment_router, recover_tree
 from .scenarios import load_config, parse_config, run_dynamic_scenario, run_scenario
-from .simulator import (
-    SimulatedNetwork,
-    SimulatorConfig,
-    analytic_path_variance,
-    generate_topology,
-    grow_network,
-    simulate_session,
-)
+from .simulator import SimulatedNetwork, SimulatorConfig, generate_topology, grow_network, simulate_session
 
 __version__ = "0.1.0"

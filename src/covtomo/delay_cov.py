@@ -130,8 +130,11 @@ def _fill_columns(log: MeasurementLog, ids, dtype):
     ``dtype=object`` both arrays hold Python ints. Each row is shifted by
     its integer midrange, which minimises its largest |x|.
     """
-    rows = [log.row(r) for r in ids]
-    present, recv = log.present[rows], log.recv[rows]
+    if tuple(ids) == log.ids:
+        present, recv = log.present, log.recv
+    else:
+        rows = [log.row(r) for r in ids]
+        present, recv = log.present[rows], log.recv[rows]
     if dtype is np.int64:
         if recv.dtype == object or not (_within_raw_limit(log.sender) and _within_raw_limit(recv)):
             raise OverflowError("timestamps too large for int64 offsets")
@@ -141,20 +144,19 @@ def _fill_columns(log: MeasurementLog, ids, dtype):
         off = recv.astype(object) - log.sender.astype(object)
         bound = int(np.abs(off).max(initial=0)) + 1
     del recv
-    # absent slots read as +-bound, beyond every offset, so they never win
-    lo = np.where(present, off, bound).min(axis=1, initial=bound).tolist()
-    hi = np.where(present, off, -bound).max(axis=1, initial=-bound).tolist()
+    # over the arrivals only; a row without arrivals reads +-bound
+    lo = off.min(axis=1, where=present, initial=bound).tolist()
+    hi = off.max(axis=1, where=present, initial=-bound).tolist()
     # in Python ints, as lo + hi can overflow int64; a row without arrivals
     # gets mid 0 and a negative spread
     mids = [(a + b) // 2 for a, b in zip(lo, hi)]
     xmax = max([0] + [max(b - m, m - a) for a, b, m in zip(lo, hi, mids)])
-    # shifted in place, and lost slots zeroed, so that no full-size
-    # temporary is alive beside the output
+    # shifted in place, and lost slots zeroed as the offsets are cast into
+    # the output, so that no full-size temporary is alive beside it
     off -= np.array(mids, dtype=dtype)[:, None]
-    off[~present] = 0
     cols = np.empty((2,) + present.shape, dtype=np.float64 if dtype is np.int64 else object)
     cols[0] = present
-    cols[1] = off
+    np.multiply(off, present, out=cols[1])
     return cols, xmax
 
 

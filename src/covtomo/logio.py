@@ -11,15 +11,22 @@ absent recv record. The send records are the whole send schedule, evenly
 spaced or not. A receiver without arrivals has no record, so it does not
 survive a round trip.
 
-`export_log` formats the records straight from the log's columns, so an
-exported file has one canonical byte form: each line is exactly
+`export_log` builds the file from the log's columns, so an exported file
+has one canonical byte form: each line is exactly
 
     {"k": K, "ts_us": T, "type": "send"}
     {"k": K, "receiver": NAME, "ts_us": T, "type": "recv"}
 
 followed by ``\n``, where K and T are decimal integers and NAME is
 ``json.dumps(receiver)``; send records come first, by k, then recv records
-by receiver and k.
+by receiver and k. It writes whole-array passes over bounded blocks of
+records: each line is one row of a uint32 matrix holding the template
+bytes, NUL-padded decimal fields for K and T (four digits per word from a
+lookup table, a sign word before T) and NUL in every unused byte, and the
+block is written with its NULs dropped. json.dumps escapes every control
+character, so no record holds a NUL of its own. Timestamps past int64
+(dtype=object columns) take the same path with their T field formatted
+per value.
 
 `import_log` has two readers. `_parse_exported` parses the whole file in a
 few numpy passes, with no Python work per line. It takes only canonical
@@ -53,6 +60,7 @@ A file that cannot be read or written raises DataError naming it.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import os
 import re
@@ -67,24 +75,144 @@ from .model import CovarianceMatrix, MeasurementLog, RoutingTree
 
 def export_log(log: MeasurementLog, path) -> None:
     """Write a log as NDJSON: send records by pair index, then recv records
-    by (receiver, index). Byte-deterministic for a given log.
+    by (receiver, index). Byte-deterministic for a given log; the bytes
+    equal ``json.dumps(record, sort_keys=True)`` per record.
 
-    Records are formatted from the columns with one template per record
-    kind and receiver; the bytes equal ``json.dumps(record, sort_keys=True)``
-    per record. The file is written one receiver at a time, so only one
-    receiver's records are held as text at once.
+    The file is built from the columns by `_block_lines`, in blocks of at
+    most _BLOCK_LINES records (fewer when names are long, so that a block
+    stays near _BLOCK_BYTES); only one block is held as text at once.
     """
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join('{"k": %d, "ts_us": %d, "type": "send"}' % kt for kt in enumerate(log.sender.tolist())))
-            fh.write("\n")
-            for i, receiver in enumerate(log.ids):
-                name = json.dumps(receiver).replace("%", "%%")
-                template = '{"k": %d, "receiver": ' + name + ', "ts_us": %d, "type": "recv"}\n'
-                ks = np.flatnonzero(log.present[i])
-                fh.write("".join(template % kt for kt in zip(ks.tolist(), log.recv[i, ks].tolist())))
+        with open(path, "wb") as fh:
+            for block in _export_blocks(log):
+                fh.write(block)
     except OSError as exc:
         raise _write_error("log", path, exc) from None
+
+
+# the fixed parts of an exported record; a record is
+#   {"k": K, "ts_us": T, "type": "send"}  or
+#   {"k": K, "receiver": "NAME", "ts_us": T, "type": "recv"}
+_HEAD = b'{"k": '
+_SEND_TS = b', "ts_us": '
+_RECV_NAME = b', "receiver": "'
+_RECV_TS = b'", "ts_us": '
+_SEND_TAIL = b', "type": "send"}'
+_RECV_TAIL = b', "type": "recv"}'
+# bounds on one export block: its records, and its bytes
+_BLOCK_LINES = 2**14
+_BLOCK_BYTES = 2**21
+
+
+def _digit_words():
+    """Four ASCII digits per uint32 word, in byte order: word i is i with
+    leading zeros ("0042"), word 10**4 + i is i without them, NUL instead
+    ("\\0\\042", and 0 all NUL), and word 2 * 10**4 + i the same but 0
+    as "\\0\\0\\00"."""
+    i = np.arange(10**4)[:, None]
+    place = 10 ** np.arange(3, -1, -1)
+    digits = (i // place % 10 + 48).astype(np.uint8)
+    bare = np.where(i >= place, digits, 0).astype(np.uint8)
+    zero = bare.copy()
+    zero[0, -1] = 48
+    return np.concatenate([digits, bare, zero]).view(np.uint32).ravel()
+
+
+_DIGIT_WORDS = _digit_words()
+# the sign word of a timestamp: NUL, or a minus sign
+_MINUS_WORDS = np.frombuffer(b"\0\0\0\0\0\0\0-", np.uint32)
+
+
+def _export_blocks(log: MeasurementLog):
+    """The bytes of the exported file, one block of lines at a time."""
+    n = log.n_pairs
+    if not n:
+        # no records: an empty list of send lines joined by newlines, plus
+        # the final newline
+        yield b"\n"
+        return
+    mids = [_RECV_NAME + json.dumps(r)[1:-1].encode() + _RECV_TS for r in log.ids]
+    # a matrix row holds a middle and at most 80 bytes more: head, tail, a
+    # sign and two int64 fields, each in whole words
+    lines = max(1, min(_BLOCK_LINES, _BLOCK_BYTES // (max(map(len, mids), default=0) + 80)))
+    for lo in range(0, n, lines):
+        k = np.arange(lo, min(lo + lines, n))
+        yield _block_lines(k, [_SEND_TS], np.zeros(k.size, np.intp), log.sender[lo : k[-1] + 1], _SEND_TAIL)
+    # recv records in (receiver, index) order are the present slots in
+    # row-major order
+    present, recv = log.present.reshape(-1), log.recv.reshape(-1)
+    for lo in range(0, present.size, lines):
+        at = np.flatnonzero(present[lo : lo + lines])
+        if at.size:
+            at += lo
+            row, k = np.divmod(at, n)
+            yield _block_lines(k, mids[row[0] : row[-1] + 1], row - row[0], recv[at], _RECV_TAIL)
+
+
+def _words(size: int) -> int:
+    """uint32 words that hold ``size`` bytes."""
+    return -(-size // 4)
+
+
+def _block_lines(k: np.ndarray, mids: list, which: np.ndarray, ts: np.ndarray, tail: bytes) -> np.ndarray:
+    """The lines ``{"k": K`` + middle + T + tail + newline, for the pair
+    indices K in ``k`` and the timestamps T in ``ts``, line i taking the
+    middle ``mids[which[i]]``, as one uint8 array.
+
+    Line i is built in row i of a matrix of uint32 words: a copy of its
+    middle's template row, then a decimal field for K and a sign word and
+    decimal field for T, NUL in every unused byte. No record holds a NUL of
+    its own, since json.dumps escapes every control character, so dropping
+    the NULs leaves the lines.
+    """
+    wide = ts.dtype == object
+    if wide:
+        # Python ints past int64: only this field is formatted per value
+        text = [str(t).encode() for t in ts.tolist()]
+        ts_words = _words(max(map(len, text)))
+    else:
+        negative = ts < 0
+        magnitude = ts.astype(np.uint64)
+        np.negative(magnitude, out=magnitude, where=negative)
+        ts_words = _words(len(str(magnitude.max())))
+    # words per field: head, k, middle, sign, ts, tail with newline
+    sizes = (_words(len(_HEAD)), _words(len(str(k.max()))), _words(max(map(len, mids))), 1, ts_words, 5)
+    head, k_field, mid, sign, ts_field, tail_field = (
+        slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))
+    )
+    template = np.zeros((len(mids), sum(sizes)), np.uint32)
+    for field, parts in ((head, [_HEAD]), (mid, mids), (tail_field, [tail + b"\n"])):
+        template[:, field] = _as_words(parts, field.stop - field.start)
+    mat = np.take(template, which, axis=0)
+    _put_decimal(k.astype(np.uint64), mat[:, k_field])
+    if wide:
+        mat[:, ts_field] = _as_words(text, ts_words)
+    else:
+        mat[:, sign.start] = _MINUS_WORDS[negative.view(np.uint8)]
+        _put_decimal(magnitude, mat[:, ts_field])
+    flat = mat.reshape(-1).view(np.uint8)
+    return flat[flat != 0]
+
+
+def _as_words(parts: list, words: int) -> np.ndarray:
+    """The byte strings ``parts``, each NUL-padded to ``words`` uint32
+    words, one row each."""
+    return np.array(parts, f"S{4 * words}").view(np.uint32).reshape(len(parts), words)
+
+
+def _put_decimal(values: np.ndarray, out: np.ndarray) -> None:
+    """Write the uint64 ``values`` in decimal into the uint32 words of
+    ``out``, one value per row, four digits per word from _DIGIT_WORDS and
+    NUL before the first digit."""
+    # the last word prints a value of 0 as "0", the others as NUL
+    bare = 2 * 10**4
+    for col in range(out.shape[1] - 1, -1, -1):
+        higher = values // np.uint64(10**4)
+        low = (values - higher * np.uint64(10**4)).astype(np.intp)
+        low[higher == 0] += bare
+        out[:, col] = _DIGIT_WORDS[low]
+        values = higher
+        bare = 10**4
 
 
 def _field(record: dict, name: str, kind, lineno: int):
@@ -125,15 +253,6 @@ def import_log(path) -> MeasurementLog:
 _UNDECODED = re.compile("[\udc80-\udcff]")
 _TOO_DEEP = "invalid JSON: nested too deeply"
 
-# the fixed parts of an exported record; a record is
-#   {"k": K, "ts_us": T, "type": "send"}  or
-#   {"k": K, "receiver": "NAME", "ts_us": T, "type": "recv"}
-_HEAD = b'{"k": '
-_SEND_TS = b', "ts_us": '
-_RECV_NAME = b', "receiver": "'
-_RECV_TS = b'", "ts_us": '
-_SEND_TAIL = b', "type": "send"}'
-_RECV_TAIL = b', "type": "recv"}'
 # numbers are read from windows of _WIDTH bytes, so at most _WIDTH - 1
 # digits: below 10**18, which no uint64 Horner step can overflow
 _WIDTH = 19

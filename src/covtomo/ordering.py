@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
 from .model import CovarianceMatrix, NodeId
 
 
@@ -50,23 +49,3 @@ def _bisect(cov: CovarianceMatrix, ids: list[NodeId]) -> list[NodeId]:
     side_p.sort()
     side_q.sort()
     return _bisect(cov, side_p) + _bisect(cov, side_q)
-
-
-def is_valid_dfs_order(order, cov: CovarianceMatrix) -> bool:
-    """Check the defining consecutive-minimum property of DFS leaf orders:
-    for every i < j < k in the order, cov(x_i, x_k) must not exceed
-    min(cov(x_i, x_j), cov(x_j, x_k))."""
-    order = list(order)
-    if sorted(order) != sorted(cov.receivers):
-        raise InputError("order is not a permutation of the matrix receivers")
-    idx = [cov.index(r) for r in order]
-    v = cov.values
-    n = len(order)
-    for i in range(n):
-        for j in range(i + 1, n):
-            vij = v[idx[i], idx[j]]
-            for k in range(j + 1, n):
-                vik = v[idx[i], idx[k]]
-                if vik > min(vij, v[idx[j], idx[k]]):
-                    return False
-    return True

@@ -53,6 +53,10 @@ _STREAM_GROWTH = 3
 _JITTER_OFFSET_SIGMAS = 5.0
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimulatorConfig:
     """Simulation parameters; defaults mirror the desk-scale evaluation
@@ -81,9 +85,9 @@ class SimulatorConfig:
     drop_prob: float = 0.08
 
     def __post_init__(self):
-        for name in ("n_hosts", "n_routers", "links_per_node"):
+        for name in ("n_hosts", "n_routers", "links_per_node", "lary_arity", "n_pairs", "pair_interval_us"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("links_per_node", "lary_arity"):
             if getattr(self, name) < 1:
@@ -105,6 +109,9 @@ class SimulatorConfig:
         if self.pair_schedule_us is not None:
             if len(self.pair_schedule_us) < 1:
                 raise ConfigError("pair_schedule_us must not be empty")
+            bad = next((t for t in self.pair_schedule_us if not _is_int(t)), None)
+            if bad is not None:
+                raise ConfigError(f"pair_schedule_us entries must be integers, got {bad!r}")
             if any(b <= a for a, b in zip(self.pair_schedule_us, self.pair_schedule_us[1:])):
                 raise ConfigError("pair_schedule_us must be strictly increasing")
         elif self.pair_interval_us <= 0:
@@ -166,10 +173,6 @@ class SimulatedNetwork:
         if client not in self.truth.leaves:
             raise InputError(f"unknown client {client!r}")
         return self.truth.path_from_root(client)
-
-    def path_links(self, client: NodeId) -> list[tuple[NodeId, NodeId]]:
-        path = self.client_path(client)
-        return [self.link_key(a, b) for a, b in zip(path, path[1:])]
 
 
 def _waxman_router_graph(cfg: SimulatorConfig, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -462,11 +465,3 @@ def simulate_session(net: SimulatedNetwork, config: SimulatorConfig, stream: int
     arrivals_ts += schedule
     arrivals_ts[lost] = 0
     return MeasurementLog(clients, schedule, arrivals_ts, ~lost)
-
-
-def analytic_path_variance(net: SimulatedNetwork, i: NodeId) -> float:
-    """Total delay variance of one client's path (used for stderr bands in
-    convergence checks): its access router's truth label plus the access
-    link's variance."""
-    parent = net.client_path(i)[-2]
-    return net.truth.router_cov[parent] + net.link_params[net.link_key(parent, i)][1]

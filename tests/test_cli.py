@@ -433,3 +433,8 @@ def test_parse_config_rejects_bad_sections():
     # a tuple field that is not a list is a config error, not a TypeError
     with pytest.raises(ConfigError, match="simulator: 'int' object is not iterable"):
         parse_config({"seeds": [1], "simulator": {"link_base_delay_us": 5}})
+    # a fractional count or schedule entry is refused before any run
+    with pytest.raises(ConfigError, match=r"^simulator: n_pairs must be an integer, got 2.5$"):
+        parse_config({"seeds": [1], "simulator": {"n_pairs": 2.5}})
+    with pytest.raises(ConfigError, match=r"^simulator: pair_schedule_us entries must be integers, got 0.5$"):
+        parse_config({"seeds": [1], "simulator": {"pair_schedule_us": [0, 0.5, 1.7, 40000]}})

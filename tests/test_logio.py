@@ -1,6 +1,7 @@
 import itertools
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covtomo import logio
 from covtomo.errors import LogFormatError
 from covtomo.logio import (
     _parse_exported,
@@ -93,6 +95,82 @@ def test_export_bytes_equal_per_record_json_dumps(tmp_path, clock):
     export_log(log, path)
     assert path.read_bytes() == reference_ndjson(log)
     assert import_log(path) == log
+
+
+INT64_EDGES = [-(2**63), -(2**63) + 1, -10001, -10000, -1, 0, 1, 9999, 10000, 2**63 - 1]
+
+
+@st.composite
+def exportable_logs(draw):
+    """Columns as `MeasurementLog` takes them, unchecked beyond that: any
+    int64 timestamps (negative, out of order, the int64 extremes), or
+    dtype=object ones past int64; receivers without arrivals; names with
+    characters json.dumps escapes, ``%`` and non-ASCII characters."""
+    n = draw(st.integers(0, 9))
+    chars = st.one_of(st.sampled_from('a%"\\\t\x00\x1f\x7f é\U0001f600'), st.characters(codec="utf-8"))
+    ids = sorted(draw(st.lists(st.text(chars, max_size=6), max_size=5, unique=True)))
+    if draw(st.booleans()):
+        dtype, ints = np.int64, st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(INT64_EDGES))
+    else:
+        dtype, ints = object, st.one_of(st.integers(-(2**80), 2**80), st.sampled_from([-(2**64), 2**64]))
+    sender = np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=dtype)
+    present = np.array(draw(st.lists(st.booleans(), min_size=n * len(ids), max_size=n * len(ids))), bool)
+    present = present.reshape(len(ids), n)
+    recv = np.zeros(present.shape, dtype=dtype)
+    for i, k in zip(*np.nonzero(present)):
+        recv[i, k] = draw(ints)
+    return MeasurementLog(ids, sender, recv, present)
+
+
+@settings(max_examples=300)
+@given(exportable_logs())
+def test_export_bytes_equal_reference_for_any_columns(log):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.ndjson"
+        export_log(log, path)
+        assert path.read_bytes() == reference_ndjson(log)
+
+
+def test_export_spans_several_blocks_of_a_lossy_log(tmp_path):
+    # more pairs than one block holds, and far more slots
+    n_pairs = logio._BLOCK_LINES + 100
+    cfg = SimulatorConfig(n_hosts=12, n_routers=4, seed=3, n_pairs=n_pairs, bg_rate_bytes_per_sec=12e6)
+    log = simulate_session(generate_topology(cfg), cfg)
+    assert log.present.size > 4 * logio._BLOCK_LINES and not log.present.all()
+    path = tmp_path / "log.ndjson"
+    export_log(log, path)
+    assert path.read_bytes() == reference_ndjson(log)
+    assert import_log(path) == log
+
+
+def test_export_blocks_shrink_for_long_names(tmp_path, monkeypatch):
+    names = ["a" * (logio._BLOCK_BYTES // 3), "b" * 5, "c\\" * (logio._BLOCK_BYTES // 5)]
+    arrivals = {name: {k: 10 * k + i for k in range(7) if (k + i) % 4} for i, name in enumerate(names)}
+    log = MeasurementLog.from_dicts({k: 10 * k for k in range(7)}, arrivals)
+    blocks = []
+    block_lines = logio._block_lines
+    monkeypatch.setattr(logio, "_block_lines", lambda *args: blocks.append(block_lines(*args)) or blocks[-1])
+    path = tmp_path / "log.ndjson"
+    export_log(log, path)
+    assert path.read_bytes() == reference_ndjson(log)
+    assert len(blocks) > 2 and max(block.size for block in blocks) < logio._BLOCK_BYTES
+
+
+def test_export_holds_one_block_at_a_time(tmp_path):
+    # the desk lossy log: 105 receivers, 2000 pairs, ~38% of packets lost
+    cfg = SimulatorConfig(n_pairs=2000, bg_rate_bytes_per_sec=12e6, seed=1)
+    log = simulate_session(generate_topology(cfg), cfg)
+    path = tmp_path / "log.ndjson"
+    tracemalloc.start()
+    try:
+        export_log(log, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 8 * 2**20
+    # about 3.4 MB: a block's matrix, its mask and its text, and the
+    # block's index columns
+    assert peak < 6 * 2**20
 
 
 def test_causality_violation_reports_line(tmp_path):

@@ -18,14 +18,20 @@ from covtomo.delay_cov import align_pairs, build_covariance_matrix, normalize_se
 from covtomo.errors import ConfigError, InputError
 from covtomo.logio import export_log, import_log
 from covtomo.model import RoutingTree, shared_covariance
-from covtomo.simulator import (
-    SimulatedNetwork,
-    SimulatorConfig,
-    analytic_path_variance,
-    generate_topology,
-    grow_network,
-    simulate_session,
-)
+from covtomo.simulator import SimulatedNetwork, SimulatorConfig, generate_topology, grow_network, simulate_session
+
+
+def path_links(net, client):
+    """The link keys of a client's path from the source."""
+    path = net.client_path(client)
+    return [net.link_key(a, b) for a, b in zip(path, path[1:])]
+
+
+def analytic_path_variance(net, client) -> float:
+    """Total delay variance of one client's path: its access router's
+    truth label plus the access link's variance."""
+    parent = net.client_path(client)[-2]
+    return net.truth.router_cov[parent] + net.link_params[net.link_key(parent, client)][1]
 
 
 def small_cfg(**kwargs):
@@ -133,7 +139,7 @@ def test_loss_on_one_access_link_binomial():
     cfg = small_cfg(seed=13, n_pairs=2000)
     net = generate_topology(cfg)
     client = sorted(net.clients)[0]
-    last_hop = net.path_links(client)[-1]
+    last_hop = path_links(net, client)[-1]
     net.drop_override[last_hop] = 0.1
     log = simulate_session(net, cfg)
     count = int(log.present[log.row(client)].sum())
@@ -227,7 +233,7 @@ def test_simulated_logs_match_pinned_digests(tmp_path):
     # fixed interval, with a forced 30% loss on one client's access link
     cfg = SimulatorConfig(n_hosts=12, n_routers=5, seed=13, n_pairs=300, pair_interval_us=5000)
     net = generate_topology(cfg)
-    net.drop_override[net.path_links(sorted(net.clients)[0])[-1]] = 0.3
+    net.drop_override[path_links(net, sorted(net.clients)[0])[-1]] = 0.3
     log = simulate_session(net, cfg)
     assert not log.recv[~log.present].any()
     assert log_digest(log, tmp_path) == "f283bd6e12256d1087e99775e0e50008eb1be3f7c65fa9c2f15212c5990a1096"
@@ -280,6 +286,17 @@ def test_config_validation_errors():
         ("n_routers", 4.0, "n_routers must be an integer, got 4.0"),
         ("links_per_node", 2.0, "links_per_node must be an integer, got 2.0"),
         ("n_hosts", True, "n_hosts must be an integer, got True"),
+        # a fractional arity never fills a router: 1.5 open slots go 0.5, -0.5, ...
+        ("lary_arity", 1.5, "lary_arity must be an integer, got 1.5"),
+        ("lary_arity", True, "lary_arity must be an integer, got True"),
+        # 2.5 pairs would become a 3-pair schedule
+        ("n_pairs", 2.5, "n_pairs must be an integer, got 2.5"),
+        ("n_pairs", False, "n_pairs must be an integer, got False"),
+        # 30000.5 would become 30000 in the schedule
+        ("pair_interval_us", 30000.5, "pair_interval_us must be an integer, got 30000.5"),
+        # a schedule that would be truncated to (0, 0, 1, 40000) and fail validate()
+        ("pair_schedule_us", (0, 0.5, 1.7, 40000), "pair_schedule_us entries must be integers, got 0.5"),
+        ("pair_schedule_us", (0, True, 2), "pair_schedule_us entries must be integers, got True"),
         ("links_per_node", -1, "links_per_node must be >= 1, got -1"),
         ("lary_arity", -1, "lary_arity must be >= 1, got -1"),
         ("lary_arity", 0, "lary_arity must be >= 1, got 0"),
@@ -361,7 +378,7 @@ def reference_session(net, config, stream=0):
     clients = sorted(net.clients)
     schedule = config.sender_schedule()
     n = len(schedule)
-    paths = {c: net.path_links(c) for c in clients}
+    paths = {c: path_links(net, c) for c in clients}
     links = sorted({link for ls in paths.values() for link in ls})
     # load: background plus one probe per crossing client per mean interval
     crossing = {link: sum(link in ls for ls in paths.values()) for link in links}
@@ -429,7 +446,7 @@ def session_setups(draw):
     if draw(st.booleans()):
         stream = draw(st.integers(1, 3))
         grow_network(net, cfg, draw(st.integers(1, 4)), stream=stream)
-    links = sorted({link for c in net.clients for link in net.path_links(c)})
+    links = sorted({link for c in net.clients for link in path_links(net, c)})
     for link in draw(st.lists(st.sampled_from(links), max_size=3)):
         net.drop_override[link] = draw(st.sampled_from([0.0, 0.2, 0.6]))
     return net, cfg, stream
