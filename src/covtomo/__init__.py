@@ -17,7 +17,7 @@ from .delay_cov import (
     estimate_covariance,
     normalize_series,
 )
-from .dynamic import JoinContext, attach_peer, remove_peer, select_representatives
+from .dynamic import attach_peer, remove_peer, select_representatives
 from .errors import (
     ConfigError,
     DataError,

@@ -53,7 +53,6 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_estimate(args) -> None:
     log = import_log(args.log)
-    log.validate()
     receivers = sorted(log.receivers) if args.receivers is None else args.receivers.split(",")
     cov = build_covariance_matrix(log, receivers)
     save_matrix(cov, args.out)
@@ -68,13 +67,13 @@ def _cmd_recover(args) -> None:
 
 
 def _cmd_join(args) -> None:
+    config = RecoveryConfig(args.rho)
     tree = load_tree(args.tree)
-    log = import_log(args.log)
-    oracle = covariance_oracle_from_log(log)
-    attach_peer(tree, oracle, args.peer, RecoveryConfig(args.rho))
+    oracle = covariance_oracle_from_log(import_log(args.log))
+    attach_peer(tree, oracle, args.peer, config)
     tree.validate()
     save_tree(tree, args.out)
-    print(f"attached {args.peer} (rho={args.rho:g} ms^2); tree written to {args.out}")
+    print(f"attached {args.peer} (rho={config.rho:g} ms^2); tree written to {args.out}")
 
 
 def _cmd_score(args) -> None:

@@ -17,8 +17,6 @@ The last two leaf placements are the static walk's own step,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
 from .model import NodeId, RoutingTree
 from .recover import Case, RecoveryConfig, classify_case, place_leaf
@@ -33,51 +31,6 @@ def select_representatives(tree: RoutingTree, m: NodeId) -> dict[NodeId, NodeId]
     if not kids:
         raise InputError(f"{m!r} has no children")
     return {c: tree.min_leaf_under(c) for c in kids}
-
-
-@dataclass(frozen=True)
-class JoinContext:
-    """Snapshot of one step of the join walk at base router ``base_router``."""
-
-    base_router: NodeId
-    children: tuple[NodeId, ...]
-    representatives: dict[NodeId, NodeId]
-    joining: NodeId
-    best_child: NodeId
-    best_rep: NodeId
-    best_cov: float
-    ref_cov: float
-
-    @classmethod
-    def build(cls, tree: RoutingTree, m: NodeId, k: NodeId, cov_oracle) -> "JoinContext":
-        reps = select_representatives(tree, m)
-        kids = tree.children(m)
-        # reference covariance: what any two representatives share, i.e. the
-        # path down to m; with a single child the recorded label of m already
-        # stores that quantity
-        if len(kids) >= 2:
-            c1, c2 = sorted(kids)[:2]
-            ref = cov_oracle(reps[c1], reps[c2])
-        else:
-            ref = tree.router_cov.get(m, 0.0)
-        best_child = None
-        best_rep = None
-        best = None
-        for c in kids:
-            d = reps[c]
-            v = cov_oracle(k, d)
-            if best is None or v > best or (v == best and d < best_rep):
-                best, best_child, best_rep = v, c, d
-        return cls(
-            base_router=m,
-            children=tuple(kids),
-            representatives=reps,
-            joining=k,
-            best_child=best_child,
-            best_rep=best_rep,
-            best_cov=best,
-            ref_cov=ref,
-        )
 
 
 def attach_peer(tree: RoutingTree, cov_oracle, k: NodeId, config: RecoveryConfig) -> RoutingTree:
@@ -96,17 +49,32 @@ def attach_peer(tree: RoutingTree, cov_oracle, k: NodeId, config: RecoveryConfig
             # bare base (empty tree): nothing to compare against
             tree.add_leaf(k, m)
             return tree
-        ctx = JoinContext.build(tree, m, k, cov_oracle)
-        case = classify_case(ctx.best_cov, ctx.ref_cov, rho)
+        reps = select_representatives(tree, m)
+        # reference covariance: what any two representatives share, i.e. the
+        # path down to m; with a single child the recorded label of m already
+        # stores that quantity
+        if len(reps) >= 2:
+            c1, c2 = sorted(reps)[:2]
+            ref_cov = cov_oracle(reps[c1], reps[c2])
+        else:
+            ref_cov = tree.router_cov.get(m, 0.0)
+        # the child whose representative shares the most with k; ties go to
+        # the smallest representative id
+        best_cov = best_child = best_rep = None
+        for c, d in reps.items():
+            v = cov_oracle(k, d)
+            if best_cov is None or v > best_cov or (v == best_cov and d < best_rep):
+                best_cov, best_child, best_rep = v, c, d
+        case = classify_case(best_cov, ref_cov, rho)
         if case is Case.SAME_SET:
             tree.add_leaf(k, m)
             return tree
-        if case is Case.DEEPER and not tree.is_leaf(ctx.best_child):
-            m = ctx.best_child
+        if case is Case.DEEPER and not tree.is_leaf(best_child):
+            m = best_child
             continue
         # SHALLOWER: the peer split off above m; DEEPER at a leaf child: the
         # peer's deeper share with that leaf pins a fresh branch point
-        place_leaf(tree, ctx.best_rep, k, case, ctx.best_cov, rho)
+        place_leaf(tree, best_rep, k, case, best_cov, rho)
         return tree
 
 

@@ -23,6 +23,8 @@ too, with the representative leaf it ends at as the anchor.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +42,14 @@ class Case(enum.Enum):
 @dataclass(frozen=True)
 class RecoveryConfig:
     """Recovery threshold: rho is the minimum single-router covariance
-    increment, in ms^2."""
+    increment, in ms^2: a finite positive real, not a bool."""
 
     rho: float
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ConfigError(f"rho must be positive, got {self.rho}")
+        rho = self.rho
+        if isinstance(rho, bool) or not isinstance(rho, numbers.Real) or not 0 < rho < math.inf:
+            raise ConfigError(f"rho must be a positive finite number, got {rho!r}")
 
 
 AUTO_RHO_FLOOR_MS2 = 0.01

@@ -13,18 +13,23 @@ A scenario config is a JSON document with sections:
     }
 
 Presence of "sweep" switches run_scenario into sweep mode; "joins" selects
-the dynamic scenario. A config has at most one of the two, and join names
-are checked against the generated host ids and the router-id namespace
-before any run. Every mode runs each seed through one pass, `_run_once`:
-generate -> simulate -> estimate -> `recover_from_matrix` (DFS order, then
-`recover_tree` at the configured or the automatic rho) -> score. Reports
-are single JSON documents embedding the full resolved config; given the
-same config they re-serialize byte-identically.
+the dynamic scenario; a config has at most one of the two. Before any run,
+`parse_config` builds every config the runs use (the simulator section's,
+one per sweep point, the join sessions' and the `RecoveryConfig`), so each
+rule is checked by the class that owns it. Join names pass
+`simulator.check_new_hosts`; under ``pair_schedule_us`` the join sessions
+run that schedule, so ``joins.n_pairs`` is its length. Every mode runs each
+seed through one pass, `_run_once`: generate -> simulate -> estimate ->
+`recover_from_matrix` (DFS order, then `recover_tree` at the configured or
+the automatic rho) -> score. Reports are single JSON documents embedding
+the full resolved config; given the same config they re-serialize
+byte-identically.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -32,20 +37,32 @@ import numpy as np
 from .accuracy import score_trees
 from .delay_cov import build_covariance_matrix, covariance_oracle_from_log
 from .dynamic import attach_peer
-from .errors import ConfigError
+from .errors import ConfigError, TomographyError
 from .logio import read_json, write_json
-from .model import branching_skeleton, is_router_id
+from .model import branching_skeleton
 from .ordering import dfs_order
 from .recover import RecoveryConfig, auto_rho, recover_tree
-from .simulator import SimulatorConfig, generate_topology, grow_network, host_id, simulate_session
+from .simulator import (
+    SimulatorConfig, _is_int, check_new_hosts, generate_topology, grow_network, host_id, simulate_session
+)
 
 _TOP_KEYS = {"simulator", "recovery", "seeds", "sweep", "joins"}
-_TUPLE_FIELDS = {"link_base_delay_us", "link_delay_var_ms2", "pair_schedule_us"}
+_SWEEPS = ({"bg_rates_bytes_per_sec"}, {"packet_sizes_bytes", "pair_intervals_us"})
+
+
+@contextmanager
+def _section(name: str):
+    """Re-raise an error from building a config as a ConfigError naming
+    the config section ``name``."""
+    try:
+        yield
+    except (TomographyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def parse_config(data: dict) -> dict:
-    """Validate the raw config dict and resolve all defaults. Raises
-    ConfigError naming the offending field."""
+    """Validate the raw config dict, build every config a run will use and
+    resolve all defaults. Raises ConfigError naming the offending field."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(data) - _TOP_KEYS
@@ -59,38 +76,35 @@ def parse_config(data: dict) -> dict:
     for key in sim_section:
         if key not in valid_fields:
             raise ConfigError(f"simulator.{key}: unknown field")
-    try:
-        sim = _sim_from_resolved({"simulator": sim_section})
-    except (ConfigError, TypeError) as exc:
-        raise ConfigError(f"simulator: {exc}") from None
+    with _section("simulator"):
+        sim = SimulatorConfig(**sim_section)
 
     recovery = data.get("recovery", {})
     if not isinstance(recovery, dict) or set(recovery) - {"rho_ms2"}:
         raise ConfigError("recovery: only the rho_ms2 field is supported")
     rho = recovery.get("rho_ms2")
-    if rho is not None and not (isinstance(rho, (int, float)) and rho > 0):
-        raise ConfigError("recovery.rho_ms2: must be a positive number")
+    if rho is not None:
+        with _section("recovery.rho_ms2"):
+            RecoveryConfig(rho)
 
     seeds = data.get("seeds")
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
         raise ConfigError("seeds: required non-empty list of integers")
 
     sweep = data.get("sweep")
     if sweep is not None:
         if not isinstance(sweep, dict):
             raise ConfigError("sweep: must be an object")
-        if set(sweep) == {"bg_rates_bytes_per_sec"}:
-            rates = sweep["bg_rates_bytes_per_sec"]
-            if not isinstance(rates, list) or not rates:
-                raise ConfigError("sweep.bg_rates_bytes_per_sec: non-empty list required")
-        elif set(sweep) == {"packet_sizes_bytes", "pair_intervals_us"}:
-            for key in ("packet_sizes_bytes", "pair_intervals_us"):
-                if not isinstance(sweep[key], list) or not sweep[key]:
-                    raise ConfigError(f"sweep.{key}: non-empty list required")
-        else:
+        if set(sweep) not in _SWEEPS:
             raise ConfigError(
                 "sweep: expected bg_rates_bytes_per_sec, or packet_sizes_bytes plus pair_intervals_us"
             )
+        for key in sorted(sweep):
+            if not isinstance(sweep[key], list) or not sweep[key]:
+                raise ConfigError(f"sweep.{key}: non-empty list required")
+        with _section("sweep"):
+            for overrides in _sweep_points(sweep)[1]:
+                replace(sim, **overrides)
 
     joins = data.get("joins")
     if joins is not None and sweep is not None:
@@ -99,13 +113,18 @@ def parse_config(data: dict) -> dict:
         if not isinstance(joins, dict) or set(joins) - {"batches", "n_pairs", "names"}:
             raise ConfigError("joins: supported fields are batches, n_pairs, names")
         batches = joins.get("batches")
-        if not isinstance(batches, list) or not batches or not all(
-            isinstance(b, int) and b > 0 for b in batches
-        ):
+        if not isinstance(batches, list) or not batches or not all(_is_int(b) and b > 0 for b in batches):
             raise ConfigError("joins.batches: non-empty list of positive integers required")
-        n_pairs = joins.get("n_pairs", sim.n_pairs)
-        if not isinstance(n_pairs, int) or n_pairs < 2:
-            raise ConfigError("joins.n_pairs: integer >= 2 required")
+        if sim.pair_schedule_us is None:
+            n_pairs = joins.get("n_pairs", sim.n_pairs)
+            if not _is_int(n_pairs) or n_pairs < 2:
+                raise ConfigError("joins.n_pairs: integer >= 2 required")
+        elif "n_pairs" in joins:
+            raise ConfigError("joins.n_pairs: the join sessions run simulator.pair_schedule_us; omit n_pairs")
+        else:
+            n_pairs = len(sim.pair_schedule_us)
+        with _section("joins.n_pairs"):
+            replace(sim, n_pairs=n_pairs)
         names = joins.get("names")
         if names is not None:
             if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
@@ -113,16 +132,8 @@ def parse_config(data: dict) -> dict:
             if len(names) != sum(batches):
                 raise ConfigError("joins.names: length must equal the total of joins.batches")
             # checked before any run: every seed starts from the same host ids
-            generated = {host_id(i, sim.n_hosts) for i in range(sim.n_hosts)}
-            seen = set()
-            for name in names:
-                if name in generated:
-                    raise ConfigError(f"joins.names: host {name!r} already exists")
-                if is_router_id(name):
-                    raise ConfigError(f"joins.names: host {name!r} is in the router-id namespace")
-                if name in seen:
-                    raise ConfigError(f"joins.names: host {name!r} appears more than once")
-                seen.add(name)
+            with _section("joins.names"):
+                check_new_hosts(names, {host_id(i, sim.n_hosts) for i in range(sim.n_hosts)})
         joins = {"batches": batches, "n_pairs": n_pairs, "names": names}
 
     resolved = {
@@ -140,12 +151,20 @@ def load_config(path) -> dict:
 
 
 def _sim_from_resolved(resolved: dict, **overrides) -> SimulatorConfig:
-    kwargs = dict(resolved["simulator"])
-    for key in _TUPLE_FIELDS:
-        if kwargs.get(key) is not None:
-            kwargs[key] = tuple(kwargs[key])
-    kwargs.update(overrides)
-    return SimulatorConfig(**kwargs)
+    return SimulatorConfig(**{**resolved["simulator"], **overrides})
+
+
+def _sweep_points(sweep: dict) -> tuple[str, list[dict]]:
+    """The sweep's mode and one dict of SimulatorConfig overrides per point,
+    in report order. A rate is a float, as the report prints it."""
+    if "bg_rates_bytes_per_sec" in sweep:
+        rates = sweep["bg_rates_bytes_per_sec"]
+        return "bg_sweep", [{"bg_rate_bytes_per_sec": float(r) if isinstance(r, int) else r} for r in rates]
+    return "grid_sweep", [
+        {"packet_size_bytes": s, "pair_interval_us": d}
+        for s in sweep["packet_sizes_bytes"]
+        for d in sweep["pair_intervals_us"]
+    ]
 
 
 def _mean_stderr(values) -> tuple[float, float]:
@@ -214,16 +233,7 @@ def run_scenario(resolved: dict) -> dict:
     if not sweep:
         runs, summary = _run_seeds(resolved)
         return {"config": resolved, "mode": "static", "runs": runs, "summary": summary}
-    if "bg_rates_bytes_per_sec" in sweep:
-        mode = "bg_sweep"
-        grid = [{"bg_rate_bytes_per_sec": float(r)} for r in sweep["bg_rates_bytes_per_sec"]]
-    else:
-        mode = "grid_sweep"
-        grid = [
-            {"packet_size_bytes": int(s), "pair_interval_us": int(d)}
-            for s in sweep["packet_sizes_bytes"]
-            for d in sweep["pair_intervals_us"]
-        ]
+    mode, grid = _sweep_points(sweep)
     points = []
     for overrides in grid:
         runs, summary = _run_seeds(resolved, **overrides)

@@ -51,6 +51,9 @@ _STREAM_GROWTH = 3
 # jitter is drawn at mean 5*sigma and clipped at zero: clip probability
 # ~3e-7, so the configured variance survives to measurement precision
 _JITTER_OFFSET_SIGMAS = 5.0
+_INT_FIELDS = (
+    "n_hosts", "n_routers", "links_per_node", "lary_arity", "packet_size_bytes", "n_pairs", "pair_interval_us"
+)
 
 
 def _is_int(value) -> bool:
@@ -85,7 +88,12 @@ class SimulatorConfig:
     drop_prob: float = 0.08
 
     def __post_init__(self):
-        for name in ("n_hosts", "n_routers", "links_per_node", "lary_arity", "n_pairs", "pair_interval_us"):
+        for name in ("link_base_delay_us", "link_delay_var_ms2", "pair_schedule_us"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, tuple):
+                # a JSON config gives these as lists
+                object.__setattr__(self, name, tuple(value))
+        for name in _INT_FIELDS:
             value = getattr(self, name)
             if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -326,6 +334,21 @@ def _extend_truth_path(tree: RoutingTree, path, link_params) -> None:
             tree.add_router(prev, cum, router_id=node)
 
 
+def check_new_hosts(names, existing) -> None:
+    """Raise InputError unless ``names`` can join a network that holds the
+    host ids ``existing``: no name may be taken, look like a router id
+    (`model.is_router_id`) or appear twice."""
+    seen = set()
+    for name in names:
+        if name in existing:
+            raise InputError(f"host {name!r} already exists")
+        if is_router_id(name):
+            raise InputError(f"host {name!r} is in the router-id namespace")
+        if name in seen:
+            raise InputError(f"host {name!r} appears more than once")
+        seen.add(name)
+
+
 def grow_network(
     net: SimulatedNetwork,
     config: SimulatorConfig,
@@ -336,8 +359,9 @@ def grow_network(
     """Attach new client hosts to random routers, extending the ground truth
     in place. Returns the new host ids: taken from ``names``, or generated
     by `host_id` in sequence, skipping any id the network already holds.
-    Deterministic given (config.seed, stream). Every name is checked before
-    anything is drawn or attached, so a rejected call changes nothing."""
+    Deterministic given (config.seed, stream). Every name passes
+    `check_new_hosts` before anything is drawn or attached, so a rejected
+    call changes nothing."""
     if n_new_hosts < 1:
         raise InputError(f"n_new_hosts must be >= 1, got {n_new_hosts}")
     if names is None:
@@ -352,15 +376,7 @@ def grow_network(
         raise InputError("names must match n_new_hosts")
     else:
         hosts = list(names)
-        seen = set()
-        for host in hosts:
-            if host in net.access_router or host == net.source:
-                raise InputError(f"host {host!r} already exists in the network")
-            if is_router_id(host):
-                raise InputError(f"host {host!r} is in the router-id namespace")
-            if host in seen:
-                raise InputError(f"host {host!r} appears more than once in names")
-            seen.add(host)
+        check_new_hosts(hosts, net.access_router.keys() | {net.source})
     rng = np.random.default_rng([config.seed, _STREAM_GROWTH, stream])
     routers = sorted({r for r in net._router_paths})
     base_lo, base_hi = config.link_base_delay_us
@@ -458,7 +474,9 @@ def simulate_session(net: SimulatedNetwork, config: SimulatorConfig, stream: int
     if noisy.any():
         delays[noisy] += _offset_normal(rng, np.sqrt(noise_var[noisy]), n)
 
-    lost = rng.random((len(clients), n)) >= np.array([survival[c] for c in clients])[:, None]
+    # the session's last draw, skipped when no link can drop a packet
+    survival_c = np.array([survival[c] for c in clients])[:, None]
+    lost = rng.random((len(clients), n)) >= survival_c if (survival_c < 1).any() else np.zeros((len(clients), n), bool)
 
     np.rint(delays, out=delays)
     arrivals_ts = delays.astype(np.int64)

@@ -4,15 +4,19 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import covtomo
 from covtomo import scenarios
 from covtomo.cli import main
 from covtomo.errors import ConfigError
 from covtomo.scenarios import parse_config
+from covtomo.simulator import SimulatorConfig
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -87,6 +91,15 @@ def test_join_subcommand(tmp_path, capsys):
 
     assert peer in leaves(out)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("rho", ["inf", "nan", "0"])
+def test_rho_option_is_checked_before_any_file(tmp_path, capsys, rho):
+    # the join's tree and log do not exist: the option is refused first
+    missing = str(tmp_path / "missing.json")
+    argv = ["join", "--tree", missing, "--log", missing, "--peer", "k", "--rho", rho, "--out", missing]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: rho must be a positive finite number, got {float(rho)!r}\n"
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -197,10 +210,55 @@ def test_e2e_dynamic_and_named_join_collision(tmp_path, capsys):
             },
             "joins.names: host 'r2' is in the router-id namespace",
         ),
+        (
+            {"sweep": {"bg_rates_bytes_per_sec": ["abc"]}},
+            "sweep: '<' not supported between instances of 'str' and 'int'",
+        ),
+        ({"sweep": {"bg_rates_bytes_per_sec": [1e6, -1]}}, "sweep: bg_rate_bytes_per_sec must be non-negative"),
+        (
+            {"sweep": {"packet_sizes_bytes": [200], "pair_intervals_us": [30000.5]}},
+            "sweep: pair_interval_us must be an integer, got 30000.5",
+        ),
+        (
+            {"sweep": {"packet_sizes_bytes": [200.7], "pair_intervals_us": [30000]}},
+            "sweep: packet_size_bytes must be an integer, got 200.7",
+        ),
+        (
+            {
+                "simulator": {"n_hosts": 10, "n_routers": 4, "pair_schedule_us": [5000 * i for i in range(300)]},
+                "joins": {"batches": [2], "n_pairs": 40},
+            },
+            "joins.n_pairs: the join sessions run simulator.pair_schedule_us; omit n_pairs",
+        ),
+        (
+            {"recovery": {"rho_ms2": float("inf")}},
+            "recovery.rho_ms2: rho must be a positive finite number, got inf",
+        ),
+        ({"recovery": {"rho_ms2": True}}, "recovery.rho_ms2: rho must be a positive finite number, got True"),
+        ({"seeds": [True]}, "seeds: required non-empty list of integers"),
+        (
+            {"joins": {"batches": [True, 1], "n_pairs": 300}},
+            "joins.batches: non-empty list of positive integers required",
+        ),
     ],
-    ids=["duplicate-name", "generated-name-in-second-batch", "sweep-and-joins", "truth-router-id", "recovered-router-id"],
+    ids=[
+        "duplicate-name",
+        "generated-name-in-second-batch",
+        "sweep-and-joins",
+        "truth-router-id",
+        "recovered-router-id",
+        "rate-not-a-number",
+        "negative-second-rate",
+        "fractional-interval",
+        "fractional-packet-size",
+        "join-pairs-with-schedule",
+        "infinite-rho",
+        "bool-rho",
+        "bool-seed",
+        "bool-batch",
+    ],
 )
-def test_e2e_rejects_bad_joins_before_any_run(tmp_path, capsys, monkeypatch, overrides, message):
+def test_e2e_rejects_bad_configs_before_any_run(tmp_path, capsys, monkeypatch, overrides, message):
     def no_run(config):
         raise AssertionError("generate_topology called for a config that parse_config must reject")
 
@@ -210,6 +268,68 @@ def test_e2e_rejects_bad_joins_before_any_run(tmp_path, capsys, monkeypatch, ove
     assert main(["e2e", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+def test_join_sessions_run_the_pair_schedule(tmp_path, capsys):
+    schedule = [5000 * i for i in range(300)]
+    cfg = write_config(
+        tmp_path,
+        simulator={"n_hosts": 10, "n_routers": 4, "pair_schedule_us": schedule},
+        joins={"batches": [2]},
+        seeds=[1],
+    )
+    out = tmp_path / "r.json"
+    assert main(["e2e", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["joins"]["n_pairs"] == 300
+    assert report["config"]["simulator"]["pair_schedule_us"] == schedule
+    capsys.readouterr()
+
+
+SWEEP_KEYS = {
+    "bg_rate_bytes_per_sec": "bg_rates_bytes_per_sec",
+    "packet_size_bytes": "packet_sizes_bytes",
+    "pair_interval_us": "pair_intervals_us",
+}
+SMALL = {"n_hosts": 10, "n_routers": 4, "n_pairs": 300}
+# what a JSON config can hold; integers stay within the range a double holds
+# exactly, where a rate that runs as a float equals the integer it was given
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**53), 2**53),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+def _parsed(config):
+    try:
+        return parse_config(json.loads(json.dumps(config)))
+    except ConfigError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(SWEEP_KEYS)), JSON_VALUES)
+def test_sweep_values_follow_the_simulator_section(field, value):
+    """A value is refused in a sweep exactly when the simulator section
+    refuses it, and an accepted one runs as the simulator section would."""
+    direct = _parsed({"simulator": dict(SMALL, **{field: value}), "seeds": [1]})
+    sweep = {"packet_sizes_bytes": [200], "pair_intervals_us": [30000]}
+    if field == "bg_rate_bytes_per_sec":
+        sweep = {}
+    sweep[SWEEP_KEYS[field]] = [value]
+    swept = _parsed({"simulator": SMALL, "seeds": [1], "sweep": sweep})
+    assert (swept is None) == (direct is None)
+    if swept is not None:
+        _, (overrides,) = scenarios._sweep_points(swept["sweep"])
+        point = scenarios._sim_from_resolved(swept, **overrides)
+        want = SimulatorConfig(**direct["simulator"])
+        for f in fields(SimulatorConfig):
+            a, b = getattr(point, f.name), getattr(want, f.name)
+            assert a == b or (a != a and b != b), f.name  # NaN equals nothing
 
 
 @pytest.mark.parametrize("field", ["waxman_alpha", "max_topology_retries"])

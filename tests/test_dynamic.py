@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covtomo import dynamic
-from covtomo.dynamic import JoinContext, attach_peer, remove_peer, select_representatives
+from covtomo.dynamic import attach_peer, remove_peer, select_representatives
 from covtomo.errors import InputError
 from covtomo.model import (
     RoutingTree,
@@ -60,14 +60,21 @@ def test_representatives_reject_leaf():
         select_representatives(tree, "a")
 
 
-def test_join_context_best_rep_maximizes():
-    truth = build_tree("src", (1.0, [(3.0, ["a", "b"]), (2.0, ["c", "d"]), "k"]))
+def test_attach_peer_best_rep_maximizes():
     tree = build_tree("src", (1.0, [(3.0, ["a", "b"]), (2.0, ["c", "d"])]))
-    base = tree.children("src")[0]
-    ctx = JoinContext.build(tree, base, "k", oracle_for(truth))
-    assert ctx.best_rep == "a"  # ties across subtrees break to the smallest id
-    assert ctx.best_cov == 1.0
-    assert ctx.ref_cov == 1.0
+    existing = oracle_for(tree.copy())
+    # k shares 4.0 with a and with c, the representatives of both subtrees
+    shared = {"a": 4.0, "b": 3.0, "c": 4.0, "d": 2.0}
+
+    def oracle(x, y):
+        return shared[y] if x == "k" else existing(x, y)
+
+    attach_peer(tree, oracle, "k", RecoveryConfig(0.5))
+    tree.validate()
+    # the tie across subtrees breaks to the smallest id, a: the walk descends
+    # into a's subtree and pins a fresh branch point above a
+    assert set(tree.children(tree.parent("k"))) == {"a", "k"}
+    assert tree.router_cov[tree.parent("k")] == 4.0
 
 
 def test_attach_same_set_at_shared_router():

@@ -72,9 +72,15 @@ def test_find_attachment_requires_leaf():
         find_attachment_router(tree, labeled(tree, 5.0), 1.0, 0.5)
 
 
-def test_recovery_config_requires_positive_rho():
-    with pytest.raises(ConfigError):
-        RecoveryConfig(0.0)
+@pytest.mark.parametrize("rho", [0.0, -1, float("inf"), float("nan"), True, "0.5", None])
+def test_recovery_config_requires_a_positive_finite_rho(rho):
+    with pytest.raises(ConfigError, match=r"^rho must be a positive finite number, got "):
+        RecoveryConfig(rho)
+
+
+@pytest.mark.parametrize("rho", [1, 0.35, np.float64(0.35), np.float32(0.35)])
+def test_recovery_config_accepts_real_rho(rho):
+    assert RecoveryConfig(rho).rho == rho
 
 
 def test_recover_single_leaf():
