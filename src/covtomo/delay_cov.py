@@ -12,26 +12,35 @@ consistent permutation of the sample pairs.
 
 `build_covariance_matrix` and `covariance_oracle_from_log` compute that
 same value for every pair from one all-pairs kernel. Whole-array operations
-on the log's columns (`MeasurementLog.present`, `recv` and `sender`) give a
-presence mask M and send-to-arrival offsets X (receivers x pair indices,
-zero where a packet was lost, each row shifted by a constant).
-Each pair's sample count, cross sum and the two per-pair sums over its
-common indices are then entries of
+on the log's columns (`MeasurementLog.present`, `recv` and `sender`) give
+the presence mask M and send-to-arrival offsets X (receivers x pair
+indices, zero where lost, each row shifted by a constant). Let J be the
+pair indices at which some receiver lost its packet and F the rest, where
+every receiver has an arrival. A pair's sample count, cross sum and two
+sums over its common indices are then entries of
 
-    N = M M^T,   Sxy = X X^T,   Sx = X M^T   (Sy = Sx^T)
+    N = |F| + M_J M_J^T,   Sx = s_F + X_J M_J^T,   Sy = s_F^T + M_J X_J^T,
+    Sxy = X X^T
 
-and cov = (N*Sxy - Sx*Sx^T) / (N*(N-1)*10^6) elementwise. The row shifts
-cancel in the numerator. Magnitude guards keep every step exact (see
+with s_F each row's sum of X over F (X is zero where M is, so Sxy needs no
+mask), and cov = (N*Sxy - Sx*Sy) / (N*(N-1)*10^6) elementwise. The row
+shifts cancel in the numerator. Magnitude guards keep every step exact (see
 `_columns` and `_cov_from_sums`), so each entry equals the reference
-estimator bit for bit. M and X are stored once, as one (2, receivers, n)
-array. The pair oracle of a join walk reads a pair's four sums from one
-(2 x n) @ (n x 2) product of the two receivers' rows of that array.
+estimator bit for bit. A loss-free session costs the one product X X^T;
+when every index is lossy the M products run on the whole arrays, with no
+gather of J.
+
+`_pair_sums` gives the sums for any rows x columns of receivers.
+`build_covariance_matrix` reads all x all. The pair oracle of a join walk
+reads its joining peers x all once, when it is built, and any other pair
+as a 1 x 1 block when it is first asked for.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,21 +129,33 @@ def _within_raw_limit(values) -> bool:
     return not values.size or (-_RAW_LIMIT < values.min() and values.max() < _RAW_LIMIT)
 
 
+class _Columns(NamedTuple):
+    """The kernel's inputs over one receiver order (see `_columns`)."""
+
+    x: np.ndarray  # shifted offsets X, zero where lost, (receivers, n)
+    mj: np.ndarray  # presence mask over J, in the dtype of x
+    xj: np.ndarray  # X over J
+    sf: np.ndarray  # each row's sum of X over F
+    nf: int  # |F|
+    wide: bool  # the numerator needs Python ints
+
+
 def _fill_columns(log: MeasurementLog, ids, dtype):
-    """Presence mask and row-shifted send-to-arrival offsets over pair
-    indices 0..n-1, stacked as one (2, receivers, n) array, plus the
+    """Row-shifted send-to-arrival offsets over pair indices 0..n-1, zero
+    where a packet was lost, the presence mask of the same rows, and the
     largest offset magnitude.
 
     With ``dtype=np.int64`` offsets are taken in int64 and stored as float64
     (OverflowError when a timestamp is 2^62 or more in magnitude); with
-    ``dtype=object`` both arrays hold Python ints. Each row is shifted by
-    its integer midrange, which minimises its largest |x|.
+    ``dtype=object`` they are Python ints. Each row is shifted by its
+    integer midrange, which minimises its largest |x|.
     """
     if tuple(ids) == log.ids:
         present, recv = log.present, log.recv
     else:
         rows = [log.row(r) for r in ids]
         present, recv = log.present[rows], log.recv[rows]
+    complete = bool(present.all())
     if dtype is np.int64:
         if recv.dtype == object or not (_within_raw_limit(log.sender) and _within_raw_limit(recv)):
             raise OverflowError("timestamps too large for int64 offsets")
@@ -145,68 +166,93 @@ def _fill_columns(log: MeasurementLog, ids, dtype):
         bound = int(np.abs(off).max(initial=0)) + 1
     del recv
     # over the arrivals only; a row without arrivals reads +-bound
-    lo = off.min(axis=1, where=present, initial=bound).tolist()
-    hi = off.max(axis=1, where=present, initial=-bound).tolist()
+    arrivals = True if complete else present
+    lo = off.min(axis=1, where=arrivals, initial=bound).tolist()
+    hi = off.max(axis=1, where=arrivals, initial=-bound).tolist()
     # in Python ints, as lo + hi can overflow int64; a row without arrivals
     # gets mid 0 and a negative spread
     mids = [(a + b) // 2 for a, b in zip(lo, hi)]
     xmax = max([0] + [max(b - m, m - a) for a, b, m in zip(lo, hi, mids)])
-    # shifted in place, and lost slots zeroed as the offsets are cast into
-    # the output, so that no full-size temporary is alive beside it
-    off -= np.array(mids, dtype=dtype)[:, None]
-    cols = np.empty((2,) + present.shape, dtype=np.float64 if dtype is np.int64 else object)
-    cols[0] = present
-    np.multiply(off, present, out=cols[1])
-    return cols, xmax
+    # shifted as the offsets are cast into the output, then lost slots zeroed
+    x = np.empty(present.shape, dtype=np.float64 if dtype is np.int64 else object)
+    np.subtract(off, np.array(mids, dtype=dtype)[:, None], out=x)
+    if not complete:
+        x *= present
+    return x, present, xmax
 
 
-def _columns(log: MeasurementLog, ids):
-    """The kernel's inputs for ``ids``: presence mask M and shifted offsets
-    X as one (2, receivers, n) array, M at [0] and X at [1], and whether
-    the numerator needs Python ints.
+def _columns(log: MeasurementLog, ids) -> _Columns:
+    """The kernel's inputs for ``ids``: X, and M and X over the lossy
+    indices J, with the sums over F.
 
     Exactness contract, with n the most arrivals of any receiver and x the
     largest shifted offset:
 
-    * M and X are float64 only while n * x^2 < 2^53. Every product and
-      partial sum of the BLAS sums is then an integer below 2^53, so they
-      are exact whatever the summation order.
+    * X and M are float64 only while n * x^2 < 2^53. Every product and
+      partial sum of the BLAS sums, and each sum over F with the sum over J
+      added, is then an integer below 2^53, so they are exact whatever the
+      summation order.
     * The numerator then fits int64 while n^2 * x^2 < 2^63 (it is at most
       n^2 * x^2 by Cauchy-Schwarz, as is each of its two products), and the
       denominator while n^2 * 10^6 < 2^63; otherwise both are taken in
-      Python ints (the returned flag).
+      Python ints (``wide``).
     * When the float64 guard fails, or a timestamp is too large for int64
-      offsets, M and X hold Python ints (dtype=object), and numpy's object
+      offsets, X and M hold Python ints (dtype=object), and numpy's object
       matmul sums them exactly with the same formula.
     """
     try:
-        cols, xmax = _fill_columns(log, ids, np.int64)
+        x, present, xmax = _fill_columns(log, ids, np.int64)
     except OverflowError:
-        pass
+        x = None
     else:
-        nmax = int(cols[0].sum(axis=1).max(initial=0))
-        if nmax * xmax**2 < _F64_EXACT:
-            return cols, nmax**2 * max(xmax**2, _US2_PER_MS2) >= _I64_LIMIT
-    cols, _ = _fill_columns(log, ids, object)
-    return cols, True
+        nmax = int(np.count_nonzero(present, axis=1).max(initial=0))
+        wide = nmax**2 * max(xmax**2, _US2_PER_MS2) >= _I64_LIMIT
+        if nmax * xmax**2 >= _F64_EXACT:
+            x = None
+    if x is None:
+        x, present, _ = _fill_columns(log, ids, object)
+        wide = True
+    lossy = ~present.all(axis=0)
+    # when every index is lossy, views of the whole arrays: no gather
+    j = slice(None) if lossy.all() else np.flatnonzero(lossy)
+    xj = x[:, j]
+    sf = x.sum(axis=1) - xj.sum(axis=1)
+    return _Columns(x, present[:, j].astype(x.dtype), xj, sf, present.shape[1] - xj.shape[1], wide)
 
 
-def _cov_from_sums(counts, cross, sums, wide: bool) -> np.ndarray:
-    """(N*Sxy - Sx*Sx^T) / (N*(N-1)*10^6) elementwise, each entry equal to
+def _pair_sums(cols: _Columns, rows, others):
+    """N, Sx, Sy and Sxy of each receiver at ``rows`` against each at
+    ``others`` (slices or index arrays into the columns; the same object
+    for a square block), in the columns' dtype. Sx and Sy broadcast
+    against N."""
+    x, mj, xj, sf, nf, _ = cols
+    cross = x[rows] @ x[others].T
+    counts = np.full(cross.shape, nf, dtype=cross.dtype)
+    sx, sy = sf[rows][:, None], sf[others][None, :]
+    if xj.shape[1]:
+        m_rows, m_others = mj[rows], mj[others]
+        counts += m_rows @ m_others.T
+        sx = sx + xj[rows] @ m_others.T
+        sy = sx.T if rows is others else sy + m_rows @ xj[others].T
+    return counts, sx, sy, cross
+
+
+def _cov_from_sums(counts, sx, sy, cross, wide: bool) -> np.ndarray:
+    """(N*Sxy - Sx*Sy) / (N*(N-1)*10^6) elementwise, each entry equal to
     Python's correctly rounded int / int on the exact numerator.
 
     Float64 sums are exact integers (see `_columns`) and are taken to int64,
     or to Python ints when ``wide``. A float64 division is correctly rounded
     only while numerator and denominator are below 2^53 in magnitude; the
-    other entries are divided as Python ints.
+    other entries are divided as Python ints. A pair with fewer than 2
+    samples, which every caller refuses, gets a placeholder.
     """
     if counts.dtype != object:
         ints = object if wide else np.int64
-        counts, cross, sums = (
-            a.astype(np.int64).astype(ints, copy=False) for a in (counts, cross, sums)
-        )
-    num = counts * cross - sums * sums.T
+        counts, sx, sy, cross = (a.astype(np.int64).astype(ints, copy=False) for a in (counts, sx, sy, cross))
+    num = counts * cross - sx * sy
     den = counts * (counts - 1) * _US2_PER_MS2
+    den[counts < 2] = 1
     if num.dtype == object:
         return (num / den).astype(np.float64)
     values = num / den
@@ -221,10 +267,9 @@ def build_covariance_matrix(log: MeasurementLog, receivers) -> CovarianceMatrix:
     Each unordered pair is estimated over its own common index set (this
     keeps the most samples per pair), and the diagonal holds each
     receiver's sample variance over its own arrivals. All pairs come from
-    one all-pairs kernel: three matrix products of the presence mask and
-    the shifted offsets (see the module docstring). Under the guards of
-    `_columns` the products are exact float64 integer sums, the numerator
-    is exact in int64 or Python ints, and every entry equals
+    one all-pairs kernel, read all x all (see the module docstring). Under
+    the guards of `_columns` the products are exact float64 integer sums,
+    the numerator is exact in int64 or Python ints, and every entry equals
     `estimate_covariance` on the pair's aligned series bit for bit; the
     matrix is exactly symmetric.
 
@@ -240,47 +285,56 @@ def build_covariance_matrix(log: MeasurementLog, receivers) -> CovarianceMatrix:
     unknown = set(ids) - set(log.receivers)
     if unknown:
         raise InputError(f"receivers not in log: {sorted(unknown)}")
-    (mask, offsets), wide = _columns(log, ids)
-    counts = mask @ mask.T
-    short = np.argwhere(np.triu(counts < 2))
-    if len(short):
-        i, j = short[0]
+    cols = _columns(log, ids)
+    every = slice(None)
+    sums = _pair_sums(cols, every, every)
+    counts = sums[0]
+    if counts.min() < 2:
+        i, j = np.argwhere(np.triu(counts < 2))[0]
         n = int(counts[i, j])
         if i == j:
             raise InsufficientDataError(f"receiver {ids[i]!r} has only {n} arrivals")
         raise InsufficientDataError(f"pair ({ids[i]!r}, {ids[j]!r}) shares only {n} pair indices")
-    values = _cov_from_sums(counts, offsets @ offsets.T, offsets @ mask.T, wide)
-    return CovarianceMatrix(ids, values)
+    return CovarianceMatrix(ids, _cov_from_sums(*sums, cols.wide))
 
 
-def covariance_oracle_from_log(log: MeasurementLog):
+def covariance_oracle_from_log(log: MeasurementLog, *, peers=()):
     """Pairwise-covariance provider backed by a measurement log, with a
     cache keyed by the sorted pair; raises MeasurementGapError when a pair
     cannot be estimated.
 
-    The kernel's columns are built once. A requested pair's four sums come
-    from one (2 x n) @ (n x 2) product of its rows of M and X, so a value
-    equals the matrix entry.
+    The kernel's columns are built once. The pairs of every receiver in
+    ``peers`` (a join batch; names the log lacks are skipped) with every
+    receiver come from one peers x all block of the kernel, read as
+    covariances and sample counts when the oracle is built. Any other pair
+    comes from a 1 x 1 block when it is first asked for. Every value equals
+    the matrix entry.
     """
     ids = sorted(log.receivers)
-    cols, _ = _columns(log, ids)
-    # each receiver's (2, n) view of the columns: its rows of M and X
-    rows = dict(zip(ids, cols.swapaxes(0, 1)))
+    index = {r: i for i, r in enumerate(ids)}
+    cols = _columns(log, ids)
+    block = {p: row for row, p in enumerate(dict.fromkeys(p for p in peers if p in index))}
+    sums = _pair_sums(cols, np.array([index[p] for p in block], dtype=np.intp), slice(None))
+    block_counts = sums[0].astype(np.int64).tolist()
+    block_covs = _cov_from_sums(*sums, cols.wide).tolist()
     cache: dict[tuple[NodeId, NodeId], float] = {}
 
     def oracle(a: NodeId, b: NodeId) -> float:
         key = (a, b) if a <= b else (b, a)
         if key in cache:
             return cache[key]
-        if a not in rows or b not in rows:
-            missing = a if a not in rows else b
+        if a not in index or b not in index:
+            missing = a if a not in index else b
             raise MeasurementGapError(f"no measurements for {missing!r} (pair ({a!r}, {b!r}))")
-        # [[M_a.M_b, M_a.X_b], [X_a.M_b, X_a.X_b]]
-        (n, sy), (sx, sxy) = (rows[a] @ rows[b].T).tolist()
-        n = int(n)
+        if a in block or b in block:
+            p, q = (a, b) if a in block else (b, a)
+            n, cov = block_counts[block[p]][index[q]], block_covs[block[p]][index[q]]
+        else:
+            i, j = index[a], index[b]
+            n, sx, sy, sxy = (int(s[0, 0]) for s in _pair_sums(cols, slice(i, i + 1), slice(j, j + 1)))
+            cov = _int_cov_ms2(n, sx, sy, sxy) if n >= 2 else None
         if n < 2:
             raise MeasurementGapError(f"pair ({a!r}, {b!r}) shares only {n} pair indices")
-        cov = _int_cov_ms2(n, int(sx), int(sy), int(sxy))
         cache[key] = cov
         return cov
 

@@ -90,6 +90,9 @@ def parse_config(data: dict) -> dict:
     seeds = data.get("seeds")
     if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
         raise ConfigError("seeds: required non-empty list of integers")
+    with _section("seeds"):
+        for seed in seeds:
+            replace(sim, seed=seed)
 
     sweep = data.get("sweep")
     if sweep is not None:
@@ -270,7 +273,7 @@ def run_dynamic_scenario(resolved: dict) -> dict:
             new_hosts = grow_network(net, sim, batch, stream=step, names=names)
             n_hosts += batch
             log = simulate_session(net, join_sim, stream=step)
-            oracle = covariance_oracle_from_log(log)
+            oracle = covariance_oracle_from_log(log, peers=new_hosts)
             for host in new_hosts:
                 attach_peer(tree, oracle, host, config)
             curve.append(_curve_point(sim.n_routers + n_hosts, score_trees(tree, branching_skeleton(net.truth))))

@@ -52,12 +52,22 @@ _STREAM_GROWTH = 3
 # ~3e-7, so the configured variance survives to measurement precision
 _JITTER_OFFSET_SIGMAS = 5.0
 _INT_FIELDS = (
-    "n_hosts", "n_routers", "links_per_node", "lary_arity", "packet_size_bytes", "n_pairs", "pair_interval_us"
+    "n_hosts", "n_routers", "links_per_node", "lary_arity", "seed", "packet_size_bytes", "n_pairs",
+    "pair_interval_us",
 )
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a number with a finite float value (an integer
+    past the float range has none)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -104,6 +114,8 @@ class SimulatorConfig:
             raise ConfigError(f"n_hosts must be >= 2, got {self.n_hosts}")
         if self.n_routers < 1:
             raise ConfigError(f"n_routers must be >= 1, got {self.n_routers}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.topology_model not in ("waxman", "lary"):
             raise ConfigError(f"unknown topology_model {self.topology_model!r}")
         if not self.waxman_beta > 0:
@@ -114,6 +126,8 @@ class SimulatorConfig:
             lo, hi = getattr(self, name)
             if lo < 0 or hi < lo:
                 raise ConfigError(f"{name} must be a non-negative (lo, hi) range")
+            if not (_finite(lo) and _finite(hi)):
+                raise ConfigError(f"{name} must be a finite range")
         if self.pair_schedule_us is not None:
             if len(self.pair_schedule_us) < 1:
                 raise ConfigError("pair_schedule_us must not be empty")
@@ -130,12 +144,18 @@ class SimulatorConfig:
             raise ConfigError("bg_ref_rate_bytes_per_sec must be positive")
         if self.bg_rate_bytes_per_sec < 0:
             raise ConfigError("bg_rate_bytes_per_sec must be non-negative")
+        if self.congestion_noise_gain < 0:
+            raise ConfigError("congestion_noise_gain must be non-negative")
         if not 0 <= self.drop_prob < 1:
             raise ConfigError(f"drop_prob must be in [0, 1), got {self.drop_prob}")
         if not 0 < self.congestion_threshold <= 1:
             raise ConfigError("congestion_threshold must be in (0, 1]")
         if self.bandwidth_bps <= 0:
             raise ConfigError("bandwidth_bps must be positive")
+        # NaN passes the comparisons above, and so does an int past the float range
+        for name in ("bg_rate_bytes_per_sec", "bg_ref_rate_bytes_per_sec", "congestion_noise_gain", "bandwidth_bps"):
+            if not _finite(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number")
 
     @property
     def bg_scale(self) -> float:

@@ -1,11 +1,14 @@
-"""The benchmark's names for covtomo functions still name covtomo functions.
+"""The benchmark's names for covtomo functions still name covtomo functions,
+and the benchmark's checks still read what covtomo's calls give them.
 
 `benchmarks/tracing.py` records spans by ``<module>.<function>`` for every
 covtomo function bound in its traced namespaces, and each workload in
 `benchmarks/workloads.py` lists the spans a traced pass must record and the
 entry-point calls its checks read. A rename or a move inside covtomo breaks
-those lists silently until the benchmark runs; this reads them (without
-running a workload) and checks each against the package.
+those lists silently until the benchmark runs; this reads them and checks
+each against the package. The checks also unpack the recorded arguments of
+those calls (the growth-joins check reads ``((log,), oracle)``), so one
+tiny pass of each workload runs through them here as well.
 """
 
 import importlib.util
@@ -48,3 +51,20 @@ def test_workload_spans_and_kept_calls_exist(name):
     for module, attr in workload.keep:
         fn = getattr(module, attr)
         assert callable(fn) and fn.__module__.startswith("covtomo."), (module.__name__, attr)
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["timed", "traced"])
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_tiny_pass_passes_the_workload_checks(tmp_path, name, traced):
+    workload = workloads.WORKLOADS[name]()
+    seed = workload.seeds(3)[0]
+    workload.load(workload.write_config(tmp_path, "tiny", [seed]), tmp_path)
+    tracer = tracing.Tracer() if traced else None
+    first = tracer.start_pass(seed, 0) if traced else 0
+    with tracing.Patch(workload.keep, tracer) as patch:
+        output = workload.run(seed)
+    result = workload.finish(seed, output, patch.seen)
+    assert result.failures == []
+    assert result.digest and 0.0 <= result.p <= 1.0
+    if traced:
+        assert workload.expected_spans <= tracer.span_names(first)

@@ -236,6 +236,24 @@ def test_e2e_dynamic_and_named_join_collision(tmp_path, capsys):
         ),
         ({"recovery": {"rho_ms2": True}}, "recovery.rho_ms2: rho must be a positive finite number, got True"),
         ({"seeds": [True]}, "seeds: required non-empty list of integers"),
+        ({"seeds": [1, -1]}, "seeds: seed must be >= 0, got -1"),
+        (
+            {"simulator": {"n_hosts": 10, "n_routers": 4, "bg_rate_bytes_per_sec": float("nan")}},
+            "simulator: bg_rate_bytes_per_sec must be a finite number",
+        ),
+        (
+            {"simulator": {"n_hosts": 10, "n_routers": 4, "bg_rate_bytes_per_sec": 10**400}},
+            "simulator: bg_rate_bytes_per_sec must be a finite number",
+        ),
+        (
+            {"simulator": {"n_hosts": 10, "n_routers": 4, "link_delay_var_ms2": [0.5, float("nan")]}},
+            "simulator: link_delay_var_ms2 must be a finite range",
+        ),
+        (
+            {"sweep": {"bg_rates_bytes_per_sec": [1e6, float("nan")]}},
+            "sweep: bg_rate_bytes_per_sec must be a finite number",
+        ),
+        ({"sweep": {"bg_rates_bytes_per_sec": [10**400]}}, "sweep: int too large to convert to float"),
         (
             {"joins": {"batches": [True, 1], "n_pairs": 300}},
             "joins.batches: non-empty list of positive integers required",
@@ -255,6 +273,12 @@ def test_e2e_dynamic_and_named_join_collision(tmp_path, capsys):
         "infinite-rho",
         "bool-rho",
         "bool-seed",
+        "negative-seed",
+        "nan-rate",
+        "401-digit-rate",
+        "nan-variance",
+        "nan-sweep-rate",
+        "401-digit-sweep-rate",
         "bool-batch",
     ],
 )
@@ -267,6 +291,17 @@ def test_e2e_rejects_bad_configs_before_any_run(tmp_path, capsys, monkeypatch, o
     out = tmp_path / "r.json"
     assert main(["e2e", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_negative_seed(tmp_path, capsys, monkeypatch):
+    def no_run(config):
+        raise AssertionError("generate_topology called for a seed that SimulatorConfig must reject")
+
+    monkeypatch.setattr("covtomo.cli.generate_topology", no_run)
+    out = tmp_path / "log.ndjson"
+    assert main(["simulate", "--config", str(write_config(tmp_path)), "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
     assert not out.exists()
 
 

@@ -342,6 +342,8 @@ def test_oracle_from_log_matches_matrix_and_reports_gaps():
         oracle("a", "c")
     with pytest.raises(MeasurementGapError):
         oracle("a", "unknown")
+    with pytest.raises(TypeError):
+        covariance_oracle_from_log(log, ["a"])  # peers is keyword-only
 
 
 def test_oracle_agrees_with_matrix_both_ways_on_lossy_log():
@@ -362,9 +364,12 @@ def test_oracle_agrees_with_matrix_both_ways_on_lossy_log():
         assert forward(b, a).hex() == want, (a, b)
 
 
-def test_oracle_gap_messages():
+@pytest.mark.parametrize("peers", [(), ["c"], ["c", "a", "zz"]], ids=["no-peers", "short-peer", "peers-and-unknown"])
+def test_oracle_gap_messages(peers):
+    # a short pair raises the same message from the peers' block as from a
+    # 1 x 1 block, and the block's division by zero samples warns of nothing
     log = even_log({"a": {0: 10, 1: 40, 2: 70}, "b": {0: 12, 1: 45, 2: 71}, "c": {1: 50}}, 3, 30)
-    oracle = covariance_oracle_from_log(log)
+    oracle = covariance_oracle_from_log(log, peers=peers)
     for args, message in (
         (("a", "zz"), "no measurements for 'zz' (pair ('a', 'zz'))"),
         (("zz", "a"), "no measurements for 'zz' (pair ('zz', 'a'))"),
@@ -389,16 +394,21 @@ def reference_cov(log, a, b):
 
 def assert_kernel_matches_reference(log):
     """Every matrix entry, diagonal included, and every oracle value equals
-    the reference estimator bit for bit."""
+    the reference estimator bit for bit; so does every value of an oracle
+    built with every other receiver as a peer, over block-block,
+    block-other and other-other pairs."""
     ids = sorted(log.receivers)
     cov = build_covariance_matrix(log, ids)
     cov.validate()
     oracle = covariance_oracle_from_log(log)
+    peers = ids[::2]
+    with_peers = covariance_oracle_from_log(log, peers=peers)
     for a in ids:
         for b in ids:
             want = reference_cov(log, a, b).hex()
             assert cov.get(a, b).hex() == want, (a, b)
             assert oracle(a, b).hex() == want, (a, b)
+            assert with_peers(a, b).hex() == want, (a, b, a in peers, b in peers)
 
 
 @pytest.mark.parametrize(
@@ -435,11 +445,28 @@ def test_kernel_exact_when_offsets_wrap_int64():
     assert_kernel_matches_reference(make_log(sender, arrivals))
 
 
+@pytest.mark.parametrize("lost", [(), ((0, 3),), ((0, 0), (1, 1), (2, 2), (3, 3), (3, 4))], ids=["none", "some", "every"])
+def test_kernel_exact_whether_no_some_or_every_index_lost(lost):
+    # (receiver, pair index) slots lost: the indices where some receiver
+    # lost its packet are none of the five, index 3 only, or each of them
+    rng = np.random.default_rng(12)
+    sender = [k * 1000 for k in range(5)]
+    arrivals = {
+        f"r{r}": {k: sender[k] + int(rng.integers(0, 10**6)) for k in range(5) if (r, k) not in lost}
+        for r in range(4)
+    }
+    log = make_log(sender, arrivals)
+    lossy = ~log.present.all(axis=0)
+    assert lossy.sum() == len({k for _, k in lost})
+    assert_kernel_matches_reference(log)
+
+
 @st.composite
 def lossy_logs(draw):
     """Integer logs with evenly or unevenly spaced senders where every pair
     of receivers shares at least the two anchor indices (often exactly
-    those)."""
+    those), and a receiver may have every arrival, so that sessions with no
+    index lost come up too."""
     n = draw(st.integers(2, 24))
     if draw(st.booleans()):
         interval = draw(st.integers(1, 1000))
@@ -453,7 +480,7 @@ def lossy_logs(draw):
     clock = draw(st.sampled_from([0, 10**9, 2**64]))
     arrivals = {}
     for r in range(draw(st.integers(2, 5))):
-        present = anchors | draw(st.sets(st.integers(0, n - 1)))
+        present = set(range(n)) if draw(st.booleans()) else anchors | draw(st.sets(st.integers(0, n - 1)))
         offset = draw(st.integers(0, clock))
         delays = draw(st.lists(st.integers(0, swing), min_size=n, max_size=n))
         arrivals[f"r{r}"] = {k: sender[k] + offset + delays[k] for k in sorted(present)}

@@ -311,6 +311,41 @@ def test_config_rejects_counts_that_fail_later(field, value, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "401-digit-int"])
+@pytest.mark.parametrize(
+    "field", ["bg_rate_bytes_per_sec", "bg_ref_rate_bytes_per_sec", "bandwidth_bps", "congestion_noise_gain"]
+)
+def test_config_rejects_rates_without_a_finite_value(field, value):
+    with pytest.raises(ConfigError) as info:
+        SimulatorConfig(**{field: value})
+    assert str(info.value) == f"{field} must be a finite number"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "401-digit-int"])
+@pytest.mark.parametrize("field", ["link_base_delay_us", "link_delay_var_ms2"])
+@pytest.mark.parametrize("end", [0, 1])
+def test_config_rejects_ranges_without_finite_ends(field, value, end):
+    bounds = [1.0, value] if end else [value, value]
+    with pytest.raises(ConfigError) as info:
+        SimulatorConfig(**{field: bounds})
+    assert str(info.value) == f"{field} must be a finite range"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("seed", 1.0, "seed must be an integer, got 1.0"),
+        ("congestion_noise_gain", -0.5, "congestion_noise_gain must be non-negative"),
+    ],
+)
+def test_config_rejects_seed_and_gain(field, value, message):
+    with pytest.raises(ConfigError) as info:
+        SimulatorConfig(**{field: value})
+    assert str(info.value) == message
+
+
 def test_waxman_beta_too_small_for_a_draw():
     # both weights of router 2 underflow to zero, and it needs two
     cfg = SimulatorConfig(n_hosts=1500, n_routers=500, links_per_node=3, waxman_beta=0.0005, n_pairs=10)
