@@ -14,21 +14,18 @@ consistent permutation of the sample pairs.
 same value for every pair from one all-pairs kernel. Whole-array operations
 on the log's columns (`MeasurementLog.present`, `recv` and `sender`) give
 the presence mask M and send-to-arrival offsets X (receivers x pair
-indices, zero where lost, each row shifted by a constant). Let J be the
-pair indices at which some receiver lost its packet and F the rest, where
-every receiver has an arrival. A pair's sample count, cross sum and two
-sums over its common indices are then entries of
+indices, zero where lost, each row shifted by a constant). A pair's sample
+count, cross sum and two sums over its common indices are entries of
 
-    N = |F| + M_J M_J^T,   Sx = s_F + X_J M_J^T,   Sy = s_F^T + M_J X_J^T,
-    Sxy = X X^T
+    N = M M^T,   Sx = X M^T,   Sy = M X^T,   Sxy = X X^T
 
-with s_F each row's sum of X over F (X is zero where M is, so Sxy needs no
-mask), and cov = (N*Sxy - Sx*Sy) / (N*(N-1)*10^6) elementwise. The row
-shifts cancel in the numerator. Magnitude guards keep every step exact (see
-`_columns` and `_cov_from_sums`), so each entry equals the reference
-estimator bit for bit. A loss-free session costs the one product X X^T;
-when every index is lossy the M products run on the whole arrays, with no
-gather of J.
+(X is zero where M is, so Sxy needs no mask), and
+cov = (N*Sxy - Sx*Sy) / (N*(N-1)*10^6) elementwise. The row shifts cancel
+in the numerator. When no receiver lost a packet, M is all ones: N is the
+number of pair indices n, Sx holds each row's sum of X and Sy its
+transpose, so a loss-free session costs the one product X X^T. Magnitude
+guards keep every step exact (see `_columns` and `_cov_from_sums`), so
+each entry equals the reference estimator bit for bit.
 
 `_pair_sums` gives the sums for any rows x columns of receivers.
 `build_covariance_matrix` reads all x all. The pair oracle of a join walk
@@ -93,15 +90,12 @@ def normalize_series(log: MeasurementLog, receiver: NodeId, aligned) -> DelaySer
     return DelaySeries(receiver=receiver, indices=aligned, values=values)
 
 
-def _int_cov_ms2(n: int, sx: int, sy: int, sxy: int) -> float:
+def _exact_int_cov_ms2(xs, ys, n: int) -> float:
     # n*sum(xy) - sum(x)*sum(y) is shift-invariant in exact integer
     # arithmetic, so constant offsets cancel bit-exactly; int / int is
     # correctly rounded
-    return (n * sxy - sx * sy) / (n * (n - 1) * _US2_PER_MS2)
-
-
-def _exact_int_cov_ms2(xs, ys, n: int) -> float:
-    return _int_cov_ms2(n, sum(xs), sum(ys), sum(x * y for x, y in zip(xs, ys)))
+    sxy = sum(x * y for x, y in zip(xs, ys))
+    return (n * sxy - sum(xs) * sum(ys)) / (n * (n - 1) * _US2_PER_MS2)
 
 
 def estimate_covariance(sa: DelaySeries, sb: DelaySeries) -> float:
@@ -133,10 +127,8 @@ class _Columns(NamedTuple):
     """The kernel's inputs over one receiver order (see `_columns`)."""
 
     x: np.ndarray  # shifted offsets X, zero where lost, (receivers, n)
-    mj: np.ndarray  # presence mask over J, in the dtype of x
-    xj: np.ndarray  # X over J
-    sf: np.ndarray  # each row's sum of X over F
-    nf: int  # |F|
+    m: np.ndarray | None  # presence mask in the dtype of x; None when no packet was lost
+    sums: np.ndarray  # each row's sum of X
     wide: bool  # the numerator needs Python ints
 
 
@@ -182,16 +174,15 @@ def _fill_columns(log: MeasurementLog, ids, dtype):
 
 
 def _columns(log: MeasurementLog, ids) -> _Columns:
-    """The kernel's inputs for ``ids``: X, and M and X over the lossy
-    indices J, with the sums over F.
+    """The kernel's inputs for ``ids``: X, its row sums, and M when some
+    receiver lost a packet.
 
     Exactness contract, with n the most arrivals of any receiver and x the
     largest shifted offset:
 
     * X and M are float64 only while n * x^2 < 2^53. Every product and
-      partial sum of the BLAS sums, and each sum over F with the sum over J
-      added, is then an integer below 2^53, so they are exact whatever the
-      summation order.
+      partial sum of the BLAS sums, and each row sum, is then an integer
+      below 2^53, so they are exact whatever the summation order.
     * The numerator then fits int64 while n^2 * x^2 < 2^63 (it is at most
       n^2 * x^2 by Cauchy-Schwarz, as is each of its two products), and the
       denominator while n^2 * 10^6 < 2^63; otherwise both are taken in
@@ -212,12 +203,8 @@ def _columns(log: MeasurementLog, ids) -> _Columns:
     if x is None:
         x, present, _ = _fill_columns(log, ids, object)
         wide = True
-    lossy = ~present.all(axis=0)
-    # when every index is lossy, views of the whole arrays: no gather
-    j = slice(None) if lossy.all() else np.flatnonzero(lossy)
-    xj = x[:, j]
-    sf = x.sum(axis=1) - xj.sum(axis=1)
-    return _Columns(x, present[:, j].astype(x.dtype), xj, sf, present.shape[1] - xj.shape[1], wide)
+    m = None if present.all() else present.astype(x.dtype)
+    return _Columns(x, m, x.sum(axis=1), wide)
 
 
 def _pair_sums(cols: _Columns, rows, others):
@@ -225,16 +212,15 @@ def _pair_sums(cols: _Columns, rows, others):
     ``others`` (slices or index arrays into the columns; the same object
     for a square block), in the columns' dtype. Sx and Sy broadcast
     against N."""
-    x, mj, xj, sf, nf, _ = cols
+    x, m, sums, _ = cols
     cross = x[rows] @ x[others].T
-    counts = np.full(cross.shape, nf, dtype=cross.dtype)
-    sx, sy = sf[rows][:, None], sf[others][None, :]
-    if xj.shape[1]:
-        m_rows, m_others = mj[rows], mj[others]
-        counts += m_rows @ m_others.T
-        sx = sx + xj[rows] @ m_others.T
-        sy = sx.T if rows is others else sy + m_rows @ xj[others].T
-    return counts, sx, sy, cross
+    if m is None:
+        counts = np.full(cross.shape, x.shape[1], dtype=cross.dtype)
+        return counts, sums[rows][:, None], sums[others][None, :], cross
+    m_rows, m_others = m[rows], m[others]
+    sx = x[rows] @ m_others.T
+    sy = sx.T if rows is others else m_rows @ x[others].T
+    return m_rows @ m_others.T, sx, sy, cross
 
 
 def _cov_from_sums(counts, sx, sy, cross, wide: bool) -> np.ndarray:
@@ -331,8 +317,8 @@ def covariance_oracle_from_log(log: MeasurementLog, *, peers=()):
             n, cov = block_counts[block[p]][index[q]], block_covs[block[p]][index[q]]
         else:
             i, j = index[a], index[b]
-            n, sx, sy, sxy = (int(s[0, 0]) for s in _pair_sums(cols, slice(i, i + 1), slice(j, j + 1)))
-            cov = _int_cov_ms2(n, sx, sy, sxy) if n >= 2 else None
+            counts, *_ = sums = _pair_sums(cols, slice(i, i + 1), slice(j, j + 1))
+            n, cov = int(counts[0, 0]), _cov_from_sums(*sums, cols.wide).item()
         if n < 2:
             raise MeasurementGapError(f"pair ({a!r}, {b!r}) shares only {n} pair indices")
         cache[key] = cov
