@@ -23,7 +23,9 @@ count, cross sum and two sums over its common indices are entries of
 cov = (N*Sxy - Sx*Sy) / (N*(N-1)*10^6) elementwise. The row shifts cancel
 in the numerator. When no receiver lost a packet, M is all ones: N is the
 number of pair indices n, Sx holds each row's sum of X and Sy its
-transpose, so a loss-free session costs the one product X X^T. Magnitude
+transpose, so a loss-free session costs the one product X X^T. N then
+stays the scalar n, a 1 x 1 block that broadcasts against the others, so
+no count or denominator matrix is built either. Magnitude
 guards keep every step exact (see `_columns` and `_cov_from_sums`), so
 each entry equals the reference estimator bit for bit.
 
@@ -134,8 +136,8 @@ class _Columns(NamedTuple):
 
 def _fill_columns(log: MeasurementLog, ids, dtype):
     """Row-shifted send-to-arrival offsets over pair indices 0..n-1, zero
-    where a packet was lost, the presence mask of the same rows, and the
-    largest offset magnitude.
+    where a packet was lost, the presence mask of the same rows (None when
+    no packet was lost), and the largest offset magnitude.
 
     With ``dtype=np.int64`` offsets are taken in int64 and stored as float64
     (OverflowError when a timestamp is 2^62 or more in magnitude); with
@@ -168,8 +170,9 @@ def _fill_columns(log: MeasurementLog, ids, dtype):
     # shifted as the offsets are cast into the output, then lost slots zeroed
     x = np.empty(present.shape, dtype=np.float64 if dtype is np.int64 else object)
     np.subtract(off, np.array(mids, dtype=dtype)[:, None], out=x)
-    if not complete:
-        x *= present
+    if complete:
+        return x, None, xmax
+    x *= present
     return x, present, xmax
 
 
@@ -196,27 +199,28 @@ def _columns(log: MeasurementLog, ids) -> _Columns:
     except OverflowError:
         x = None
     else:
-        nmax = int(np.count_nonzero(present, axis=1).max(initial=0))
+        # the per-row arrival counts were taken when the log was built
+        nmax = x.shape[1] if present is None else max((len(log.arrivals[r]) for r in ids), default=0)
         wide = nmax**2 * max(xmax**2, _US2_PER_MS2) >= _I64_LIMIT
         if nmax * xmax**2 >= _F64_EXACT:
             x = None
     if x is None:
         x, present, _ = _fill_columns(log, ids, object)
         wide = True
-    m = None if present.all() else present.astype(x.dtype)
+    m = None if present is None else present.astype(x.dtype)
     return _Columns(x, m, x.sum(axis=1), wide)
 
 
 def _pair_sums(cols: _Columns, rows, others):
     """N, Sx, Sy and Sxy of each receiver at ``rows`` against each at
     ``others`` (slices or index arrays into the columns; the same object
-    for a square block), in the columns' dtype. Sx and Sy broadcast
-    against N."""
+    for a square block), in the columns' dtype. N, Sx and Sy broadcast
+    against Sxy: when no packet was lost, N is the number of pair indices
+    n as a 1 x 1 block."""
     x, m, sums, _ = cols
     cross = x[rows] @ x[others].T
     if m is None:
-        counts = np.full(cross.shape, x.shape[1], dtype=cross.dtype)
-        return counts, sums[rows][:, None], sums[others][None, :], cross
+        return np.full((1, 1), x.shape[1], dtype=x.dtype), sums[rows][:, None], sums[others][None, :], cross
     m_rows, m_others = m[rows], m[others]
     sx = x[rows] @ m_others.T
     sy = sx.T if rows is others else m_rows @ x[others].T
@@ -224,8 +228,9 @@ def _pair_sums(cols: _Columns, rows, others):
 
 
 def _cov_from_sums(counts, sx, sy, cross, wide: bool) -> np.ndarray:
-    """(N*Sxy - Sx*Sy) / (N*(N-1)*10^6) elementwise, each entry equal to
-    Python's correctly rounded int / int on the exact numerator.
+    """(N*Sxy - Sx*Sy) / (N*(N-1)*10^6) elementwise over the shape of Sxy,
+    each entry equal to Python's correctly rounded int / int on the exact
+    numerator.
 
     Float64 sums are exact integers (see `_columns`) and are taken to int64,
     or to Python ints when ``wide``. A float64 division is correctly rounded
@@ -242,8 +247,10 @@ def _cov_from_sums(counts, sx, sy, cross, wide: bool) -> np.ndarray:
     if num.dtype == object:
         return (num / den).astype(np.float64)
     values = num / den
-    for i, j in zip(*np.nonzero((np.abs(num) >= _F64_EXACT) | (den >= _F64_EXACT))):
-        values[i, j] = int(num[i, j]) / int(den[i, j])
+    inexact = (np.abs(num) >= _F64_EXACT) | (den >= _F64_EXACT)
+    if inexact.any():
+        dens = np.broadcast_to(den, num.shape)
+        values[inexact] = [int(a) / int(b) for a, b in zip(num[inexact].tolist(), dens[inexact].tolist())]
     return values
 
 
@@ -301,8 +308,9 @@ def covariance_oracle_from_log(log: MeasurementLog, *, peers=()):
     cols = _columns(log, ids)
     block = {p: row for row, p in enumerate(dict.fromkeys(p for p in peers if p in index))}
     sums = _pair_sums(cols, np.array([index[p] for p in block], dtype=np.intp), slice(None))
-    block_counts = sums[0].astype(np.int64).tolist()
     block_covs = _cov_from_sums(*sums, cols.wide).tolist()
+    # a view: N is 1 x 1 when no packet was lost
+    block_counts = np.broadcast_to(sums[0], sums[3].shape)
     cache: dict[tuple[NodeId, NodeId], float] = {}
 
     def oracle(a: NodeId, b: NodeId) -> float:
@@ -314,7 +322,7 @@ def covariance_oracle_from_log(log: MeasurementLog, *, peers=()):
             raise MeasurementGapError(f"no measurements for {missing!r} (pair ({a!r}, {b!r}))")
         if a in block or b in block:
             p, q = (a, b) if a in block else (b, a)
-            n, cov = block_counts[block[p]][index[q]], block_covs[block[p]][index[q]]
+            n, cov = int(block_counts[block[p], index[q]]), block_covs[block[p]][index[q]]
         else:
             i, j = index[a], index[b]
             counts, *_ = sums = _pair_sums(cols, slice(i, i + 1), slice(j, j + 1))

@@ -180,11 +180,13 @@ def _mean_stderr(values) -> tuple[float, float]:
 
 
 def _cov_summary(cov) -> dict:
-    off = cov.values[np.triu_indices(len(cov.receivers), 1)].tolist()
+    n = len(cov.receivers)
+    off = cov.values[np.triu(np.ones((n, n), dtype=bool), 1)]
+    # row-major over the upper triangle; the mean adds in that order
     return {
-        "min_offdiag": min(off),
-        "max_offdiag": max(off),
-        "mean_offdiag": sum(off) / len(off),
+        "min_offdiag": float(off.min()),
+        "max_offdiag": float(off.max()),
+        "mean_offdiag": sum(off.tolist()) / len(off),
     }
 
 

@@ -2,6 +2,11 @@
 synthesizes packet-pair measurement logs with configurable link-delay
 variance, background-traffic jitter, and congestion loss.
 
+Each link gets a base delay and a jitter variance, drawn uniformly from
+the configured ranges: all links of a generated network in one array draw,
+in link-key order, and each host that `grow_network` attaches in two
+scalar draws after its router's.
+
 Delay model per link: a fixed base propagation delay, the packet's
 transmission time, and a per-(link, pair) jitter sample drawn from a
 Gaussian offset away from zero and clipped at zero (the offset makes the
@@ -51,6 +56,13 @@ _STREAM_GROWTH = 3
 # jitter is drawn at mean 5*sigma and clipped at zero: clip probability
 # ~3e-7, so the configured variance survives to measurement precision
 _JITTER_OFFSET_SIGMAS = 5.0
+# numpy's ziggurat sampler draws no standard normal beyond about 13.7 in
+# magnitude (its tail step takes the log of one 53-bit uniform); the delay
+# bound takes a draw to lie within this many sigmas
+_NORMAL_BOUND_SIGMAS = 64.0
+# every timestamp a session writes stays below this in magnitude, so it is
+# an exact int64 and the difference of any two is too (delay_cov._RAW_LIMIT)
+_TIMESTAMP_LIMIT = 2**62
 _INT_FIELDS = (
     "n_hosts", "n_routers", "links_per_node", "lary_arity", "seed", "packet_size_bytes", "n_pairs",
     "pair_interval_us",
@@ -74,6 +86,9 @@ def _finite(value) -> bool:
 class SimulatorConfig:
     """Simulation parameters; defaults mirror the desk-scale evaluation
     setup (150 hosts, 50 routers, 100 Mbps links, 70% of hosts as clients).
+
+    A config is refused (ConfigError) unless every timestamp its sessions
+    can write stays an exact int64 below 2^62 (see `_timestamp_bound_us`).
     """
 
     n_hosts: int = 150
@@ -136,7 +151,9 @@ class SimulatorConfig:
                 raise ConfigError(f"pair_schedule_us entries must be integers, got {bad!r}")
             if any(b <= a for a, b in zip(self.pair_schedule_us, self.pair_schedule_us[1:])):
                 raise ConfigError("pair_schedule_us must be strictly increasing")
-        elif self.pair_interval_us <= 0:
+        # without a schedule it spaces the pairs; a one-pair schedule takes
+        # it as the mean pair interval, which sets the probe load
+        if self.pair_interval_us <= 0 and (self.pair_schedule_us is None or len(self.pair_schedule_us) < 2):
             raise ConfigError(f"pair_interval_us must be positive, got {self.pair_interval_us}")
         if self.n_pairs < 1 and self.pair_schedule_us is None:
             raise ConfigError(f"n_pairs must be >= 1, got {self.n_pairs}")
@@ -156,6 +173,40 @@ class SimulatorConfig:
         for name in ("bg_rate_bytes_per_sec", "bg_ref_rate_bytes_per_sec", "congestion_noise_gain", "bandwidth_bps"):
             if not _finite(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number")
+        bound = self._timestamp_bound_us()
+        if not bound < _TIMESTAMP_LIMIT:
+            raise ConfigError(
+                f"delays too large: a timestamp could reach {bound:.3g} us, past the exact int64 range (2^62 us)"
+            )
+
+    def _timestamp_bound_us(self) -> float:
+        """Largest timestamp magnitude a session of a network of this config
+        can write: the largest send time plus the largest one-way delay,
+        taken as `simulate_session` takes it, with every link of the longest
+        possible path (n_routers + 1 links) at the largest base delay and
+        variance, congested under the probes of all n_hosts hosts, and every
+        normal draw at `_NORMAL_BOUND_SIGMAS`. inf when a step overflows.
+        Hosts that `grow_network` adds past n_hosts add probe load, which
+        the bound does not count: the congestion noise it adds grows with
+        the square root of the hosts below a link."""
+        if self.pair_schedule_us is not None:
+            first, last, n = self.pair_schedule_us[0], self.pair_schedule_us[-1], len(self.pair_schedule_us)
+        else:
+            first, last, n = 0, (self.n_pairs - 1) * self.pair_interval_us, self.n_pairs
+        try:
+            interval_s = (last - first) / (n - 1) / 1e6 if n > 1 else self.pair_interval_us / 1e6
+            probe_bits = self.packet_size_bytes * 8
+            load = (self.bg_rate_bytes_per_sec * 8 + self.n_hosts * probe_bits / interval_s) / self.bandwidth_bps
+            over = load - self.congestion_threshold
+            overshoot = over / max(1.0 - self.congestion_threshold, 1e-9) if over > 0 else 0.0
+            var = self.link_delay_var_ms2[1] * self.bg_scale
+            links = self.n_routers + 1
+            reach = _JITTER_OFFSET_SIGMAS + _NORMAL_BOUND_SIGMAS
+            per_link = self.link_base_delay_us[1] + probe_bits / self.bandwidth_bps * 1e6 + reach * math.sqrt(var) * 1e3
+            noise = reach * math.sqrt(links * var * self.congestion_noise_gain * overshoot * 1e6)
+            return max(abs(first), abs(last)) + links * per_link + noise
+        except OverflowError:
+            return math.inf
 
     @property
     def bg_scale(self) -> float:
@@ -306,14 +357,18 @@ def generate_topology(config: SimulatorConfig) -> SimulatedNetwork:
     n_clients = min(len(others), int(round(config.client_fraction * config.n_hosts)))
     clients = sorted(rng.choice(others, size=n_clients, replace=False).tolist())
 
-    # sample per-link delay parameters in a fixed link order
-    base_lo, base_hi = config.link_base_delay_us
-    var_lo, var_hi = config.link_delay_var_ms2
-    link_params: dict[tuple[NodeId, NodeId], tuple[float, float]] = {}
-    for link in sorted(SimulatedNetwork.link_key(a, b) for a, b in router_links + list(access_router.items())):
-        base = float(rng.uniform(base_lo, base_hi))
-        var = float(rng.uniform(var_lo, var_hi)) * config.bg_scale
-        link_params[link] = (base, var)
+    # per-link delay parameters in a fixed link order, in one draw: per link
+    # a uniform base, then a uniform variance. The array draw reads the
+    # stream in that order and computes low + (high - low) * u as a scalar
+    # draw does, so each value is that of two scalar draws per link.
+    links = sorted(SimulatedNetwork.link_key(a, b) for a, b in router_links + list(access_router.items()))
+    draws = rng.uniform(
+        (config.link_base_delay_us[0], config.link_delay_var_ms2[0]),
+        (config.link_base_delay_us[1], config.link_delay_var_ms2[1]),
+        size=(len(links), 2),
+    )
+    draws[:, 1] *= config.bg_scale
+    link_params = dict(zip(links, map(tuple, draws.tolist())))
 
     # lowest-latency routing: hosts have degree 1, so they are never transit
     # and only the source's access link carries routes
@@ -401,6 +456,9 @@ def grow_network(
     routers = sorted({r for r in net._router_paths})
     base_lo, base_hi = config.link_base_delay_us
     var_lo, var_hi = config.link_delay_var_ms2
+    # a host's router draw comes between the previous host's link draws and
+    # its own, so the links cannot share one array draw; an array draw of
+    # one link's two values costs ~3x two scalar draws
     for host in hosts:
         router = routers[int(rng.integers(len(routers)))]
         base = float(rng.uniform(base_lo, base_hi))
@@ -494,12 +552,16 @@ def simulate_session(net: SimulatedNetwork, config: SimulatorConfig, stream: int
     if noisy.any():
         delays[noisy] += _offset_normal(rng, np.sqrt(noise_var[noisy]), n)
 
-    # the session's last draw, skipped when no link can drop a packet
-    survival_c = np.array([survival[c] for c in clients])[:, None]
-    lost = rng.random((len(clients), n)) >= survival_c if (survival_c < 1).any() else np.zeros((len(clients), n), bool)
-
     np.rint(delays, out=delays)
     arrivals_ts = delays.astype(np.int64)
+    del delays
     arrivals_ts += schedule
-    arrivals_ts[lost] = 0
-    return MeasurementLog(clients, schedule, arrivals_ts, ~lost)
+
+    # the session's last draw, skipped when no link can drop a packet
+    survival_c = np.array([survival[c] for c in clients])[:, None]
+    if (survival_c < 1).any():
+        present = rng.random((len(clients), n)) < survival_c
+        arrivals_ts *= present
+    else:
+        present = np.ones((len(clients), n), bool)
+    return MeasurementLog(clients, schedule, arrivals_ts, present)

@@ -250,6 +250,15 @@ def test_e2e_dynamic_and_named_join_collision(tmp_path, capsys):
             "simulator: link_delay_var_ms2 must be a finite range",
         ),
         (
+            # finite, but its jitter and congestion noise overflow every timestamp
+            {"simulator": {"n_hosts": 10, "n_routers": 3, "n_pairs": 50, "bg_rate_bytes_per_sec": 1e300}},
+            "simulator: delays too large: a timestamp could reach inf us, past the exact int64 range (2^62 us)",
+        ),
+        (
+            {"sweep": {"bg_rates_bytes_per_sec": [1e6, 1e40]}},
+            "sweep: delays too large: a timestamp could reach 2.07e+39 us, past the exact int64 range (2^62 us)",
+        ),
+        (
             {"sweep": {"bg_rates_bytes_per_sec": [1e6, float("nan")]}},
             "sweep: bg_rate_bytes_per_sec must be a finite number",
         ),
@@ -277,6 +286,8 @@ def test_e2e_dynamic_and_named_join_collision(tmp_path, capsys):
         "nan-rate",
         "401-digit-rate",
         "nan-variance",
+        "overflowing-delays",
+        "overflowing-sweep-delays",
         "nan-sweep-rate",
         "401-digit-sweep-rate",
         "bool-batch",

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covtomo.delay_cov import (
+    _columns,
     align_pairs,
     build_covariance_matrix,
     covariance_oracle_from_log,
@@ -430,7 +431,10 @@ def test_kernel_exact_at_large_magnitudes(n, swing, clock):
         f"r{r}": {k: clock + k * delta + swing * int(bits[r, k]) for k in range(n)}
         for r in range(len(bits))
     }
-    assert_kernel_matches_reference(even_log(arrivals, n, delta))
+    log = even_log(arrivals, n, delta)
+    # loss-free, so the kernel's pair count is the scalar n
+    assert _columns(log, log.ids).m is None
+    assert_kernel_matches_reference(log)
 
 
 def test_kernel_exact_when_offsets_wrap_int64():
@@ -462,11 +466,12 @@ def test_kernel_exact_whether_no_some_or_every_index_lost(lost):
 
 
 @st.composite
-def lossy_logs(draw):
+def lossy_logs(draw, loss_free=False):
     """Integer logs with evenly or unevenly spaced senders where every pair
     of receivers shares at least the two anchor indices (often exactly
     those), and a receiver may have every arrival, so that sessions with no
-    index lost come up too."""
+    index lost come up too; with ``loss_free`` every receiver has every
+    arrival."""
     n = draw(st.integers(2, 24))
     if draw(st.booleans()):
         interval = draw(st.integers(1, 1000))
@@ -480,7 +485,8 @@ def lossy_logs(draw):
     clock = draw(st.sampled_from([0, 10**9, 2**64]))
     arrivals = {}
     for r in range(draw(st.integers(2, 5))):
-        present = set(range(n)) if draw(st.booleans()) else anchors | draw(st.sets(st.integers(0, n - 1)))
+        every = loss_free or draw(st.booleans())
+        present = set(range(n)) if every else anchors | draw(st.sets(st.integers(0, n - 1)))
         offset = draw(st.integers(0, clock))
         delays = draw(st.lists(st.integers(0, swing), min_size=n, max_size=n))
         arrivals[f"r{r}"] = {k: sender[k] + offset + delays[k] for k in sorted(present)}
@@ -492,3 +498,47 @@ def lossy_logs(draw):
 def test_kernel_equals_reference_on_random_lossy_logs(log):
     log.validate()
     assert_kernel_matches_reference(log)
+
+
+@settings(max_examples=100)
+@given(lossy_logs(loss_free=True))
+def test_kernel_equals_reference_on_random_loss_free_logs(log):
+    assert log.present.all() and _columns(log, sorted(log.receivers)).m is None
+    assert_kernel_matches_reference(log)
+
+
+def test_loss_free_kernel_with_two_pair_indices():
+    log = make_log([0, 7000], {"a": {0: 500, 1: 9100}, "b": {0: 900, 1: 7300}, "c": {0: 10, 1: 7010}})
+    assert_kernel_matches_reference(log)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_loss_free_sessions_too_short_to_estimate(n):
+    log = make_log(list(range(0, 100 * n, 100)), {r: {k: 100 * k + 5 for k in range(n)} for r in "abc"})
+    with pytest.raises(InsufficientDataError) as err:
+        build_covariance_matrix(log, ["b", "a", "c"])
+    assert str(err.value) == f"receiver 'b' has only {n} arrivals"
+    for peers in ((), ["a"]):
+        oracle = covariance_oracle_from_log(log, peers=peers)
+        for a, b in (("a", "b"), ("c", "a"), ("b", "c"), ("c", "c")):
+            with pytest.raises(MeasurementGapError) as err:
+                oracle(a, b)
+            assert str(err.value) == f"pair ({a!r}, {b!r}) shares only {n} pair indices"
+
+
+@pytest.mark.parametrize("lost", [False, True], ids=["loss-free", "one-lost"])
+def test_kernel_divides_as_python_ints_when_the_denominator_passes_2_53(lost):
+    # two receivers over ~95,000 indices: N(N-1)10^6 >= 2^53
+    rng = np.random.default_rng(22)
+    n, delta = 95_000, 100
+    delays = rng.integers(0, 60_000, (2, n)).tolist()  # small enough for int64 numerators
+    arrivals = {r: {k: k * delta + delays[i][k] for k in range(n) if not (lost and i == 1 and k == 7)} for i, r in enumerate("ab")}
+    log = even_log(arrivals, n, delta)
+    assert (n - lost) * (n - lost - 1) * MS2 >= 2**53
+    cols = _columns(log, log.ids)
+    assert (cols.m is None) != lost and not cols.wide and cols.x.dtype == np.float64
+    cov = build_covariance_matrix(log, ["a", "b"])
+    oracle = covariance_oracle_from_log(log, peers=["b"])
+    for a, b in (("a", "a"), ("a", "b"), ("b", "b")):
+        want = reference_cov(log, a, b)
+        assert cov.get(a, b) == cov.get(b, a) == oracle(a, b) == want

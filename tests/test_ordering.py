@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covtomo.model import CovarianceMatrix, covariance_matrix_from_tree
 from covtomo.ordering import dfs_order
@@ -95,3 +97,69 @@ def test_deterministic_and_independent_of_matrix_row_order():
     rng.shuffle(shuffled_ids)
     shuffled = cov.restrict(shuffled_ids)
     assert dfs_order(cov) == dfs_order(cov) == dfs_order(shuffled)
+
+
+def reference_bisect(cov: CovarianceMatrix, ids) -> list:
+    """Recursive restatement of `dfs_order` over the sorted ids: the pivot
+    pair is the row-major argmin off the diagonal, then each other leaf in
+    turn joins p unless its covariance with q is larger (a NaN comparison
+    sends it to q), and p's side is ordered first."""
+    if len(ids) <= 2:
+        return list(ids)
+    idx = np.array([cov.index(r) for r in ids])
+    sub = cov.values[np.ix_(idx, idx)]
+    masked = sub.astype(float, copy=True)
+    np.fill_diagonal(masked, np.inf)
+    pi, qi = divmod(int(np.argmin(masked)), len(ids))
+    if pi > qi:
+        pi, qi = qi, pi
+    side_p, side_q = [ids[pi]], [ids[qi]]
+    for t, x in enumerate(ids):
+        if t in (pi, qi):
+            continue
+        if sub[t, pi] >= sub[t, qi]:
+            side_p.append(x)
+        else:
+            side_q.append(x)
+    return reference_bisect(cov, sorted(side_p)) + reference_bisect(cov, sorted(side_q))
+
+
+@st.composite
+def tied_matrices(draw):
+    """Symmetric matrices over shuffled receiver ids whose entries come
+    from a few values, so that pivot pairs and sides tie often; NaN
+    entries come up too."""
+    n = draw(st.integers(1, 14))
+    ids = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3), min_size=n, max_size=n, unique=True))
+    pool = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, -1.0, float("nan")]), min_size=1, max_size=4))
+    values = np.array(draw(st.lists(st.sampled_from(pool), min_size=n * n, max_size=n * n))).reshape(n, n)
+    values = np.triu(values) + np.triu(values, 1).T
+    return CovarianceMatrix(tuple(ids), values)
+
+
+@settings(max_examples=400)
+@given(tied_matrices())
+def test_dfs_order_equals_recursive_reference(cov):
+    assert dfs_order(cov) == reference_bisect(cov, sorted(cov.receivers))
+
+
+def test_dfs_order_equals_recursive_reference_on_noisy_trees():
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        tree, _ = random_truth_tree(rng, int(rng.integers(3, 40)))
+        cov = covariance_matrix_from_tree(tree)
+        noisy = CovarianceMatrix(cov.receivers, cov.values + np.round(rng.normal(0, 0.3, cov.values.shape), 1))
+        for m in (cov, noisy):
+            assert dfs_order(m) == reference_bisect(m, sorted(m.receivers))
+
+
+def test_deep_caterpillar_orders_without_recursion():
+    # leaf i leaves the spine below i + 1 shared links: 1,100 bisection
+    # levels, past Python's default recursion limit
+    n = 1100
+    i = np.arange(n)
+    values = np.minimum.outer(i, i) + 1.0
+    values[i, i] = i + 2.0
+    ids = [f"r{k:04d}" for k in range(n)]
+    cov = CovarianceMatrix(tuple(reversed(ids)), values[::-1, ::-1].copy())
+    assert dfs_order(cov) == ids

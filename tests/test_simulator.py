@@ -538,3 +538,70 @@ def test_import_leaves_networkx_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(simulator.__file__).parents[1]))
     code = "import covtomo, sys; assert 'networkx' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def scalar_link_params(cfg):
+    """`generate_topology`'s link parameters drawn the plain way: the same
+    stream read up to the link draws, then two scalar ``rng.uniform`` calls
+    per link in link-key order."""
+    rng = np.random.default_rng([cfg.seed, simulator._STREAM_TOPOLOGY])
+    build = simulator._waxman_router_graph if cfg.topology_model == "waxman" else simulator._lary_router_graph
+    router_links = [(f"r{u}", f"r{v}") for u, v in sorted(build(cfg, rng))]
+    hosts = [simulator.host_id(i, cfg.n_hosts) for i in range(cfg.n_hosts)]
+    attach = rng.integers(cfg.n_routers, size=cfg.n_hosts)
+    source = hosts[int(rng.integers(cfg.n_hosts))]
+    others = [h for h in hosts if h != source]
+    rng.choice(others, size=min(len(others), int(round(cfg.client_fraction * cfg.n_hosts))), replace=False)
+    access = [(h, f"r{r}") for h, r in zip(hosts, attach)]
+    params = {}
+    for link in sorted(SimulatedNetwork.link_key(a, b) for a, b in router_links + access):
+        base = float(rng.uniform(*cfg.link_base_delay_us))
+        params[link] = (base, float(rng.uniform(*cfg.link_delay_var_ms2)) * cfg.bg_scale)
+    return params
+
+
+@pytest.mark.parametrize("model", ["waxman", "lary"])
+@pytest.mark.parametrize("seed", range(6))
+def test_link_draw_equals_two_scalar_draws_per_link(model, seed):
+    cfg = small_cfg(
+        n_hosts=40, n_routers=12, seed=seed, topology_model=model, bg_rate_bytes_per_sec=[4e6, 9e6, 3][seed % 3],
+        link_base_delay_us=(150, 2500.5), link_delay_var_ms2=(0.25, 0.25 + seed),
+    )
+    net = generate_topology(cfg)
+    assert list(net.link_params.items()) == list(scalar_link_params(cfg).items())
+
+
+def test_config_rejects_delays_past_the_int64_timestamp_range():
+    with pytest.raises(ConfigError) as info:
+        SimulatorConfig(n_hosts=10, n_routers=3, n_pairs=50, bg_rate_bytes_per_sec=1e300)
+    assert str(info.value) == "delays too large: a timestamp could reach inf us, past the exact int64 range (2^62 us)"
+    # a send time at the edge leaves no room for a delay
+    with pytest.raises(ConfigError, match=r"^delays too large: a timestamp could reach 4\.61e\+18 us"):
+        small_cfg(pair_schedule_us=(0, 2**62 - 1))
+    with pytest.raises(ConfigError, match=r"^delays too large"):
+        small_cfg(link_base_delay_us=(0.0, 1e18))
+    with pytest.raises(ConfigError, match=r"^delays too large"):
+        small_cfg(congestion_threshold=1.0, bg_rate_bytes_per_sec=2e7, congestion_noise_gain=1e26)
+
+
+def test_one_pair_schedule_needs_a_positive_interval():
+    # the interval is then the session's mean pair interval, which sets the
+    # probe load; a schedule of two or more pairs does without it
+    with pytest.raises(ConfigError) as info:
+        small_cfg(pair_schedule_us=(0,), pair_interval_us=0)
+    assert str(info.value) == "pair_interval_us must be positive, got 0"
+    small_cfg(pair_schedule_us=(0, 10), pair_interval_us=0)
+    cfg = small_cfg(pair_schedule_us=(7,), pair_interval_us=5000)
+    assert simulate_session(generate_topology(cfg), cfg).n_pairs == 1
+
+
+def test_session_at_the_timestamp_bound_is_exact():
+    # the largest sends the bound allows, with every link congested: every
+    # timestamp is an exact int64 below 2^62
+    edge = 2**62 - 10**9
+    cfg = small_cfg(pair_schedule_us=tuple(range(edge - 399 * 10**6, edge + 1, 10**6)), bg_rate_bytes_per_sec=12e6)
+    assert cfg._timestamp_bound_us() < 2**62
+    with np.errstate(all="raise"):
+        log = simulate_session(generate_topology(cfg), cfg)
+    assert log.recv.dtype == np.int64 and int(log.recv.max()) < 2**62
+    assert (log.recv[log.present] > log.sender[np.nonzero(log.present)[1]]).all()
