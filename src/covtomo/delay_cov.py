@@ -49,7 +49,6 @@ from .model import CovarianceMatrix, DelaySeries, MeasurementLog, NodeId
 _US2_PER_MS2 = 10**6
 _F64_EXACT = 2**53  # float64 holds every integer of smaller magnitude
 _I64_LIMIT = 2**63
-_RAW_LIMIT = 2**62  # int64 timestamps below this give exact int64 differences
 
 
 def align_pairs(log: MeasurementLog, receivers) -> tuple[int, ...]:
@@ -121,10 +120,6 @@ def estimate_covariance(sa: DelaySeries, sb: DelaySeries) -> float:
     return acc / (n - 1) / _US2_PER_MS2
 
 
-def _within_raw_limit(values) -> bool:
-    return not values.size or (-_RAW_LIMIT < values.min() and values.max() < _RAW_LIMIT)
-
-
 class _Columns(NamedTuple):
     """The kernel's inputs over one receiver order (see `_columns`)."""
 
@@ -134,55 +129,19 @@ class _Columns(NamedTuple):
     wide: bool  # the numerator needs Python ints
 
 
-def _fill_columns(log: MeasurementLog, ids, dtype):
-    """Row-shifted send-to-arrival offsets over pair indices 0..n-1, zero
-    where a packet was lost, the presence mask of the same rows (None when
-    no packet was lost), and the largest offset magnitude.
-
-    With ``dtype=np.int64`` offsets are taken in int64 and stored as float64
-    (OverflowError when a timestamp is 2^62 or more in magnitude); with
-    ``dtype=object`` they are Python ints. Each row is shifted by its
-    integer midrange, which minimises its largest |x|.
-    """
-    if tuple(ids) == log.ids:
-        present, recv = log.present, log.recv
-    else:
-        rows = [log.row(r) for r in ids]
-        present, recv = log.present[rows], log.recv[rows]
-    complete = bool(present.all())
-    if dtype is np.int64:
-        if recv.dtype == object or not (_within_raw_limit(log.sender) and _within_raw_limit(recv)):
-            raise OverflowError("timestamps too large for int64 offsets")
-        off = recv - log.sender
-        bound = int(np.iinfo(np.int64).max)
-    else:
-        off = recv.astype(object) - log.sender.astype(object)
-        bound = int(np.abs(off).max(initial=0)) + 1
-    del recv
-    # over the arrivals only; a row without arrivals reads +-bound
-    arrivals = True if complete else present
-    lo = off.min(axis=1, where=arrivals, initial=bound).tolist()
-    hi = off.max(axis=1, where=arrivals, initial=-bound).tolist()
-    # in Python ints, as lo + hi can overflow int64; a row without arrivals
-    # gets mid 0 and a negative spread
-    mids = [(a + b) // 2 for a, b in zip(lo, hi)]
-    xmax = max([0] + [max(b - m, m - a) for a, b, m in zip(lo, hi, mids)])
-    # shifted as the offsets are cast into the output, then lost slots zeroed
-    x = np.empty(present.shape, dtype=np.float64 if dtype is np.int64 else object)
-    np.subtract(off, np.array(mids, dtype=dtype)[:, None], out=x)
-    if complete:
-        return x, None, xmax
-    x *= present
-    return x, present, xmax
-
-
 def _columns(log: MeasurementLog, ids) -> _Columns:
-    """The kernel's inputs for ``ids``: X, its row sums, and M when some
-    receiver lost a packet.
+    """The kernel's inputs for ``ids``: row-shifted send-to-arrival offsets
+    X over pair indices 0..n-1, zero where a packet was lost, their row
+    sums, and the presence mask M of the same rows when some receiver lost
+    a packet. Each row is shifted by its integer midrange, which minimises
+    its largest |x|.
 
     Exactness contract, with n the most arrivals of any receiver and x the
     largest shifted offset:
 
+    * The log holds timestamps below 2^62 in magnitude
+      (`MeasurementLog`), so every offset, and its shifted value at an
+      arrival, is an exact int64 (a lost slot may wrap; it is zeroed).
     * X and M are float64 only while n * x^2 < 2^53. Every product and
       partial sum of the BLAS sums, and each row sum, is then an integer
       below 2^53, so they are exact whatever the summation order.
@@ -190,24 +149,39 @@ def _columns(log: MeasurementLog, ids) -> _Columns:
       n^2 * x^2 by Cauchy-Schwarz, as is each of its two products), and the
       denominator while n^2 * 10^6 < 2^63; otherwise both are taken in
       Python ints (``wide``).
-    * When the float64 guard fails, or a timestamp is too large for int64
-      offsets, X and M hold Python ints (dtype=object), and numpy's object
-      matmul sums them exactly with the same formula.
+    * When the float64 guard fails, X and M hold Python ints
+      (dtype=object), and numpy's object matmul sums them exactly with the
+      same formula.
     """
-    try:
-        x, present, xmax = _fill_columns(log, ids, np.int64)
-    except OverflowError:
-        x = None
+    ids = tuple(ids)
+    if ids == log.ids:
+        rows, counts = slice(None), log.counts
     else:
-        # the per-row arrival counts were taken when the log was built
-        nmax = x.shape[1] if present is None else max((len(log.arrivals[r]) for r in ids), default=0)
-        wide = nmax**2 * max(xmax**2, _US2_PER_MS2) >= _I64_LIMIT
-        if nmax * xmax**2 >= _F64_EXACT:
-            x = None
-    if x is None:
-        x, present, _ = _fill_columns(log, ids, object)
-        wide = True
-    m = None if present is None else present.astype(x.dtype)
+        rows = [log.row(r) for r in ids]
+        counts = [log.counts[i] for i in rows]
+    present = log.present[rows]
+    complete = bool(present.all())
+    off = log.recv[rows] - log.sender
+    # over the arrivals only; a row without arrivals reads +-bound
+    arrivals = True if complete else present
+    bound = int(np.iinfo(np.int64).max)
+    lo = off.min(axis=1, where=arrivals, initial=bound).tolist()
+    hi = off.max(axis=1, where=arrivals, initial=-bound).tolist()
+    # in Python ints, as lo + hi can overflow int64; a row without arrivals
+    # gets mid 0 and a negative spread
+    mids = [(a + b) // 2 for a, b in zip(lo, hi)]
+    xmax = max([0] + [max(b - m, m - a) for a, b, m in zip(lo, hi, mids)])
+    nmax = present.shape[1] if complete else max(counts, default=0)
+    fits_f64 = nmax * xmax**2 < _F64_EXACT
+    wide = not fits_f64 or nmax**2 * max(xmax**2, _US2_PER_MS2) >= _I64_LIMIT
+    # shifted as the offsets are cast into X, then lost slots zeroed
+    x = np.empty(present.shape, dtype=np.float64 if fits_f64 else object)
+    np.subtract(off, np.array(mids, dtype=np.int64)[:, None], out=x)
+    del off
+    m = None
+    if not complete:
+        x *= present
+        m = present.astype(x.dtype)
     return _Columns(x, m, x.sum(axis=1), wide)
 
 

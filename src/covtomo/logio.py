@@ -24,17 +24,17 @@ records: each line is one row of a uint32 matrix holding the template
 bytes, NUL-padded decimal fields for K and T (four digits per word from a
 lookup table, a sign word before T) and NUL in every unused byte, and the
 block is written with its NULs dropped. json.dumps escapes every control
-character, so no record holds a NUL of its own. Timestamps past int64
-(dtype=object columns) take the same path with their T field formatted
-per value.
+character, so no record holds a NUL of its own.
 
 `import_log` has two readers. `_parse_exported` parses the whole file in a
 few numpy passes, with no Python work per line. It takes only canonical
 lines, in any order, whose numbers have 1 to 18 digits (no sign, no
-leading zero) and whose UTF-8 names need no escape (no ``"``, ``\``, or
-byte below 0x20), and returns None for anything else, including every log
-with an error. `_parse_lines` reads any valid JSON records and is the only
-source of `LogFormatError`. The contract is that `_parse_exported` returns
+leading zero, so below 10^18 and inside the log's 2^62 us range) and
+whose UTF-8 names need no escape (no ``"``, ``\``, or byte below 0x20),
+and returns None for anything else, including every log with an error.
+`_parse_lines` reads any valid JSON records and is the only source of
+`LogFormatError`; it refuses a ``ts_us`` of 2^62 or more in magnitude,
+which only it can read. The contract is that `_parse_exported` returns
 either None or a log equal to the one `_parse_lines` returns, so every
 log, message and line number is the line loop's.
 
@@ -70,7 +70,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, LogFormatError
-from .model import CovarianceMatrix, MeasurementLog, RoutingTree
+from .model import TIMESTAMP_LIMIT_US, CovarianceMatrix, MeasurementLog, RoutingTree
 
 
 def export_log(log: MeasurementLog, path) -> None:
@@ -165,16 +165,10 @@ def _block_lines(k: np.ndarray, mids: list, which: np.ndarray, ts: np.ndarray, t
     its own, since json.dumps escapes every control character, so dropping
     the NULs leaves the lines.
     """
-    wide = ts.dtype == object
-    if wide:
-        # Python ints past int64: only this field is formatted per value
-        text = [str(t).encode() for t in ts.tolist()]
-        ts_words = _words(max(map(len, text)))
-    else:
-        negative = ts < 0
-        magnitude = ts.astype(np.uint64)
-        np.negative(magnitude, out=magnitude, where=negative)
-        ts_words = _words(len(str(magnitude.max())))
+    negative = ts < 0
+    magnitude = ts.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)
+    ts_words = _words(len(str(magnitude.max())))
     # words per field: head, k, middle, sign, ts, tail with newline
     sizes = (_words(len(_HEAD)), _words(len(str(k.max()))), _words(max(map(len, mids))), 1, ts_words, 5)
     head, k_field, mid, sign, ts_field, tail_field = (
@@ -185,11 +179,8 @@ def _block_lines(k: np.ndarray, mids: list, which: np.ndarray, ts: np.ndarray, t
         template[:, field] = _as_words(parts, field.stop - field.start)
     mat = np.take(template, which, axis=0)
     _put_decimal(k.astype(np.uint64), mat[:, k_field])
-    if wide:
-        mat[:, ts_field] = _as_words(text, ts_words)
-    else:
-        mat[:, sign.start] = _MINUS_WORDS[negative.view(np.uint8)]
-        _put_decimal(magnitude, mat[:, ts_field])
+    mat[:, sign.start] = _MINUS_WORDS[negative.view(np.uint8)]
+    _put_decimal(magnitude, mat[:, ts_field])
     flat = mat.reshape(-1).view(np.uint8)
     return flat[flat != 0]
 
@@ -231,8 +222,9 @@ def import_log(path) -> MeasurementLog:
     """Parse and validate an NDJSON measurement log.
 
     Raises LogFormatError (with the offending line number) on malformed
-    records, duplicate send/recv entries, non-monotone sender timestamps,
-    unknown pair indices, or arrivals before the matching send.
+    records, a ``ts_us`` of 2^62 or more in magnitude, duplicate send/recv
+    entries, non-monotone sender timestamps, unknown pair indices, or
+    arrivals before the matching send.
 
     A file in the canonical bytes `export_log` writes is parsed in
     whole-array passes (`_parse_exported`). Any other file, and every file
@@ -252,6 +244,7 @@ def import_log(path) -> MeasurementLog:
 # a byte that is not UTF-8, as the surrogateescape error handler decodes it
 _UNDECODED = re.compile("[\udc80-\udcff]")
 _TOO_DEEP = "invalid JSON: nested too deeply"
+_TS_RANGE = "field 'ts_us' must lie strictly between -2^62 and 2^62"
 
 # numbers are read from windows of _WIDTH bytes, so at most _WIDTH - 1
 # digits: below 10**18, which no uint64 Horner step can overflow
@@ -456,6 +449,8 @@ def _parse_lines(data: bytes) -> MeasurementLog:
             if rtype == "send":
                 k = _field(record, "k", int, lineno)
                 ts = _field(record, "ts_us", int, lineno)
+                if not -TIMESTAMP_LIMIT_US < ts < TIMESTAMP_LIMIT_US:
+                    raise LogFormatError(_TS_RANGE, lineno)
                 if k in sender_ts:
                     raise LogFormatError(f"duplicate send record for k={k}", lineno)
                 if k < 0:
@@ -469,6 +464,8 @@ def _parse_lines(data: bytes) -> MeasurementLog:
                     k = _field(record, "k", int, lineno)
                     ts = _field(record, "ts_us", int, lineno)
                     receiver = _field(record, "receiver", str, lineno)
+                if not -TIMESTAMP_LIMIT_US < ts < TIMESTAMP_LIMIT_US:
+                    raise LogFormatError(_TS_RANGE, lineno)
                 entries = arrivals.get(receiver)
                 if entries is None:
                     entries = arrivals[receiver] = {}

@@ -3,7 +3,10 @@ recovery and scoring.
 
 Conventions used throughout the package:
 
-* timestamps are integer microseconds,
+* timestamps are integer microseconds, int64 and below
+  ``TIMESTAMP_LIMIT_US`` (2^62 us, about 146,000 years) in magnitude, so
+  the difference of any two is an exact int64. `MeasurementLog` refuses
+  any other column, and the log reader any other ``ts_us``,
 * covariances are reported in ms^2 (1 ms^2 == 10^6 us^2, conversion exact),
 * node ids are plain strings; hosts and routers share one namespace.
   Router ids, the simulator's and those inference creates alike, are
@@ -24,6 +27,7 @@ from .errors import InputError, InvariantError
 NodeId = str
 
 ROUTER_ID_PREFIX = "r"
+TIMESTAMP_LIMIT_US = 2**62
 
 
 def is_router_id(node: NodeId) -> bool:
@@ -356,13 +360,16 @@ class _Arrivals(Mapping):
     def __getitem__(self, receiver):
         log = self._log
         i = log._row[receiver]
-        return _Timestamps(log.recv[i], log.present[i], log._counts[i])
+        return _Timestamps(log.recv[i], log.present[i], log.counts[i])
 
     def __iter__(self):
         return iter(self._log.ids)
 
     def __len__(self) -> int:
         return len(self._log.ids)
+
+
+_OUT_OF_RANGE = "timestamps must lie strictly between -2^62 and 2^62 us"
 
 
 class MeasurementLog:
@@ -372,16 +379,18 @@ class MeasurementLog:
     * ``sender[k]``: the time (us) the k-th packet pair left the sender;
     * ``recv[i, k]``: the time (us) pair k arrived at ``ids[i]``, and
       ``present[i, k]`` (bool) False where that packet was lost, in which
-      case ``recv[i, k]`` holds 0.
+      case ``recv[i, k]`` holds 0;
+    * ``counts``: a tuple of each receiver's number of arrivals, taken at
+      construction.
 
     ``sender`` is the send schedule, evenly spaced or not: the pairs ride on
-    a data flow. ``sender`` and ``recv`` are int64 when every timestamp fits
-    int64 and dtype=object arrays of Python ints otherwise. The arrays are
-    read-only. Logs built from dicts go through `from_dicts`.
+    a data flow. ``sender`` and ``recv`` are int64 with every value below
+    ``TIMESTAMP_LIMIT_US`` in magnitude; other columns raise InputError.
+    The arrays are read-only. Logs built from dicts go through `from_dicts`.
 
     ``arrivals`` ({receiver: {k: ts}}) is a read-only Mapping view over
-    the rows. It copies nothing: ``len(log.arrivals[r])`` is a per-row count
-    taken at construction.
+    the rows, for readers of the dict form; the package reads the columns.
+    It copies nothing: ``len(log.arrivals[r])`` reads ``counts``.
     """
 
     def __init__(self, ids, sender, recv, present):
@@ -391,6 +400,11 @@ class MeasurementLog:
         shape = (len(self.ids), len(sender))
         if sender.ndim != 1 or recv.shape != shape or present.shape != shape:
             raise InputError("log columns do not match the receivers and the sender column")
+        for column in (sender, recv):
+            if column.dtype != np.int64:
+                raise InputError(f"timestamps must be int64, got {column.dtype}")
+            if column.size and not (-TIMESTAMP_LIMIT_US < column.min() and column.max() < TIMESTAMP_LIMIT_US):
+                raise InputError(_OUT_OF_RANGE)
         for column in (sender, recv, present):
             column.flags.writeable = False
         self.sender = sender
@@ -398,7 +412,7 @@ class MeasurementLog:
         self.present = present
         self.receivers = frozenset(self.ids)
         self._row = {r: i for i, r in enumerate(self.ids)}
-        self._counts = present.sum(axis=1).tolist()
+        self.counts = tuple(present.sum(axis=1).tolist())
         self.arrivals = _Arrivals(self)
 
     @classmethod
@@ -407,7 +421,8 @@ class MeasurementLog:
         ({receiver: {k: ts}}; a missing k is a lost packet).
 
         Raises InvariantError when the sender indices are not 0..n-1 or an
-        arrival names an index outside them.
+        arrival names an index outside them, and InputError when a
+        timestamp is ``TIMESTAMP_LIMIT_US`` or more in magnitude.
         """
         n = len(sender_ts)
         if sorted(sender_ts) != list(range(n)):
@@ -422,19 +437,15 @@ class MeasurementLog:
                 raise InvariantError(f"arrival for unknown pair index {k} at {r!r}")
             rows.append((np.array(keys, dtype=np.intp), list(entries.values())))
         present = np.zeros((len(ids), n), dtype=bool)
-        for i, (keys, _) in enumerate(rows):
-            present[i, keys] = True
-
-        def columns(dtype):
-            recv = np.zeros((len(ids), n), dtype=dtype)
-            for i, (keys, ts) in enumerate(rows):
-                recv[i, keys] = ts
-            return np.array([sender_ts[k] for k in range(n)], dtype=dtype), recv
-
+        recv = np.zeros((len(ids), n), dtype=np.int64)
         try:
-            sender, recv = columns(np.int64)
+            sender = np.array([sender_ts[k] for k in range(n)], dtype=np.int64)
+            for i, (keys, ts) in enumerate(rows):
+                present[i, keys] = True
+                recv[i, keys] = ts
         except OverflowError:
-            sender, recv = columns(object)
+            # past int64, so past the limit too
+            raise InputError(_OUT_OF_RANGE) from None
         return cls(ids, sender, recv, present)
 
     @property

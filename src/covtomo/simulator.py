@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError, InvariantError
-from .model import ROUTER_ID_PREFIX, MeasurementLog, NodeId, RoutingTree, is_router_id
+from .model import ROUTER_ID_PREFIX, TIMESTAMP_LIMIT_US, MeasurementLog, NodeId, RoutingTree, is_router_id
 
 # rng stream tags so topology, sessions and growth draw independent streams
 _STREAM_TOPOLOGY = 1
@@ -60,9 +60,6 @@ _JITTER_OFFSET_SIGMAS = 5.0
 # magnitude (its tail step takes the log of one 53-bit uniform); the delay
 # bound takes a draw to lie within this many sigmas
 _NORMAL_BOUND_SIGMAS = 64.0
-# every timestamp a session writes stays below this in magnitude, so it is
-# an exact int64 and the difference of any two is too (delay_cov._RAW_LIMIT)
-_TIMESTAMP_LIMIT = 2**62
 _INT_FIELDS = (
     "n_hosts", "n_routers", "links_per_node", "lary_arity", "seed", "packet_size_bytes", "n_pairs",
     "pair_interval_us",
@@ -88,7 +85,8 @@ class SimulatorConfig:
     setup (150 hosts, 50 routers, 100 Mbps links, 70% of hosts as clients).
 
     A config is refused (ConfigError) unless every timestamp its sessions
-    can write stays an exact int64 below 2^62 (see `_timestamp_bound_us`).
+    can write stays below ``TIMESTAMP_LIMIT_US`` (2^62) in magnitude, the
+    domain `MeasurementLog` accepts (see `_timestamp_bound_us`).
     """
 
     n_hosts: int = 150
@@ -174,7 +172,7 @@ class SimulatorConfig:
             if not _finite(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number")
         bound = self._timestamp_bound_us()
-        if not bound < _TIMESTAMP_LIMIT:
+        if not bound < TIMESTAMP_LIMIT_US:
             raise ConfigError(
                 f"delays too large: a timestamp could reach {bound:.3g} us, past the exact int64 range (2^62 us)"
             )

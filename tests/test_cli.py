@@ -135,8 +135,12 @@ def test_overlong_integer_literal_is_a_data_error(tmp_path, capsys):
             b'{"type": "send", "k": 0, "ts_us": 0}\n{"type": "recv", "receiver": "a\xff", "k": 0, "ts_us": 5}\n',
             "line 2: invalid UTF-8: byte 0xff",
         ),
+        (
+            b'{"type": "send", "k": 0, "ts_us": 0}\n{"type": "send", "k": 1, "ts_us": 4611686018427387904}\n',
+            "line 2: field 'ts_us' must lie strictly between -2^62 and 2^62",
+        ),
     ],
-    ids=["nested_too_deeply", "not_utf8"],
+    ids=["nested_too_deeply", "not_utf8", "ts_past_2_62"],
 )
 def test_undecodable_log_is_a_data_error(tmp_path, capsys, text, message):
     bad_log = tmp_path / "bad.ndjson"

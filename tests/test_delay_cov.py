@@ -15,7 +15,7 @@ from covtomo.delay_cov import (
     normalize_series,
 )
 from covtomo.errors import InputError, InsufficientDataError, MeasurementGapError
-from covtomo.model import DelaySeries, MeasurementLog
+from covtomo.model import TIMESTAMP_LIMIT_US, DelaySeries, MeasurementLog
 from covtomo.simulator import SimulatorConfig, generate_topology, simulate_session
 
 MS2 = 10**6  # us^2 per ms^2
@@ -418,7 +418,7 @@ def assert_kernel_matches_reference(log):
         (50, 2 * 10**11, 0),  # int64 products overflow: Python-int sums
         (2000, 3_800_000, 0),  # exact float64 sums, numerator beyond int64
         (2000, 2_999_999, 0),  # int64 numerator beyond 2^53: exact division
-        (50, 1000, 2**64),  # timestamps beyond int64
+        (50, 1000, TIMESTAMP_LIMIT_US - 2**20),  # timestamps just below the log's limit
     ],
 )
 def test_kernel_exact_at_large_magnitudes(n, swing, clock):
@@ -437,16 +437,22 @@ def test_kernel_exact_at_large_magnitudes(n, swing, clock):
     assert_kernel_matches_reference(log)
 
 
-def test_kernel_exact_when_offsets_wrap_int64():
-    # every timestamp fits int64, but the send-to-arrival offsets span 2^64
+def test_kernel_exact_when_offsets_span_nearly_2_63():
+    # senders at the bottom of the log's range and every other arrival near
+    # its top: the send-to-arrival offsets span nearly 2^63, still exact in
+    # int64, and X holds Python ints
     n, delta = 40, 1000
-    sender = [-(2**63) + k * delta for k in range(n)]
-    jump = 2**64 - 2**20
+    sender = [-(TIMESTAMP_LIMIT_US - 1) + k * delta for k in range(n)]
+    jump = 2**63 - 2**20
     arrivals = {
         r: {k: sender[k] + (k % 2) * jump + k * step for k in range(n)}
         for r, step in (("a", 3), ("b", 5))
     }
-    assert_kernel_matches_reference(make_log(sender, arrivals))
+    log = make_log(sender, arrivals)
+    assert int(log.recv.max()) > TIMESTAMP_LIMIT_US - 2**20
+    cols = _columns(log, log.ids)
+    assert cols.x.dtype == object and cols.wide
+    assert_kernel_matches_reference(log)
 
 
 @pytest.mark.parametrize("lost", [(), ((0, 3),), ((0, 0), (1, 1), (2, 2), (3, 3), (3, 4))], ids=["none", "some", "every"])
@@ -482,7 +488,7 @@ def lossy_logs(draw, loss_free=False):
         sender = list(itertools.accumulate(gaps))
     anchors = set(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
     swing = draw(st.sampled_from([10, 10**4, 10**7, 10**11]))
-    clock = draw(st.sampled_from([0, 10**9, 2**64]))
+    clock = draw(st.sampled_from([0, 10**9, TIMESTAMP_LIMIT_US - 2**40]))
     arrivals = {}
     for r in range(draw(st.integers(2, 5))):
         every = loss_free or draw(st.booleans())

@@ -21,7 +21,7 @@ from covtomo.logio import (
     save_matrix,
     save_tree,
 )
-from covtomo.model import CovarianceMatrix, MeasurementLog
+from covtomo.model import TIMESTAMP_LIMIT_US, CovarianceMatrix, MeasurementLog
 from covtomo.simulator import SimulatorConfig, generate_topology, simulate_session
 
 from treegen import random_truth_tree, relabel_routers
@@ -84,7 +84,13 @@ def reference_ndjson(log) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-@pytest.mark.parametrize("clock", [0, 2**64])
+# the largest timestamp magnitude a log holds: 19 digits, past the array
+# reader's 18
+EDGE = TIMESTAMP_LIMIT_US - 1
+
+
+# the last timestamp below is clock + 126
+@pytest.mark.parametrize("clock", [0, -EDGE, EDGE - 126])
 def test_export_bytes_equal_per_record_json_dumps(tmp_path, clock):
     names = ["plain", 'quo"te', "back\\slash", "pct%d%s%%", "na\u00efve-\u03c0\u03c1", "\U0001f600", "tab\t"]
     arrivals = {
@@ -97,26 +103,23 @@ def test_export_bytes_equal_per_record_json_dumps(tmp_path, clock):
     assert import_log(path) == log
 
 
-INT64_EDGES = [-(2**63), -(2**63) + 1, -10001, -10000, -1, 0, 1, 9999, 10000, 2**63 - 1]
+RANGE_EDGES = [-EDGE, -EDGE + 1, -(10**18), -10001, -10000, -1, 0, 1, 9999, 10000, 10**18, EDGE - 1, EDGE]
 
 
 @st.composite
 def exportable_logs(draw):
     """Columns as `MeasurementLog` takes them, unchecked beyond that: any
-    int64 timestamps (negative, out of order, the int64 extremes), or
-    dtype=object ones past int64; receivers without arrivals; names with
-    characters json.dumps escapes, ``%`` and non-ASCII characters."""
+    timestamps of the log's range (negative, out of order, its edges);
+    receivers without arrivals; names with characters json.dumps escapes,
+    ``%`` and non-ASCII characters."""
     n = draw(st.integers(0, 9))
     chars = st.one_of(st.sampled_from('a%"\\\t\x00\x1f\x7f é\U0001f600'), st.characters(codec="utf-8"))
     ids = sorted(draw(st.lists(st.text(chars, max_size=6), max_size=5, unique=True)))
-    if draw(st.booleans()):
-        dtype, ints = np.int64, st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(INT64_EDGES))
-    else:
-        dtype, ints = object, st.one_of(st.integers(-(2**80), 2**80), st.sampled_from([-(2**64), 2**64]))
-    sender = np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=dtype)
+    ints = st.one_of(st.integers(-EDGE, EDGE), st.sampled_from(RANGE_EDGES))
+    sender = np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64)
     present = np.array(draw(st.lists(st.booleans(), min_size=n * len(ids), max_size=n * len(ids))), bool)
     present = present.reshape(len(ids), n)
-    recv = np.zeros(present.shape, dtype=dtype)
+    recv = np.zeros(present.shape, dtype=np.int64)
     for i, k in zip(*np.nonzero(present)):
         recv[i, k] = draw(ints)
     return MeasurementLog(ids, sender, recv, present)
@@ -282,6 +285,23 @@ ERROR_TABLE = [
         "line 4: arrival at 150 before send at 200 for ('a\\u2028b', k=1)",
         4,
     ),
+    # timestamps must lie strictly between -2^62 and 2^62, checked before
+    # duplicates and arrival order
+    (
+        SEND0 + '\n{"type": "send", "k": 1, "ts_us": 4611686018427387904}\n',
+        "line 2: field 'ts_us' must lie strictly between -2^62 and 2^62",
+        2,
+    ),
+    (
+        SEND0 + "\n" + SEND1 + "\n\n" + recv("a", 0, -(2**62)) + "\n",
+        "line 4: field 'ts_us' must lie strictly between -2^62 and 2^62",
+        4,
+    ),
+    (
+        SEND0 + "\n" + recv("a", 0, 2**64) + "\n" + recv("a", 0, 150) + "\n",
+        "line 2: field 'ts_us' must lie strictly between -2^62 and 2^62",
+        2,
+    ),
     # int() refuses literals of more than sys.get_int_max_str_digits()
     (
         SEND0 + '\n{"type": "send", "k": ' + "1" * 5001 + ', "ts_us": 200}\n',
@@ -332,6 +352,20 @@ def test_format_error_messages_exact(tmp_path, text, message, line):
     with pytest.raises(LogFormatError) as exc:
         import_log(path)
     assert (str(exc.value), exc.value.line) == (message, line)
+
+
+def test_19_digit_timestamps_import_through_the_line_loop(tmp_path):
+    # EDGE has 19 digits, one more than the array reader takes
+    assert len(str(EDGE)) == 19
+    sender_ts = {0: EDGE - 10, 1: EDGE - 5}
+    arrivals = {"a": {0: EDGE - 7, 1: EDGE}, "b": {1: EDGE - 1}}
+    log = MeasurementLog.from_dicts(sender_ts, arrivals)
+    path = tmp_path / "log.ndjson"
+    export_log(log, path)
+    data = path.read_bytes()
+    assert b'"ts_us": 4611686018427387903' in data
+    assert _parse_exported(data) is None
+    assert import_log(path) == _parse_lines(data) == log
 
 
 def test_missing_send_index_costs_nothing_per_absent_index(tmp_path):
@@ -575,9 +609,9 @@ def heard_logs(draw):
     """Logs that export and import back unchanged: every receiver has an
     arrival, and senders are evenly or unevenly spaced. Names are
     printable ASCII or mix in characters the export escapes; timestamps
-    reach up to 2^63 - 1."""
+    reach up to the edge of the log's range."""
     n = draw(st.integers(1, 12))
-    top = draw(st.sampled_from([10**6, 10**18 - 1, 2**63 - 1]))
+    top = draw(st.sampled_from([10**6, 10**18 - 1, EDGE]))
     clock = draw(st.integers(0, top // 2))
     if draw(st.booleans()):
         gaps = [draw(st.integers(1, (top - clock) // max(n, 2)))] * (n - 1)

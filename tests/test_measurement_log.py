@@ -12,30 +12,47 @@ from hypothesis import strategies as st
 
 from covtomo.errors import InputError, InvariantError
 from covtomo.logio import export_log, import_log
-from covtomo.model import MeasurementLog
+from covtomo.model import TIMESTAMP_LIMIT_US, MeasurementLog
 
-I64 = 2**63
+# the largest timestamp magnitude a log holds
+EDGE = TIMESTAMP_LIMIT_US - 1
+OUT_OF_RANGE = r"timestamps must lie strictly between -2\^62 and 2\^62 us"
 
 
 @st.composite
 def log_dicts(draw):
     """(sender_ts, arrivals) in the form `import_log` gives back: senders
     evenly or unevenly spaced, receivers in sorted order, some receivers
-    without arrivals, and timestamps that may pass 2^63."""
+    without arrivals, and timestamps anywhere in the log's range: the
+    first send may sit at its lower edge, or the last timestamp at its
+    upper edge."""
     n = draw(st.integers(1, 12))
-    clock = draw(st.sampled_from([0, 10**9, I64 - 2**20, 2**64]))
+    clock = draw(st.sampled_from([0, 10**9, "low", "high"]))
     if draw(st.booleans()):
         gaps = [draw(st.integers(1, 1000))] * (n - 1)
     else:
         gaps = draw(st.lists(st.integers(1, 10**6), min_size=n - 1, max_size=n - 1))
-    sender = list(itertools.accumulate(gaps, initial=clock))
+    sender = list(itertools.accumulate(gaps, initial=0))
     names = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=4, unique=True))
     arrivals = {}
     for r in sorted(names):
         ks = sorted(draw(st.sets(st.integers(0, n - 1))))
         delays = draw(st.lists(st.integers(0, 10**7), min_size=len(ks), max_size=len(ks)))
         arrivals[r] = {k: sender[k] + d for k, d in zip(ks, delays)}
-    return dict(enumerate(sender)), arrivals
+    last = max(itertools.chain(sender, *(e.values() for e in arrivals.values())))
+    shift = {"low": -EDGE, "high": EDGE - last}.get(clock, clock)
+    arrivals = {r: {k: ts + shift for k, ts in e.items()} for r, e in arrivals.items()}
+    return {k: ts + shift for k, ts in enumerate(sender)}, arrivals
+
+
+def nudged(ts):
+    """``ts`` moved by one toward 0, so it stays in the log's range."""
+    return ts - 1 if ts > 0 else ts + 1
+
+
+def in_range(sender_ts, arrivals):
+    stamps = itertools.chain(sender_ts.values(), *(e.values() for e in arrivals.values()))
+    return all(-EDGE <= ts <= EDGE for ts in stamps)
 
 
 def reference_validate(sender_ts, arrivals):
@@ -52,11 +69,6 @@ def reference_validate(sender_ts, arrivals):
                 raise InvariantError(f"arrival before send for ({r!r}, k={k})")
 
 
-def fits_int64(sender_ts, arrivals):
-    stamps = itertools.chain(sender_ts.values(), *(e.values() for e in arrivals.values()))
-    return all(-I64 <= ts < I64 for ts in stamps)
-
-
 @settings(max_examples=150)
 @given(log_dicts())
 def test_views_equal_the_input_dicts(dicts):
@@ -66,8 +78,7 @@ def test_views_equal_the_input_dicts(dicts):
     assert log.ids == tuple(sorted(arrivals))
     assert log.receivers == frozenset(arrivals)
     assert log.n_pairs == len(sender_ts)
-    assert (log.sender.dtype == object) == (not fits_int64(sender_ts, arrivals))
-    assert log.recv.dtype == log.sender.dtype
+    assert log.sender.dtype == log.recv.dtype == np.int64
     assert log.sender.tolist() == [sender_ts[k] for k in range(log.n_pairs)]
     assert list(log.arrivals) == sorted(arrivals)
     for r, entries in arrivals.items():
@@ -78,7 +89,7 @@ def test_views_equal_the_input_dicts(dicts):
         assert not log.recv[row][~log.present[row]].any()
         view = log.arrivals[r]
         assert view == entries and dict(view.items()) == entries
-        assert len(view) == len(entries)
+        assert len(view) == len(entries) == log.counts[row]
         assert list(view) == sorted(entries)
         for k in range(-1, log.n_pairs + 1):
             assert view.get(k) == entries.get(k)
@@ -96,7 +107,8 @@ def test_equality_compares_ids_sender_and_present_arrivals(dicts, data):
     silent = dict(arrivals, **{"".join(arrivals) + "!": {}})  # a name longer than any drawn
     assert log != MeasurementLog.from_dicts(sender_ts, silent)
     later = dict(sender_ts)
-    later[data.draw(st.sampled_from(sorted(later)))] += 1
+    k = data.draw(st.sampled_from(sorted(later)))
+    later[k] = nudged(later[k])
     assert log != MeasurementLog.from_dicts(later, arrivals)
     # an absent slot's stored value is not part of the log
     recv = log.recv.copy()
@@ -106,7 +118,7 @@ def test_equality_compares_ids_sender_and_present_arrivals(dicts, data):
     if full:
         r, k = data.draw(st.sampled_from(full))
         moved = {q: dict(e) for q, e in arrivals.items()}
-        moved[r][k] += 1
+        moved[r][k] = nudged(moved[r][k])
         assert log != MeasurementLog.from_dicts(sender_ts, moved)
         del moved[r][k]
         assert log != MeasurementLog.from_dicts(sender_ts, moved)
@@ -148,6 +160,11 @@ def test_validate_raises_the_dict_checks_messages(dicts, fault, data):
         if full:
             r, k = data.draw(st.sampled_from(full))
             arrivals[r][k] = sender_ts[k] - data.draw(st.integers(1, 10))
+    if not in_range(sender_ts, arrivals):
+        # a fault at an edge of the range
+        with pytest.raises(InputError, match=OUT_OF_RANGE):
+            MeasurementLog.from_dicts(sender_ts, arrivals)
+        return
     log = MeasurementLog.from_dicts(sender_ts, arrivals)
     try:
         reference_validate(sender_ts, arrivals)
@@ -172,9 +189,57 @@ def test_from_dicts_rejects_indices_outside_the_sender(sender_ts, arrivals, mess
         MeasurementLog.from_dicts(sender_ts, arrivals)
 
 
+@pytest.mark.parametrize("column", ["sender", "recv"])
+@pytest.mark.parametrize(
+    "ts, accepted",
+    [
+        (EDGE, True),
+        (-EDGE, True),
+        (TIMESTAMP_LIMIT_US, False),
+        (-TIMESTAMP_LIMIT_US, False),
+        (2**63 - 1, False),
+        (-(2**63), False),
+    ],
+)
+def test_timestamps_must_lie_below_the_limit(column, ts, accepted):
+    columns = {"sender": [0, 1], "recv": [0, 1]}
+    columns[column] = [ts, ts + 1] if ts < 0 else [ts - 1, ts]
+    sender_ts, arrivals = dict(enumerate(columns["sender"])), {"a": dict(enumerate(columns["recv"]))}
+    args = (("a",), np.array(columns["sender"], np.int64), np.array([columns["recv"]], np.int64), np.ones((1, 2), bool))
+    if accepted:
+        assert MeasurementLog(*args) == MeasurementLog.from_dicts(sender_ts, arrivals)
+        return
+    with pytest.raises(InputError, match=OUT_OF_RANGE):
+        MeasurementLog(*args)
+    with pytest.raises(InputError, match=OUT_OF_RANGE):
+        MeasurementLog.from_dicts(sender_ts, arrivals)
+
+
+@pytest.mark.parametrize("ts", [2**63, -(2**63) - 1, 2**64, -(2**80)])
+@pytest.mark.parametrize("column", ["sender", "recv"])
+def test_from_dicts_refuses_timestamps_past_int64(column, ts):
+    sender_ts, arrivals = {0: -EDGE, 1: 0}, {"a": {1: 5}}
+    if column == "sender":
+        sender_ts[1] = ts
+    else:
+        arrivals["a"][1] = ts
+    with pytest.raises(InputError, match=OUT_OF_RANGE):
+        MeasurementLog.from_dicts(sender_ts, arrivals)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.float64, object])
+@pytest.mark.parametrize("column", ["sender", "recv"])
+def test_timestamp_columns_must_be_int64(column, dtype):
+    columns = {"sender": np.array([0, 10], np.int64), "recv": np.array([[3, 12]], np.int64)}
+    columns[column] = columns[column].astype(dtype)
+    with pytest.raises(InputError, match=f"timestamps must be int64, got {np.dtype(dtype)}"):
+        MeasurementLog(("a",), columns["sender"], columns["recv"], np.ones((1, 2), bool))
+
+
 def test_columns_are_read_only():
     log = MeasurementLog.from_dicts({0: 0, 1: 10}, {"a": {0: 3}, "b": {}})
     assert len(log.arrivals["b"]) == 0 and log.arrivals["b"] == {}
+    assert log.counts == (1, 0)
     for column in (log.sender, log.recv, log.present):
         with pytest.raises(ValueError):
             column[0] = 1

@@ -17,7 +17,7 @@ from covtomo import simulator
 from covtomo.delay_cov import align_pairs, build_covariance_matrix, normalize_series
 from covtomo.errors import ConfigError, InputError
 from covtomo.logio import export_log, import_log
-from covtomo.model import RoutingTree, shared_covariance
+from covtomo.model import TIMESTAMP_LIMIT_US, RoutingTree, shared_covariance
 from covtomo.simulator import SimulatedNetwork, SimulatorConfig, generate_topology, grow_network, simulate_session
 
 
@@ -577,7 +577,7 @@ def test_config_rejects_delays_past_the_int64_timestamp_range():
     assert str(info.value) == "delays too large: a timestamp could reach inf us, past the exact int64 range (2^62 us)"
     # a send time at the edge leaves no room for a delay
     with pytest.raises(ConfigError, match=r"^delays too large: a timestamp could reach 4\.61e\+18 us"):
-        small_cfg(pair_schedule_us=(0, 2**62 - 1))
+        small_cfg(pair_schedule_us=(0, TIMESTAMP_LIMIT_US - 1))
     with pytest.raises(ConfigError, match=r"^delays too large"):
         small_cfg(link_base_delay_us=(0.0, 1e18))
     with pytest.raises(ConfigError, match=r"^delays too large"):
@@ -597,11 +597,11 @@ def test_one_pair_schedule_needs_a_positive_interval():
 
 def test_session_at_the_timestamp_bound_is_exact():
     # the largest sends the bound allows, with every link congested: every
-    # timestamp is an exact int64 below 2^62
-    edge = 2**62 - 10**9
+    # timestamp is an exact int64 below the log's limit
+    edge = TIMESTAMP_LIMIT_US - 10**9
     cfg = small_cfg(pair_schedule_us=tuple(range(edge - 399 * 10**6, edge + 1, 10**6)), bg_rate_bytes_per_sec=12e6)
-    assert cfg._timestamp_bound_us() < 2**62
+    assert cfg._timestamp_bound_us() < TIMESTAMP_LIMIT_US
     with np.errstate(all="raise"):
         log = simulate_session(generate_topology(cfg), cfg)
-    assert log.recv.dtype == np.int64 and int(log.recv.max()) < 2**62
+    assert log.recv.dtype == np.int64 and int(log.recv.max()) < TIMESTAMP_LIMIT_US
     assert (log.recv[log.present] > log.sender[np.nonzero(log.present)[1]]).all()
