@@ -15,10 +15,11 @@ A scenario config is a JSON document with sections:
 Presence of "sweep" switches run_scenario into sweep mode; "joins" selects
 the dynamic scenario; a config has at most one of the two. Before any run,
 `parse_config` builds every config the runs use (the simulator section's,
-one per sweep point, the join sessions' and the `RecoveryConfig`), so each
-rule is checked by the class that owns it. Join names pass
-`simulator.check_new_hosts`; under ``pair_schedule_us`` the join sessions
-run that schedule, so ``joins.n_pairs`` is its length. Every mode runs each
+one per sweep point, the join sessions' at the hosts of the last batch,
+and the `RecoveryConfig`), so each rule is checked by the class that owns
+it. Join names pass `simulator.check_new_hosts`; under
+``pair_schedule_us`` the join sessions run that schedule, so
+``joins.n_pairs`` is its length. Every mode runs each
 seed through one pass, `_run_once`: generate -> simulate -> estimate ->
 `recover_from_matrix` (DFS order, then `recover_tree` at the configured or
 the automatic rho) -> score. Reports are single JSON documents embedding
@@ -126,8 +127,10 @@ def parse_config(data: dict) -> dict:
             raise ConfigError("joins.n_pairs: the join sessions run simulator.pair_schedule_us; omit n_pairs")
         else:
             n_pairs = len(sim.pair_schedule_us)
-        with _section("joins.n_pairs"):
-            replace(sim, n_pairs=n_pairs)
+        # the join sessions' config, with the probes of every host the
+        # batches add (the last session's load) counted in n_hosts
+        with _section("joins"):
+            replace(sim, n_pairs=n_pairs, n_hosts=sim.n_hosts + sum(batches))
         names = joins.get("names")
         if names is not None:
             if not isinstance(names, list) or not all(isinstance(x, str) for x in names):

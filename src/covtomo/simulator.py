@@ -185,8 +185,8 @@ class SimulatorConfig:
         variance, congested under the probes of all n_hosts hosts, and every
         normal draw at `_NORMAL_BOUND_SIGMAS`. inf when a step overflows.
         Hosts that `grow_network` adds past n_hosts add probe load, which
-        the bound does not count: the congestion noise it adds grows with
-        the square root of the hosts below a link."""
+        this bound does not count; `scenarios.parse_config` builds the join
+        sessions' config with them counted in n_hosts."""
         if self.pair_schedule_us is not None:
             first, last, n = self.pair_schedule_us[0], self.pair_schedule_us[-1], len(self.pair_schedule_us)
         else:
@@ -394,17 +394,22 @@ def _build_truth_tree(source, clients, access_router, router_paths, link_params)
 
 
 def _extend_truth_path(tree: RoutingTree, path, link_params) -> None:
-    cum = 0.0
-    for prev, node in zip(path, path[1:]):
-        cum += link_params[SimulatedNetwork.link_key(prev, node)][1]
-        if node in tree:
-            if tree.parent(node) != prev:
-                raise InvariantError(f"routing paths disagree on parent of {node!r}")
-            continue
+    """Add the nodes of ``path`` (source first, client last) below the last
+    one the tree already holds, checking only that junction's parent: the
+    routes form one shortest-path tree, so the nodes above it are in place.
+    A new router's label is its parent's plus its link's variance, and the
+    root's is 0.0, so each label sums its path's variances in path order."""
+    j = len(path) - 1
+    while path[j] not in tree:
+        j -= 1
+    if j and tree.parent(path[j]) != path[j - 1]:
+        raise InvariantError(f"routing paths disagree on parent of {path[j]!r}")
+    for prev, node in zip(path[j:], path[j + 1 :]):
         if node == path[-1]:
             tree.add_leaf(node, prev)
         else:
-            tree.add_router(prev, cum, router_id=node)
+            var = link_params[SimulatedNetwork.link_key(prev, node)][1]
+            tree.add_router(prev, tree.router_cov[prev] + var, router_id=node)
 
 
 def check_new_hosts(names, existing) -> None:

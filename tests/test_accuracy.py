@@ -7,11 +7,80 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covtomo import accuracy
-from covtomo.accuracy import _shared_len, classify_triple, score_trees, shared_length_matrix
+from covtomo.accuracy import _shared_len, classify_triple, score_trees, shared_rank_matrix
 from covtomo.errors import InputError
 from covtomo.model import RoutingTree, branching_skeleton
 
 from treegen import build_tree, random_truth_tree, relabel_routers
+
+
+def shared_length_matrix(tree, leaf_order):
+    """Reference: the int64 matrix of pairwise shared-path lengths over
+    ``leaf_order``, the diagonal holding each leaf's depth, from range
+    minima of consecutive-leaf LCA depths in DFS order."""
+    position, depths, gaps = {}, [], []
+    low = 0
+    stack = [(tree.root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        low = min(low, depth)
+        if tree.is_leaf(node):
+            if position:
+                gaps.append(low - 1)
+            position[node] = len(depths)
+            depths.append(depth)
+            low = depth
+        else:
+            stack.extend((c, depth + 1) for c in reversed(tree.children(node)))
+    pos = np.array([position[x] for x in leaf_order], dtype=np.intp)
+    visit, rank = np.unique(pos, return_inverse=True)
+    m = len(visit)
+    shared = np.zeros((m, m), dtype=np.int64)
+    if m > 1:
+        gap = np.minimum.reduceat(np.array(gaps[: visit[-1]], dtype=np.int64), visit[:-1])
+        for r in range(m - 1):
+            np.minimum.accumulate(gap[r:], out=shared[r, r + 1 :])
+        shared += shared.T
+    shared[np.diag_indices(m)] = np.array(depths, dtype=np.int64)[visit]
+    return shared[np.ix_(rank, rank)]
+
+
+def _dense_ranks(lengths):
+    """Each length replaced by its rank among the distinct lengths present."""
+    present = np.zeros(int(lengths.max()) + 1, dtype=bool)
+    present[lengths] = True
+    return (np.cumsum(present) - 1)[lengths]
+
+
+def reference_correct_triples(rec, tru):
+    """Reference count of ordered triples (i, j, k) with
+    ``(rec[i,j] >= rec[i,k]) == (tru[i,j] >= tru[i,k])`` over two n x n
+    int64 length matrices in the same leaf order, from per-row histograms
+    of dense-ranked lengths (see `accuracy._correct_triples`)."""
+    n = rec.shape[0]
+    rec, tru = _dense_ranks(rec), _dense_ranks(tru)
+    width = int(tru.max()) + 1
+    cells = (int(rec.max()) + 1) * width
+    block = max(1, (1 << 18) // max(cells, n))
+    correct = 0
+    for start in range(0, n, block):
+        rows = min(block, n - start)
+        code = rec[start : start + rows] * width + tru[start : start + rows]
+        code += np.arange(0, rows * cells, cells, dtype=np.int64)[:, None]
+        hist = np.bincount(code.ravel(), minlength=rows * cells).reshape(rows, -1, width)
+        le = hist.cumsum(axis=1).cumsum(axis=2)
+        gt = n - le[:, :, -1:] - le[:, -1:, :] + le
+        correct += int((hist * (le + gt)).sum())
+    return correct
+
+
+def reference_score(recovered, truth, X):
+    """(p, p_distinct) from the int64 reference matrices and count."""
+    ids = sorted(X)
+    n = len(ids)
+    correct = reference_correct_triples(shared_length_matrix(recovered, ids), shared_length_matrix(truth, ids))
+    distinct = n * (n - 1) * (n - 2)
+    return correct / n**3, (correct - (n**3 - distinct)) / distinct if n >= 3 else None
 
 
 def brute_force_p(recovered, truth, leaves, distinct=False):
@@ -145,9 +214,11 @@ def test_score_trees_defaults_to_every_shared_leaf():
             assert (report.p_distinct is None) == (len(ids) < 3)
 
 
-def test_shared_length_matrix_rejects_empty_order():
+def test_shared_rank_matrix_rejects_empty_and_repeated_leaves():
     with pytest.raises(InputError, match="must not be empty"):
-        shared_length_matrix(caterpillar(), [])
+        shared_rank_matrix(caterpillar(), [])
+    with pytest.raises(InputError, match="must be distinct"):
+        shared_rank_matrix(caterpillar(), ["a", "c", "a"])
 
 
 @st.composite
@@ -210,33 +281,95 @@ def test_counting_kernel_equals_brute_force(pair):
 @st.composite
 def leaf_orders(draw):
     """A tree from `routing_trees` (up to 30 leaves, so caterpillars run
-    deep) and a permuted, usually partial order of its leaves, sometimes
-    with repeats."""
+    deep) and a permuted, usually partial order of its leaves."""
     leaves = [f"h{i:02d}" for i in range(draw(st.integers(2, 30)))]
     tree = draw(routing_trees(leaves))
-    order = draw(st.permutations(leaves))[: draw(st.integers(1, len(leaves)))]
-    order += draw(st.lists(st.sampled_from(order), max_size=2))
-    return tree, order
+    return tree, draw(st.permutations(leaves))[: draw(st.integers(1, len(leaves)))]
 
 
 @settings(max_examples=200)
 @given(leaf_orders())
-def test_shared_length_matrix_equals_brute_force(case):
+def test_shared_rank_matrix_equals_dense_ranks_of_brute_force(case):
     tree, order = case
-    want = np.array([[_shared_len(tree, a, b) for b in order] for a in order], dtype=np.int64)
-    got = shared_length_matrix(tree, order)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, want)
+    lengths = np.array([[_shared_len(tree, a, b) for b in order] for a in order], dtype=np.int64)
+    assert np.array_equal(shared_length_matrix(tree, order), lengths)
+    visit, ranks = shared_rank_matrix(tree, order)
+    assert sorted(visit.tolist()) == list(range(len(order)))
+    want = _dense_ranks(lengths[np.ix_(visit, visit)])
+    assert ranks.dtype == np.min_scalar_type(int(want.max()))
+    assert np.array_equal(ranks, want)
+    # visit lists the leaves in DFS order
+    dfs = [leaf for leaf in tree.leaves_under(tree.root) if leaf in set(order)]
+    assert [order[i] for i in visit] == dfs
 
 
 @settings(max_examples=50)
 @given(leaf_orders(), st.data())
-def test_shared_length_matrix_rejects_non_leaves(case, data):
+def test_shared_rank_matrix_rejects_non_leaves(case, data):
     tree, order = case
     other = data.draw(st.sampled_from(sorted(set(tree.nodes()) - tree.leaves) + ["zz"]))
     at = data.draw(st.integers(0, len(order)))
     with pytest.raises(InputError, match=f"{other!r} is not a leaf of the tree"):
-        shared_length_matrix(tree, order[:at] + [other] + order[at:])
+        shared_rank_matrix(tree, order[:at] + [other] + order[at:])
+
+
+@st.composite
+def treegen_pairs(draw):
+    """Two `treegen.random_truth_tree` trees over the same leaves, up to 40
+    of them, with relays drawn at a shared probability, and X a subset of
+    the leaves, usually strict."""
+    n = draw(st.integers(2, 40))
+    relay_prob = draw(st.sampled_from([0.0, 0.25, 1.0]))
+    seeds = draw(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+    recovered, truth = (random_truth_tree(np.random.default_rng(seed), n, relay_prob=relay_prob)[0] for seed in seeds)
+    leaves = sorted(recovered.leaves)
+    size = draw(st.integers(1, n if draw(st.booleans()) else n - 1))
+    return recovered, truth, draw(st.permutations(leaves))[:size]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(treegen_pairs(), scored_pairs()))
+def test_score_equals_int64_reference(pair):
+    recovered, truth, X = pair
+    want = reference_score(recovered, truth, X)
+    for block_cells in (accuracy._BLOCK_CELLS, 1):
+        with mock.patch.object(accuracy, "_BLOCK_CELLS", block_cells):
+            report = score_trees(recovered, truth, X)
+            assert (report.p, report.p_distinct) == want
+
+
+def relay_caterpillar(n, relays):
+    """Caterpillar over the leaves of an n-leaf `random_truth_tree` whose
+    spine carries ``relays`` single-child routers between branchings, so
+    with relays >= 1 no LCA depth equals a leaf depth and the tree has
+    2n - 1 distinct shared lengths."""
+    tree = RoutingTree("src")
+    spine = "src"
+    for i in range(n - 1):
+        tree.add_leaf(f"h{i:02d}", spine)
+        for _ in range(relays + 1):
+            spine = tree.add_router(spine, 0.0)
+    tree.add_leaf(f"h{n - 1:02d}", spine)
+    return tree
+
+
+@pytest.mark.parametrize("n", [128, 129, 130])
+def test_deep_caterpillar_ranks_need_uint16(n):
+    deep = relay_caterpillar(n, relays=2)
+    leaves = sorted(deep.leaves)
+    _, ranks = shared_rank_matrix(deep, leaves)
+    assert int(ranks.max()) + 1 == 2 * n - 1
+    assert ranks.dtype == (np.uint8 if 2 * n - 1 <= 256 else np.uint16)
+    rng = np.random.default_rng(n)
+    subset = sorted(rng.choice(leaves, size=n // 2, replace=False).tolist())
+    for other in (relay_caterpillar(n, relays=0), random_truth_tree(rng, n)[0]):
+        for recovered, truth in ((deep, other), (other, deep)):
+            for X in (leaves, subset):
+                want = reference_score(recovered, truth, X)
+                for block_cells in (accuracy._BLOCK_CELLS, 1):
+                    with mock.patch.object(accuracy, "_BLOCK_CELLS", block_cells):
+                        report = score_trees(recovered, truth, X)
+                        assert (report.p, report.p_distinct) == want
 
 
 @settings(max_examples=100, deadline=None)

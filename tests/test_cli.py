@@ -259,6 +259,14 @@ def test_e2e_dynamic_and_named_join_collision(tmp_path, capsys):
             "simulator: delays too large: a timestamp could reach inf us, past the exact int64 range (2^62 us)",
         ),
         (
+            # within the bound at 150 hosts, past it with the 600 joined hosts probing too
+            {
+                "simulator": {"n_hosts": 150, "link_delay_var_ms2": [1e20, 1e20], "bandwidth_bps": 3000},
+                "joins": {"batches": [50] * 12},
+            },
+            "joins: delays too large: a timestamp could reach 5.95e+18 us, past the exact int64 range (2^62 us)",
+        ),
+        (
             {"sweep": {"bg_rates_bytes_per_sec": [1e6, 1e40]}},
             "sweep: delays too large: a timestamp could reach 2.07e+39 us, past the exact int64 range (2^62 us)",
         ),
@@ -291,6 +299,7 @@ def test_e2e_dynamic_and_named_join_collision(tmp_path, capsys):
         "401-digit-rate",
         "nan-variance",
         "overflowing-delays",
+        "overflowing-join-delays",
         "overflowing-sweep-delays",
         "nan-sweep-rate",
         "401-digit-sweep-rate",

@@ -1,10 +1,17 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covtomo.delay_cov import build_covariance_matrix
+from covtomo.errors import ConfigError
 from covtomo.model import CovarianceMatrix, MeasurementLog
-from covtomo.scenarios import _cov_summary
+from covtomo.scenarios import _cov_summary, parse_config
+from covtomo.simulator import SimulatorConfig
+
+# jitter and congestion noise within the timestamp bound at 150 hosts, past
+# it once the probe load counts 750
+HEAVY = {"n_hosts": 150, "link_delay_var_ms2": [1e20, 1e20], "bandwidth_bps": 3000}
 
 
 @st.composite
@@ -43,3 +50,12 @@ def test_kernel_zeros_are_positive():
     values = build_covariance_matrix(log, ["a", "b", "c"]).values
     zeros = values == 0
     assert zeros.sum() >= 6 and not np.signbit(values[zeros]).any()
+
+
+def test_join_sessions_are_bounded_with_every_joined_host():
+    SimulatorConfig(**HEAVY)
+    with pytest.raises(ConfigError, match="delays too large"):
+        SimulatorConfig(**dict(HEAVY, n_hosts=750))
+    parse_config({"simulator": HEAVY, "seeds": [1]})
+    with pytest.raises(ConfigError, match=r"^joins: delays too large: a timestamp could reach 5.95e\+18 us"):
+        parse_config({"simulator": HEAVY, "seeds": [1], "joins": {"batches": [50] * 12}})

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from covtomo import simulator
 from covtomo.delay_cov import align_pairs, build_covariance_matrix, normalize_series
-from covtomo.errors import ConfigError, InputError
+from covtomo.errors import ConfigError, InputError, InvariantError
 from covtomo.logio import export_log, import_log
 from covtomo.model import TIMESTAMP_LIMIT_US, RoutingTree, shared_covariance
 from covtomo.simulator import SimulatedNetwork, SimulatorConfig, generate_topology, grow_network, simulate_session
@@ -264,6 +264,35 @@ def test_grow_network_extends_truth_deterministically():
     assert named == ["peerX"] and "peerX" in n1.clients
     with pytest.raises(InputError):
         grow_network(n1, cfg, 1, stream=4, names=["peerX"])
+
+
+@pytest.mark.parametrize("model", ["waxman", "lary"])
+def test_truth_labels_sum_path_variances_in_path_order(model):
+    for seed in range(4):
+        cfg = small_cfg(n_hosts=60, n_routers=20, seed=seed, topology_model=model)
+        net = generate_topology(cfg)
+        grow_network(net, cfg, 15, stream=1)
+        for node in net.truth.nodes():
+            path = net.truth.path_from_root(node)
+            if net.truth.is_router(node):
+                assert tuple(path) == net._router_paths[node]
+                cum = 0.0
+                for link in zip(path, path[1:]):
+                    cum += net.link_params[net.link_key(*link)][1]
+                assert net.truth.router_cov[node].hex() == cum.hex()
+
+
+def test_truth_path_refuses_a_disagreeing_junction():
+    links = [("s", "r1"), ("s", "r2"), ("r1", "a"), ("r2", "r1"), ("r1", "b")]
+    link_params = {SimulatedNetwork.link_key(*link): (1.0, 0.5) for link in links}
+    tree = RoutingTree("s")
+    simulator._extend_truth_path(tree, ("s", "r1", "a"), link_params)
+    with pytest.raises(InvariantError, match="routing paths disagree on parent of 'r1'"):
+        simulator._extend_truth_path(tree, ("s", "r2", "r1", "b"), link_params)
+    assert "r2" not in tree
+    simulator._extend_truth_path(tree, ("s", "r1", "b"), link_params)
+    leaves = [{"id": leaf, "cov": None, "children": []} for leaf in "ab"]
+    assert tree.to_dict()["children"] == [{"id": "r1", "cov": 0.5, "children": leaves}]
 
 
 def test_config_validation_errors():
