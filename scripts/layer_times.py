@@ -7,14 +7,16 @@ it, untraced, at a given receiver count.
 
 Receivers are 70% of the hosts, with a third as many routers as hosts, at
 2000 pairs, background 4e6 B/s and rho 0.35, as in the benchmark's
-static-420 workload. With ``--joins B`` each pass is the dynamic scenario:
-the static pass (one ``static_pass`` time), then B batches of 50 joining
-hosts, each grown, measured in one session, given an oracle, attached host
-by host and scored against the grown truth's skeleton, as in the
-benchmark's growth-joins workload (``--receivers 105 --joins 12``); each
-layer's time is summed over the batches. For each layer it prints the
-median over seeds x repeats of the wall seconds per pass, as one JSON
-object.
+static-420 workload. Each pass is one seed of `scenarios.run_scenario`, or
+with ``--joins B`` of `scenarios.run_dynamic_scenario` with B batches of 50
+joining hosts, as in the benchmark's growth-joins workload (``--receivers
+105 --joins 12``). The layers are timed by wrapping the functions that
+`covtomo.scenarios` calls, so the times are those of the real pipeline. A
+call inside another timed call counts only in the outer one: with
+``--joins`` the whole static pass is one ``static_pass`` time, and the
+other layers are the join loop's, summed over the batches. For each layer
+it prints the median over seeds x repeats of the wall seconds per pass, as
+one JSON object.
 """
 
 from __future__ import annotations
@@ -23,52 +25,65 @@ import argparse
 import json
 import statistics
 import time
+from contextlib import contextmanager
 
-from covtomo.accuracy import score_trees
-from covtomo.delay_cov import build_covariance_matrix, covariance_oracle_from_log
-from covtomo.dynamic import attach_peer
-from covtomo.model import branching_skeleton
-from covtomo.ordering import dfs_order
-from covtomo.recover import RecoveryConfig, recover_tree
-from covtomo.scenarios import _cov_summary, _run_once
-from covtomo.simulator import SimulatorConfig, generate_topology, grow_network, simulate_session
+from covtomo import scenarios
 
 RHO_MS2 = 0.35
 JOIN_BATCH = 50
+# the functions bound in `covtomo.scenarios` that a pass times; each time is
+# printed under the function's name, the static pass's under static_pass
+STATIC_LAYERS = (
+    "generate_topology",
+    "simulate_session",
+    "build_covariance_matrix",
+    "dfs_order",
+    "recover_tree",
+    "branching_skeleton",
+    "score_trees",
+    "_cov_summary",
+)
+JOIN_LAYERS = (
+    "_run_once",
+    "grow_network",
+    "simulate_session",
+    "covariance_oracle_from_log",
+    "attach_peer",
+    "branching_skeleton",
+    "score_trees",
+)
+KEYS = {"_run_once": "static_pass"}
 
 
-def timed(times: dict, name: str, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, its wall time added to ``times[name]``."""
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    times[name] = times.get(name, 0.0) + time.perf_counter() - start
-    return result
+@contextmanager
+def timing(layers, times: dict):
+    """Wrap each function ``layers`` names in `covtomo.scenarios`, adding
+    its wall time to ``times`` under its key unless an outer wrapped call
+    is running; restore the originals on exit."""
+    saved = {name: getattr(scenarios, name) for name in layers}
+    depth = 0
 
+    def wrap(key, fn):
+        def timed(*args, **kwargs):
+            nonlocal depth
+            depth += 1
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth -= 1
+                if not depth:
+                    times[key] = times.get(key, 0.0) + time.perf_counter() - start
 
-def static_pass(cfg: SimulatorConfig, times: dict):
-    net = timed(times, "generate_topology", generate_topology, cfg)
-    log = timed(times, "simulate_session", simulate_session, net, cfg)
-    cov = timed(times, "build_covariance_matrix", build_covariance_matrix, log, sorted(net.clients))
-    order = timed(times, "dfs_order", dfs_order, cov)
-    tree = timed(times, "recover_tree", recover_tree, net.source, order, cov, RecoveryConfig(RHO_MS2))
-    truth = timed(times, "branching_skeleton", branching_skeleton, net.truth)
-    timed(times, "score_trees", score_trees, tree, truth)
-    timed(times, "_cov_summary", _cov_summary, cov)
-    return len(net.clients)
+        return timed
 
-
-def joins_pass(cfg: SimulatorConfig, batches: int, times: dict):
-    """The join loop of `scenarios.run_dynamic_scenario`, layer by layer."""
-    net, _, tree, config, _ = timed(times, "static_pass", _run_once, cfg, RHO_MS2)
-    for step in range(1, batches + 1):
-        new_hosts = timed(times, "grow_network", grow_network, net, cfg, JOIN_BATCH, stream=step)
-        log = timed(times, "simulate_session", simulate_session, net, cfg, stream=step)
-        oracle = timed(times, "covariance_oracle_from_log", covariance_oracle_from_log, log, peers=new_hosts)
-        for host in new_hosts:
-            timed(times, "attach_peer", attach_peer, tree, oracle, host, config)
-        truth = timed(times, "branching_skeleton", branching_skeleton, net.truth)
-        timed(times, "score_trees", score_trees, tree, truth)
-    return len(net.clients)
+    try:
+        for name in layers:
+            setattr(scenarios, name, wrap(KEYS.get(name, name), saved[name]))
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(scenarios, name, fn)
 
 
 def main() -> None:
@@ -79,16 +94,29 @@ def main() -> None:
     parser.add_argument("--joins", type=int, default=0, metavar="B", help="time B join batches of 50 hosts")
     args = parser.parse_args()
     n_hosts = round(args.receivers / 0.7)
+    config = {
+        "simulator": {"n_hosts": n_hosts, "n_routers": n_hosts // 3, "n_pairs": 2000},
+        "recovery": {"rho_ms2": RHO_MS2},
+        "seeds": args.seeds,
+    }
+    if args.joins:
+        config["joins"] = {"batches": [JOIN_BATCH] * args.joins}
+    resolved = scenarios.parse_config(config)
+    run, layers = (
+        (scenarios.run_dynamic_scenario, JOIN_LAYERS) if args.joins else (scenarios.run_scenario, STATIC_LAYERS)
+    )
     passes: dict[str, list[float]] = {}
     for seed in args.seeds:
-        cfg = SimulatorConfig(n_hosts=n_hosts, n_routers=n_hosts // 3, n_pairs=2000, seed=seed)
         for _ in range(args.repeats):
             times: dict[str, float] = {}
-            start = time.perf_counter()
-            receivers = joins_pass(cfg, args.joins, times) if args.joins else static_pass(cfg, times)
-            times["pass"] = time.perf_counter() - start
+            with timing(layers, times):
+                start = time.perf_counter()
+                report = run(dict(resolved, seeds=[seed]))
+                times["pass"] = time.perf_counter() - start
             for name, seconds in times.items():
                 passes.setdefault(name, []).append(seconds)
+    last = report["runs"][0]
+    receivers = last["curve"][-1]["n_leaves"] if args.joins else last["n_leaves"]
     medians = {k: round(statistics.median(v), 4) for k, v in passes.items()}
     print(json.dumps({"receivers": receivers, **medians}))
 

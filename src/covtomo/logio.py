@@ -505,8 +505,12 @@ def _parse_lines(data: bytes) -> MeasurementLog:
 
 def write_json(data, path, what: str) -> None:
     """Write ``data`` to ``path`` as JSON: sorted keys, two-space indent
-    and a final newline. An unwritable file raises DataError naming it."""
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    and a final newline. An unwritable file, or nesting past the encoder's
+    recursion (~490 tree levels), raises DataError naming the file."""
+    try:
+        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    except RecursionError:
+        raise DataError(f"cannot write {what} {path}: nested too deeply for JSON") from None
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:

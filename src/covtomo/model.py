@@ -290,18 +290,14 @@ class RoutingTree:
                     )
 
     def to_dict(self) -> dict:
-        """Nested parent-child representation used by the JSON serializers."""
-
-        def build(node: NodeId) -> dict:
-            entry: dict = {"id": node}
-            if node in self.leaves:
-                entry["cov"] = None
-            else:
-                entry["cov"] = self.router_cov.get(node, 0.0)
-            entry["children"] = [build(c) for c in self._children[node]]
-            return entry
-
-        return build(self.root)
+        """Nested parent-child representation used by the JSON serializers, built without recursion."""
+        entries = {
+            node: {"id": node, "cov": None if node in self.leaves else self.router_cov.get(node, 0.0)}
+            for node in self._children
+        }
+        for node, kids in self._children.items():
+            entries[node]["children"] = [entries[c] for c in kids]
+        return entries[self.root]
 
     @classmethod
     def from_dict(cls, data: dict) -> "RoutingTree":
@@ -541,7 +537,13 @@ class CovarianceMatrix:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CovarianceMatrix":
-        return cls(tuple(data["receivers"]), np.asarray(data["values"], dtype=float))
+        """The matrix of a JSON document; InputError on an entry that is not finite."""
+        cov = cls(tuple(data["receivers"]), np.asarray(data["values"], dtype=float))
+        bad = np.argwhere(~np.isfinite(cov.values))
+        if len(bad):
+            i, j = bad[0]
+            raise InputError(f"entry ({cov.receivers[i]!r}, {cov.receivers[j]!r}) is {cov.values[i, j]}, not finite")
+        return cov
 
 
 # ----------------------------------------------------------------------

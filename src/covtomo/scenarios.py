@@ -127,10 +127,8 @@ def parse_config(data: dict) -> dict:
             raise ConfigError("joins.n_pairs: the join sessions run simulator.pair_schedule_us; omit n_pairs")
         else:
             n_pairs = len(sim.pair_schedule_us)
-        # the join sessions' config, with the probes of every host the
-        # batches add (the last session's load) counted in n_hosts
         with _section("joins"):
-            replace(sim, n_pairs=n_pairs, n_hosts=sim.n_hosts + sum(batches))
+            _join_config(sim, batches, n_pairs)
         names = joins.get("names")
         if names is not None:
             if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
@@ -158,6 +156,12 @@ def load_config(path) -> dict:
 
 def _sim_from_resolved(resolved: dict, **overrides) -> SimulatorConfig:
     return SimulatorConfig(**{**resolved["simulator"], **overrides})
+
+
+def _join_config(sim: SimulatorConfig, batches, n_pairs: int) -> SimulatorConfig:
+    """The join sessions' config: ``n_pairs`` pairs, and every joining host
+    counted in n_hosts for the timestamp bound (sessions read no n_hosts)."""
+    return replace(sim, n_pairs=n_pairs, n_hosts=sim.n_hosts + sum(batches))
 
 
 def _sweep_points(sweep: dict) -> tuple[str, list[dict]]:
@@ -267,7 +271,7 @@ def run_dynamic_scenario(resolved: dict) -> dict:
         sim = _sim_from_resolved(resolved, seed=seed)
         net, cov, tree, config, report = _run_once(sim, rho)
         curve = [_curve_point(sim.n_routers + sim.n_hosts, report)]
-        join_sim = replace(sim, n_pairs=joins["n_pairs"])
+        join_sim = _join_config(sim, joins["batches"], joins["n_pairs"])
         n_hosts = sim.n_hosts
         consumed = 0
         for step, batch in enumerate(joins["batches"], start=1):

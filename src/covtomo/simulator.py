@@ -34,6 +34,13 @@ pair intervals or large packets can congest heavily shared links. This
 reproduces the qualitative extremes: almost no load means covariance gaps
 too small to resolve against rho, heavy load destroys the back-to-back
 timing and drops packets.
+
+Fixed constants: Waxman growth at ``WAXMAN_BETA`` 0.2, ``LINKS_PER_NODE`` 2
+earlier routers per new router; ``CLIENT_FRACTION`` 0.7 of hosts as clients;
+jitter variance scaled by the background rate over
+``BG_REF_RATE_BYTES_PER_SEC`` 4e6; congestion past ``CONGESTION_THRESHOLD``
+0.8 utilization, with noise variance ``CONGESTION_NOISE_GAIN`` 12.0 times
+the jitter variance per unit of overshoot, and ``DROP_PROB`` 0.08 per packet.
 """
 
 from __future__ import annotations
@@ -60,10 +67,15 @@ _JITTER_OFFSET_SIGMAS = 5.0
 # magnitude (its tail step takes the log of one 53-bit uniform); the delay
 # bound takes a draw to lie within this many sigmas
 _NORMAL_BOUND_SIGMAS = 64.0
-_INT_FIELDS = (
-    "n_hosts", "n_routers", "links_per_node", "lary_arity", "seed", "packet_size_bytes", "n_pairs",
-    "pair_interval_us",
-)
+_INT_FIELDS = ("n_hosts", "n_routers", "lary_arity", "seed", "packet_size_bytes", "n_pairs", "pair_interval_us")
+
+WAXMAN_BETA = 0.2
+LINKS_PER_NODE = 2  # attachments per router during incremental growth
+CLIENT_FRACTION = 0.7
+BG_REF_RATE_BYTES_PER_SEC = 4e6
+CONGESTION_THRESHOLD = 0.8
+CONGESTION_NOISE_GAIN = 12.0
+DROP_PROB = 0.08
 
 
 def _is_int(value) -> bool:
@@ -92,10 +104,7 @@ class SimulatorConfig:
     n_hosts: int = 150
     n_routers: int = 50
     topology_model: str = "waxman"  # "waxman" | "lary"
-    waxman_beta: float = 0.2
-    links_per_node: int = 2  # attachments per router during incremental growth
     lary_arity: int = 3
-    client_fraction: float = 0.7
     seed: int = 0
     link_base_delay_us: tuple[float, float] = (200.0, 2000.0)
     link_delay_var_ms2: tuple[float, float] = (0.5, 1.5)
@@ -105,10 +114,6 @@ class SimulatorConfig:
     pair_schedule_us: tuple[int, ...] | None = None
     n_pairs: int = 2000
     bg_rate_bytes_per_sec: float = 4e6
-    bg_ref_rate_bytes_per_sec: float = 4e6
-    congestion_threshold: float = 0.8
-    congestion_noise_gain: float = 12.0
-    drop_prob: float = 0.08
 
     def __post_init__(self):
         for name in ("link_base_delay_us", "link_delay_var_ms2", "pair_schedule_us"):
@@ -120,21 +125,11 @@ class SimulatorConfig:
             value = getattr(self, name)
             if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("links_per_node", "lary_arity"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.n_hosts < 2:
-            raise ConfigError(f"n_hosts must be >= 2, got {self.n_hosts}")
-        if self.n_routers < 1:
-            raise ConfigError(f"n_routers must be >= 1, got {self.n_routers}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("lary_arity", 1), ("n_hosts", 2), ("n_routers", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.topology_model not in ("waxman", "lary"):
             raise ConfigError(f"unknown topology_model {self.topology_model!r}")
-        if not self.waxman_beta > 0:
-            raise ConfigError(f"waxman_beta must be > 0, got {self.waxman_beta}")
-        if not 0 < self.client_fraction <= 1:
-            raise ConfigError(f"client_fraction must be in (0, 1], got {self.client_fraction}")
         for name in ("link_base_delay_us", "link_delay_var_ms2"):
             lo, hi = getattr(self, name)
             if lo < 0 or hi < lo:
@@ -155,20 +150,12 @@ class SimulatorConfig:
             raise ConfigError(f"pair_interval_us must be positive, got {self.pair_interval_us}")
         if self.n_pairs < 1 and self.pair_schedule_us is None:
             raise ConfigError(f"n_pairs must be >= 1, got {self.n_pairs}")
-        if self.bg_ref_rate_bytes_per_sec <= 0:
-            raise ConfigError("bg_ref_rate_bytes_per_sec must be positive")
         if self.bg_rate_bytes_per_sec < 0:
             raise ConfigError("bg_rate_bytes_per_sec must be non-negative")
-        if self.congestion_noise_gain < 0:
-            raise ConfigError("congestion_noise_gain must be non-negative")
-        if not 0 <= self.drop_prob < 1:
-            raise ConfigError(f"drop_prob must be in [0, 1), got {self.drop_prob}")
-        if not 0 < self.congestion_threshold <= 1:
-            raise ConfigError("congestion_threshold must be in (0, 1]")
         if self.bandwidth_bps <= 0:
             raise ConfigError("bandwidth_bps must be positive")
         # NaN passes the comparisons above, and so does an int past the float range
-        for name in ("bg_rate_bytes_per_sec", "bg_ref_rate_bytes_per_sec", "congestion_noise_gain", "bandwidth_bps"):
+        for name in ("bg_rate_bytes_per_sec", "bandwidth_bps"):
             if not _finite(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number")
         bound = self._timestamp_bound_us()
@@ -184,36 +171,54 @@ class SimulatorConfig:
         possible path (n_routers + 1 links) at the largest base delay and
         variance, congested under the probes of all n_hosts hosts, and every
         normal draw at `_NORMAL_BOUND_SIGMAS`. inf when a step overflows.
-        Hosts that `grow_network` adds past n_hosts add probe load, which
-        this bound does not count; `scenarios.parse_config` builds the join
-        sessions' config with them counted in n_hosts."""
+        Hosts that `grow_network` adds count only through n_hosts (see
+        `scenarios._join_config`)."""
         if self.pair_schedule_us is not None:
             first, last, n = self.pair_schedule_us[0], self.pair_schedule_us[-1], len(self.pair_schedule_us)
         else:
             first, last, n = 0, (self.n_pairs - 1) * self.pair_interval_us, self.n_pairs
         try:
-            interval_s = (last - first) / (n - 1) / 1e6 if n > 1 else self.pair_interval_us / 1e6
-            probe_bits = self.packet_size_bytes * 8
-            load = (self.bg_rate_bytes_per_sec * 8 + self.n_hosts * probe_bits / interval_s) / self.bandwidth_bps
-            over = load - self.congestion_threshold
-            overshoot = over / max(1.0 - self.congestion_threshold, 1e-9) if over > 0 else 0.0
+            interval_s = _mean_interval_s(first, last, n, self.pair_interval_us)
+            overshoot = _overshoot(_link_load(self, self.n_hosts, interval_s))
             var = self.link_delay_var_ms2[1] * self.bg_scale
             links = self.n_routers + 1
             reach = _JITTER_OFFSET_SIGMAS + _NORMAL_BOUND_SIGMAS
-            per_link = self.link_base_delay_us[1] + probe_bits / self.bandwidth_bps * 1e6 + reach * math.sqrt(var) * 1e3
-            noise = reach * math.sqrt(links * var * self.congestion_noise_gain * overshoot * 1e6)
+            trans_us = self.packet_size_bytes * 8 / self.bandwidth_bps * 1e6
+            per_link = self.link_base_delay_us[1] + trans_us + reach * math.sqrt(var) * 1e3
+            noise = reach * math.sqrt(links * var * CONGESTION_NOISE_GAIN * overshoot * 1e6)
             return max(abs(first), abs(last)) + links * per_link + noise
         except OverflowError:
             return math.inf
 
     @property
     def bg_scale(self) -> float:
-        return self.bg_rate_bytes_per_sec / self.bg_ref_rate_bytes_per_sec
+        return self.bg_rate_bytes_per_sec / BG_REF_RATE_BYTES_PER_SEC
 
     def sender_schedule(self) -> np.ndarray:
         if self.pair_schedule_us is not None:
             return np.asarray(self.pair_schedule_us, dtype=np.int64)
         return np.arange(self.n_pairs, dtype=np.int64) * int(self.pair_interval_us)
+
+
+# The load model of `simulate_session` and the timestamp bound, in the
+# session's float order, so that the bound takes the values a session takes.
+
+
+def _mean_interval_s(first, last, n: int, pair_interval_us: int) -> float:
+    """Mean interval of ``n`` sends from ``first`` to ``last`` us, in s."""
+    return (float(last - first) / (n - 1) if n > 1 else float(pair_interval_us)) / 1e6
+
+
+def _link_load(config: SimulatorConfig, n_clients: int, mean_interval_s: float) -> float:
+    """Utilization: background plus a probe per interval per client below."""
+    probe_bits = config.packet_size_bytes * 8
+    return (config.bg_rate_bytes_per_sec * 8 + n_clients * probe_bits / mean_interval_s) / config.bandwidth_bps
+
+
+def _overshoot(load: float) -> float:
+    """``load`` past `CONGESTION_THRESHOLD`, in units of the headroom above it; 0.0 below."""
+    over = load - CONGESTION_THRESHOLD
+    return over / (1.0 - CONGESTION_THRESHOLD) if over > 0 else 0.0
 
 
 class SimulatedNetwork:
@@ -246,15 +251,10 @@ class SimulatedNetwork:
     def link_key(u: NodeId, v: NodeId) -> tuple[NodeId, NodeId]:
         return (u, v) if u <= v else (v, u)
 
-    def client_path(self, client: NodeId) -> list[NodeId]:
-        if client not in self.truth.leaves:
-            raise InputError(f"unknown client {client!r}")
-        return self.truth.path_from_root(client)
-
 
 def _waxman_router_graph(cfg: SimulatorConfig, rng: np.random.Generator) -> list[tuple[int, int]]:
     """Incremental Waxman growth: routers placed uniformly in the unit
-    square; each new router attaches to ``links_per_node`` earlier routers
+    square; each new router attaches to `LINKS_PER_NODE` earlier routers
     chosen with probability proportional to exp(-d/(beta*L)), L the largest
     distance. Every router but the first links to an earlier one, so the
     graph is connected by construction, which a flat Waxman trial at
@@ -269,15 +269,9 @@ def _waxman_router_graph(cfg: SimulatorConfig, rng: np.random.Generator) -> list
         span = 1.0
     edges: list[tuple[int, int]] = []
     for i in range(1, n):
-        weights = np.exp(-dist[i, :i] / (cfg.waxman_beta * span))
-        m = min(cfg.links_per_node, i)
-        nonzero = np.count_nonzero(weights)
-        if nonzero < m:
-            raise ConfigError(
-                f"waxman_beta {cfg.waxman_beta} is too small: router {i} needs {m} earlier routers "
-                f"with a nonzero Waxman weight and has {nonzero}"
-            )
-        targets = rng.choice(i, size=m, replace=False, p=weights / weights.sum())
+        # every weight is at least exp(-1 / WAXMAN_BETA) > 0
+        weights = np.exp(-dist[i, :i] / (WAXMAN_BETA * span))
+        targets = rng.choice(i, size=min(LINKS_PER_NODE, i), replace=False, p=weights / weights.sum())
         edges.extend((int(t), i) for t in targets)
     return edges
 
@@ -352,7 +346,7 @@ def generate_topology(config: SimulatorConfig) -> SimulatedNetwork:
 
     source = hosts[int(rng.integers(config.n_hosts))]
     others = [h for h in hosts if h != source]
-    n_clients = min(len(others), int(round(config.client_fraction * config.n_hosts)))
+    n_clients = min(len(others), int(round(CLIENT_FRACTION * config.n_hosts)))
     clients = sorted(rng.choice(others, size=n_clients, replace=False).tolist())
 
     # per-link delay parameters in a fixed link order, in one draw: per link
@@ -513,18 +507,13 @@ def simulate_session(net: SimulatedNetwork, config: SimulatorConfig, stream: int
     sigma_us = np.array([math.sqrt(net.link_params[link][1]) * 1000.0 for link, _ in links])
     jitter = _offset_normal(rng, sigma_us, n)
 
-    # link load: uniform background plus one probe per client below the
-    # link per mean pair interval
-    mean_interval_us = float(schedule[-1] - schedule[0]) / (n - 1) if n > 1 else float(config.pair_interval_us)
-    mean_interval_s = mean_interval_us / 1e6
-    probe_bits = config.packet_size_bytes * 8
-    bg_bits = config.bg_rate_bytes_per_sec * 8
+    # a link's load counts the clients below it
+    mean_interval_s = _mean_interval_s(schedule[0], schedule[-1], n, config.pair_interval_us)
     below = dict.fromkeys(truth.leaves, 1)
     for node, parent in reversed(walk):
         below[parent] = below.get(parent, 0) + below[node]
 
     trans_us = config.packet_size_bytes * 8 / config.bandwidth_bps * 1e6
-    threshold = config.congestion_threshold
     # accumulated down the routing tree (see the module docstring)
     const_us = {truth.root: 0.0}
     noise_var_us2 = {truth.root: 0.0}
@@ -536,11 +525,10 @@ def simulate_session(net: SimulatedNetwork, config: SimulatorConfig, stream: int
             jitter[row[node]] += jitter[row[parent]]
         const_us[node] = const_us[parent] + (base + trans_us)
         noise, surv = noise_var_us2[parent], survival[parent]
-        over = (bg_bits + below[node] * probe_bits / mean_interval_s) / config.bandwidth_bps - threshold
-        if over > 0:
-            overshoot = over / max(1.0 - threshold, 1e-9)
-            noise += var * config.congestion_noise_gain * overshoot * 1e6
-            surv *= 1.0 - config.drop_prob
+        overshoot = _overshoot(_link_load(config, below[node], mean_interval_s))
+        if overshoot > 0:
+            noise += var * CONGESTION_NOISE_GAIN * overshoot * 1e6
+            surv *= 1.0 - DROP_PROB
         drop = net.drop_override.get(link)
         if drop:
             surv *= 1.0 - drop

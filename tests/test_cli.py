@@ -15,6 +15,7 @@ import covtomo
 from covtomo import scenarios
 from covtomo.cli import main
 from covtomo.errors import ConfigError
+from covtomo.model import RoutingTree
 from covtomo.scenarios import parse_config
 from covtomo.simulator import SimulatorConfig
 
@@ -391,7 +392,21 @@ def test_sweep_values_follow_the_simulator_section(field, value):
             assert a == b or (a != a and b != b), f.name  # NaN equals nothing
 
 
-@pytest.mark.parametrize("field", ["waxman_alpha", "max_topology_retries"])
+# fields the simulator no longer has: the last seven became module constants
+REMOVED_SIMULATOR_FIELDS = [
+    "waxman_alpha",
+    "max_topology_retries",
+    "waxman_beta",
+    "links_per_node",
+    "client_fraction",
+    "bg_ref_rate_bytes_per_sec",
+    "congestion_threshold",
+    "congestion_noise_gain",
+    "drop_prob",
+]
+
+
+@pytest.mark.parametrize("field", REMOVED_SIMULATOR_FIELDS)
 def test_e2e_rejects_removed_simulator_fields(tmp_path, capsys, monkeypatch, field):
     def no_run(config):
         raise AssertionError("generate_topology called for a config that parse_config must reject")
@@ -402,18 +417,19 @@ def test_e2e_rejects_removed_simulator_fields(tmp_path, capsys, monkeypatch, fie
     assert capsys.readouterr().err == f"config error: simulator.{field}: unknown field\n"
 
 
-def test_e2e_rejects_a_waxman_beta_that_underflows(tmp_path, capsys):
+def test_e2e_run_failure_leaves_the_report_path_as_it_was(tmp_path, capsys, monkeypatch):
     # the report path is checked before the run fails: no file is left
     # behind, and an existing one is kept as it was
-    cfg = write_config(tmp_path, simulator={"n_hosts": 10, "n_routers": 4, "waxman_beta": 0.0005})
+    def failing_run(config):
+        raise ConfigError("the run failed")
+
+    monkeypatch.setattr(scenarios, "generate_topology", failing_run)
+    cfg = write_config(tmp_path)
     new, kept = tmp_path / "new.json", tmp_path / "kept.json"
     kept.write_text("old\n")
     for out in (new, kept):
         assert main(["e2e", "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "config error: waxman_beta 0.0005 is too small: router 1 needs 1 earlier routers "
-            "with a nonzero Waxman weight and has 0\n"
-        )
+        assert capsys.readouterr().err == "config error: the run failed\n"
     assert not new.exists() and kept.read_text() == "old\n"
 
 
@@ -484,6 +500,36 @@ def test_unreadable_input_file_names_it(tmp_path, capsys, command, bad, content,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_leaves, code", [(300, 0), (600, 3)])
+def test_recover_writes_a_deep_tree_or_names_the_file(tmp_path, capsys, n_leaves, code):
+    # cov(i, j) = min(i, j) + 1: at rho 0.5 the tree nests one router per
+    # leaf, deeper than the JSON encoder recurses at 600 leaves
+    ids = [f"l{i:03d}" for i in range(n_leaves)]
+    values = [[float(min(i, j) + 1) for j in range(n_leaves)] for i in range(n_leaves)]
+    cov, out = tmp_path / "cov.json", tmp_path / "tree.json"
+    cov.write_text(json.dumps({"receivers": ids, "values": values}))
+    assert main(["recover", "--cov", str(cov), "--source", "s", "--rho", "0.5", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == f"data error: cannot write tree {out}: nested too deeply for JSON\n" and not out.exists()
+    else:
+        assert err == "" and RoutingTree.from_dict(json.loads(out.read_text())).leaves == set(ids)
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_recover_refuses_a_non_finite_matrix_entry(tmp_path, capsys, bad):
+    values = [[3.0, 2.0, 1.0, 1.0], [2.0, 3.0, 1.0, 1.0], [1.0, 1.0, 3.0, 2.0], [1.0, 1.0, 2.0, 3.0]]
+    values[0][1] = values[1][0] = float(bad)
+    cov, out = tmp_path / "cov.json", tmp_path / "tree.json"
+    cov.write_text(json.dumps({"receivers": list("abcd"), "values": values}))
+    assert bad in cov.read_text()
+    assert main(["recover", "--cov", str(cov), "--source", "s", "--rho", "0.5", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: covariance matrix {cov} is malformed: entry ('a', 'b') is {float(bad)}, not finite\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, option, what",
     [
@@ -545,18 +591,18 @@ def test_e2e_runs_sweeps(tmp_path, capsys):
 # has two seeds, so its points must keep the last seed's tree, and the grid
 # sweep takes its rho from auto_rho.
 PINNED_REPORTS = [
-    ({}, "4350f7d7feb7023b89a9a4f2ba9679d13741d7712dab4138bd0330bde6706a73"),
+    ({}, "0a4916c44d1ef766627c5f0b577ceaf824bcc1d3b72f0a29c7bfaed55a806102"),
     (
         {"sweep": {"bg_rates_bytes_per_sec": [1e6, 4e6]}},
-        "4835f3fbe14e9495f7a848e582921a44b55efa7649ab4c1388a9abeaa264bb26",
+        "30bd4acbcf6d4ad7630791ce6b577744e762c283af8c02b4b8a30bb7a638fb6b",
     ),
     (
         {"sweep": {"packet_sizes_bytes": [500, 1500], "pair_intervals_us": [5000, 8000]}, "recovery": {}, "seeds": [1]},
-        "4d8719364cb11b22628e5047925ca1e76daf7d404f595cbb5e04680169061425",
+        "07880d1579b858b05fba236b673b2b93c0112d2c962cc709f3cc15cbb7645580",
     ),
     (
         {"joins": {"batches": [2, 2], "n_pairs": 300}},
-        "8ee91e2c0218a74d5bd617a745651beb57f395096e1011959d37f26d47d54982",
+        "842dbb369f2c23945f0b00b6f54ef56b8b63f823bc73920a2d4a932252b7129f",
     ),
 ]
 

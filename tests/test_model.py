@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,36 @@ def test_tree_dict_round_trip():
     clone.validate()
     assert clone.to_dict() == tree.to_dict()
     assert trees_topologically_equal(tree, clone)
+
+
+def recursive_to_dict(tree, node):
+    """The recursive form `RoutingTree.to_dict` had, as its reference."""
+    cov = None if node in tree.leaves else tree.router_cov.get(node, 0.0)
+    return {"id": node, "cov": cov, "children": [recursive_to_dict(tree, c) for c in tree.children(node)]}
+
+
+def test_tree_dict_equals_recursive_form():
+    rng = np.random.default_rng(8)
+    for n_leaves in (2, 7, 40):
+        tree, _ = random_truth_tree(rng, n_leaves)
+        got, want = tree.to_dict(), recursive_to_dict(tree, tree.root)
+        assert json.dumps(got) == json.dumps(want) and got == want
+
+
+def test_tree_dict_of_any_depth():
+    # a chain of 5000 routers, far past Python's recursion limit
+    tree = RoutingTree("s")
+    parent = "s"
+    for i in range(5000):
+        parent = tree.add_router(parent, float(i + 1))
+        tree.add_leaf(f"l{i}", parent)
+    entry, depth = tree.to_dict()["children"][0], 0
+    while len(entry["children"]) == 2:
+        leaf, entry = entry["children"]
+        assert leaf == {"id": f"l{depth}", "cov": None, "children": []}
+        depth += 1
+    assert depth == 4999 and entry["cov"] == 5000.0
+    assert entry["children"] == [{"id": "l4999", "cov": None, "children": []}]
 
 
 def test_shared_covariance_reads_lca_label():
