@@ -44,15 +44,16 @@ Both read the bytes of one read of the file. `_parse_lines` reads them as
 which `str.splitlines` would split on). Line numbers in errors are 1-based
 and count blank lines. A line that is not UTF-8 is an ``invalid UTF-8``
 error naming its first bad byte; it is found when the loop reaches that
-line, so an error on an earlier line wins. Each stripped line goes to the
-C JSON scanner, which must consume all of it; a line it rejects goes once
-more to `json.loads`, only to raise the exact ``invalid JSON`` message.
-An integer literal longer than Python's int string-conversion limit, and
+line, so an error on an earlier line wins. Each stripped line is parsed
+once by `json.loads`, whose message an ``invalid JSON`` error carries; an
+integer literal longer than Python's int string-conversion limit, and
 nesting deeper than the recursion limit, are ``invalid JSON`` errors too.
-The records fill {k: ts} dicts, which `MeasurementLog.from_dicts` turns
-into columns. Checks that need every send record run after the last line:
-first gaps and order among the send records, then unknown indices and
-early arrivals, in line order, over flat lists kept per recv line.
+The loop is the plain reference reader: no exported file reaches it, so it
+is written to be read, not to be fast. The records fill {k: ts} dicts,
+which `MeasurementLog.from_dicts` turns into columns. Checks that need
+every send record run after the last line: first gaps and order among the
+send records, then unknown indices and early arrivals, in line order, over
+one (line, receiver, k, ts) tuple kept per recv line.
 
 A file that cannot be read or written raises DataError naming it.
 """
@@ -243,7 +244,6 @@ def import_log(path) -> MeasurementLog:
 
 # a byte that is not UTF-8, as the surrogateescape error handler decodes it
 _UNDECODED = re.compile("[\udc80-\udcff]")
-_TOO_DEEP = "invalid JSON: nested too deeply"
 _TS_RANGE = "field 'ts_us' must lie strictly between -2^62 and 2^62"
 
 # numbers are read from windows of _WIDTH bytes, so at most _WIDTH - 1
@@ -407,14 +407,10 @@ def _parse_lines(data: bytes) -> MeasurementLog:
     """Parse and validate a log one text-mode line at a time, as `open`
     reads a file in text mode; see the module docstring for the
     line-numbering contract."""
-    scan_once = json.JSONDecoder().scan_once
     sender_ts: dict[int, int] = {}
     arrivals: dict[str, dict[int, int]] = {}
-    # one entry per recv line, for the checks that need every send record
-    recv_lineno: list[int] = []
-    recv_name: list[str] = []
-    recv_k: list[int] = []
-    recv_ts: list[int] = []
+    # (line, receiver, k, ts) per recv line, for the checks that need every send record
+    recvs: list[tuple[int, str, int, int]] = []
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -423,26 +419,17 @@ def _parse_lines(data: bytes) -> MeasurementLog:
             if not line.isascii() and (bad := _UNDECODED.search(line)):
                 raise LogFormatError(f"invalid UTF-8: byte 0x{ord(bad.group()) - 0xDC00:02x}", lineno)
             try:
-                record, end = scan_once(line, 0)
-            except (StopIteration, json.JSONDecodeError):
-                end = -1
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise LogFormatError(f"invalid JSON: {exc.msg}", lineno) from None
             except RecursionError:
-                raise LogFormatError(_TOO_DEEP, lineno) from None
+                raise LogFormatError("invalid JSON: nested too deeply", lineno) from None
             except ValueError:
                 # not a JSONDecodeError: int() refuses a literal longer
                 # than sys.get_int_max_str_digits()
                 raise LogFormatError(
                     f"invalid JSON: integer literal longer than {sys.get_int_max_str_digits()} digits", lineno
                 ) from None
-            if end != len(line):
-                # rejected, or not all of the line: json.loads accepts the
-                # same stripped lines and raises the message to report
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise LogFormatError(f"invalid JSON: {exc.msg}", lineno) from None
-                except RecursionError:
-                    raise LogFormatError(_TOO_DEEP, lineno) from None
             if not isinstance(record, dict):
                 raise LogFormatError("record must be a JSON object", lineno)
             rtype = record.get("type")
@@ -457,25 +444,16 @@ def _parse_lines(data: bytes) -> MeasurementLog:
                     raise LogFormatError("pair index must be non-negative", lineno)
                 sender_ts[k] = ts
             elif rtype == "recv":
-                k = record.get("k")
-                ts = record.get("ts_us")
-                receiver = record.get("receiver")
-                if type(k) is not int or type(ts) is not int or type(receiver) is not str:
-                    k = _field(record, "k", int, lineno)
-                    ts = _field(record, "ts_us", int, lineno)
-                    receiver = _field(record, "receiver", str, lineno)
+                k = _field(record, "k", int, lineno)
+                ts = _field(record, "ts_us", int, lineno)
+                receiver = _field(record, "receiver", str, lineno)
                 if not -TIMESTAMP_LIMIT_US < ts < TIMESTAMP_LIMIT_US:
                     raise LogFormatError(_TS_RANGE, lineno)
-                entries = arrivals.get(receiver)
-                if entries is None:
-                    entries = arrivals[receiver] = {}
+                entries = arrivals.setdefault(receiver, {})
                 if k in entries:
                     raise LogFormatError(f"duplicate recv record for ({receiver!r}, k={k})", lineno)
                 entries[k] = ts
-                recv_lineno.append(lineno)
-                recv_name.append(receiver)
-                recv_k.append(k)
-                recv_ts.append(ts)
+                recvs.append((lineno, receiver, k, ts))
             else:
                 raise LogFormatError(f"unknown record type {rtype!r}", lineno)
 
@@ -490,7 +468,7 @@ def _parse_lines(data: bytes) -> MeasurementLog:
     for k in range(1, n_pairs):
         if sender_ts[k] <= sender_ts[k - 1]:
             raise LogFormatError(f"sender timestamps not strictly increasing at k={k}")
-    for lineno, receiver, k, ts in zip(recv_lineno, recv_name, recv_k, recv_ts):
+    for lineno, receiver, k, ts in recvs:
         sent = sender_ts.get(k)
         if sent is None:
             raise LogFormatError(f"recv for unknown pair index k={k}", lineno)
@@ -499,7 +477,7 @@ def _parse_lines(data: bytes) -> MeasurementLog:
                 f"arrival at {ts} before send at {sent} for ({receiver!r}, k={k})", lineno
             )
 
-    del recv_lineno, recv_name, recv_k, recv_ts
+    del recvs
     return MeasurementLog.from_dicts(sender_ts, arrivals)
 
 

@@ -11,8 +11,9 @@ Conventions used throughout the package:
 * node ids are plain strings; hosts and routers share one namespace.
   Router ids, the simulator's and those inference creates alike, are
   ``ROUTER_ID_PREFIX`` (``r``) followed by decimal digits (`is_router_id`).
-  No host id lies in that namespace: generated hosts use ``h``, and names
-  for joining peers inside it are rejected.
+  No host id lies in that namespace: generated hosts use ``h``, and
+  `check_new_hosts` rejects names inside it for joining peers and for the
+  leaves of a recovered tree.
 """
 
 from __future__ import annotations
@@ -34,6 +35,21 @@ def is_router_id(node: NodeId) -> bool:
     """True when ``node`` is ``ROUTER_ID_PREFIX`` followed by decimal digits."""
     digits = node[len(ROUTER_ID_PREFIX) :]
     return node.startswith(ROUTER_ID_PREFIX) and digits.isascii() and digits.isdigit()
+
+
+def check_new_hosts(names, existing) -> None:
+    """Raise InputError unless ``names`` can join a tree that holds the
+    host ids ``existing``: no name may be taken, look like a router id
+    (`is_router_id`) or appear twice."""
+    seen = set()
+    for name in names:
+        if name in existing:
+            raise InputError(f"host {name!r} already exists")
+        if is_router_id(name):
+            raise InputError(f"host {name!r} is in the router-id namespace")
+        if name in seen:
+            raise InputError(f"host {name!r} appears more than once")
+        seen.add(name)
 
 
 class RoutingTree:
@@ -537,12 +553,22 @@ class CovarianceMatrix:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CovarianceMatrix":
-        """The matrix of a JSON document; InputError on an entry that is not finite."""
+        """The matrix of a JSON document; InputError on the first entry, in
+        row-major order, that is not finite or differs from its mirror."""
         cov = cls(tuple(data["receivers"]), np.asarray(data["values"], dtype=float))
+        names = cov.receivers
         bad = np.argwhere(~np.isfinite(cov.values))
         if len(bad):
             i, j = bad[0]
-            raise InputError(f"entry ({cov.receivers[i]!r}, {cov.receivers[j]!r}) is {cov.values[i, j]}, not finite")
+            raise InputError(f"entry ({names[i]!r}, {names[j]!r}) is {cov.values[i, j]}, not finite")
+        # the first unequal pair lies above the diagonal: its mirror's row comes later
+        bad = np.argwhere(cov.values != cov.values.T)
+        if len(bad):
+            i, j = bad[0]
+            raise InputError(
+                f"entry ({names[i]!r}, {names[j]!r}) is {cov.values[i, j]} but "
+                f"({names[j]!r}, {names[i]!r}) is {cov.values[j, i]}: not symmetric"
+            )
         return cov
 
 
@@ -607,10 +633,20 @@ def branching_skeleton(tree: RoutingTree) -> RoutingTree:
     return skel
 
 
-def _canonical_form(tree: RoutingTree, node: NodeId):
-    if tree.is_leaf(node):
-        return ("leaf", node)
-    return ("node", tuple(sorted(_canonical_form(tree, c) for c in tree.children(node))))
+def _canonical_form(tree: RoutingTree, shapes: dict) -> int:
+    """Id of the tree's shape below its root, without recursion. ``shapes``
+    numbers each shape seen so far, keyed by a leaf's id or by the sorted
+    shape ids of a router's children, so two trees read with one ``shapes``
+    get equal ids iff some relabeling of routers makes them identical."""
+    order = [tree.root]
+    for node in order:
+        order.extend(tree.children(node))
+    ids: dict[NodeId, int] = {}
+    # children before their parent
+    for node in reversed(order):
+        key = node if tree.is_leaf(node) else tuple(sorted(ids.pop(c) for c in tree.children(node)))
+        ids[node] = shapes.setdefault(key, len(shapes))
+    return ids[tree.root]
 
 
 def trees_topologically_equal(t1: RoutingTree, t2: RoutingTree) -> bool:
@@ -620,6 +656,5 @@ def trees_topologically_equal(t1: RoutingTree, t2: RoutingTree) -> bool:
         raise InputError("trees have different leaf sets")
     if t1.root != t2.root:
         raise InputError("trees have different roots")
-    s1 = branching_skeleton(t1)
-    s2 = branching_skeleton(t2)
-    return _canonical_form(s1, s1.root) == _canonical_form(s2, s2.root)
+    shapes: dict = {}
+    return _canonical_form(branching_skeleton(t1), shapes) == _canonical_form(branching_skeleton(t2), shapes)

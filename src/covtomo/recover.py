@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .model import CovarianceMatrix, NodeId, RoutingTree
+from .model import CovarianceMatrix, NodeId, RoutingTree, check_new_hosts
 
 
 class Case(enum.Enum):
@@ -141,12 +141,15 @@ def recover_tree(source: NodeId, ordered_leaves, cov: CovarianceMatrix, config: 
     every later leaf dispatches on classify_case. Router labels record the
     covariance that created them, clamped to the parent's label so the tree
     stays monotone even under measurement noise.
+
+    The leaves pass `model.check_new_hosts` against the source, so none is
+    repeated, equal to the source, or a router id that the tree's own
+    routers could take.
     """
     leaves = list(ordered_leaves)
     if not leaves:
         raise InputError("need at least one leaf")
-    if len(set(leaves)) != len(leaves):
-        raise InputError("duplicate leaf in order")
+    check_new_hosts(leaves, {source})
     for leaf in leaves:
         cov.index(leaf)  # raises InputError for unknown ids
     rho = config.rho

@@ -17,7 +17,7 @@ the dynamic scenario; a config has at most one of the two. Before any run,
 `parse_config` builds every config the runs use (the simulator section's,
 one per sweep point, the join sessions' at the hosts of the last batch,
 and the `RecoveryConfig`), so each rule is checked by the class that owns
-it. Join names pass `simulator.check_new_hosts`; under
+it. Join names pass `model.check_new_hosts`; under
 ``pair_schedule_us`` the join sessions run that schedule, so
 ``joins.n_pairs`` is its length. Every mode runs each
 seed through one pass, `_run_once`: generate -> simulate -> estimate ->
@@ -40,12 +40,10 @@ from .delay_cov import build_covariance_matrix, covariance_oracle_from_log
 from .dynamic import attach_peer
 from .errors import ConfigError, TomographyError
 from .logio import read_json, write_json
-from .model import branching_skeleton
+from .model import branching_skeleton, check_new_hosts
 from .ordering import dfs_order
 from .recover import RecoveryConfig, auto_rho, recover_tree
-from .simulator import (
-    SimulatorConfig, _is_int, check_new_hosts, generate_topology, grow_network, host_id, simulate_session
-)
+from .simulator import SimulatorConfig, _is_int, generate_topology, grow_network, host_id, simulate_session
 
 _TOP_KEYS = {"simulator", "recovery", "seeds", "sweep", "joins"}
 _SWEEPS = ({"bg_rates_bytes_per_sec"}, {"packet_sizes_bytes", "pair_intervals_us"})

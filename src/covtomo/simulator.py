@@ -2,6 +2,10 @@
 synthesizes packet-pair measurement logs with configurable link-delay
 variance, background-traffic jitter, and congestion loss.
 
+Every network is a Waxman graph: routers placed at random in the unit
+square, each new one linked to earlier ones with a probability that decays
+with distance (`_waxman_router_graph`), and hosts on random routers.
+
 Each link gets a base delay and a jitter variance, drawn uniformly from
 the configured ranges: all links of a generated network in one array draw,
 in link-key order, and each host that `grow_network` attaches in two
@@ -53,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError, InvariantError
-from .model import ROUTER_ID_PREFIX, TIMESTAMP_LIMIT_US, MeasurementLog, NodeId, RoutingTree, is_router_id
+from .model import ROUTER_ID_PREFIX, TIMESTAMP_LIMIT_US, MeasurementLog, NodeId, RoutingTree, check_new_hosts
 
 # rng stream tags so topology, sessions and growth draw independent streams
 _STREAM_TOPOLOGY = 1
@@ -67,7 +71,7 @@ _JITTER_OFFSET_SIGMAS = 5.0
 # magnitude (its tail step takes the log of one 53-bit uniform); the delay
 # bound takes a draw to lie within this many sigmas
 _NORMAL_BOUND_SIGMAS = 64.0
-_INT_FIELDS = ("n_hosts", "n_routers", "lary_arity", "seed", "packet_size_bytes", "n_pairs", "pair_interval_us")
+_INT_FIELDS = ("n_hosts", "n_routers", "seed", "packet_size_bytes", "n_pairs", "pair_interval_us")
 
 WAXMAN_BETA = 0.2
 LINKS_PER_NODE = 2  # attachments per router during incremental growth
@@ -103,8 +107,6 @@ class SimulatorConfig:
 
     n_hosts: int = 150
     n_routers: int = 50
-    topology_model: str = "waxman"  # "waxman" | "lary"
-    lary_arity: int = 3
     seed: int = 0
     link_base_delay_us: tuple[float, float] = (200.0, 2000.0)
     link_delay_var_ms2: tuple[float, float] = (0.5, 1.5)
@@ -125,11 +127,9 @@ class SimulatorConfig:
             value = getattr(self, name)
             if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name, low in (("lary_arity", 1), ("n_hosts", 2), ("n_routers", 1), ("seed", 0)):
+        for name, low in (("n_hosts", 2), ("n_routers", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.topology_model not in ("waxman", "lary"):
-            raise ConfigError(f"unknown topology_model {self.topology_model!r}")
         for name in ("link_base_delay_us", "link_delay_var_ms2"):
             lo, hi = getattr(self, name)
             if lo < 0 or hi < lo:
@@ -276,23 +276,6 @@ def _waxman_router_graph(cfg: SimulatorConfig, rng: np.random.Generator) -> list
     return edges
 
 
-def _lary_router_graph(cfg: SimulatorConfig, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Random l-ary router tree: each new router hangs under a uniformly
-    chosen earlier router that still has capacity. Returns the links as
-    (parent, child) index pairs."""
-    edges: list[tuple[int, int]] = []
-    open_slots = {0: cfg.lary_arity}
-    for i in range(1, cfg.n_routers):
-        candidates = sorted(open_slots)
-        parent = int(candidates[rng.integers(len(candidates))])
-        edges.append((parent, i))
-        open_slots[parent] -= 1
-        if open_slots[parent] == 0:
-            del open_slots[parent]
-        open_slots[i] = cfg.lary_arity
-    return edges
-
-
 def _shortest_paths(source: NodeId, links) -> dict[NodeId, tuple[NodeId, ...]]:
     """Lowest-weight path from ``source`` to every node it reaches over the
     undirected ``links``, (u, v, weight) triples. Ties resolve as in
@@ -330,16 +313,15 @@ def host_id(index: int, n_hosts: int) -> NodeId:
 
 
 def generate_topology(config: SimulatorConfig) -> SimulatedNetwork:
-    """Build the ground-truth network for the configured seed: router
-    interconnect per the topology model, hosts on random routers, a random
+    """Build the ground-truth network for the configured seed: routers
+    linked by Waxman growth, hosts on random routers, a random
     source host, and the lowest-latency routing tree to a random client
     subset. Deterministic given the seed."""
     rng = np.random.default_rng([config.seed, _STREAM_TOPOLOGY])
-    build = _waxman_router_graph if config.topology_model == "waxman" else _lary_router_graph
     router_ids = [f"{ROUTER_ID_PREFIX}{i}" for i in range(config.n_routers)]
     # sorted: each router's neighbours in ascending index order fix how
     # routes of equal latency tie
-    router_links = [(router_ids[u], router_ids[v]) for u, v in sorted(build(config, rng))]
+    router_links = [(router_ids[u], router_ids[v]) for u, v in sorted(_waxman_router_graph(config, rng))]
     hosts = [host_id(i, config.n_hosts) for i in range(config.n_hosts)]
     attach = rng.integers(config.n_routers, size=config.n_hosts)
     access_router = {h: router_ids[int(r)] for h, r in zip(hosts, attach)}
@@ -404,21 +386,6 @@ def _extend_truth_path(tree: RoutingTree, path, link_params) -> None:
         else:
             var = link_params[SimulatedNetwork.link_key(prev, node)][1]
             tree.add_router(prev, tree.router_cov[prev] + var, router_id=node)
-
-
-def check_new_hosts(names, existing) -> None:
-    """Raise InputError unless ``names`` can join a network that holds the
-    host ids ``existing``: no name may be taken, look like a router id
-    (`model.is_router_id`) or appear twice."""
-    seen = set()
-    for name in names:
-        if name in existing:
-            raise InputError(f"host {name!r} already exists")
-        if is_router_id(name):
-            raise InputError(f"host {name!r} is in the router-id namespace")
-        if name in seen:
-            raise InputError(f"host {name!r} appears more than once")
-        seen.add(name)
 
 
 def grow_network(

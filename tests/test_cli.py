@@ -392,10 +392,13 @@ def test_sweep_values_follow_the_simulator_section(field, value):
             assert a == b or (a != a and b != b), f.name  # NaN equals nothing
 
 
-# fields the simulator no longer has: the last seven became module constants
+# fields the simulator no longer has: seven became module constants, and
+# every network is Waxman
 REMOVED_SIMULATOR_FIELDS = [
     "waxman_alpha",
     "max_topology_retries",
+    "topology_model",
+    "lary_arity",
     "waxman_beta",
     "links_per_node",
     "client_fraction",
@@ -530,6 +533,34 @@ def test_recover_refuses_a_non_finite_matrix_entry(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("transpose", [False, True], ids=["M", "M-transposed"])
+def test_recover_refuses_an_asymmetric_matrix(tmp_path, capsys, transpose):
+    # read without the check, M recovers [[a, b], c] and its transpose [a, b, c]
+    values = [[1.0, 0.9, 0.1], [0.1, 1.0, 0.1], [0.1, 0.1, 1.0]]
+    if transpose:
+        values = [list(row) for row in zip(*values)]
+    cov, out = tmp_path / "cov.json", tmp_path / "tree.json"
+    cov.write_text(json.dumps({"receivers": list("abc"), "values": values}))
+    assert main(["recover", "--cov", str(cov), "--source", "s", "--out", str(out)]) == 3
+    ab, ba = values[0][1], values[1][0]
+    assert capsys.readouterr().err == (
+        f"data error: covariance matrix {cov} is malformed: entry ('a', 'b') is {ab} but ('b', 'a') is {ba}: "
+        "not symmetric\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["r9", "r1"])
+def test_recover_refuses_a_receiver_named_like_a_router(tmp_path, capsys, name):
+    # r1 is also the id the walk gives its second router; r9 no router takes
+    values = [[3.0, 2.0, 1.0, 1.0], [2.0, 3.0, 1.0, 1.0], [1.0, 1.0, 3.0, 2.0], [1.0, 1.0, 2.0, 3.0]]
+    cov, out = tmp_path / "cov.json", tmp_path / "tree.json"
+    cov.write_text(json.dumps({"receivers": [name, "b", "c", "d"], "values": values}))
+    assert main(["recover", "--cov", str(cov), "--source", "s", "--rho", "0.5", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"data error: host {name!r} is in the router-id namespace\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, option, what",
     [
@@ -591,18 +622,18 @@ def test_e2e_runs_sweeps(tmp_path, capsys):
 # has two seeds, so its points must keep the last seed's tree, and the grid
 # sweep takes its rho from auto_rho.
 PINNED_REPORTS = [
-    ({}, "0a4916c44d1ef766627c5f0b577ceaf824bcc1d3b72f0a29c7bfaed55a806102"),
+    ({}, "c0c74c1282a5d70128d606c7b4711e852c7419b9a409118d2f2a1f0cfb633d89"),
     (
         {"sweep": {"bg_rates_bytes_per_sec": [1e6, 4e6]}},
-        "30bd4acbcf6d4ad7630791ce6b577744e762c283af8c02b4b8a30bb7a638fb6b",
+        "08c0b0e203009082f7ea5ce4c6a7e168c62f8c98f4f110fded7b5965cbfe3604",
     ),
     (
         {"sweep": {"packet_sizes_bytes": [500, 1500], "pair_intervals_us": [5000, 8000]}, "recovery": {}, "seeds": [1]},
-        "07880d1579b858b05fba236b673b2b93c0112d2c962cc709f3cc15cbb7645580",
+        "09c3d2e879961963a1a15599df2077ae3fafbcde4469db8a7e25ca0d3b9e7f5e",
     ),
     (
         {"joins": {"batches": [2, 2], "n_pairs": 300}},
-        "842dbb369f2c23945f0b00b6f54ef56b8b63f823bc73920a2d4a932252b7129f",
+        "957bac975cd3d09ccf7a62c1142013aa63f686dcc8123f10313eb20311d2dce7",
     ),
 ]
 

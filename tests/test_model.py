@@ -131,6 +131,61 @@ def test_topological_equality_is_equivalence_relation():
                 assert trees_topologically_equal(b, a)
 
 
+def recursive_canonical_form(tree, node):
+    """The recursive form `trees_topologically_equal` compared, as its reference."""
+    if tree.is_leaf(node):
+        return ("leaf", node)
+    return ("node", tuple(sorted(recursive_canonical_form(tree, c) for c in tree.children(node))))
+
+
+def reference_topologically_equal(t1, t2):
+    s1, s2 = branching_skeleton(t1), branching_skeleton(t2)
+    return recursive_canonical_form(s1, s1.root) == recursive_canonical_form(s2, s2.root)
+
+
+def test_topological_equality_equals_recursive_form():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(150):
+        n = int(rng.integers(2, 7))
+        t1, _ = random_truth_tree(rng, n)
+        t2, _ = random_truth_tree(rng, n)
+        for a, b in ((t1, t2), (t2, t1), (t1, relabel_routers(t2)), (relabel_routers(t1), t1)):
+            want = reference_topologically_equal(a, b)
+            assert trees_topologically_equal(a, b) == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def deep_caterpillar(leaves, prefix):
+    """One router per level below the root, each holding the next leaf and
+    the next router; the last router holds the last two leaves."""
+    tree = RoutingTree("s")
+    parent = "s"
+    for i, leaf in enumerate(leaves[:-1]):
+        parent = tree.add_router(parent, float(i + 1), router_id=f"{prefix}{i}")
+        tree.add_leaf(leaf, parent)
+    tree.add_leaf(leaves[-1], parent)
+    return tree
+
+
+def test_topological_equality_of_any_depth():
+    # 5000 branching levels, far past Python's recursion limit
+    leaves = [f"l{i}" for i in range(5001)]
+    chain = deep_caterpillar(leaves, "r")
+    with pytest.raises(RecursionError):
+        reference_topologically_equal(chain, chain)
+    assert trees_topologically_equal(chain, deep_caterpillar(leaves, "q"))
+    with_relay = chain.copy()
+    with_relay.insert_router_above("r2500", 2500.0)
+    assert trees_topologically_equal(chain, with_relay)
+    # the same leaves, the top one and one 4999 levels down swapped
+    swapped = deep_caterpillar(leaves[4999:5000] + leaves[1:4999] + leaves[:1] + leaves[5000:], "r")
+    assert not trees_topologically_equal(chain, swapped)
+    # the two deepest leaves are siblings, so swapping them changes nothing
+    assert trees_topologically_equal(chain, deep_caterpillar(leaves[:4999] + leaves[:4998:-1], "r"))
+
+
 def test_branching_skeleton_drops_relays_only():
     with_relay = build_tree("root", (1.0, [(2.0, [(3.0, ["a", "b"]), "c"])]))
     skel = branching_skeleton(with_relay)

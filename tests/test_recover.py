@@ -131,6 +131,22 @@ def test_recover_unknown_leaf_errors():
         recover_tree("src", [], cov, RecoveryConfig(0.1))
 
 
+@pytest.mark.parametrize(
+    "source, leaves, message",
+    [
+        ("a", ["a", "b"], "host 'a' already exists"),
+        ("src", ["a", "r0", "b"], "host 'r0' is in the router-id namespace"),
+        ("src", ["a", "b", "a"], "host 'a' appears more than once"),
+    ],
+    ids=["source", "router-id", "repeated"],
+)
+def test_recover_refuses_leaves_the_tree_cannot_hold(source, leaves, message):
+    cov = CovarianceMatrix(("a", "b", "r0"), np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]]))
+    with pytest.raises(InputError) as info:
+        recover_tree(source, leaves, cov, RecoveryConfig(0.1))
+    assert str(info.value) == message
+
+
 def test_exact_recovery_on_random_trees():
     rng = np.random.default_rng(42)
     for _ in range(50):

@@ -266,10 +266,9 @@ def test_grow_network_extends_truth_deterministically():
         grow_network(n1, cfg, 1, stream=4, names=["peerX"])
 
 
-@pytest.mark.parametrize("model", ["waxman", "lary"])
-def test_truth_labels_sum_path_variances_in_path_order(model):
+def test_truth_labels_sum_path_variances_in_path_order():
     for seed in range(4):
-        cfg = small_cfg(n_hosts=60, n_routers=20, seed=seed, topology_model=model)
+        cfg = small_cfg(n_hosts=60, n_routers=20, seed=seed)
         net = generate_topology(cfg)
         grow_network(net, cfg, 15, stream=1)
         for node in net.truth.nodes():
@@ -303,8 +302,6 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         SimulatorConfig(link_delay_var_ms2=(2.0, 1.0))
     with pytest.raises(ConfigError):
-        SimulatorConfig(topology_model="mesh")
-    with pytest.raises(ConfigError):
         SimulatorConfig(pair_schedule_us=(0, 10, 5))
 
 
@@ -314,9 +311,6 @@ def test_config_validation_errors():
         ("n_hosts", 10.0, "n_hosts must be an integer, got 10.0"),
         ("n_routers", 4.0, "n_routers must be an integer, got 4.0"),
         ("n_hosts", True, "n_hosts must be an integer, got True"),
-        # a fractional arity never fills a router: 1.5 open slots go 0.5, -0.5, ...
-        ("lary_arity", 1.5, "lary_arity must be an integer, got 1.5"),
-        ("lary_arity", True, "lary_arity must be an integer, got True"),
         # 2.5 pairs would become a 3-pair schedule
         ("n_pairs", 2.5, "n_pairs must be an integer, got 2.5"),
         ("n_pairs", False, "n_pairs must be an integer, got False"),
@@ -325,8 +319,6 @@ def test_config_validation_errors():
         # a schedule that would be truncated to (0, 0, 1, 40000) and fail validate()
         ("pair_schedule_us", (0, 0.5, 1.7, 40000), "pair_schedule_us entries must be integers, got 0.5"),
         ("pair_schedule_us", (0, True, 2), "pair_schedule_us entries must be integers, got True"),
-        ("lary_arity", -1, "lary_arity must be >= 1, got -1"),
-        ("lary_arity", 0, "lary_arity must be >= 1, got 0"),
     ],
 )
 def test_config_rejects_counts_that_fail_later(field, value, message):
@@ -409,13 +401,6 @@ def test_generated_host_ids_skip_named_hosts():
     assert net.access_router["h0010"] == router and net.link_params[net.link_key(router, "h0010")] == link
 
 
-def test_lary_topology_model():
-    cfg = small_cfg(topology_model="lary", lary_arity=2, seed=8)
-    net = generate_topology(cfg)
-    net.truth.validate()
-    assert len(net.truth.leaves) == len(net.clients)
-
-
 def reference_session(net, config, stream=0):
     """Plain restatement of `simulate_session`: jitter and congestion noise
     drawn by ``rng.normal(loc, scale)`` in one call each, and each client's
@@ -481,8 +466,6 @@ def session_setups(draw):
     cfg = SimulatorConfig(
         n_hosts=draw(st.integers(2, 16)),
         n_routers=draw(st.integers(1, 7)),
-        topology_model=draw(st.sampled_from(["waxman", "lary"])),
-        lary_arity=draw(st.integers(1, 3)),
         seed=draw(st.integers(0, 2**16)),
         packet_size_bytes=draw(st.sampled_from([200, 1500])),
         bg_rate_bytes_per_sec=draw(st.sampled_from([0.0, 1e6, 4e6, 9e6, 12e6])),
@@ -557,8 +540,7 @@ def scalar_link_params(cfg):
     stream read up to the link draws, then two scalar ``rng.uniform`` calls
     per link in link-key order."""
     rng = np.random.default_rng([cfg.seed, simulator._STREAM_TOPOLOGY])
-    build = simulator._waxman_router_graph if cfg.topology_model == "waxman" else simulator._lary_router_graph
-    router_links = [(f"r{u}", f"r{v}") for u, v in sorted(build(cfg, rng))]
+    router_links = [(f"r{u}", f"r{v}") for u, v in sorted(simulator._waxman_router_graph(cfg, rng))]
     hosts = [simulator.host_id(i, cfg.n_hosts) for i in range(cfg.n_hosts)]
     attach = rng.integers(cfg.n_routers, size=cfg.n_hosts)
     source = hosts[int(rng.integers(cfg.n_hosts))]
@@ -572,11 +554,10 @@ def scalar_link_params(cfg):
     return params
 
 
-@pytest.mark.parametrize("model", ["waxman", "lary"])
 @pytest.mark.parametrize("seed", range(6))
-def test_link_draw_equals_two_scalar_draws_per_link(model, seed):
+def test_link_draw_equals_two_scalar_draws_per_link(seed):
     cfg = small_cfg(
-        n_hosts=40, n_routers=12, seed=seed, topology_model=model, bg_rate_bytes_per_sec=[4e6, 9e6, 3][seed % 3],
+        n_hosts=40, n_routers=12, seed=seed, bg_rate_bytes_per_sec=[4e6, 9e6, 3][seed % 3],
         link_base_delay_us=(150, 2500.5), link_delay_var_ms2=(0.25, 0.25 + seed),
     )
     net = generate_topology(cfg)
