@@ -17,7 +17,7 @@ from .delay_cov import (
     estimate_covariance,
     normalize_series,
 )
-from .dynamic import attach_peer, remove_peer, select_representatives
+from .dynamic import attach_peer
 from .errors import (
     ConfigError,
     DataError,
@@ -38,7 +38,6 @@ from .model import (
     branching_skeleton,
     covariance_matrix_from_tree,
     shared_covariance,
-    shared_path_length,
     trees_topologically_equal,
 )
 from .ordering import dfs_order

@@ -33,7 +33,8 @@ from .model import NodeId, RoutingTree
 
 
 def _shared_len(tree: RoutingTree, i: NodeId, j: NodeId) -> int:
-    # like shared_path_length but defined on i == j as the leaf's depth
+    # links from the root to the lowest common ancestor of i and j (0 when
+    # their paths split at the root); for i == j, the leaf's own depth
     if i == j:
         return tree.depth_links(i)
     return tree.depth_links(tree.lca(i, j))

@@ -1,5 +1,5 @@
 """Incremental tomography: attach a joining peer to an existing tree without
-re-running static recovery, and remove leaving peers.
+re-running static recovery.
 
 The join walk starts at the root. At the current base router the peer's
 covariance with the closest representative leaf is compared against the
@@ -18,19 +18,8 @@ The last two leaf placements are the static walk's own step,
 from __future__ import annotations
 
 from .errors import InputError
-from .model import NodeId, RoutingTree
+from .model import NodeId, RoutingTree, check_new_hosts
 from .recover import Case, RecoveryConfig, classify_case, place_leaf
-
-
-def select_representatives(tree: RoutingTree, m: NodeId) -> dict[NodeId, NodeId]:
-    """One destination leaf per child of ``m``: the child itself when it is a
-    leaf, otherwise its lexicographically smallest descendant leaf."""
-    if tree.is_leaf(m):
-        raise InputError(f"{m!r} is a leaf, not an internal node")
-    kids = tree.children(m)
-    if not kids:
-        raise InputError(f"{m!r} has no children")
-    return {c: tree.min_leaf_under(c) for c in kids}
 
 
 def attach_peer(tree: RoutingTree, cov_oracle, k: NodeId, config: RecoveryConfig) -> RoutingTree:
@@ -38,18 +27,23 @@ def attach_peer(tree: RoutingTree, cov_oracle, k: NodeId, config: RecoveryConfig
 
     ``cov_oracle`` must supply the pairwise covariance (ms^2) for any leaf
     pair involving ``k`` and existing leaves (from a measurement log covering
-    k, or an analytic oracle in tests).
+    k, or an analytic oracle in tests). Raises InputError, before the walk,
+    when ``k`` cannot join: a host already has the name, it lies in the
+    router-id namespace (`model.check_new_hosts`), or another node has it.
     """
+    check_new_hosts([k], tree.leaves | {tree.root})
     if k in tree:
         raise InputError(f"peer {k!r} is already in the tree")
     rho = config.rho
     m = tree.root
     while True:
-        if not tree.children(m):
+        kids = tree.children(m)
+        if not kids:
             # bare base (empty tree): nothing to compare against
             tree.add_leaf(k, m)
             return tree
-        reps = select_representatives(tree, m)
+        # one representative leaf per child: the smallest leaf under it
+        reps = {c: tree.min_leaf_under(c) for c in kids}
         # reference covariance: what any two representatives share, i.e. the
         # path down to m; with a single child the recorded label of m already
         # stores that quantity
@@ -76,17 +70,3 @@ def attach_peer(tree: RoutingTree, cov_oracle, k: NodeId, config: RecoveryConfig
         # peer's deeper share with that leaf pins a fresh branch point
         place_leaf(tree, best_rep, k, case, best_cov, rho)
         return tree
-
-
-def remove_peer(tree: RoutingTree, k: NodeId) -> RoutingTree:
-    """Remove a leaving peer and splice out any router left with fewer than
-    two children, keeping the branching skeleton intact."""
-    if k not in tree or not tree.is_leaf(k):
-        raise InputError(f"{k!r} is not a leaf of the tree")
-    node = tree.parent(k)
-    tree.remove_leaf(k)
-    while node is not None and tree.is_router(node) and len(tree.children(node)) < 2:
-        parent = tree.parent(node)
-        tree.splice_router(node)
-        node = parent
-    return tree

@@ -18,6 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -63,12 +64,13 @@ class RoutingTree:
 
     ``_min_leaf`` maps every node with a leaf below it to the smallest leaf
     id under it (a leaf maps to itself); nodes without a leaf below are
-    absent. Every mutation keeps it current: `add_leaf` walks up only while
-    the new leaf is smaller, and `remove_leaf` rescans the children of only
-    those ancestors whose minimum it was. `min_leaf_under` reads it.
+    absent. No mutation removes a leaf, so a minimum only ever falls and
+    every mutation keeps the map current: `add_leaf` walks up only while
+    the new leaf is smaller, `insert_router_above` copies its node's entry,
+    and `splice_router` drops the router's own. `min_leaf_under` reads it.
 
-    The tree is mutable through a narrow set of operations (used by the
-    incremental tomography); everything else treats instances as read-only.
+    The tree is mutable through a narrow set of operations, which build it
+    and join peers to it; everything else treats instances as read-only.
     Mutation is single-writer: concurrent readers are safe only between
     mutations.
     """
@@ -117,12 +119,6 @@ class RoutingTree:
             cur = self._parent.get(cur)
         return out
 
-    def path_from_root(self, node: NodeId) -> list[NodeId]:
-        path = self.ancestors(node)
-        path.reverse()
-        path.append(node)
-        return path
-
     def depth_links(self, node: NodeId) -> int:
         return len(self.ancestors(node))
 
@@ -137,21 +133,10 @@ class RoutingTree:
             cur = nxt
         return cur
 
-    def leaves_under(self, node: NodeId) -> list[NodeId]:
-        """All leaf descendants of ``node`` (including ``node`` itself if a leaf)."""
-        out = []
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            if cur in self.leaves:
-                out.append(cur)
-            else:
-                stack.extend(reversed(self._children[cur]))
-        return out
-
     def min_leaf_under(self, node: NodeId) -> NodeId:
         """The smallest leaf id under ``node`` (``node`` itself if a leaf),
-        equal to ``min(self.leaves_under(node))`` without the walk."""
+        read from ``_min_leaf`` without a walk. InputError for an unknown
+        node or one without a leaf below."""
         if node not in self._children:
             raise InputError(f"unknown node {node!r}")
         try:
@@ -218,40 +203,18 @@ class RoutingTree:
             self._min_leaf[rid] = self._min_leaf[node]
         return rid
 
-    def remove_leaf(self, leaf: NodeId) -> None:
-        if leaf not in self.leaves:
-            raise InputError(f"{leaf!r} is not a leaf of the tree")
-        parent = self._parent.pop(leaf)
-        self._children[parent].remove(leaf)
-        del self._children[leaf]
-        self.leaves.discard(leaf)
-        del self._min_leaf[leaf]
-        # only ancestors whose minimum was this leaf change
-        node = parent
-        while node is not None and self._min_leaf.get(node) == leaf:
-            rest = [self._min_leaf[c] for c in self._children[node] if c in self._min_leaf]
-            if rest:
-                self._min_leaf[node] = min(rest)
-            else:
-                del self._min_leaf[node]
-            node = self._parent.get(node)
-
     def splice_router(self, router: NodeId) -> None:
-        """Remove a router that has at most one child, reattaching the child
-        (if any) to the router's parent in the same slot."""
+        """Remove a router that has exactly one child, reattaching the child
+        to the router's parent in the same slot."""
         if not self.is_router(router):
             raise InputError(f"{router!r} is not an internal router")
         kids = self._children[router]
-        if len(kids) > 1:
-            raise InputError(f"router {router!r} still has {len(kids)} children")
+        if len(kids) != 1:
+            raise InputError(f"router {router!r} has {len(kids)} children, not one")
         parent = self._parent.pop(router)
-        slot = self._children[parent].index(router)
-        if kids:
-            child = kids[0]
-            self._children[parent][slot] = child
-            self._parent[child] = parent
-        else:
-            self._children[parent].pop(slot)
+        child = kids[0]
+        self._children[parent][self._children[parent].index(router)] = child
+        self._parent[child] = parent
         del self._children[router]
         self.router_cov.pop(router, None)
         self._min_leaf.pop(router, None)
@@ -317,15 +280,30 @@ class RoutingTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RoutingTree":
-        tree = cls(data["id"])
-        tree.router_cov[tree.root] = float(data.get("cov") or 0.0)
+        """The tree of a `to_dict` document; InputError for an id that is
+        not a string or a root or router label that is not finite."""
+
+        def node_id(entry: dict) -> NodeId:
+            node = entry["id"]
+            if not isinstance(node, str):
+                raise InputError(f"node id {node!r} is not a string")
+            return node
+
+        def label(entry: dict) -> float:
+            cov = float(entry.get("cov") or 0.0)
+            if not math.isfinite(cov):
+                raise InputError(f"node {entry['id']!r} has label {cov}, not finite")
+            return cov
+
+        tree = cls(node_id(data))
+        tree.router_cov[tree.root] = label(data)
 
         def build(parent: NodeId, entries: list[dict]) -> None:
             for entry in entries:
-                node = entry["id"]
+                node = node_id(entry)
                 kids = entry.get("children") or []
                 if kids:
-                    tree.add_router(parent, float(entry.get("cov") or 0.0), router_id=node)
+                    tree.add_router(parent, label(entry), router_id=node)
                     build(node, kids)
                 else:
                     tree.add_leaf(node, parent)
@@ -534,11 +512,6 @@ class CovarianceMatrix:
     def get(self, a: NodeId, b: NodeId) -> float:
         return float(self.values[self.index(a), self.index(b)])
 
-    def restrict(self, receivers) -> "CovarianceMatrix":
-        ids = tuple(receivers)
-        idx = [self.index(r) for r in ids]
-        return CovarianceMatrix(ids, self.values[np.ix_(idx, idx)])
-
     def validate(self) -> None:
         if not np.array_equal(self.values, self.values.T):
             raise InvariantError("covariance matrix is not exactly symmetric")
@@ -553,9 +526,13 @@ class CovarianceMatrix:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CovarianceMatrix":
-        """The matrix of a JSON document; InputError on the first entry, in
-        row-major order, that is not finite or differs from its mirror."""
-        cov = cls(tuple(data["receivers"]), np.asarray(data["values"], dtype=float))
+        """The matrix of a JSON document; InputError when the receivers are
+        not a list of strings, or on the first entry, in row-major order,
+        that is not finite or differs from its mirror."""
+        receivers = data["receivers"]
+        if not isinstance(receivers, list) or not all(isinstance(r, str) for r in receivers):
+            raise InputError("receivers must be a list of strings")
+        cov = cls(tuple(receivers), np.asarray(data["values"], dtype=float))
         names = cov.receivers
         bad = np.argwhere(~np.isfinite(cov.values))
         if len(bad):
@@ -581,16 +558,6 @@ def _require_leaf(tree: RoutingTree, node: NodeId) -> None:
         raise InputError(f"unknown leaf id {node!r}")
     if not tree.is_leaf(node):
         raise InputError(f"{node!r} is not a leaf")
-
-
-def shared_path_length(tree: RoutingTree, i: NodeId, j: NodeId) -> int:
-    """Number of links on the path from the root to the lowest common
-    ancestor of two distinct leaves (0 when their paths split at the root)."""
-    _require_leaf(tree, i)
-    _require_leaf(tree, j)
-    if i == j:
-        raise InputError("shared_path_length needs two distinct leaves")
-    return tree.depth_links(tree.lca(i, j))
 
 
 def shared_covariance(tree: RoutingTree, i: NodeId, j: NodeId) -> float:

@@ -30,7 +30,7 @@ from covtomo.recover import RecoveryConfig, recover_tree
 from covtomo.scenarios import parse_config, run_dynamic_scenario, run_scenario
 from covtomo.simulator import SimulatorConfig, generate_topology, simulate_session
 
-from treegen import random_truth_tree
+from treegen import random_truth_tree, restrict
 
 
 def _series(values):
@@ -155,7 +155,7 @@ def test_criterion_3_static_dynamic_agreement():
         oracle = lambda a, b: shared_covariance(truth, a, b)
         for held_out in sorted(truth.leaves):
             rest = [l for l in sorted(truth.leaves) if l != held_out]
-            sub = cov.restrict(rest)
+            sub = restrict(cov, rest)
             partial = recover_tree("src", dfs_order(sub), sub, config)
             attach_peer(partial, oracle, held_out, config)
             checks += 1

@@ -11,7 +11,7 @@ from covtomo.accuracy import _shared_len, classify_triple, score_trees, shared_r
 from covtomo.errors import InputError
 from covtomo.model import RoutingTree, branching_skeleton
 
-from treegen import build_tree, random_truth_tree, relabel_routers
+from treegen import build_tree, leaves_under, random_truth_tree, relabel_routers
 
 
 def shared_length_matrix(tree, leaf_order):
@@ -299,7 +299,7 @@ def test_shared_rank_matrix_equals_dense_ranks_of_brute_force(case):
     assert ranks.dtype == np.min_scalar_type(int(want.max()))
     assert np.array_equal(ranks, want)
     # visit lists the leaves in DFS order
-    dfs = [leaf for leaf in tree.leaves_under(tree.root) if leaf in set(order)]
+    dfs = [leaf for leaf in leaves_under(tree, tree.root) if leaf in set(order)]
     assert [order[i] for i in visit] == dfs
 
 

@@ -561,6 +561,64 @@ def test_recover_refuses_a_receiver_named_like_a_router(tmp_path, capsys, name):
     assert not out.exists()
 
 
+def test_recover_refuses_receivers_that_are_not_strings(tmp_path, capsys):
+    cov, out = tmp_path / "cov.json", tmp_path / "tree.json"
+    cov.write_text(json.dumps({"receivers": [1, 2], "values": [[3.0, 2.0], [2.0, 3.0]]}))
+    assert main(["recover", "--cov", str(cov), "--source", "s", "--rho", "0.5", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: covariance matrix {cov} is malformed: receivers must be a list of strings\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["join", "score"])
+def test_tree_with_a_nan_label_names_the_file(tmp_path, capsys, command):
+    leaves = [{"id": leaf, "cov": None, "children": []} for leaf in ("a", "b")]
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"id": "s", "cov": 0.0, "children": [{"id": "r1", "cov": float("nan"), "children": leaves}]}))
+    assert "NaN" in tree.read_text()
+    # a log that measures the joining peer k with both leaves
+    log = tmp_path / "log.ndjson"
+    records = [{"k": k, "ts_us": 1000 * k, "type": "send"} for k in range(6)]
+    records += [
+        {"k": k, "receiver": r, "ts_us": 1000 * k + 10 + (k * k + i) % 7, "type": "recv"}
+        for i, r in enumerate("abk")
+        for k in range(6)
+    ]
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    argv = {
+        "join": ["--tree", tree, "--log", log, "--peer", "k", "--rho", "0.5"],
+        "score": ["--recovered", tree, "--truth", tree],
+    }[command]
+    out = tmp_path / "out.json"
+    assert main([command, *map(str, argv), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"data error: tree {tree} is malformed: node 'r1' has label nan, not finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["r99", "r1"])
+def test_join_refuses_a_peer_named_like_a_router(tmp_path, capsys, name):
+    # the log measures the held-out peer under ``name``; r1 is also a router
+    # of the recovered tree, r99 no router's id
+    cfg = write_config(tmp_path, seeds=[1])
+    log, truth, cov, tree, out = (
+        tmp_path / f for f in ("log.ndjson", "truth.json", "cov.json", "tree.json", "out.json")
+    )
+    assert main(["simulate", "--config", str(cfg), "--out", str(log), "--truth-out", str(truth)]) == 0
+    receivers = covtomo.import_log(log).ids
+    log.write_text(log.read_text().replace(json.dumps(receivers[-1]), json.dumps(name)))
+    assert main(["estimate", "--log", str(log), "--receivers", ",".join(receivers[:-1]), "--out", str(cov)]) == 0
+    source = json.loads(truth.read_text())["id"]
+    assert main(["recover", "--cov", str(cov), "--source", source, "--rho", "0.25", "--out", str(tree)]) == 0
+    assert name in covtomo.import_log(log).ids
+    assert ("r1" in covtomo.load_tree(tree)) and ("r99" not in covtomo.load_tree(tree))
+    capsys.readouterr()
+    argv = ["join", "--tree", str(tree), "--log", str(log), "--peer", name, "--rho", "0.25", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"data error: host {name!r} is in the router-id namespace\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, option, what",
     [

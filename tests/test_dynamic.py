@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covtomo import dynamic
-from covtomo.dynamic import attach_peer, remove_peer, select_representatives
+from covtomo.dynamic import attach_peer
 from covtomo.errors import InputError
 from covtomo.model import (
     RoutingTree,
@@ -19,17 +19,22 @@ from covtomo.model import (
 from covtomo.ordering import dfs_order
 from covtomo.recover import Case, RecoveryConfig, classify_case, recover_tree
 
-from treegen import build_tree, random_truth_tree
+from treegen import build_tree, leaves_under, random_truth_tree, restrict, without_leaf
 
 
 def oracle_for(truth):
     return lambda a, b: shared_covariance(truth, a, b)
 
 
+def representatives(tree, m):
+    """The join walk's representative leaf of each child of ``m``."""
+    return {c: tree.min_leaf_under(c) for c in tree.children(m)}
+
+
 def test_representative_is_leaf_child_itself():
     tree = build_tree("src", (1.0, ["a", (2.0, ["b", "c"])]))
     router = tree.parent("a")
-    reps = select_representatives(tree, router)
+    reps = representatives(tree, router)
     assert reps["a"] == "a"
 
 
@@ -37,7 +42,7 @@ def test_representative_lexicographic_smallest():
     tree = build_tree("src", (1.0, [(2.0, ["h7", "h3"]), "h9"]))
     router = tree.lca("h7", "h3")
     outer = tree.parent(router)
-    reps = select_representatives(tree, outer)
+    reps = representatives(tree, outer)
     assert reps[router] == "h3"
 
 
@@ -47,17 +52,11 @@ def test_representatives_three_children_distinct():
         (1.0, [(2.0, ["h1", "h2"]), (3.0, ["h3", (4.0, ["h4", "h5"])]), "h6"]),
     )
     base = tree.children("src")[0]
-    reps = select_representatives(tree, base)
+    reps = representatives(tree, base)
     assert len(reps) == 3
     assert len(set(reps.values())) == 3
     for child, rep in reps.items():
-        assert rep in tree.leaves_under(child)
-
-
-def test_representatives_reject_leaf():
-    tree = build_tree("src", (1.0, ["a", "b"]))
-    with pytest.raises(InputError):
-        select_representatives(tree, "a")
+        assert rep in leaves_under(tree, child)
 
 
 def test_attach_peer_best_rep_maximizes():
@@ -128,6 +127,33 @@ def test_attach_existing_peer_rejected():
         attach_peer(tree, lambda a, b: 1.0, "a", RecoveryConfig(0.5))
 
 
+@pytest.mark.parametrize(
+    "peer, message",
+    [
+        ("r99", "host 'r99' is in the router-id namespace"),
+        # r1 is the tree's router, and still refused by its name
+        ("r1", "host 'r1' is in the router-id namespace"),
+        ("src", "host 'src' already exists"),
+        ("q1", "peer 'q1' is already in the tree"),
+    ],
+    ids=["router-id", "tree-router", "root", "other-node"],
+)
+def test_attach_refuses_peer_names_before_the_walk(peer, message):
+    tree = RoutingTree("src")
+    tree.add_router("src", 1.0, router_id="r1")
+    tree.add_router("r1", 2.0, router_id="q1")
+    for leaf, parent in (("a", "r1"), ("b", "q1"), ("c", "q1")):
+        tree.add_leaf(leaf, parent)
+    shape = tree.to_dict()
+
+    def oracle(a, b):
+        raise AssertionError("the walk must not start")
+
+    with pytest.raises(InputError, match=f"^{message}$"):
+        attach_peer(tree, oracle, peer, RecoveryConfig(0.5))
+    assert tree.to_dict() == shape
+
+
 def test_attach_into_empty_and_single_leaf_trees():
     from covtomo.model import RoutingTree
 
@@ -140,41 +166,16 @@ def test_attach_into_empty_and_single_leaf_trees():
     assert trees_topologically_equal(empty, truth)
 
 
-def test_remove_keeps_router_with_two_children():
-    tree = build_tree("src", (1.0, ["a", "b", "c"]))
-    router = tree.parent("a")
-    remove_peer(tree, "c")
-    tree.validate()
-    assert tree.children(router) == ("a", "b")
-
-
-def test_remove_splices_single_child_router():
-    tree = build_tree("src", (1.0, [(2.0, ["a", "b"]), "c"]))
-    outer = tree.parent("c")
-    remove_peer(tree, "b")
-    tree.validate()
-    assert tree.parent("a") == outer
-    assert all(len(tree.children(r)) >= 2 for r in tree.nodes() if tree.is_router(r))
-
-
-def test_remove_requires_leaf():
-    tree = build_tree("src", (1.0, ["a", "b"]))
-    with pytest.raises(InputError):
-        remove_peer(tree, tree.parent("a"))
-    with pytest.raises(InputError):
-        remove_peer(tree, "nope")
-
-
 def test_remove_then_reattach_round_trip():
+    # the recovered tree without one leaf takes that leaf back where it was
     rng = np.random.default_rng(17)
     for _ in range(40):
         truth, v_min = random_truth_tree(rng, int(rng.integers(3, 9)))
         cov = covariance_matrix_from_tree(truth)
         rho = 0.5 * v_min
-        tree = recover_tree("src", dfs_order(cov), cov, RecoveryConfig(rho))
+        reference = recover_tree("src", dfs_order(cov), cov, RecoveryConfig(rho))
         victim = sorted(truth.leaves)[int(rng.integers(len(truth.leaves)))]
-        reference = tree.copy()
-        remove_peer(tree, victim)
+        tree = without_leaf(reference, victim)
         attach_peer(tree, oracle_for(truth), victim, RecoveryConfig(rho))
         tree.validate()
         assert trees_topologically_equal(tree, reference)
@@ -196,7 +197,7 @@ def join_steps(tree, oracle, k, config):
 def test_attach_then_remove_round_trip():
     # join then leave is the identity on the skeleton, whatever the oracle
     # says: every placement adds the peer to an existing node or below one
-    # fresh router, and the leave splices that router out again
+    # fresh router, which the peer's departure would splice out again
     reached = set()
 
     @settings(max_examples=300)
@@ -209,7 +210,7 @@ def test_attach_then_remove_round_trip():
         scale = data.draw(st.sampled_from([0.0, 0.3 * v_min, 2.0]))
         noise = {frozenset(pair): float(rng.normal(0.0, scale)) for pair in itertools.combinations(leaves, 2)}
         oracle = lambda a, b: shared_covariance(truth, a, b) + noise[frozenset((a, b))]
-        tree = remove_peer(truth.copy(), k)
+        tree = without_leaf(truth, k)
         before = tree.copy()
         rho = data.draw(st.floats(0.2, 0.9)) * v_min
         steps = join_steps(tree, oracle, k, RecoveryConfig(rho))
@@ -224,10 +225,12 @@ def test_attach_then_remove_round_trip():
             reached.add("deeper at a leaf")
         else:
             reached.add(steps[-1].value)
-        remove_peer(tree, k)
-        assert trees_topologically_equal(tree, before)
+        # the join adds the peer and at most one router
+        assert len(set(tree.nodes()) - set(before.nodes()) - {k}) <= 1
+        left = without_leaf(tree, k)
+        assert trees_topologically_equal(left, before)
         # and no router the join made is left behind
-        assert set(tree.nodes()) <= set(before.nodes())
+        assert set(left.nodes()) <= set(before.nodes())
 
     join_then_leave()
     assert reached >= {"same_set", "deeper at a leaf", "deeper descent", "shallower, hidden router"}
@@ -243,7 +246,7 @@ def test_leave_one_out_matches_static_recovery():
         full = recover_tree("src", dfs_order(cov), cov, config)
         for held_out in sorted(truth.leaves):
             rest = [l for l in sorted(truth.leaves) if l != held_out]
-            sub = cov.restrict(rest)
+            sub = restrict(cov, rest)
             partial = recover_tree("src", dfs_order(sub), sub, config)
             attach_peer(partial, oracle_for(truth), held_out, config)
             partial.validate()
@@ -265,7 +268,7 @@ def test_attach_terminates_by_strict_descent():
 def check_min_leaf(tree):
     expected = {}
     for node in tree.nodes():
-        leaves = tree.leaves_under(node)
+        leaves = leaves_under(tree, node)
         if leaves:
             expected[node] = min(leaves)
             assert tree.min_leaf_under(node) == expected[node]
@@ -276,10 +279,9 @@ def check_min_leaf(tree):
     assert tree._min_leaf == expected
 
 
-# (operation, which node it picks, the new leaf's number); growing is drawn
-# more often than removing so that removals hit routers with many children
+# (operation, which node it picks, the new leaf's number)
 OPS = st.tuples(
-    st.sampled_from(["leaf", "leaf", "router", "insert", "attach", "attach", "remove", "copy"]),
+    st.sampled_from(["leaf", "leaf", "router", "insert", "splice", "attach", "attach", "copy"]),
     st.integers(0, 10**6),
     st.integers(0, 999),
 )
@@ -299,6 +301,7 @@ def test_min_leaf_tracks_every_mutation(ops, salt):
         leaf = f"h{name:03d}"
         inner = sorted(n for n in tree.nodes() if not tree.is_leaf(n))
         below_root = sorted(n for n in tree.nodes() if n != tree.root)
+        relays = sorted(n for n in tree.nodes() if tree.is_router(n) and len(tree.children(n)) == 1)
         if kind == "leaf" and leaf not in tree:
             tree.add_leaf(leaf, inner[pick % len(inner)])
         elif kind == "router" and leaf not in tree:
@@ -310,10 +313,10 @@ def test_min_leaf_tracks_every_mutation(ops, salt):
             low = tree.router_cov[tree.parent(node)]
             high = tree.router_cov.get(node, low + 4.0)
             tree.insert_router_above(node, low + (high - low) * (pick % 3) / 2)
+        elif kind == "splice" and relays:
+            tree.splice_router(relays[pick % len(relays)])
         elif kind == "attach" and leaf not in tree:
             attach_peer(tree, oracle, leaf, RecoveryConfig(0.5 + pick % 3))
-        elif kind == "remove" and tree.leaves:
-            remove_peer(tree, sorted(tree.leaves)[pick % len(tree.leaves)])
         elif kind == "copy":
             snapshots.append((tree.copy(), tree.to_dict()))
         tree.validate()

@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from covtomo.accuracy import _shared_len
 from covtomo.errors import InputError, InvariantError
 from covtomo.model import (
+    CovarianceMatrix,
     RoutingTree,
     branching_skeleton,
     covariance_matrix_from_tree,
     shared_covariance,
-    shared_path_length,
     trees_topologically_equal,
 )
 
@@ -29,12 +30,12 @@ def caterpillar():
 
 
 def test_shared_path_length_star_is_zero():
-    assert shared_path_length(star(), "a", "b") == 0
+    assert _shared_len(star(), "a", "b") == 0
 
 
 def test_shared_path_length_single_shared_router():
     tree = build_tree("root", (1.0, ["a", "b"]))
-    assert shared_path_length(tree, "a", "b") == 1
+    assert _shared_len(tree, "a", "b") == 1
 
 
 @pytest.mark.parametrize("h", [1, 2, 3, 4])
@@ -53,19 +54,7 @@ def test_shared_path_length_sender_chain(h):
         hops += 1
         cur = tree.parent(cur)
     assert hops == h
-    assert shared_path_length(tree, "a", "b") == h
-
-
-def test_shared_path_length_input_errors():
-    tree = star()
-    with pytest.raises(InputError):
-        shared_path_length(tree, "a", "a")
-    with pytest.raises(InputError):
-        shared_path_length(tree, "a", "zz")
-    deep = caterpillar()
-    inner = deep.parent("a")
-    with pytest.raises(InputError):
-        shared_path_length(deep, inner, "c")
+    assert _shared_len(tree, "a", "b") == h
 
 
 def test_shared_path_length_bounds_on_random_trees():
@@ -77,7 +66,7 @@ def test_shared_path_length_bounds_on_random_trees():
             for j in leaves:
                 if i == j:
                     continue
-                length = shared_path_length(tree, i, j)
+                length = _shared_len(tree, i, j)
                 assert 0 <= length <= tree.depth_links(i) - 1
 
 
@@ -194,6 +183,21 @@ def test_branching_skeleton_drops_relays_only():
     assert trees_topologically_equal(skel, with_relay)
 
 
+def test_splice_router_takes_single_child_routers_only():
+    tree = build_tree("root", (1.0, [(2.0, [(3.0, ["a", "b"]), "c"])]))
+    relay, bare = tree.children("root")[0], tree.add_router("root", 1.0)
+    for router, message in (
+        (tree.parent("a"), "has 2 children, not one"),
+        (bare, "has 0 children, not one"),
+        ("a", "not an internal router"),
+    ):
+        with pytest.raises(InputError, match=message):
+            tree.splice_router(router)
+    tree.splice_router(relay)
+    assert tree.children("root") == (tree.parent("c"), bare) and relay not in tree
+    assert tree.min_leaf_under(tree.parent("c")) == tree.min_leaf_under("root") == "a"
+
+
 def test_validate_rejects_label_decrease():
     tree = build_tree("root", (5.0, [(2.0, ["a", "b"]), "c"]))
     with pytest.raises(InvariantError):
@@ -214,6 +218,30 @@ def test_tree_dict_round_trip():
     clone.validate()
     assert clone.to_dict() == tree.to_dict()
     assert trees_topologically_equal(tree, clone)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["children"][0].update(cov=float("nan")), "has label nan, not finite"),
+        (lambda d: d["children"][0].update(cov=float("inf")), "has label inf, not finite"),
+        (lambda d: d.update(cov=float("-inf")), "node 'root' has label -inf, not finite"),
+        (lambda d: d["children"][0]["children"][0].update(id=7), "node id 7 is not a string"),
+        (lambda d: d.update(id=None), "node id None is not a string"),
+    ],
+    ids=["nan-label", "inf-label", "root-label", "int-leaf-id", "null-root-id"],
+)
+def test_tree_from_dict_refuses_non_string_ids_and_non_finite_labels(edit, message):
+    data = caterpillar().to_dict()
+    edit(data)
+    with pytest.raises(InputError, match=message):
+        RoutingTree.from_dict(data)
+
+
+@pytest.mark.parametrize("receivers", [[1, 2], ["a", 2], "ab", None])
+def test_matrix_from_dict_refuses_receivers_other_than_strings(receivers):
+    with pytest.raises(InputError, match="^receivers must be a list of strings$"):
+        CovarianceMatrix.from_dict({"receivers": receivers, "values": [[1.0, 0.5], [0.5, 1.0]]})
 
 
 def recursive_to_dict(tree, node):

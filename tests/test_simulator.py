@@ -20,17 +20,19 @@ from covtomo.logio import export_log, import_log
 from covtomo.model import TIMESTAMP_LIMIT_US, RoutingTree, shared_covariance
 from covtomo.simulator import SimulatedNetwork, SimulatorConfig, generate_topology, grow_network, simulate_session
 
+from treegen import path_from_root
+
 
 def path_links(net, client):
     """The link keys of a client's path from the source."""
-    path = net.truth.path_from_root(client)
+    path = path_from_root(net.truth, client)
     return [net.link_key(a, b) for a, b in zip(path, path[1:])]
 
 
 def analytic_path_variance(net, client) -> float:
     """Total delay variance of one client's path: its access router's
     truth label plus the access link's variance."""
-    parent = net.truth.path_from_root(client)[-2]
+    parent = path_from_root(net.truth, client)[-2]
     return net.truth.router_cov[parent] + net.link_params[net.link_key(parent, client)][1]
 
 
@@ -77,7 +79,7 @@ def test_unique_minimal_topology():
     net = generate_topology(cfg)
     assert len(net.truth.leaves) == 1
     (client,) = net.truth.leaves
-    path = net.truth.path_from_root(client)
+    path = path_from_root(net.truth, client)
     assert path[0] == net.source and path[1] == "r0" and path[-1] == client
 
 
@@ -272,7 +274,7 @@ def test_truth_labels_sum_path_variances_in_path_order():
         net = generate_topology(cfg)
         grow_network(net, cfg, 15, stream=1)
         for node in net.truth.nodes():
-            path = net.truth.path_from_root(node)
+            path = path_from_root(net.truth, node)
             if net.truth.is_router(node):
                 assert tuple(path) == net._router_paths[node]
                 cum = 0.0

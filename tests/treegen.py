@@ -1,4 +1,5 @@
-"""Test helpers: hand-built and random ground-truth routing trees.
+"""Test helpers: hand-built and random ground-truth routing trees, and
+queries on trees and matrices that only the tests need.
 
 Random trees model a single-homed source (the root has exactly one egress
 link), carry strictly positive link delay variances, and may contain
@@ -9,7 +10,62 @@ covtomo.covariance_matrix_from_tree yields the exact noiseless covariances.
 
 import numpy as np
 
-from covtomo.model import RoutingTree
+from covtomo.model import CovarianceMatrix, RoutingTree
+
+
+def path_from_root(tree: RoutingTree, node):
+    """The nodes from the root down to ``node``, both included."""
+    return [*reversed(tree.ancestors(node)), node]
+
+
+def leaves_under(tree: RoutingTree, node):
+    """All leaf descendants of ``node`` (``node`` itself if a leaf), in DFS
+    order."""
+    out = []
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        if tree.is_leaf(cur):
+            out.append(cur)
+        else:
+            stack.extend(reversed(tree.children(cur)))
+    return out
+
+
+def restrict(cov: CovarianceMatrix, receivers) -> CovarianceMatrix:
+    """The submatrix over ``receivers``, in their order."""
+    ids = tuple(receivers)
+    idx = [cov.index(r) for r in ids]
+    return CovarianceMatrix(ids, cov.values[np.ix_(idx, idx)])
+
+
+def without_leaf(tree: RoutingTree, leaf):
+    """Copy of ``tree`` without ``leaf``, as the peer's departure would
+    leave it: walking up from ``leaf``, each router left with fewer than two
+    children goes, spliced out when one child remains, up to the first
+    node that keeps two. Every other node keeps its id and label."""
+    dropped, spliced = {leaf}, set()
+    node = tree.parent(leaf)
+    while tree.is_router(node):
+        rest = [c for c in tree.children(node) if c not in dropped]
+        if len(rest) >= 2:
+            break
+        (spliced if rest else dropped).add(node)
+        node = tree.parent(node)
+    out = RoutingTree(tree.root)
+    stack = [(tree.root, c) for c in reversed(tree.children(tree.root))]
+    while stack:
+        parent, node = stack.pop()
+        if node in dropped:
+            continue
+        if tree.is_leaf(node):
+            out.add_leaf(node, parent)
+            continue
+        if node not in spliced:
+            out.add_router(parent, tree.router_cov[node], router_id=node)
+            parent = node
+        stack.extend((parent, c) for c in reversed(tree.children(node)))
+    return out
 
 
 def build_tree(root, spec):
@@ -94,7 +150,7 @@ def cluster_family(tree: RoutingTree):
             continue
         if node != tree.root and len(tree.children(node)) < 2:
             continue  # relay: same cluster as its child
-        family.add(frozenset(tree.leaves_under(node)))
+        family.add(frozenset(leaves_under(tree, node)))
     return family
 
 
