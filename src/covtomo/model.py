@@ -281,7 +281,8 @@ class RoutingTree:
     @classmethod
     def from_dict(cls, data: dict) -> "RoutingTree":
         """The tree of a `to_dict` document; InputError for an id that is
-        not a string or a root or router label that is not finite."""
+        not a string, a root or router label that is not finite, or a router
+        label below its parent's."""
 
         def node_id(entry: dict) -> NodeId:
             node = entry["id"]
@@ -303,7 +304,10 @@ class RoutingTree:
                 node = node_id(entry)
                 kids = entry.get("children") or []
                 if kids:
-                    tree.add_router(parent, label(entry), router_id=node)
+                    cov = label(entry)
+                    if cov < tree.router_cov[parent]:
+                        raise InputError(f"covariance label decreases from {parent!r} to {node!r}")
+                    tree.add_router(parent, cov, router_id=node)
                     build(node, kids)
                 else:
                     tree.add_leaf(node, parent)

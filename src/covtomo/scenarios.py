@@ -8,8 +8,7 @@ A scenario config is a JSON document with sections:
       "seeds":     [1, 2, 3],                    # explicit, never wall clock
       "sweep":     {"bg_rates_bytes_per_sec": [...]}          # optional
                    # or {"packet_sizes_bytes": [...], "pair_intervals_us": [...]}
-      "joins":     {"batches": [50, 50], "n_pairs": 2000,     # optional
-                    "names": ["peerA", ...]}                  # optional
+      "joins":     {"batches": [50, 50], "n_pairs": 2000}     # optional
     }
 
 Presence of "sweep" switches run_scenario into sweep mode; "joins" selects
@@ -17,10 +16,10 @@ the dynamic scenario; a config has at most one of the two. Before any run,
 `parse_config` builds every config the runs use (the simulator section's,
 one per sweep point, the join sessions' at the hosts of the last batch,
 and the `RecoveryConfig`), so each rule is checked by the class that owns
-it. Join names pass `model.check_new_hosts`; under
-``pair_schedule_us`` the join sessions run that schedule, so
-``joins.n_pairs`` is its length. Every mode runs each
-seed through one pass, `_run_once`: generate -> simulate -> estimate ->
+it. Joining hosts take generated ids (`simulator.grow_network`), and the
+join sessions send ``joins.n_pairs`` pairs (default: the simulator
+section's) at the simulator's pair interval. Every mode runs each seed
+through one pass, `_run_once`: generate -> simulate -> estimate ->
 `recover_from_matrix` (DFS order, then `recover_tree` at the configured or
 the automatic rho) -> score. Reports are single JSON documents embedding
 the full resolved config; given the same config they re-serialize
@@ -40,10 +39,10 @@ from .delay_cov import build_covariance_matrix, covariance_oracle_from_log
 from .dynamic import attach_peer
 from .errors import ConfigError, TomographyError
 from .logio import read_json, write_json
-from .model import branching_skeleton, check_new_hosts
+from .model import branching_skeleton
 from .ordering import dfs_order
 from .recover import RecoveryConfig, auto_rho, recover_tree
-from .simulator import SimulatorConfig, _is_int, generate_topology, grow_network, host_id, simulate_session
+from .simulator import SimulatorConfig, _is_int, generate_topology, grow_network, simulate_session
 
 _TOP_KEYS = {"simulator", "recovery", "seeds", "sweep", "joins"}
 _SWEEPS = ({"bg_rates_bytes_per_sec"}, {"packet_sizes_bytes", "pair_intervals_us"})
@@ -112,31 +111,17 @@ def parse_config(data: dict) -> dict:
     if joins is not None and sweep is not None:
         raise ConfigError("sweep and joins: a config may have only one of them")
     if joins is not None:
-        if not isinstance(joins, dict) or set(joins) - {"batches", "n_pairs", "names"}:
-            raise ConfigError("joins: supported fields are batches, n_pairs, names")
+        if not isinstance(joins, dict) or set(joins) - {"batches", "n_pairs"}:
+            raise ConfigError("joins: supported fields are batches, n_pairs")
         batches = joins.get("batches")
         if not isinstance(batches, list) or not batches or not all(_is_int(b) and b > 0 for b in batches):
             raise ConfigError("joins.batches: non-empty list of positive integers required")
-        if sim.pair_schedule_us is None:
-            n_pairs = joins.get("n_pairs", sim.n_pairs)
-            if not _is_int(n_pairs) or n_pairs < 2:
-                raise ConfigError("joins.n_pairs: integer >= 2 required")
-        elif "n_pairs" in joins:
-            raise ConfigError("joins.n_pairs: the join sessions run simulator.pair_schedule_us; omit n_pairs")
-        else:
-            n_pairs = len(sim.pair_schedule_us)
+        n_pairs = joins.get("n_pairs", sim.n_pairs)
+        if not _is_int(n_pairs) or n_pairs < 2:
+            raise ConfigError("joins.n_pairs: integer >= 2 required")
         with _section("joins"):
             _join_config(sim, batches, n_pairs)
-        names = joins.get("names")
-        if names is not None:
-            if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-                raise ConfigError("joins.names: list of strings required")
-            if len(names) != sum(batches):
-                raise ConfigError("joins.names: length must equal the total of joins.batches")
-            # checked before any run: every seed starts from the same host ids
-            with _section("joins.names"):
-                check_new_hosts(names, {host_id(i, sim.n_hosts) for i in range(sim.n_hosts)})
-        joins = {"batches": batches, "n_pairs": n_pairs, "names": names}
+        joins = {"batches": batches, "n_pairs": n_pairs}
 
     resolved = {
         "simulator": asdict(sim),
@@ -271,13 +256,8 @@ def run_dynamic_scenario(resolved: dict) -> dict:
         curve = [_curve_point(sim.n_routers + sim.n_hosts, report)]
         join_sim = _join_config(sim, joins["batches"], joins["n_pairs"])
         n_hosts = sim.n_hosts
-        consumed = 0
         for step, batch in enumerate(joins["batches"], start=1):
-            names = None
-            if joins["names"] is not None:
-                names = joins["names"][consumed : consumed + batch]
-                consumed += batch
-            new_hosts = grow_network(net, sim, batch, stream=step, names=names)
+            new_hosts = grow_network(net, sim, batch, stream=step)
             n_hosts += batch
             log = simulate_session(net, join_sim, stream=step)
             oracle = covariance_oracle_from_log(log, peers=new_hosts)

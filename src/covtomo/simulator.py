@@ -20,6 +20,12 @@ that pair index; that sharing is what creates covariance on shared links,
 and the analytic covariance of two clients is therefore exactly the sum of
 link variances over their common path prefix.
 
+A session sends evenly: pair index k leaves the source at
+k * ``pair_interval_us``, one packet per client. Irregular send times, as
+when probes ride a data flow, come from an imported log (`logio.import_log`)
+instead: the estimator reads any sender column, because a send time cancels
+in recv - send.
+
 A session walks the ground-truth tree ``truth`` once, each node after its
 parent; a node stands for the link from its parent, and the clients are
 the leaves. A link's jitter row, constant delay, congestion noise variance
@@ -57,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError, InvariantError
-from .model import ROUTER_ID_PREFIX, TIMESTAMP_LIMIT_US, MeasurementLog, NodeId, RoutingTree, check_new_hosts
+from .model import ROUTER_ID_PREFIX, TIMESTAMP_LIMIT_US, MeasurementLog, NodeId, RoutingTree
 
 # rng stream tags so topology, sessions and growth draw independent streams
 _STREAM_TOPOLOGY = 1
@@ -100,6 +106,10 @@ class SimulatorConfig:
     """Simulation parameters; defaults mirror the desk-scale evaluation
     setup (150 hosts, 50 routers, 100 Mbps links, 70% of hosts as clients).
 
+    Sessions send ``n_pairs`` pairs evenly, ``pair_interval_us`` apart
+    (`sender_schedule`); a log with irregular send times is imported, not
+    simulated.
+
     A config is refused (ConfigError) unless every timestamp its sessions
     can write stays below ``TIMESTAMP_LIMIT_US`` (2^62) in magnitude, the
     domain `MeasurementLog` accepts (see `_timestamp_bound_us`).
@@ -113,14 +123,13 @@ class SimulatorConfig:
     bandwidth_bps: float = 1e8
     packet_size_bytes: int = 200
     pair_interval_us: int = 30000
-    pair_schedule_us: tuple[int, ...] | None = None
     n_pairs: int = 2000
     bg_rate_bytes_per_sec: float = 4e6
 
     def __post_init__(self):
-        for name in ("link_base_delay_us", "link_delay_var_ms2", "pair_schedule_us"):
+        for name in ("link_base_delay_us", "link_delay_var_ms2"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, tuple):
+            if not isinstance(value, tuple):
                 # a JSON config gives these as lists
                 object.__setattr__(self, name, tuple(value))
         for name in _INT_FIELDS:
@@ -136,19 +145,9 @@ class SimulatorConfig:
                 raise ConfigError(f"{name} must be a non-negative (lo, hi) range")
             if not (_finite(lo) and _finite(hi)):
                 raise ConfigError(f"{name} must be a finite range")
-        if self.pair_schedule_us is not None:
-            if len(self.pair_schedule_us) < 1:
-                raise ConfigError("pair_schedule_us must not be empty")
-            bad = next((t for t in self.pair_schedule_us if not _is_int(t)), None)
-            if bad is not None:
-                raise ConfigError(f"pair_schedule_us entries must be integers, got {bad!r}")
-            if any(b <= a for a, b in zip(self.pair_schedule_us, self.pair_schedule_us[1:])):
-                raise ConfigError("pair_schedule_us must be strictly increasing")
-        # without a schedule it spaces the pairs; a one-pair schedule takes
-        # it as the mean pair interval, which sets the probe load
-        if self.pair_interval_us <= 0 and (self.pair_schedule_us is None or len(self.pair_schedule_us) < 2):
+        if self.pair_interval_us <= 0:
             raise ConfigError(f"pair_interval_us must be positive, got {self.pair_interval_us}")
-        if self.n_pairs < 1 and self.pair_schedule_us is None:
+        if self.n_pairs < 1:
             raise ConfigError(f"n_pairs must be >= 1, got {self.n_pairs}")
         if self.bg_rate_bytes_per_sec < 0:
             raise ConfigError("bg_rate_bytes_per_sec must be non-negative")
@@ -173,20 +172,15 @@ class SimulatorConfig:
         normal draw at `_NORMAL_BOUND_SIGMAS`. inf when a step overflows.
         Hosts that `grow_network` adds count only through n_hosts (see
         `scenarios._join_config`)."""
-        if self.pair_schedule_us is not None:
-            first, last, n = self.pair_schedule_us[0], self.pair_schedule_us[-1], len(self.pair_schedule_us)
-        else:
-            first, last, n = 0, (self.n_pairs - 1) * self.pair_interval_us, self.n_pairs
         try:
-            interval_s = _mean_interval_s(first, last, n, self.pair_interval_us)
-            overshoot = _overshoot(_link_load(self, self.n_hosts, interval_s))
+            overshoot = _overshoot(_link_load(self, self.n_hosts))
             var = self.link_delay_var_ms2[1] * self.bg_scale
             links = self.n_routers + 1
             reach = _JITTER_OFFSET_SIGMAS + _NORMAL_BOUND_SIGMAS
             trans_us = self.packet_size_bytes * 8 / self.bandwidth_bps * 1e6
             per_link = self.link_base_delay_us[1] + trans_us + reach * math.sqrt(var) * 1e3
             noise = reach * math.sqrt(links * var * CONGESTION_NOISE_GAIN * overshoot * 1e6)
-            return max(abs(first), abs(last)) + links * per_link + noise
+            return (self.n_pairs - 1) * self.pair_interval_us + links * per_link + noise
         except OverflowError:
             return math.inf
 
@@ -195,24 +189,19 @@ class SimulatorConfig:
         return self.bg_rate_bytes_per_sec / BG_REF_RATE_BYTES_PER_SEC
 
     def sender_schedule(self) -> np.ndarray:
-        if self.pair_schedule_us is not None:
-            return np.asarray(self.pair_schedule_us, dtype=np.int64)
-        return np.arange(self.n_pairs, dtype=np.int64) * int(self.pair_interval_us)
+        """Send time of each pair index: ``pair_interval_us`` apart from 0."""
+        return np.arange(self.n_pairs, dtype=np.int64) * self.pair_interval_us
 
 
 # The load model of `simulate_session` and the timestamp bound, in the
 # session's float order, so that the bound takes the values a session takes.
 
 
-def _mean_interval_s(first, last, n: int, pair_interval_us: int) -> float:
-    """Mean interval of ``n`` sends from ``first`` to ``last`` us, in s."""
-    return (float(last - first) / (n - 1) if n > 1 else float(pair_interval_us)) / 1e6
-
-
-def _link_load(config: SimulatorConfig, n_clients: int, mean_interval_s: float) -> float:
+def _link_load(config: SimulatorConfig, n_clients: int) -> float:
     """Utilization: background plus a probe per interval per client below."""
     probe_bits = config.packet_size_bytes * 8
-    return (config.bg_rate_bytes_per_sec * 8 + n_clients * probe_bits / mean_interval_s) / config.bandwidth_bps
+    interval_s = config.pair_interval_us / 1e6
+    return (config.bg_rate_bytes_per_sec * 8 + n_clients * probe_bits / interval_s) / config.bandwidth_bps
 
 
 def _overshoot(load: float) -> float:
@@ -388,34 +377,15 @@ def _extend_truth_path(tree: RoutingTree, path, link_params) -> None:
             tree.add_router(prev, tree.router_cov[prev] + var, router_id=node)
 
 
-def grow_network(
-    net: SimulatedNetwork,
-    config: SimulatorConfig,
-    n_new_hosts: int,
-    stream: int = 0,
-    names=None,
-):
+def grow_network(net: SimulatedNetwork, config: SimulatorConfig, n_new_hosts: int, stream: int = 0):
     """Attach new client hosts to random routers, extending the ground truth
-    in place. Returns the new host ids: taken from ``names``, or generated
-    by `host_id` in sequence, skipping any id the network already holds.
-    Deterministic given (config.seed, stream). Every name passes
-    `check_new_hosts` before anything is drawn or attached, so a rejected
-    call changes nothing."""
+    in place. Returns the new host ids, generated by `host_id` in sequence
+    after the network's own, so none is taken. Deterministic given
+    (config.seed, stream)."""
     if n_new_hosts < 1:
         raise InputError(f"n_new_hosts must be >= 1, got {n_new_hosts}")
-    if names is None:
-        # generated ids skip those that named hosts already hold
-        hosts = []
-        while len(hosts) < n_new_hosts:
-            host = host_id(net._host_seq, config.n_hosts)
-            net._host_seq += 1
-            if host not in net.access_router and host != net.source:
-                hosts.append(host)
-    elif len(names) != n_new_hosts:
-        raise InputError("names must match n_new_hosts")
-    else:
-        hosts = list(names)
-        check_new_hosts(hosts, net.access_router.keys() | {net.source})
+    hosts = [host_id(i, config.n_hosts) for i in range(net._host_seq, net._host_seq + n_new_hosts)]
+    net._host_seq += n_new_hosts
     rng = np.random.default_rng([config.seed, _STREAM_GROWTH, stream])
     routers = sorted({r for r in net._router_paths})
     base_lo, base_hi = config.link_base_delay_us
@@ -475,7 +445,6 @@ def simulate_session(net: SimulatedNetwork, config: SimulatorConfig, stream: int
     jitter = _offset_normal(rng, sigma_us, n)
 
     # a link's load counts the clients below it
-    mean_interval_s = _mean_interval_s(schedule[0], schedule[-1], n, config.pair_interval_us)
     below = dict.fromkeys(truth.leaves, 1)
     for node, parent in reversed(walk):
         below[parent] = below.get(parent, 0) + below[node]
@@ -492,7 +461,7 @@ def simulate_session(net: SimulatedNetwork, config: SimulatorConfig, stream: int
             jitter[row[node]] += jitter[row[parent]]
         const_us[node] = const_us[parent] + (base + trans_us)
         noise, surv = noise_var_us2[parent], survival[parent]
-        overshoot = _overshoot(_link_load(config, below[node], mean_interval_s))
+        overshoot = _overshoot(_link_load(config, below[node]))
         if overshoot > 0:
             noise += var * CONGESTION_NOISE_GAIN * overshoot * 1e6
             surv *= 1.0 - DROP_PROB

@@ -168,52 +168,29 @@ def test_e2e_static_report_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_e2e_dynamic_and_named_join_collision(tmp_path, capsys):
+def test_e2e_dynamic_report(tmp_path, capsys):
     cfg = write_config(tmp_path, joins={"batches": [2, 2], "n_pairs": 300})
     out = tmp_path / "dyn.json"
     assert main(["e2e", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["mode"] == "dynamic"
+    assert report["config"]["joins"] == {"batches": [2, 2], "n_pairs": 300}
     curve = report["runs"][0]["curve"]
     assert [pt["n_nodes"] for pt in curve] == [14, 16, 18]
     capsys.readouterr()
-
-    # join schedule naming an existing host -> diagnostic config exit
-    collide = write_config(
-        tmp_path, name="collide.json",
-        joins={"batches": [1], "n_pairs": 300, "names": ["h0001"]},
-    )
-    assert main(["e2e", "--config", str(collide), "--out", str(out)]) == 2
-    assert "already exists" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "overrides, message",
     [
         (
-            {"joins": {"batches": [2, 1], "n_pairs": 300, "names": ["peerA", "peerA", "peerB"]}},
-            "joins.names: host 'peerA' appears more than once",
-        ),
-        (
-            {"joins": {"batches": [1, 1], "n_pairs": 300, "names": ["peerA", "h0003"]}},
-            "joins.names: host 'h0003' already exists",
+            # joining hosts take generated ids; a config cannot name them
+            {"joins": {"batches": [1], "n_pairs": 300, "names": ["peerA"]}},
+            "joins: supported fields are batches, n_pairs",
         ),
         (
             {"joins": {"batches": [2]}, "sweep": {"bg_rates_bytes_per_sec": [1e6, 4e6]}},
             "sweep and joins: a config may have only one of them",
-        ),
-        (
-            # a generated router of the ground truth
-            {"joins": {"batches": [1, 1], "n_pairs": 300, "names": ["peerA", "r2"]}},
-            "joins.names: host 'r2' is in the router-id namespace",
-        ),
-        (
-            # only two generated routers, but recovery names its routers r1, r2, ...
-            {
-                "simulator": {"n_hosts": 12, "n_routers": 2, "n_pairs": 400, "pair_interval_us": 5000},
-                "joins": {"batches": [1], "n_pairs": 300, "names": ["r2"]},
-            },
-            "joins.names: host 'r2' is in the router-id namespace",
         ),
         (
             {"sweep": {"bg_rates_bytes_per_sec": ["abc"]}},
@@ -227,13 +204,6 @@ def test_e2e_dynamic_and_named_join_collision(tmp_path, capsys):
         (
             {"sweep": {"packet_sizes_bytes": [200.7], "pair_intervals_us": [30000]}},
             "sweep: packet_size_bytes must be an integer, got 200.7",
-        ),
-        (
-            {
-                "simulator": {"n_hosts": 10, "n_routers": 4, "pair_schedule_us": [5000 * i for i in range(300)]},
-                "joins": {"batches": [2], "n_pairs": 40},
-            },
-            "joins.n_pairs: the join sessions run simulator.pair_schedule_us; omit n_pairs",
         ),
         (
             {"recovery": {"rho_ms2": float("inf")}},
@@ -282,16 +252,12 @@ def test_e2e_dynamic_and_named_join_collision(tmp_path, capsys):
         ),
     ],
     ids=[
-        "duplicate-name",
-        "generated-name-in-second-batch",
+        "removed-join-names",
         "sweep-and-joins",
-        "truth-router-id",
-        "recovered-router-id",
         "rate-not-a-number",
         "negative-second-rate",
         "fractional-interval",
         "fractional-packet-size",
-        "join-pairs-with-schedule",
         "infinite-rho",
         "bool-rho",
         "bool-seed",
@@ -328,22 +294,6 @@ def test_simulate_rejects_a_negative_seed(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--config", str(write_config(tmp_path)), "--seed", "-1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
     assert not out.exists()
-
-
-def test_join_sessions_run_the_pair_schedule(tmp_path, capsys):
-    schedule = [5000 * i for i in range(300)]
-    cfg = write_config(
-        tmp_path,
-        simulator={"n_hosts": 10, "n_routers": 4, "pair_schedule_us": schedule},
-        joins={"batches": [2]},
-        seeds=[1],
-    )
-    out = tmp_path / "r.json"
-    assert main(["e2e", "--config", str(cfg), "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["config"]["joins"]["n_pairs"] == 300
-    assert report["config"]["simulator"]["pair_schedule_us"] == schedule
-    capsys.readouterr()
 
 
 SWEEP_KEYS = {
@@ -392,8 +342,8 @@ def test_sweep_values_follow_the_simulator_section(field, value):
             assert a == b or (a != a and b != b), f.name  # NaN equals nothing
 
 
-# fields the simulator no longer has: seven became module constants, and
-# every network is Waxman
+# fields the simulator no longer has: seven became module constants, every
+# network is Waxman, and every session sends evenly
 REMOVED_SIMULATOR_FIELDS = [
     "waxman_alpha",
     "max_topology_retries",
@@ -406,6 +356,7 @@ REMOVED_SIMULATOR_FIELDS = [
     "congestion_threshold",
     "congestion_noise_gain",
     "drop_prob",
+    "pair_schedule_us",
 ]
 
 
@@ -571,18 +522,34 @@ def test_recover_refuses_receivers_that_are_not_strings(tmp_path, capsys):
     assert not out.exists()
 
 
+def leaves(*names):
+    return [{"id": leaf, "cov": None, "children": []} for leaf in names]
+
+
+# a router below the root that a tree file must not hold, and the reason
+BAD_ROUTERS = {
+    "nan": ({"id": "r1", "cov": float("nan"), "children": leaves("a", "b")}, "node 'r1' has label nan, not finite"),
+    # labels accumulate down a path: r2 below r1 cannot share less
+    "decreasing": (
+        {"id": "r1", "cov": 50.0, "children": [{"id": "r2", "cov": 1.0, "children": leaves("a", "b")}, *leaves("c")]},
+        "covariance label decreases from 'r1' to 'r2'",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(BAD_ROUTERS))
 @pytest.mark.parametrize("command", ["join", "score"])
-def test_tree_with_a_nan_label_names_the_file(tmp_path, capsys, command):
-    leaves = [{"id": leaf, "cov": None, "children": []} for leaf in ("a", "b")]
+def test_tree_with_a_bad_label_names_the_file(tmp_path, capsys, command, label):
+    router, reason = BAD_ROUTERS[label]
     tree = tmp_path / "tree.json"
-    tree.write_text(json.dumps({"id": "s", "cov": 0.0, "children": [{"id": "r1", "cov": float("nan"), "children": leaves}]}))
-    assert "NaN" in tree.read_text()
-    # a log that measures the joining peer k with both leaves
+    tree.write_text(json.dumps({"id": "s", "cov": 0.0, "children": [router]}))
+    assert label != "nan" or "NaN" in tree.read_text()
+    # a log that measures the joining peer k with every leaf
     log = tmp_path / "log.ndjson"
     records = [{"k": k, "ts_us": 1000 * k, "type": "send"} for k in range(6)]
     records += [
         {"k": k, "receiver": r, "ts_us": 1000 * k + 10 + (k * k + i) % 7, "type": "recv"}
-        for i, r in enumerate("abk")
+        for i, r in enumerate("abck")
         for k in range(6)
     ]
     log.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -592,7 +559,7 @@ def test_tree_with_a_nan_label_names_the_file(tmp_path, capsys, command):
     }[command]
     out = tmp_path / "out.json"
     assert main([command, *map(str, argv), "--out", str(out)]) == 3
-    assert capsys.readouterr().err == f"data error: tree {tree} is malformed: node 'r1' has label nan, not finite\n"
+    assert capsys.readouterr().err == f"data error: tree {tree} is malformed: {reason}\n"
     assert not out.exists()
 
 
@@ -680,18 +647,18 @@ def test_e2e_runs_sweeps(tmp_path, capsys):
 # has two seeds, so its points must keep the last seed's tree, and the grid
 # sweep takes its rho from auto_rho.
 PINNED_REPORTS = [
-    ({}, "c0c74c1282a5d70128d606c7b4711e852c7419b9a409118d2f2a1f0cfb633d89"),
+    ({}, "fa3182fd24bd8e5660e994a404fb3929ca915d3e5cf93ac3b20813048ebb566b"),
     (
         {"sweep": {"bg_rates_bytes_per_sec": [1e6, 4e6]}},
-        "08c0b0e203009082f7ea5ce4c6a7e168c62f8c98f4f110fded7b5965cbfe3604",
+        "0bc045c573655fb017f6f3485fa48674830c8ae2476a7698533a1bd25b0687f3",
     ),
     (
         {"sweep": {"packet_sizes_bytes": [500, 1500], "pair_intervals_us": [5000, 8000]}, "recovery": {}, "seeds": [1]},
-        "09c3d2e879961963a1a15599df2077ae3fafbcde4469db8a7e25ca0d3b9e7f5e",
+        "3ba6c86f117ec6452d039a3e55a4e620a088601a924e73fb040a65f45475219c",
     ),
     (
         {"joins": {"batches": [2, 2], "n_pairs": 300}},
-        "957bac975cd3d09ccf7a62c1142013aa63f686dcc8123f10313eb20311d2dce7",
+        "f9cdfb41cec899b5ad7368245ebccc83d0208a33f9a9e9cead45a0ec88ed213a",
     ),
 ]
 
@@ -747,8 +714,6 @@ def test_parse_config_rejects_bad_sections():
     # a tuple field that is not a list is a config error, not a TypeError
     with pytest.raises(ConfigError, match="simulator: 'int' object is not iterable"):
         parse_config({"seeds": [1], "simulator": {"link_base_delay_us": 5}})
-    # a fractional count or schedule entry is refused before any run
+    # a fractional count is refused before any run
     with pytest.raises(ConfigError, match=r"^simulator: n_pairs must be an integer, got 2.5$"):
         parse_config({"seeds": [1], "simulator": {"n_pairs": 2.5}})
-    with pytest.raises(ConfigError, match=r"^simulator: pair_schedule_us entries must be integers, got 0.5$"):
-        parse_config({"seeds": [1], "simulator": {"pair_schedule_us": [0, 0.5, 1.7, 40000]}})

@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covtomo import simulator
-from covtomo.delay_cov import align_pairs, build_covariance_matrix, normalize_series
+from covtomo.delay_cov import align_pairs, build_covariance_matrix, covariance_oracle_from_log, normalize_series
 from covtomo.errors import ConfigError, InputError, InvariantError
 from covtomo.logio import export_log, import_log
-from covtomo.model import TIMESTAMP_LIMIT_US, RoutingTree, shared_covariance
+from covtomo.model import TIMESTAMP_LIMIT_US, MeasurementLog, RoutingTree, shared_covariance
 from covtomo.simulator import SimulatedNetwork, SimulatorConfig, generate_topology, grow_network, simulate_session
 
 from treegen import path_from_root
@@ -201,28 +201,35 @@ def test_monte_carlo_convergence_to_analytic():
         assert abs(cov.get("a", "b") - expected) <= 3 * stderr
 
 
-def test_timestamped_schedule_mode():
-    schedule = tuple(int(x) for x in np.cumsum([0] + [700, 1300, 900, 1100] * 50)[:120])
-    cfg = small_cfg(pair_schedule_us=schedule, link_delay_var_ms2=(0.0, 0.0))
-    net = generate_topology(cfg)
-    log = simulate_session(net, cfg)
-    assert log.n_pairs == len(schedule)
-    client = sorted(net.clients)[0]
-    out = normalize_series(log, client, align_pairs(log, {client}))
-    assert out.values == (0,) * len(schedule)
+def retimed(log, sender):
+    """``log`` with the sender column ``sender``: each arrival moves by as
+    much as its send, and a lost packet's stays 0."""
+    sender = np.asarray(sender, dtype=np.int64)
+    return MeasurementLog(log.ids, sender, log.recv + (sender - log.sender) * log.present, log.present)
 
 
-def test_even_schedule_log_equals_interval_log_and_its_import(tmp_path):
-    # the sender column is the whole schedule: one even spacing, given as a
-    # schedule or as an interval, is one log, and a round trip keeps it
-    cfg = small_cfg(n_pairs=60, pair_interval_us=5000)
-    net = generate_topology(cfg)
-    by_interval = simulate_session(net, cfg)
-    by_schedule = simulate_session(net, replace(cfg, pair_schedule_us=tuple(range(0, 60 * 5000, 5000))))
-    assert by_schedule == by_interval
+def test_send_times_cancel_in_every_estimate(tmp_path):
+    # a lossy session, and the same session riding an irregular data flow,
+    # written to a file and read back: a send time cancels in recv - send,
+    # so the matrix and the oracle read the same values bit for bit
+    cfg = small_cfg(bg_rate_bytes_per_sec=12e6)
+    even = simulate_session(generate_topology(cfg), cfg)
+    assert not even.present.all()
+    sender = np.cumsum(np.random.default_rng(5).integers(1, 3 * cfg.pair_interval_us, size=cfg.n_pairs))
+    assert len(set(np.diff(sender).tolist())) > 1
     path = tmp_path / "log.ndjson"
-    export_log(by_schedule, path)
-    assert import_log(path) == by_schedule
+    export_log(retimed(even, sender), path)
+    ridden = import_log(path)
+    assert ridden == retimed(even, sender)
+    ridden.validate()
+    receivers = list(even.ids)
+    assert (
+        build_covariance_matrix(ridden, receivers).values.tobytes()
+        == build_covariance_matrix(even, receivers).values.tobytes()
+    )
+    oracles = [covariance_oracle_from_log(log, peers=receivers[:2]) for log in (ridden, even)]
+    for a, b in itertools.combinations(receivers, 2):
+        assert oracles[0](a, b).hex() == oracles[1](a, b).hex()
 
 
 def log_digest(log, tmp_path) -> str:
@@ -240,12 +247,13 @@ def test_simulated_logs_match_pinned_digests(tmp_path):
     assert not log.recv[~log.present].any()
     assert log_digest(log, tmp_path) == "f283bd6e12256d1087e99775e0e50008eb1be3f7c65fa9c2f15212c5990a1096"
 
-    # timestamped schedule at a background rate that congests every link
-    schedule = tuple(int(x) for x in np.cumsum([1000] + [700, 1300, 900, 1100] * 60))
+    # an irregular sender column at a background rate that congests every
+    # link: the even session at the same mean interval (1000 us), retimed
+    sender = np.cumsum([1000] + [700, 1300, 900, 1100] * 60)
     cfg = SimulatorConfig(
-        n_hosts=12, n_routers=5, seed=17, pair_schedule_us=schedule, bg_rate_bytes_per_sec=12e6
+        n_hosts=12, n_routers=5, seed=17, n_pairs=len(sender), pair_interval_us=1000, bg_rate_bytes_per_sec=12e6
     )
-    log = simulate_session(generate_topology(cfg), cfg, stream=2)
+    log = retimed(simulate_session(generate_topology(cfg), cfg, stream=2), sender)
     assert log.present.sum() < log.present.size
     assert log_digest(log, tmp_path) == "6b957628a4891b09c72281abc87df02bda87c419161d8ec92e7b281be34418c6"
 
@@ -262,10 +270,8 @@ def test_grow_network_extends_truth_deterministically():
     for host in added1:
         assert host in n1.clients
         assert n1.truth.is_leaf(host)
-    named = grow_network(n1, cfg, 1, stream=3, names=["peerX"])
-    assert named == ["peerX"] and "peerX" in n1.clients
-    with pytest.raises(InputError):
-        grow_network(n1, cfg, 1, stream=4, names=["peerX"])
+    # generated ids continue the network's sequence, call after call
+    assert added1 + grow_network(n1, cfg, 2, stream=3) == [f"h{i:04d}" for i in range(10, 17)]
 
 
 def test_truth_labels_sum_path_variances_in_path_order():
@@ -303,8 +309,6 @@ def test_config_validation_errors():
         SimulatorConfig(pair_interval_us=0)
     with pytest.raises(ConfigError):
         SimulatorConfig(link_delay_var_ms2=(2.0, 1.0))
-    with pytest.raises(ConfigError):
-        SimulatorConfig(pair_schedule_us=(0, 10, 5))
 
 
 @pytest.mark.parametrize(
@@ -318,9 +322,6 @@ def test_config_validation_errors():
         ("n_pairs", False, "n_pairs must be an integer, got False"),
         # 30000.5 would become 30000 in the schedule
         ("pair_interval_us", 30000.5, "pair_interval_us must be an integer, got 30000.5"),
-        # a schedule that would be truncated to (0, 0, 1, 40000) and fail validate()
-        ("pair_schedule_us", (0, 0.5, 1.7, 40000), "pair_schedule_us entries must be integers, got 0.5"),
-        ("pair_schedule_us", (0, True, 2), "pair_schedule_us entries must be integers, got True"),
     ],
 )
 def test_config_rejects_counts_that_fail_later(field, value, message):
@@ -361,48 +362,6 @@ def test_config_rejects_bad_seeds(field, value, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("names", [["peerA", "r2"], ["peerB", "peerB"], ["peerC", "h0003"]])
-def test_rejected_grow_network_changes_nothing(names):
-    cfg = small_cfg()
-    net = generate_topology(cfg)
-
-    def state():
-        return net.truth.to_dict(), set(net.clients), dict(net.link_params), dict(net.access_router)
-
-    before = state()
-    with pytest.raises(InputError):
-        grow_network(net, cfg, 2, stream=1, names=names)
-    assert state() == before
-    # names take no draws: an accepted call attaches where generated hosts would
-    generated = generate_topology(cfg)
-    hosts = grow_network(generated, cfg, 2, stream=1)
-    assert grow_network(net, cfg, 2, stream=1, names=["peerD", "peerE"]) == ["peerD", "peerE"]
-    for host, name in zip(hosts, ("peerD", "peerE")):
-        router = generated.access_router[host]
-        assert net.access_router[name] == router
-        assert net.link_params[net.link_key(router, name)] == generated.link_params[net.link_key(router, host)]
-
-
-def test_grow_network_rejects_router_ids():
-    cfg = small_cfg(seed=31)
-    net = generate_topology(cfg)
-    for name in ("r2", "r999"):
-        with pytest.raises(InputError, match="router-id namespace"):
-            grow_network(net, cfg, 1, stream=1, names=[name])
-    assert grow_network(net, cfg, 1, stream=1, names=["r2x"]) == ["r2x"]
-
-
-def test_generated_host_ids_skip_named_hosts():
-    cfg = small_cfg()
-    net = generate_topology(cfg)
-    assert grow_network(net, cfg, 1, names=["h0010"]) == ["h0010"]
-    router = net.access_router["h0010"]
-    link = net.link_params[net.link_key(router, "h0010")]
-    assert grow_network(net, cfg, 1, stream=2) == ["h0011"]
-    assert len(net.clients) == 9
-    assert net.access_router["h0010"] == router and net.link_params[net.link_key(router, "h0010")] == link
-
-
 def reference_session(net, config, stream=0):
     """Plain restatement of `simulate_session`: jitter and congestion noise
     drawn by ``rng.normal(loc, scale)`` in one call each, and each client's
@@ -413,11 +372,11 @@ def reference_session(net, config, stream=0):
     n = len(schedule)
     paths = {c: path_links(net, c) for c in clients}
     links = sorted({link for ls in paths.values() for link in ls})
-    # load: background plus one probe per crossing client per mean interval
+    # load: background plus one probe per crossing client per interval
     crossing = {link: sum(link in ls for ls in paths.values()) for link in links}
-    mean_interval_s = (schedule[-1] - schedule[0]) / (n - 1) / 1e6 if n > 1 else config.pair_interval_us / 1e6
+    interval_s = config.pair_interval_us / 1e6
     util = {
-        link: (config.bg_rate_bytes_per_sec * 8 + count * config.packet_size_bytes * 8 / mean_interval_s)
+        link: (config.bg_rate_bytes_per_sec * 8 + count * config.packet_size_bytes * 8 / interval_s)
         / config.bandwidth_bps
         for link, count in crossing.items()
     }
@@ -457,21 +416,17 @@ def reference_session(net, config, stream=0):
 
 @st.composite
 def session_setups(draw):
-    """A small network, possibly grown, with a fixed or timestamped
-    schedule, a background rate from idle to congesting every link, and
-    forced drops on some links."""
-    if draw(st.booleans()):
-        schedule = {"n_pairs": draw(st.integers(1, 40)), "pair_interval_us": draw(st.sampled_from([200, 5000, 30000]))}
-    else:
-        gaps = draw(st.lists(st.integers(1, 3000), min_size=0, max_size=39))
-        schedule = {"pair_schedule_us": tuple(int(x) for x in np.cumsum([draw(st.integers(0, 10**6))] + gaps))}
+    """A small network, possibly grown, with a pair count and interval, a
+    background rate from idle to congesting every link, and forced drops
+    on some links."""
     cfg = SimulatorConfig(
         n_hosts=draw(st.integers(2, 16)),
         n_routers=draw(st.integers(1, 7)),
         seed=draw(st.integers(0, 2**16)),
         packet_size_bytes=draw(st.sampled_from([200, 1500])),
         bg_rate_bytes_per_sec=draw(st.sampled_from([0.0, 1e6, 4e6, 9e6, 12e6])),
-        **schedule,
+        n_pairs=draw(st.integers(1, 40)),
+        pair_interval_us=draw(st.sampled_from([200, 5000, 30000])),
     )
     net = generate_topology(cfg)
     stream = 0
@@ -572,7 +527,7 @@ def test_config_rejects_delays_past_the_int64_timestamp_range():
     assert str(info.value) == "delays too large: a timestamp could reach inf us, past the exact int64 range (2^62 us)"
     # a send time at the edge leaves no room for a delay
     with pytest.raises(ConfigError, match=r"^delays too large: a timestamp could reach 4\.61e\+18 us"):
-        small_cfg(pair_schedule_us=(0, TIMESTAMP_LIMIT_US - 1))
+        small_cfg(n_pairs=2, pair_interval_us=TIMESTAMP_LIMIT_US - 1)
     with pytest.raises(ConfigError, match=r"^delays too large"):
         small_cfg(link_base_delay_us=(0.0, 1e18))
     # only the congestion noise: the same links pass uncongested, and at
@@ -583,23 +538,15 @@ def test_config_rejects_delays_past_the_int64_timestamp_range():
         small_cfg(link_delay_var_ms2=(0.5, 4e20), bandwidth_bps=160.0)
 
 
-def test_one_pair_schedule_needs_a_positive_interval():
-    # the interval is then the session's mean pair interval, which sets the
-    # probe load; a schedule of two or more pairs does without it
-    with pytest.raises(ConfigError) as info:
-        small_cfg(pair_schedule_us=(0,), pair_interval_us=0)
-    assert str(info.value) == "pair_interval_us must be positive, got 0"
-    small_cfg(pair_schedule_us=(0, 10), pair_interval_us=0)
-    cfg = small_cfg(pair_schedule_us=(7,), pair_interval_us=5000)
-    assert simulate_session(generate_topology(cfg), cfg).n_pairs == 1
-
-
 def test_session_at_the_timestamp_bound_is_exact():
-    # the largest sends the bound allows, with every link congested: every
-    # timestamp is an exact int64 below the log's limit
-    edge = TIMESTAMP_LIMIT_US - 10**9
-    cfg = small_cfg(pair_schedule_us=tuple(range(edge - 399 * 10**6, edge + 1, 10**6)), bg_rate_bytes_per_sec=12e6)
+    # sends up to 10^9 us below the log's limit, with every link congested:
+    # the bound allows them, and every timestamp is an exact int64 below
+    # the limit; sends up to the limit itself leave no room for a delay
+    interval = (TIMESTAMP_LIMIT_US - 10**9) // 399
+    cfg = small_cfg(n_pairs=400, pair_interval_us=interval, bg_rate_bytes_per_sec=12e6)
     assert cfg._timestamp_bound_us() < TIMESTAMP_LIMIT_US
+    with pytest.raises(ConfigError, match=r"^delays too large"):
+        replace(cfg, pair_interval_us=TIMESTAMP_LIMIT_US // 399)
     with np.errstate(all="raise"):
         log = simulate_session(generate_topology(cfg), cfg)
     assert log.recv.dtype == np.int64 and int(log.recv.max()) < TIMESTAMP_LIMIT_US
