@@ -250,6 +250,18 @@ def test_e2e_dynamic_report(tmp_path, capsys):
             {"joins": {"batches": [True, 1], "n_pairs": 300}},
             "joins.batches: non-empty list of positive integers required",
         ),
+        ({"joins": {"batches": [2, 0], "n_pairs": 300}}, "joins.batches: non-empty list of positive integers required"),
+        ({"joins": [2, 2]}, "joins: supported fields are batches, n_pairs"),
+        ({"joins": {"batches": [1], "n_pairs": 1}}, "joins.n_pairs: integer >= 2 required"),
+        ({"joins": {"batches": [1], "n_pairs": 300.5}}, "joins.n_pairs: integer >= 2 required"),
+        (
+            # without joins.n_pairs the join sessions take the simulator's count
+            {
+                "simulator": {"n_hosts": 10, "n_routers": 4, "n_pairs": 1, "pair_interval_us": 5000},
+                "joins": {"batches": [1]},
+            },
+            "joins.n_pairs: integer >= 2 required",
+        ),
     ],
     ids=[
         "removed-join-names",
@@ -271,6 +283,11 @@ def test_e2e_dynamic_report(tmp_path, capsys):
         "nan-sweep-rate",
         "401-digit-sweep-rate",
         "bool-batch",
+        "zero-batch",
+        "joins-not-an-object",
+        "one-join-pair",
+        "fractional-join-pairs",
+        "one-simulator-pair-for-joins",
     ],
 )
 def test_e2e_rejects_bad_configs_before_any_run(tmp_path, capsys, monkeypatch, overrides, message):
@@ -294,6 +311,16 @@ def test_simulate_rejects_a_negative_seed(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--config", str(write_config(tmp_path)), "--seed", "-1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
     assert not out.exists()
+
+
+def test_join_sessions_default_to_the_simulator_pairs(tmp_path, capsys):
+    cfg = write_config(tmp_path, joins={"batches": [2]}, seeds=[1])
+    out = tmp_path / "r.json"
+    assert main(["e2e", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["joins"] == {"batches": [2], "n_pairs": 400}
+    assert [pt["n_nodes"] for pt in report["runs"][0]["curve"]] == [14, 16]
+    capsys.readouterr()
 
 
 SWEEP_KEYS = {

@@ -208,6 +208,18 @@ def retimed(log, sender):
     return MeasurementLog(log.ids, sender, log.recv + (sender - log.sender) * log.present, log.present)
 
 
+def test_irregular_sender_on_still_links_normalizes_to_zero():
+    # links without variance delay every packet alike, whenever it is sent
+    cfg = small_cfg(n_pairs=120, link_delay_var_ms2=(0.0, 0.0))
+    net = generate_topology(cfg)
+    sender = np.cumsum([0] + [700, 1300, 900, 1100] * 30)[: cfg.n_pairs]
+    log = retimed(simulate_session(net, cfg), sender)
+    assert log.present.all()
+    for client in sorted(net.clients):
+        out = normalize_series(log, client, align_pairs(log, {client}))
+        assert out.values == (0,) * cfg.n_pairs
+
+
 def test_send_times_cancel_in_every_estimate(tmp_path):
     # a lossy session, and the same session riding an irregular data flow,
     # written to a file and read back: a send time cancels in recv - send,
@@ -256,6 +268,24 @@ def test_simulated_logs_match_pinned_digests(tmp_path):
     log = retimed(simulate_session(generate_topology(cfg), cfg, stream=2), sender)
     assert log.present.sum() < log.present.size
     assert log_digest(log, tmp_path) == "6b957628a4891b09c72281abc87df02bda87c419161d8ec92e7b281be34418c6"
+
+
+@pytest.mark.parametrize("n_new", [0, -1])
+def test_rejected_grow_network_changes_nothing(n_new):
+    cfg = small_cfg()
+    net = generate_topology(cfg)
+
+    def state():
+        return net.truth.to_dict(), set(net.clients), dict(net.link_params), dict(net.access_router)
+
+    before = state()
+    with pytest.raises(InputError, match=f"^n_new_hosts must be >= 1, got {n_new}$"):
+        grow_network(net, cfg, n_new, stream=1)
+    assert state() == before
+    # the refused call took no host id: the next one attaches as on a fresh network
+    fresh = generate_topology(cfg)
+    assert grow_network(net, cfg, 2, stream=1) == grow_network(fresh, cfg, 2, stream=1) == ["h0010", "h0011"]
+    assert net.truth.to_dict() == fresh.truth.to_dict()
 
 
 def test_grow_network_extends_truth_deterministically():
@@ -322,6 +352,9 @@ def test_config_validation_errors():
         ("n_pairs", False, "n_pairs must be an integer, got False"),
         # 30000.5 would become 30000 in the schedule
         ("pair_interval_us", 30000.5, "pair_interval_us must be an integer, got 30000.5"),
+        # a fractional probe size would load each link with bits no packet carries
+        ("packet_size_bytes", 200.5, "packet_size_bytes must be an integer, got 200.5"),
+        ("pair_interval_us", True, "pair_interval_us must be an integer, got True"),
     ],
 )
 def test_config_rejects_counts_that_fail_later(field, value, message):
@@ -536,6 +569,17 @@ def test_config_rejects_delays_past_the_int64_timestamp_range():
     assert small_cfg(link_delay_var_ms2=(0.5, 4e20))._timestamp_bound_us() < 1e16
     with pytest.raises(ConfigError, match=r"^delays too large: a timestamp could reach 1\.\d+e\+19 us"):
         small_cfg(link_delay_var_ms2=(0.5, 4e20), bandwidth_bps=160.0)
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2])
+def test_session_needs_a_positive_interval(n_pairs):
+    # the interval spaces the sends and sets the probe load, at any pair count
+    with pytest.raises(ConfigError) as info:
+        small_cfg(n_pairs=n_pairs, pair_interval_us=0)
+    assert str(info.value) == "pair_interval_us must be positive, got 0"
+    cfg = small_cfg(n_pairs=n_pairs)
+    log = simulate_session(generate_topology(cfg), cfg)
+    assert log.sender.tolist() == [5000 * k for k in range(n_pairs)]
 
 
 def test_session_at_the_timestamp_bound_is_exact():
