@@ -19,12 +19,12 @@ has one canonical byte form: each line is exactly
 
 followed by ``\n``, where K and T are decimal integers and NAME is
 ``json.dumps(receiver)``; send records come first, by k, then recv records
-by receiver and k. It writes whole-array passes over bounded blocks of
-records: each line is one row of a uint32 matrix holding the template
-bytes, NUL-padded decimal fields for K and T (four digits per word from a
-lookup table, a sign word before T) and NUL in every unused byte, and the
-block is written with its NULs dropped. json.dumps escapes every control
-character, so no record holds a NUL of its own.
+by receiver and k. Each line kind is a bytes ``%`` template with ``%d`` for
+K and T, and a receiver's template has its escaped name built in (``%``
+doubled). The send records are one ``%`` of the send template repeated
+once per pair, and each receiver's recv records one ``%`` of its template
+repeated once per arrival, so C formats every number and Python works
+once per receiver, not once per line.
 
 `import_log` has two readers. `_parse_exported` parses the whole file in a
 few numpy passes, with no Python work per line. It takes only canonical
@@ -61,7 +61,6 @@ A file that cannot be read or written raises DataError naming it.
 from __future__ import annotations
 
 import io
-import itertools
 import json
 import os
 import re
@@ -79,14 +78,30 @@ def export_log(log: MeasurementLog, path) -> None:
     by (receiver, index). Byte-deterministic for a given log; the bytes
     equal ``json.dumps(record, sort_keys=True)`` per record.
 
-    The file is built from the columns by `_block_lines`, in blocks of at
-    most _BLOCK_LINES records (fewer when names are long, so that a block
-    stays near _BLOCK_BYTES); only one block is held as text at once.
+    The send records are one ``%`` of _SEND_LINE repeated once per pair,
+    and each receiver's recv records one ``%`` of its own line template
+    repeated once per arrival, with the (k, ts) pairs as one flat tuple;
+    formatted receivers are gathered into writes of at least _WRITE_BYTES.
     """
     try:
         with open(path, "wb") as fh:
-            for block in _export_blocks(log):
-                fh.write(block)
+            if not log.n_pairs:
+                # no records: no lines joined by newlines, plus the final newline
+                fh.write(b"\n")
+                return
+            parts = [_SEND_LINE * log.n_pairs % _pairs(np.arange(log.n_pairs), log.sender)]
+            size = len(parts[0])
+            for name, present, recv in zip(log.ids, log.present, log.recv):
+                k = np.flatnonzero(present)
+                # the name as json.dumps quotes it, % doubled for the template
+                name = json.dumps(name)[1:-1].replace("%", "%%").encode()
+                template = _HEAD + b"%d" + _RECV_NAME + name + _RECV_TS + b"%d" + _RECV_TAIL + b"\n"
+                parts.append(template * k.size % _pairs(k, recv[k]))
+                size += len(parts[-1])
+                if size >= _WRITE_BYTES:
+                    fh.write(b"".join(parts))
+                    parts, size = [], 0
+            fh.write(b"".join(parts))
     except OSError as exc:
         raise _write_error("log", path, exc) from None
 
@@ -100,111 +115,16 @@ _RECV_NAME = b', "receiver": "'
 _RECV_TS = b'", "ts_us": '
 _SEND_TAIL = b', "type": "send"}'
 _RECV_TAIL = b', "type": "recv"}'
-# bounds on one export block: its records, and its bytes
-_BLOCK_LINES = 2**14
-_BLOCK_BYTES = 2**21
+_SEND_LINE = _HEAD + b"%d" + _SEND_TS + b"%d" + _SEND_TAIL + b"\n"
+# the least bytes of one export write: writing each receiver as soon as it
+# was formatted, in many smaller writes, raised a lossy desk run's peak RSS
+# by ~10 MB through glibc's heap layout, not through live memory
+_WRITE_BYTES = 2**21
 
 
-def _digit_words():
-    """Four ASCII digits per uint32 word, in byte order: word i is i with
-    leading zeros ("0042"), word 10**4 + i is i without them, NUL instead
-    ("\\0\\042", and 0 all NUL), and word 2 * 10**4 + i the same but 0
-    as "\\0\\0\\00"."""
-    i = np.arange(10**4)[:, None]
-    place = 10 ** np.arange(3, -1, -1)
-    digits = (i // place % 10 + 48).astype(np.uint8)
-    bare = np.where(i >= place, digits, 0).astype(np.uint8)
-    zero = bare.copy()
-    zero[0, -1] = 48
-    return np.concatenate([digits, bare, zero]).view(np.uint32).ravel()
-
-
-_DIGIT_WORDS = _digit_words()
-# the sign word of a timestamp: NUL, or a minus sign
-_MINUS_WORDS = np.frombuffer(b"\0\0\0\0\0\0\0-", np.uint32)
-
-
-def _export_blocks(log: MeasurementLog):
-    """The bytes of the exported file, one block of lines at a time."""
-    n = log.n_pairs
-    if not n:
-        # no records: an empty list of send lines joined by newlines, plus
-        # the final newline
-        yield b"\n"
-        return
-    mids = [_RECV_NAME + json.dumps(r)[1:-1].encode() + _RECV_TS for r in log.ids]
-    # a matrix row holds a middle and at most 80 bytes more: head, tail, a
-    # sign and two int64 fields, each in whole words
-    lines = max(1, min(_BLOCK_LINES, _BLOCK_BYTES // (max(map(len, mids), default=0) + 80)))
-    for lo in range(0, n, lines):
-        k = np.arange(lo, min(lo + lines, n))
-        yield _block_lines(k, [_SEND_TS], np.zeros(k.size, np.intp), log.sender[lo : k[-1] + 1], _SEND_TAIL)
-    # recv records in (receiver, index) order are the present slots in
-    # row-major order
-    present, recv = log.present.reshape(-1), log.recv.reshape(-1)
-    for lo in range(0, present.size, lines):
-        at = np.flatnonzero(present[lo : lo + lines])
-        if at.size:
-            at += lo
-            row, k = np.divmod(at, n)
-            yield _block_lines(k, mids[row[0] : row[-1] + 1], row - row[0], recv[at], _RECV_TAIL)
-
-
-def _words(size: int) -> int:
-    """uint32 words that hold ``size`` bytes."""
-    return -(-size // 4)
-
-
-def _block_lines(k: np.ndarray, mids: list, which: np.ndarray, ts: np.ndarray, tail: bytes) -> np.ndarray:
-    """The lines ``{"k": K`` + middle + T + tail + newline, for the pair
-    indices K in ``k`` and the timestamps T in ``ts``, line i taking the
-    middle ``mids[which[i]]``, as one uint8 array.
-
-    Line i is built in row i of a matrix of uint32 words: a copy of its
-    middle's template row, then a decimal field for K and a sign word and
-    decimal field for T, NUL in every unused byte. No record holds a NUL of
-    its own, since json.dumps escapes every control character, so dropping
-    the NULs leaves the lines.
-    """
-    negative = ts < 0
-    magnitude = ts.astype(np.uint64)
-    np.negative(magnitude, out=magnitude, where=negative)
-    ts_words = _words(len(str(magnitude.max())))
-    # words per field: head, k, middle, sign, ts, tail with newline
-    sizes = (_words(len(_HEAD)), _words(len(str(k.max()))), _words(max(map(len, mids))), 1, ts_words, 5)
-    head, k_field, mid, sign, ts_field, tail_field = (
-        slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))
-    )
-    template = np.zeros((len(mids), sum(sizes)), np.uint32)
-    for field, parts in ((head, [_HEAD]), (mid, mids), (tail_field, [tail + b"\n"])):
-        template[:, field] = _as_words(parts, field.stop - field.start)
-    mat = np.take(template, which, axis=0)
-    _put_decimal(k.astype(np.uint64), mat[:, k_field])
-    mat[:, sign.start] = _MINUS_WORDS[negative.view(np.uint8)]
-    _put_decimal(magnitude, mat[:, ts_field])
-    flat = mat.reshape(-1).view(np.uint8)
-    return flat[flat != 0]
-
-
-def _as_words(parts: list, words: int) -> np.ndarray:
-    """The byte strings ``parts``, each NUL-padded to ``words`` uint32
-    words, one row each."""
-    return np.array(parts, f"S{4 * words}").view(np.uint32).reshape(len(parts), words)
-
-
-def _put_decimal(values: np.ndarray, out: np.ndarray) -> None:
-    """Write the uint64 ``values`` in decimal into the uint32 words of
-    ``out``, one value per row, four digits per word from _DIGIT_WORDS and
-    NUL before the first digit."""
-    # the last word prints a value of 0 as "0", the others as NUL
-    bare = 2 * 10**4
-    for col in range(out.shape[1] - 1, -1, -1):
-        higher = values // np.uint64(10**4)
-        low = (values - higher * np.uint64(10**4)).astype(np.intp)
-        low[higher == 0] += bare
-        out[:, col] = _DIGIT_WORDS[low]
-        values = higher
-        bare = 10**4
+def _pairs(k: np.ndarray, ts: np.ndarray) -> tuple:
+    """(k0, ts0, k1, ts1, ...) as Python ints, the arguments of a ``%``."""
+    return tuple(np.column_stack((k, ts)).ravel().tolist())
 
 
 def _field(record: dict, name: str, kind, lineno: int):

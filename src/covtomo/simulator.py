@@ -147,6 +147,9 @@ class SimulatorConfig:
                 raise ConfigError(f"{name} must be a finite range")
         if self.pair_interval_us <= 0:
             raise ConfigError(f"pair_interval_us must be positive, got {self.pair_interval_us}")
+        if self.pair_interval_us >= TIMESTAMP_LIMIT_US:
+            # the timestamp bound below misses it when n_pairs is 1
+            raise ConfigError(f"pair_interval_us must be below 2^62, got {self.pair_interval_us}")
         if self.n_pairs < 1:
             raise ConfigError(f"n_pairs must be >= 1, got {self.n_pairs}")
         if self.bg_rate_bytes_per_sec < 0:

@@ -238,6 +238,11 @@ def test_e2e_dynamic_report(tmp_path, capsys):
             "joins: delays too large: a timestamp could reach 5.95e+18 us, past the exact int64 range (2^62 us)",
         ),
         (
+            # one pair has no send term in the timestamp bound
+            {"simulator": {"n_hosts": 10, "n_routers": 4, "n_pairs": 1, "pair_interval_us": 10**30}},
+            "simulator: pair_interval_us must be below 2^62, got 1000000000000000000000000000000",
+        ),
+        (
             {"sweep": {"bg_rates_bytes_per_sec": [1e6, 1e40]}},
             "sweep: delays too large: a timestamp could reach 2.07e+39 us, past the exact int64 range (2^62 us)",
         ),
@@ -279,6 +284,7 @@ def test_e2e_dynamic_report(tmp_path, capsys):
         "nan-variance",
         "overflowing-delays",
         "overflowing-join-delays",
+        "overflowing-interval",
         "overflowing-sweep-delays",
         "nan-sweep-rate",
         "401-digit-sweep-rate",

@@ -135,31 +135,32 @@ def test_export_bytes_equal_reference_for_any_columns(log):
 
 
 def test_export_spans_several_blocks_of_a_lossy_log(tmp_path):
-    # more pairs than one block holds, and far more slots
-    n_pairs = logio._BLOCK_LINES + 100
+    n_pairs = 2**14 + 100
     cfg = SimulatorConfig(n_hosts=12, n_routers=4, seed=3, n_pairs=n_pairs, bg_rate_bytes_per_sec=12e6)
     log = simulate_session(generate_topology(cfg), cfg)
-    assert log.present.size > 4 * logio._BLOCK_LINES and not log.present.all()
+    assert not log.present.all()
     path = tmp_path / "log.ndjson"
     export_log(log, path)
+    # the file crosses the write boundary several times
+    assert path.stat().st_size > 2 * logio._WRITE_BYTES
     assert path.read_bytes() == reference_ndjson(log)
     assert import_log(path) == log
 
 
 def test_export_blocks_shrink_for_long_names(tmp_path, monkeypatch):
-    names = ["a" * (logio._BLOCK_BYTES // 3), "b" * 5, "c\\" * (logio._BLOCK_BYTES // 5)]
+    names = ["a" * (logio._WRITE_BYTES // 3), "b" * 5, "c\\" * (logio._WRITE_BYTES // 5)]
     arrivals = {name: {k: 10 * k + i for k in range(7) if (k + i) % 4} for i, name in enumerate(names)}
     log = MeasurementLog.from_dicts({k: 10 * k for k in range(7)}, arrivals)
-    blocks = []
-    block_lines = logio._block_lines
-    monkeypatch.setattr(logio, "_block_lines", lambda *args: blocks.append(block_lines(*args)) or blocks[-1])
     path = tmp_path / "log.ndjson"
-    export_log(log, path)
-    assert path.read_bytes() == reference_ndjson(log)
-    assert len(blocks) > 2 and max(block.size for block in blocks) < logio._BLOCK_BYTES
+    # 1 makes every receiver boundary a write boundary; at 1 MiB the short
+    # receiver is gathered into one write with the long one after it
+    for write_bytes in (1, 2**20):
+        monkeypatch.setattr(logio, "_WRITE_BYTES", write_bytes)
+        export_log(log, path)
+        assert path.read_bytes() == reference_ndjson(log)
 
 
-def test_export_holds_one_block_at_a_time(tmp_path):
+def test_export_holds_one_write_and_one_receiver_at_a_time(tmp_path):
     # the desk lossy log: 105 receivers, 2000 pairs, ~38% of packets lost
     cfg = SimulatorConfig(n_pairs=2000, bg_rate_bytes_per_sec=12e6, seed=1)
     log = simulate_session(generate_topology(cfg), cfg)
@@ -171,8 +172,8 @@ def test_export_holds_one_block_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert path.stat().st_size > 8 * 2**20
-    # about 3.4 MB: a block's matrix, its mask and its text, and the
-    # block's index columns
+    # about 4.1 MiB: the gathered receivers of one write and their joined
+    # copy, plus one receiver's template, arguments and text
     assert peak < 6 * 2**20
 
 
