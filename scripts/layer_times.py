@@ -14,8 +14,12 @@ joining hosts, as in the benchmark's growth-joins workload (``--receivers
 `covtomo.scenarios` calls, so the times are those of the real pipeline. A
 call inside another timed call counts only in the outer one: with
 ``--joins`` the whole static pass is one ``static_pass`` time, and the
-other layers are the join loop's, summed over the batches. For each layer
-it prints the median over seeds x repeats of the wall seconds per pass, as
+other layers are the join loop's, summed over the batches. A join session
+is timed in two parts: ``start_session`` and ``simulate_session``, the
+second holding the wait for its jitter draw. The draw itself runs on a
+worker thread while the join layers of the batch before it run, so with
+``--joins`` the layers no longer add up to ``pass``. For each layer it
+prints the median over seeds x repeats of the wall seconds per pass, as
 one JSON object.
 """
 
@@ -46,6 +50,7 @@ STATIC_LAYERS = (
 JOIN_LAYERS = (
     "_run_once",
     "grow_network",
+    "start_session",
     "simulate_session",
     "covariance_oracle_from_log",
     "attach_peer",

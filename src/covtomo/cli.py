@@ -69,7 +69,7 @@ def _cmd_recover(args) -> None:
 def _cmd_join(args) -> None:
     config = RecoveryConfig(args.rho)
     tree = load_tree(args.tree)
-    oracle = covariance_oracle_from_log(import_log(args.log), peers=[args.peer])
+    oracle = covariance_oracle_from_log(import_log(args.log))
     attach_peer(tree, oracle, args.peer, config)
     tree.validate()
     save_tree(tree, args.out)

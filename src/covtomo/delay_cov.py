@@ -11,11 +11,12 @@ so it is bit-identical under constant shifts of either series and under
 consistent permutation of the sample pairs.
 
 `build_covariance_matrix` and `covariance_oracle_from_log` compute that
-same value for every pair from one all-pairs kernel. Whole-array operations
-on the log's columns (`MeasurementLog.present`, `recv` and `sender`) give
-the presence mask M and send-to-arrival offsets X (receivers x pair
-indices, zero where lost, each row shifted by a constant). A pair's sample
-count, cross sum and two sums over its common indices are entries of
+same value for every pair from the same kernel inputs. Whole-array
+operations on the log's columns (`MeasurementLog.present`, `recv` and
+`sender`) give the presence mask M and send-to-arrival offsets X
+(receivers x pair indices, zero where lost, each row shifted by a
+constant). A pair's sample count, cross sum and two sums over its common
+indices are entries of
 
     N = M M^T,   Sx = X M^T,   Sy = M X^T,   Sxy = X X^T
 
@@ -29,10 +30,15 @@ no count or denominator matrix is built either. Magnitude
 guards keep every step exact (see `_columns` and `_cov_from_sums`), so
 each entry equals the reference estimator bit for bit.
 
-`_pair_sums` gives the sums for any rows x columns of receivers.
-`build_covariance_matrix` reads all x all. The pair oracle of a join walk
-reads its joining peers x all once, when it is built, and any other pair
-as a 1 x 1 block when it is first asked for.
+`build_covariance_matrix` reads all x all (`_pair_sums`). The pair oracle
+of a join walk builds no block: it takes a pair's entries of N, Sx, Sy and
+Sxy as 1-D dot products of the pair's two rows of X and M when the pair is
+first asked for, exact by the same guards. The walks read a tenth of
+what blocks of their peers x all would hold (27,000 of 258,000 pairs over
+twelve batches of 50 joins from 105 receivers, seed 9). A dot product of
+two rows runs on the calling thread, while a threaded OpenBLAS product
+leaves its pool threads spinning for ~130 ms after it returns, on the CPU
+that the join sessions' draw runs on (see `scenarios.run_dynamic_scenario`).
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .model import CovarianceMatrix, DelaySeries, MeasurementLog, NodeId
 _US2_PER_MS2 = 10**6
 _F64_EXACT = 2**53  # float64 holds every integer of smaller magnitude
 _I64_LIMIT = 2**63
+_ROW_BLOCK = 64  # receivers per block of `_columns`' offsets
 
 
 def align_pairs(log: MeasurementLog, receivers) -> tuple[int, ...]:
@@ -91,12 +98,15 @@ def normalize_series(log: MeasurementLog, receiver: NodeId, aligned) -> DelaySer
     return DelaySeries(receiver=receiver, indices=aligned, values=values)
 
 
-def _exact_int_cov_ms2(xs, ys, n: int) -> float:
+def _cov_ms2(n: int, sx: int, sy: int, sxy: int) -> float:
     # n*sum(xy) - sum(x)*sum(y) is shift-invariant in exact integer
     # arithmetic, so constant offsets cancel bit-exactly; int / int is
     # correctly rounded
-    sxy = sum(x * y for x, y in zip(xs, ys))
-    return (n * sxy - sum(xs) * sum(ys)) / (n * (n - 1) * _US2_PER_MS2)
+    return (n * sxy - sx * sy) / (n * (n - 1) * _US2_PER_MS2)
+
+
+def _exact_int_cov_ms2(xs, ys, n: int) -> float:
+    return _cov_ms2(n, sum(xs), sum(ys), sum(x * y for x, y in zip(xs, ys)))
 
 
 def estimate_covariance(sa: DelaySeries, sb: DelaySeries) -> float:
@@ -154,19 +164,26 @@ def _columns(log: MeasurementLog, ids) -> _Columns:
       same formula.
     """
     ids = tuple(ids)
-    if ids == log.ids:
-        rows, counts = slice(None), log.counts
-    else:
-        rows = [log.row(r) for r in ids]
-        counts = [log.counts[i] for i in rows]
+    whole = ids == log.ids
+    rows = slice(None) if whole else np.array([log.row(r) for r in ids], dtype=np.intp)
+    counts = log.counts if whole else [log.counts[i] for i in rows]
     present = log.present[rows]
     complete = bool(present.all())
-    off = log.recv[rows] - log.sender
+    # X is filled a block of rows at a time, so that no int64 array of every
+    # row's offsets is held beside it
+    blocks = [slice(i, i + _ROW_BLOCK) for i in range(0, len(ids), _ROW_BLOCK)]
+
+    def offsets(block):
+        return log.recv[block if whole else rows[block]] - log.sender
+
     # over the arrivals only; a row without arrivals reads +-bound
-    arrivals = True if complete else present
     bound = int(np.iinfo(np.int64).max)
-    lo = off.min(axis=1, where=arrivals, initial=bound).tolist()
-    hi = off.max(axis=1, where=arrivals, initial=-bound).tolist()
+    lo, hi = [], []
+    for block in blocks:
+        off = offsets(block)
+        arrivals = True if complete else present[block]
+        lo += off.min(axis=1, where=arrivals, initial=bound).tolist()
+        hi += off.max(axis=1, where=arrivals, initial=-bound).tolist()
     # in Python ints, as lo + hi can overflow int64; a row without arrivals
     # gets mid 0 and a negative spread
     mids = [(a + b) // 2 for a, b in zip(lo, hi)]
@@ -176,8 +193,9 @@ def _columns(log: MeasurementLog, ids) -> _Columns:
     wide = not fits_f64 or nmax**2 * max(xmax**2, _US2_PER_MS2) >= _I64_LIMIT
     # shifted as the offsets are cast into X, then lost slots zeroed
     x = np.empty(present.shape, dtype=np.float64 if fits_f64 else object)
-    np.subtract(off, np.array(mids, dtype=np.int64)[:, None], out=x)
-    del off
+    shifts = np.array(mids, dtype=np.int64)[:, None]
+    for block in blocks:
+        np.subtract(offsets(block), shifts[block], out=x[block])
     m = None
     if not complete:
         x *= present
@@ -185,20 +203,16 @@ def _columns(log: MeasurementLog, ids) -> _Columns:
     return _Columns(x, m, x.sum(axis=1), wide)
 
 
-def _pair_sums(cols: _Columns, rows, others):
-    """N, Sx, Sy and Sxy of each receiver at ``rows`` against each at
-    ``others`` (slices or index arrays into the columns; the same object
-    for a square block), in the columns' dtype. N, Sx and Sy broadcast
-    against Sxy: when no packet was lost, N is the number of pair indices
-    n as a 1 x 1 block."""
+def _pair_sums(cols: _Columns):
+    """N, Sx, Sy and Sxy of every receiver against every receiver, in the
+    columns' dtype. N, Sx and Sy broadcast against Sxy: when no packet was
+    lost, N is the number of pair indices n as a 1 x 1 block."""
     x, m, sums, _ = cols
-    cross = x[rows] @ x[others].T
+    cross = x @ x.T
     if m is None:
-        return np.full((1, 1), x.shape[1], dtype=x.dtype), sums[rows][:, None], sums[others][None, :], cross
-    m_rows, m_others = m[rows], m[others]
-    sx = x[rows] @ m_others.T
-    sy = sx.T if rows is others else m_rows @ x[others].T
-    return m_rows @ m_others.T, sx, sy, cross
+        return np.full((1, 1), x.shape[1], dtype=x.dtype), sums[:, None], sums[None, :], cross
+    sx = x @ m.T
+    return m @ m.T, sx, sx.T, cross
 
 
 def _cov_from_sums(counts, sx, sy, cross, wide: bool) -> np.ndarray:
@@ -253,8 +267,7 @@ def build_covariance_matrix(log: MeasurementLog, receivers) -> CovarianceMatrix:
     if unknown:
         raise InputError(f"receivers not in log: {sorted(unknown)}")
     cols = _columns(log, ids)
-    every = slice(None)
-    sums = _pair_sums(cols, every, every)
+    sums = _pair_sums(cols)
     counts = sums[0]
     if counts.min() < 2:
         i, j = np.argwhere(np.triu(counts < 2))[0]
@@ -265,26 +278,22 @@ def build_covariance_matrix(log: MeasurementLog, receivers) -> CovarianceMatrix:
     return CovarianceMatrix(ids, _cov_from_sums(*sums, cols.wide))
 
 
-def covariance_oracle_from_log(log: MeasurementLog, *, peers=()):
+def covariance_oracle_from_log(log: MeasurementLog):
     """Pairwise-covariance provider backed by a measurement log, with a
     cache keyed by the sorted pair; raises MeasurementGapError when a pair
     cannot be estimated.
 
-    The kernel's columns are built once. The pairs of every receiver in
-    ``peers`` (a join batch; names the log lacks are skipped) with every
-    receiver come from one peers x all block of the kernel, read as
-    covariances and sample counts when the oracle is built. Any other pair
-    comes from a 1 x 1 block when it is first asked for. Every value equals
+    The kernel's columns are built once. A pair's sums are read when it is
+    first asked for, from 1-D dot products of its two rows (see the module
+    docstring), and divided as `_cov_ms2` divides them. Every value equals
     the matrix entry.
     """
     ids = sorted(log.receivers)
     index = {r: i for i, r in enumerate(ids)}
-    cols = _columns(log, ids)
-    block = {p: row for row, p in enumerate(dict.fromkeys(p for p in peers if p in index))}
-    sums = _pair_sums(cols, np.array([index[p] for p in block], dtype=np.intp), slice(None))
-    block_covs = _cov_from_sums(*sums, cols.wide).tolist()
-    # a view: N is 1 x 1 when no packet was lost
-    block_counts = np.broadcast_to(sums[0], sums[3].shape)
+    x, m, sums, _ = _columns(log, ids)
+    # exact integers (see `_columns`), so int() loses nothing
+    sums = [int(v) for v in sums.tolist()]
+    n_pairs = x.shape[1]
     cache: dict[tuple[NodeId, NodeId], float] = {}
 
     def oracle(a: NodeId, b: NodeId) -> float:
@@ -294,16 +303,14 @@ def covariance_oracle_from_log(log: MeasurementLog, *, peers=()):
         if a not in index or b not in index:
             missing = a if a not in index else b
             raise MeasurementGapError(f"no measurements for {missing!r} (pair ({a!r}, {b!r}))")
-        if a in block or b in block:
-            p, q = (a, b) if a in block else (b, a)
-            n, cov = int(block_counts[block[p], index[q]]), block_covs[block[p]][index[q]]
+        i, j = index[a], index[b]
+        if m is None:
+            n, sx, sy = n_pairs, sums[i], sums[j]
         else:
-            i, j = index[a], index[b]
-            counts, *_ = sums = _pair_sums(cols, slice(i, i + 1), slice(j, j + 1))
-            n, cov = int(counts[0, 0]), _cov_from_sums(*sums, cols.wide).item()
+            n, sx, sy = int(m[i].dot(m[j])), int(x[i].dot(m[j])), int(m[i].dot(x[j]))
         if n < 2:
             raise MeasurementGapError(f"pair ({a!r}, {b!r}) shares only {n} pair indices")
-        cache[key] = cov
+        cov = cache[key] = _cov_ms2(n, sx, sy, int(x[i].dot(x[j])))
         return cov
 
     return oracle

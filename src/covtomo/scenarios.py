@@ -21,9 +21,13 @@ join sessions send ``joins.n_pairs`` pairs (default: the simulator
 section's) at the simulator's pair interval. Every mode runs each seed
 through one pass, `_run_once`: generate -> simulate -> estimate ->
 `recover_from_matrix` (DFS order, then `recover_tree` at the configured or
-the automatic rho) -> score. Reports are single JSON documents embedding
+the automatic rho) -> score. A dynamic run starts one worker thread, which
+draws each join session's jitter (`simulator.SessionStart.draw`) while the
+main thread joins and scores the batch before it, and joins the thread
+before it returns or raises. Reports are single JSON documents embedding
 the full resolved config; given the same config they re-serialize
-byte-identically.
+byte-identically, and their sums add left to right whatever the Python
+version (`_sum_in_order`).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .logio import read_json, write_json
 from .model import branching_skeleton
 from .ordering import dfs_order
 from .recover import RecoveryConfig, auto_rho, recover_tree
-from .simulator import SimulatorConfig, _is_int, generate_topology, grow_network, simulate_session
+from .simulator import SimulatorConfig, _is_int, generate_topology, grow_network, simulate_session, start_session
 
 _TOP_KEYS = {"simulator", "recovery", "seeds", "sweep", "joins"}
 _SWEEPS = ({"bg_rates_bytes_per_sec"}, {"packet_sizes_bytes", "pair_intervals_us"})
@@ -160,12 +164,20 @@ def _sweep_points(sweep: dict) -> tuple[str, list[dict]]:
     ]
 
 
+def _sum_in_order(values) -> float:
+    """The floats ``values`` added left to right from 0.0, as ``sum`` adds
+    them on Python 3.11; from 3.12 ``sum`` compensates, and its last digits
+    differ. cumsum adds in order from the first value, so an all -0.0 input
+    sums to -0.0 there, and to 0.0 here."""
+    return float(np.cumsum(values)[-1]) + 0.0
+
+
 def _mean_stderr(values) -> tuple[float, float]:
     n = len(values)
-    mean = sum(values) / n
+    mean = _sum_in_order(values) / n
     if n < 2:
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    var = _sum_in_order([(v - mean) ** 2 for v in values]) / (n - 1)
     return mean, math.sqrt(var / n)
 
 
@@ -176,7 +188,7 @@ def _cov_summary(cov) -> dict:
     return {
         "min_offdiag": float(off.min()),
         "max_offdiag": float(off.max()),
-        "mean_offdiag": sum(off.tolist()) / len(off),
+        "mean_offdiag": _sum_in_order(off) / len(off),
     }
 
 
@@ -241,30 +253,54 @@ def _curve_point(n_nodes: int, report) -> dict:
     return {"n_nodes": n_nodes, **asdict(report)}
 
 
+def _join_batch(worker, net, sim: SimulatorConfig, join_sim: SimulatorConfig, batches, step: int):
+    """Batch ``step`` (from 1) of ``batches`` joins ``net``, its session
+    starts, and ``worker`` starts the session's draw. Returns the new hosts,
+    the started session and the draw's future."""
+    new_hosts = grow_network(net, sim, batches[step - 1], stream=step)
+    started = start_session(net, join_sim, stream=step)
+    return new_hosts, started, worker.submit(started.draw)
+
+
 def run_dynamic_scenario(resolved: dict) -> dict:
     """Dynamic scenario: recover the initial tree statically, then apply the
     join schedule batch by batch via attach_peer, scoring accuracy against
-    the evolving ground truth after each step."""
+    the evolving ground truth after each step.
+
+    One worker thread draws each join session's jitter (`SessionStart.draw`)
+    while the main thread works on the batch before it; it is joined before
+    this returns or raises."""
+    # imported here, as only dynamic runs start a thread (~7 ms)
+    from concurrent.futures import ThreadPoolExecutor
+
     joins = resolved.get("joins")
     if not joins:
         raise ConfigError("dynamic scenario requires a joins section")
     rho = resolved["recovery"]["rho_ms2"]
+    batches = joins["batches"]
     runs = []
-    for seed in resolved["seeds"]:
-        sim = _sim_from_resolved(resolved, seed=seed)
-        net, cov, tree, config, report = _run_once(sim, rho)
-        curve = [_curve_point(sim.n_routers + sim.n_hosts, report)]
-        join_sim = _join_config(sim, joins["batches"], joins["n_pairs"])
-        n_hosts = sim.n_hosts
-        for step, batch in enumerate(joins["batches"], start=1):
-            new_hosts = grow_network(net, sim, batch, stream=step)
-            n_hosts += batch
-            log = simulate_session(net, join_sim, stream=step)
-            oracle = covariance_oracle_from_log(log, peers=new_hosts)
-            for host in new_hosts:
-                attach_peer(tree, oracle, host, config)
-            curve.append(_curve_point(sim.n_routers + n_hosts, score_trees(tree, branching_skeleton(net.truth))))
-        runs.append({"seed": seed, "curve": curve, "final_tree": tree.to_dict()})
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for seed in resolved["seeds"]:
+            sim = _sim_from_resolved(resolved, seed=seed)
+            net, cov, tree, config, report = _run_once(sim, rho)
+            curve = [_curve_point(sim.n_routers + sim.n_hosts, report)]
+            join_sim = _join_config(sim, batches, joins["n_pairs"])
+            n_hosts = sim.n_hosts
+            pending = _join_batch(worker, net, sim, join_sim, batches, 1)
+            for step in range(1, len(batches) + 1):
+                new_hosts, started, drawn = pending
+                drawn.result()
+                log = simulate_session(net, join_sim, stream=step, started=started)
+                # the truth of this batch, before the next one joins
+                truth = branching_skeleton(net.truth)
+                if step < len(batches):
+                    pending = _join_batch(worker, net, sim, join_sim, batches, step + 1)
+                n_hosts += len(new_hosts)
+                oracle = covariance_oracle_from_log(log)
+                for host in new_hosts:
+                    attach_peer(tree, oracle, host, config)
+                curve.append(_curve_point(sim.n_routers + n_hosts, score_trees(tree, truth)))
+            runs.append({"seed": seed, "curve": curve, "final_tree": tree.to_dict()})
     initial_mean, _ = _mean_stderr([r["curve"][0]["p"] for r in runs])
     final_mean, _ = _mean_stderr([r["curve"][-1]["p"] for r in runs])
     return {

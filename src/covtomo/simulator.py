@@ -36,6 +36,15 @@ it, in one reverse pass over the same walk. That takes O(links * pairs)
 memory, and every float sum runs in path order from the source, so a log
 does not depend on a BLAS library's summation order.
 
+A session runs in two parts. `start_session` reads the tree: the walk, the
+link order, each link's jitter sigma, and the session's own generator
+(seeded by config seed and stream, shared with no other session), and
+allocates the jitter buffer. `SessionStart.draw` fills that buffer from
+the generator and the sigmas and reads nothing else, so it may run on
+another thread; `simulate_session` then finishes the session with the
+generator's remaining draws, or runs all three parts itself. The log is
+the same bit for bit either way.
+
 Background traffic scales every link's jitter variance linearly with the
 configured rate, and pushes links over a utilization threshold into
 congestion, which adds per-client independent noise and packet loss.
@@ -407,34 +416,49 @@ def grow_network(net: SimulatedNetwork, config: SimulatorConfig, n_new_hosts: in
     return hosts
 
 
-def _offset_normal(rng: np.random.Generator, sigma: np.ndarray, n: int) -> np.ndarray:
-    """One row of ``n`` draws per entry of ``sigma``: normal at mean
-    5*sigma and standard deviation sigma, clipped at zero. The same draws
-    and arithmetic as ``rng.normal(5*sigma, sigma)``, scaled in place."""
-    draws = rng.standard_normal((len(sigma), n))
+def _offset_scale(draws: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Turn standard normal ``draws``, one row per entry of ``sigma``, in
+    place into draws at mean 5*sigma and standard deviation sigma, clipped
+    at zero: the arithmetic of ``rng.normal(5*sigma, sigma)``."""
     draws *= sigma[:, None]
     draws += (_JITTER_OFFSET_SIGMAS * sigma)[:, None]
     np.clip(draws, 0.0, None, out=draws)
     return draws
 
 
-def simulate_session(net: SimulatedNetwork, config: SimulatorConfig, stream: int = 0) -> MeasurementLog:
-    """Synthesize one measurement session over all current clients.
+@dataclass(eq=False)
+class SessionStart:
+    """What `start_session` reads from the network for one session: the
+    (node, parent) walk of the truth tree, each node's row of the link-key
+    ordered jitter buffer, the links' jitter sigmas, the session's own
+    generator and the jitter buffer itself, allocated but not drawn.
 
-    Per pair index the sender emits one packet per client; a client's
-    end-to-end delay sums, over its path links, base delay, transmission
-    time and the link's shared jitter sample for that index, plus
-    independent congestion noise. Congested links also drop packets, which
-    shows up as missing arrivals. Bit-identical for identical inputs.
-    """
+    `draw` fills the buffer. It reads nothing but the generator, which no
+    other session shares, and the sigmas, so it may run on another thread;
+    `simulate_session` reads the rest of the session's draws from the same
+    generator once the buffer is filled."""
+
+    net: SimulatedNetwork
+    config: SimulatorConfig
+    stream: int
+    rng: np.random.Generator
+    walk: list[tuple[NodeId, NodeId]]
+    row: dict[NodeId, int]
+    sigma_us: np.ndarray
+    jitter: np.ndarray | None
+
+    def draw(self) -> None:
+        """The session's first draw: the shared per-(link, pair) jitter."""
+        self.rng.standard_normal(out=self.jitter)
+        _offset_scale(self.jitter, self.sigma_us)
+
+
+def start_session(net: SimulatedNetwork, config: SimulatorConfig, stream: int = 0) -> SessionStart:
+    """The part of `simulate_session` that reads the network's tree, before
+    any draw: see `SessionStart`."""
     truth = net.truth
     if not truth.leaves:
         raise InputError("network has no clients")
-    rng = np.random.default_rng([config.seed, _STREAM_SESSION, stream])
-    clients = sorted(truth.leaves)
-    schedule = config.sender_schedule()
-    n = len(schedule)
-
     # (node, parent) for every node below the source, breadth first (the
     # loop reads what it appends); a node is the far end of its parent's link
     walk = [(child, truth.root) for child in truth.children(truth.root)]
@@ -445,7 +469,38 @@ def simulate_session(net: SimulatedNetwork, config: SimulatorConfig, stream: int
     links = sorted((net.link_key(parent, node), node) for node, parent in walk)
     row = {node: i for i, (_, node) in enumerate(links)}
     sigma_us = np.array([math.sqrt(net.link_params[link][1]) * 1000.0 for link, _ in links])
-    jitter = _offset_normal(rng, sigma_us, n)
+    rng = np.random.default_rng([config.seed, _STREAM_SESSION, stream])
+    jitter = np.empty((len(links), config.n_pairs))
+    return SessionStart(net, config, stream, rng, walk, row, sigma_us, jitter)
+
+
+def simulate_session(
+    net: SimulatedNetwork, config: SimulatorConfig, stream: int = 0, *, started: SessionStart | None = None
+) -> MeasurementLog:
+    """Synthesize one measurement session over all current clients.
+
+    Per pair index the sender emits one packet per client; a client's
+    end-to-end delay sums, over its path links, base delay, transmission
+    time and the link's shared jitter sample for that index, plus
+    independent congestion noise. Congested links also drop packets, which
+    shows up as missing arrivals. Bit-identical for identical inputs.
+
+    ``started``, when given, is the `start_session` of the same arguments,
+    with its `SessionStart.draw` done, and the network unchanged since the
+    start; otherwise the session starts and draws here.
+    """
+    if started is None:
+        started = start_session(net, config, stream)
+        started.draw()
+    elif started.net is not net or started.config != config or started.stream != stream:
+        raise InputError("started session is of another network, config or stream")
+    truth = net.truth
+    rng, walk, row = started.rng, started.walk, started.row
+    # the session's buffer; dropped here, so that it is freed below
+    jitter, started.jitter = started.jitter, None
+    clients = sorted(truth.leaves)
+    schedule = config.sender_schedule()
+    n = len(schedule)
 
     # a link's load counts the clients below it
     below = dict.fromkeys(truth.leaves, 1)
@@ -480,7 +535,8 @@ def simulate_session(net: SimulatedNetwork, config: SimulatorConfig, stream: int
     noise_var = np.array([noise_var_us2[c] for c in clients])
     noisy = noise_var > 0
     if noisy.any():
-        delays[noisy] += _offset_normal(rng, np.sqrt(noise_var[noisy]), n)
+        noise_sigma = np.sqrt(noise_var[noisy])
+        delays[noisy] += _offset_scale(rng.standard_normal((len(noise_sigma), n)), noise_sigma)
 
     np.rint(delays, out=delays)
     arrivals_ts = delays.astype(np.int64)

@@ -343,8 +343,6 @@ def test_oracle_from_log_matches_matrix_and_reports_gaps():
         oracle("a", "c")
     with pytest.raises(MeasurementGapError):
         oracle("a", "unknown")
-    with pytest.raises(TypeError):
-        covariance_oracle_from_log(log, ["a"])  # peers is keyword-only
 
 
 def test_oracle_agrees_with_matrix_both_ways_on_lossy_log():
@@ -365,12 +363,9 @@ def test_oracle_agrees_with_matrix_both_ways_on_lossy_log():
         assert forward(b, a).hex() == want, (a, b)
 
 
-@pytest.mark.parametrize("peers", [(), ["c"], ["c", "a", "zz"]], ids=["no-peers", "short-peer", "peers-and-unknown"])
-def test_oracle_gap_messages(peers):
-    # a short pair raises the same message from the peers' block as from a
-    # 1 x 1 block, and the block's division by zero samples warns of nothing
+def test_oracle_gap_messages():
     log = even_log({"a": {0: 10, 1: 40, 2: 70}, "b": {0: 12, 1: 45, 2: 71}, "c": {1: 50}}, 3, 30)
-    oracle = covariance_oracle_from_log(log, peers=peers)
+    oracle = covariance_oracle_from_log(log)
     for args, message in (
         (("a", "zz"), "no measurements for 'zz' (pair ('a', 'zz'))"),
         (("zz", "a"), "no measurements for 'zz' (pair ('zz', 'a'))"),
@@ -395,21 +390,16 @@ def reference_cov(log, a, b):
 
 def assert_kernel_matches_reference(log):
     """Every matrix entry, diagonal included, and every oracle value equals
-    the reference estimator bit for bit; so does every value of an oracle
-    built with every other receiver as a peer, over block-block,
-    block-other and other-other pairs."""
+    the reference estimator bit for bit."""
     ids = sorted(log.receivers)
     cov = build_covariance_matrix(log, ids)
     cov.validate()
     oracle = covariance_oracle_from_log(log)
-    peers = ids[::2]
-    with_peers = covariance_oracle_from_log(log, peers=peers)
     for a in ids:
         for b in ids:
             want = reference_cov(log, a, b).hex()
             assert cov.get(a, b).hex() == want, (a, b)
             assert oracle(a, b).hex() == want, (a, b)
-            assert with_peers(a, b).hex() == want, (a, b, a in peers, b in peers)
 
 
 @pytest.mark.parametrize(
@@ -524,12 +514,11 @@ def test_loss_free_sessions_too_short_to_estimate(n):
     with pytest.raises(InsufficientDataError) as err:
         build_covariance_matrix(log, ["b", "a", "c"])
     assert str(err.value) == f"receiver 'b' has only {n} arrivals"
-    for peers in ((), ["a"]):
-        oracle = covariance_oracle_from_log(log, peers=peers)
-        for a, b in (("a", "b"), ("c", "a"), ("b", "c"), ("c", "c")):
-            with pytest.raises(MeasurementGapError) as err:
-                oracle(a, b)
-            assert str(err.value) == f"pair ({a!r}, {b!r}) shares only {n} pair indices"
+    oracle = covariance_oracle_from_log(log)
+    for a, b in (("a", "b"), ("c", "a"), ("b", "c"), ("c", "c")):
+        with pytest.raises(MeasurementGapError) as err:
+            oracle(a, b)
+        assert str(err.value) == f"pair ({a!r}, {b!r}) shares only {n} pair indices"
 
 
 @pytest.mark.parametrize("lost", [False, True], ids=["loss-free", "one-lost"])
@@ -544,7 +533,7 @@ def test_kernel_divides_as_python_ints_when_the_denominator_passes_2_53(lost):
     cols = _columns(log, log.ids)
     assert (cols.m is None) != lost and not cols.wide and cols.x.dtype == np.float64
     cov = build_covariance_matrix(log, ["a", "b"])
-    oracle = covariance_oracle_from_log(log, peers=["b"])
+    oracle = covariance_oracle_from_log(log)
     for a, b in (("a", "a"), ("a", "b"), ("b", "b")):
         want = reference_cov(log, a, b)
         assert cov.get(a, b) == cov.get(b, a) == oracle(a, b) == want

@@ -1,3 +1,6 @@
+import math
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +9,9 @@ from hypothesis import strategies as st
 from covtomo.delay_cov import build_covariance_matrix
 from covtomo.errors import ConfigError
 from covtomo.model import CovarianceMatrix, MeasurementLog
-from covtomo.scenarios import _cov_summary, parse_config
-from covtomo.simulator import SimulatorConfig
+from covtomo import scenarios
+from covtomo.scenarios import _cov_summary, _mean_stderr, _sum_in_order, parse_config, run_dynamic_scenario
+from covtomo.simulator import SessionStart, SimulatorConfig
 
 # jitter and congestion noise within the timestamp bound at 150 hosts, past
 # it once the probe load counts 750
@@ -30,14 +34,95 @@ def symmetric_matrices(draw):
     return CovarianceMatrix(tuple(f"r{i}" for i in range(n)), values)
 
 
+def sum_left_to_right(values) -> float:
+    acc = 0.0
+    for x in values:
+        acc += x
+    return acc
+
+
 @settings(max_examples=300)
 @given(symmetric_matrices())
 def test_cov_summary_equals_list_min_max_and_sum(cov):
+    # the mean adds left to right, as no compensated sum does
     off = cov.values[np.triu_indices(len(cov.receivers), 1)].tolist()
     summary = _cov_summary(cov)
-    assert summary == {"min_offdiag": min(off), "max_offdiag": max(off), "mean_offdiag": sum(off) / len(off)}
+    mean = sum_left_to_right(off) / len(off)
+    assert summary == {"min_offdiag": min(off), "max_offdiag": max(off), "mean_offdiag": mean}
     assert all(type(v) is float for v in summary.values())
-    assert [v.hex() for v in summary.values()] == [min(off).hex(), max(off).hex(), (sum(off) / len(off)).hex()]
+    assert [v.hex() for v in summary.values()] == [min(off).hex(), max(off).hex(), mean.hex()]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(-1e18, 1e18).map(lambda v: v + 0.0) | st.just(-0.0), min_size=1, max_size=40))
+def test_sums_add_left_to_right(values):
+    n = len(values)
+    mean = sum_left_to_right(values) / n
+    var = sum_left_to_right([(v - mean) ** 2 for v in values]) / (n - 1) if n > 1 else None
+    assert _mean_stderr(values) == (mean, math.sqrt(var / n) if n > 1 else 0.0)
+    assert _sum_in_order(np.array(values)).hex() == sum_left_to_right(values).hex()
+
+
+def test_sums_are_not_compensated():
+    # 3.12's sum gives 1.0 and 0.5 here; left to right, the 1.0 is lost
+    assert _sum_in_order([1e16, 1.0, -1e16]) == 0.0
+    assert _mean_stderr([1e16, 1.0, -1e16, 0.0])[0] == 0.0
+    assert math.copysign(1.0, _sum_in_order([-0.0, -0.0])) == 1.0
+
+
+DYNAMIC = {"simulator": {"n_hosts": 20, "n_routers": 6, "n_pairs": 200}, "seeds": [1, 2], "joins": {"batches": [3, 3, 3]}}
+
+
+def test_dynamic_run_draws_on_one_worker_and_joins_it(monkeypatch):
+    idents = []
+    draw = SessionStart.draw
+
+    def recorded(self):
+        idents.append(threading.get_ident())
+        draw(self)
+
+    before = threading.active_count()
+    want = run_dynamic_scenario(parse_config(DYNAMIC))
+    assert threading.active_count() == before
+    monkeypatch.setattr(SessionStart, "draw", recorded)
+    assert run_dynamic_scenario(parse_config(DYNAMIC)) == want
+    assert threading.active_count() == before
+    # the static sessions draw here, and the six join sessions on one other thread
+    workers = [i for i in idents if i != threading.get_ident()]
+    assert len(idents) == 8 and len(workers) == 6 and len(set(workers)) == 1
+
+
+@pytest.mark.parametrize("where", ["attach_peer", "draw"])
+def test_dynamic_run_joins_its_worker_when_a_batch_raises(monkeypatch, where):
+    # the second batch fails, on this thread or on the worker, while the
+    # third batch's draw may be in flight
+    failure = RuntimeError("batch failed")
+    calls = []
+    if where == "attach_peer":
+        attach = scenarios.attach_peer
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 4:
+                raise failure
+            return attach(*args)
+
+        monkeypatch.setattr(scenarios, "attach_peer", failing)
+    else:
+        draw = SessionStart.draw
+
+        def failing(self):
+            calls.append(self)
+            if len(calls) == 2:
+                raise failure
+            draw(self)
+
+        monkeypatch.setattr(SessionStart, "draw", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as err:
+        run_dynamic_scenario(parse_config(DYNAMIC))
+    assert err.value is failure
+    assert threading.active_count() == before
 
 
 def test_kernel_zeros_are_positive():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +19,14 @@ from covtomo.delay_cov import align_pairs, build_covariance_matrix, covariance_o
 from covtomo.errors import ConfigError, InputError, InvariantError
 from covtomo.logio import export_log, import_log
 from covtomo.model import TIMESTAMP_LIMIT_US, MeasurementLog, RoutingTree, shared_covariance
-from covtomo.simulator import SimulatedNetwork, SimulatorConfig, generate_topology, grow_network, simulate_session
+from covtomo.simulator import (
+    SimulatedNetwork,
+    SimulatorConfig,
+    generate_topology,
+    grow_network,
+    simulate_session,
+    start_session,
+)
 
 from treegen import path_from_root
 
@@ -239,7 +247,7 @@ def test_send_times_cancel_in_every_estimate(tmp_path):
         build_covariance_matrix(ridden, receivers).values.tobytes()
         == build_covariance_matrix(even, receivers).values.tobytes()
     )
-    oracles = [covariance_oracle_from_log(log, peers=receivers[:2]) for log in (ridden, even)]
+    oracles = [covariance_oracle_from_log(log) for log in (ridden, even)]
     for a, b in itertools.combinations(receivers, 2):
         assert oracles[0](a, b).hex() == oracles[1](a, b).hex()
 
@@ -268,6 +276,39 @@ def test_simulated_logs_match_pinned_digests(tmp_path):
     log = retimed(simulate_session(generate_topology(cfg), cfg, stream=2), sender)
     assert log.present.sum() < log.present.size
     assert log_digest(log, tmp_path) == "6b957628a4891b09c72281abc87df02bda87c419161d8ec92e7b281be34418c6"
+
+
+@pytest.mark.parametrize(
+    "overrides, drop",
+    [({}, False), ({"bg_rate_bytes_per_sec": 12e6}, False), ({}, True)],
+    ids=["loss-free", "lossy", "drop-override"],
+)
+def test_session_drawn_on_another_thread_equals_simulate_session(overrides, drop):
+    # started here, its jitter drawn on another thread, finished here
+    cfg = small_cfg(**overrides)
+    net = generate_topology(cfg)
+    grow_network(net, cfg, 3, stream=2)
+    if drop:
+        net.drop_override[path_links(net, sorted(net.clients)[0])[-1]] = 0.3
+    want = simulate_session(net, cfg, stream=2)
+    started = start_session(net, cfg, stream=2)
+    worker = threading.Thread(target=started.draw)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    log = simulate_session(net, cfg, stream=2, started=started)
+    assert log.present.all() == (not overrides and not drop)
+    assert log.ids == want.ids and np.array_equal(log.sender, want.sender)
+    assert np.array_equal(log.present, want.present) and np.array_equal(log.recv, want.recv)
+
+
+def test_started_session_of_another_stream_is_refused():
+    cfg = small_cfg()
+    net = generate_topology(cfg)
+    started = start_session(net, cfg, stream=1)
+    started.draw()
+    with pytest.raises(InputError, match="started session is of another network, config or stream"):
+        simulate_session(net, cfg, stream=2, started=started)
 
 
 @pytest.mark.parametrize("n_new", [0, -1])
