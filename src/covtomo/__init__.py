@@ -36,12 +36,10 @@ from .model import (
     NodeId,
     RoutingTree,
     branching_skeleton,
-    covariance_matrix_from_tree,
-    shared_covariance,
     trees_topologically_equal,
 )
 from .ordering import dfs_order
-from .recover import Case, RecoveryConfig, auto_rho, classify_case, find_attachment_router, recover_tree
+from .recover import Case, RecoveryConfig, classify_case, find_attachment_router, recover_tree
 from .scenarios import load_config, parse_config, run_dynamic_scenario, run_scenario
 from .simulator import SimulatedNetwork, SimulatorConfig, generate_topology, grow_network, simulate_session
 

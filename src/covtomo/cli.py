@@ -60,7 +60,8 @@ def _cmd_estimate(args) -> None:
 
 
 def _cmd_recover(args) -> None:
-    tree, config = recover_from_matrix(args.source, load_matrix(args.cov), args.rho)
+    config = RecoveryConfig(args.rho)
+    tree = recover_from_matrix(args.source, load_matrix(args.cov), config)
     tree.validate()
     save_tree(tree, args.out)
     print(f"recovered tree over {len(tree.leaves)} leaves (rho={config.rho:g} ms^2) to {args.out}")
@@ -127,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="recover the routing tree from a covariance matrix")
     p.add_argument("--cov", required=True)
     p.add_argument("--source", required=True, help="root host id")
-    p.add_argument("--rho", type=float, default=None, help="threshold in ms^2 (default: auto)")
+    p.add_argument("--rho", type=float, required=True, help="recovery threshold in ms^2")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_recover)
 
@@ -135,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("--log", required=True, help="NDJSON log covering the peer")
     p.add_argument("--peer", required=True)
-    p.add_argument("--rho", type=float, required=True)
+    p.add_argument("--rho", type=float, required=True, help="recovery threshold in ms^2")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_join)
 

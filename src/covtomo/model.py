@@ -32,6 +32,15 @@ ROUTER_ID_PREFIX = "r"
 TIMESTAMP_LIMIT_US = 2**62
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a number with a finite float value (an integer
+    past the float range has none)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def is_router_id(node: NodeId) -> bool:
     """True when ``node`` is ``ROUTER_ID_PREFIX`` followed by decimal digits."""
     digits = node[len(ROUTER_ID_PREFIX) :]
@@ -555,42 +564,6 @@ class CovarianceMatrix:
 
 # ----------------------------------------------------------------------
 # topology queries
-
-
-def _require_leaf(tree: RoutingTree, node: NodeId) -> None:
-    if node not in tree:
-        raise InputError(f"unknown leaf id {node!r}")
-    if not tree.is_leaf(node):
-        raise InputError(f"{node!r} is not a leaf")
-
-
-def shared_covariance(tree: RoutingTree, i: NodeId, j: NodeId) -> float:
-    """Covariance implied by the tree's router labels for a leaf pair: the
-    label of their lowest common ancestor. Exact when labels hold cumulative
-    shared-path delay variance, as in simulator ground truth."""
-    _require_leaf(tree, i)
-    _require_leaf(tree, j)
-    if i == j:
-        raise InputError("shared_covariance needs two distinct leaves")
-    return tree.router_cov[tree.lca(i, j)]
-
-
-def covariance_matrix_from_tree(tree: RoutingTree) -> CovarianceMatrix:
-    """Analytic covariance matrix over the tree's leaves, sorted.
-    Off-diagonal entries come from shared_covariance; the diagonal holds the
-    label of each leaf's parent (the leaf's own last-hop variance is
-    unidentifiable from pair covariances and never read by the inference)."""
-    ids = tuple(sorted(tree.leaves))
-    n = len(ids)
-    values = np.zeros((n, n), dtype=float)
-    for a in range(n):
-        parent = tree.parent(ids[a])
-        values[a, a] = tree.router_cov.get(parent, 0.0)
-        for b in range(a + 1, n):
-            cov = shared_covariance(tree, ids[a], ids[b])
-            values[a, b] = cov
-            values[b, a] = cov
-    return CovarianceMatrix(ids, values)
 
 
 def branching_skeleton(tree: RoutingTree) -> RoutingTree:

@@ -23,14 +23,11 @@ too, with the representative leaf it ends at as the anchor.
 from __future__ import annotations
 
 import enum
-import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, InputError
-from .model import CovarianceMatrix, NodeId, RoutingTree, check_new_hosts
+from .model import CovarianceMatrix, NodeId, RoutingTree, _finite, check_new_hosts
 
 
 class Case(enum.Enum):
@@ -42,30 +39,16 @@ class Case(enum.Enum):
 @dataclass(frozen=True)
 class RecoveryConfig:
     """Recovery threshold: rho is the minimum single-router covariance
-    increment, in ms^2: a finite positive real, not a bool."""
+    increment, in ms^2: a positive real with a finite float value, not a
+    bool. Every recovery and join states it; nothing derives it from the
+    data."""
 
     rho: float
 
     def __post_init__(self):
         rho = self.rho
-        if isinstance(rho, bool) or not isinstance(rho, numbers.Real) or not 0 < rho < math.inf:
+        if isinstance(rho, bool) or not isinstance(rho, numbers.Real) or not (_finite(rho) and rho > 0):
             raise ConfigError(f"rho must be a positive finite number, got {rho!r}")
-
-
-AUTO_RHO_FLOOR_MS2 = 0.01
-
-
-def auto_rho(cov: CovarianceMatrix) -> float:
-    """Heuristic threshold when none is supplied: half the minimum positive
-    gap between distinct covariance values in the matrix, never below
-    ``AUTO_RHO_FLOOR_MS2``. Meant for clean (low-noise) matrices; noisy data
-    wants an explicitly configured rho."""
-    vals = np.unique(cov.values)
-    gaps = np.diff(vals)
-    gaps = gaps[gaps > 0]
-    if gaps.size == 0:
-        return AUTO_RHO_FLOOR_MS2
-    return max(AUTO_RHO_FLOOR_MS2, float(gaps.min()) / 2.0)
 
 
 def classify_case(sigma_cur: float, sigma_prev: float, rho: float) -> Case:

@@ -4,15 +4,16 @@ A scenario config is a JSON document with sections:
 
     {
       "simulator": { ... SimulatorConfig fields ... },
-      "recovery":  {"rho_ms2": 0.45},            # optional; omit for auto
+      "recovery":  {"rho_ms2": 0.45},            # required
       "seeds":     [1, 2, 3],                    # explicit, never wall clock
       "sweep":     {"bg_rates_bytes_per_sec": [...]}          # optional
-                   # or {"packet_sizes_bytes": [...], "pair_intervals_us": [...]}
       "joins":     {"batches": [50, 50], "n_pairs": 2000}     # optional
     }
 
-Presence of "sweep" switches run_scenario into sweep mode; "joins" selects
-the dynamic scenario; a config has at most one of the two. Before any run,
+Every run recovers at the stated threshold ``recovery.rho_ms2``; nothing
+derives it from the data. Presence of "sweep" switches run_scenario into a
+sweep over background rates, the one sweep kind; "joins" selects the
+dynamic scenario; a config has at most one of the two. Before any run,
 `parse_config` builds every config the runs use (the simulator section's,
 one per sweep point, the join sessions' at the hosts of the last batch,
 and the `RecoveryConfig`), so each rule is checked by the class that owns
@@ -20,11 +21,11 @@ it. Joining hosts take generated ids (`simulator.grow_network`), and the
 join sessions send ``joins.n_pairs`` pairs (default: the simulator
 section's) at the simulator's pair interval. Every mode runs each seed
 through one pass, `_run_once`: generate -> simulate -> estimate ->
-`recover_from_matrix` (DFS order, then `recover_tree` at the configured or
-the automatic rho) -> score. A dynamic run starts one worker thread, which
-draws each join session's jitter (`simulator.SessionStart.draw`) while the
-main thread joins and scores the batch before it, and joins the thread
-before it returns or raises. Reports are single JSON documents embedding
+`recover_from_matrix` (DFS order, then `recover_tree` at that rho) ->
+score. A dynamic run starts one worker thread, which draws each join
+session's jitter (`simulator.SessionStart.draw`) while the main thread
+joins and scores the batch before it, and joins the thread before it
+returns or raises. Reports are single JSON documents embedding
 the full resolved config; given the same config they re-serialize
 byte-identically, and their sums add left to right whatever the Python
 version (`_sum_in_order`).
@@ -45,11 +46,10 @@ from .errors import ConfigError, TomographyError
 from .logio import read_json, write_json
 from .model import branching_skeleton
 from .ordering import dfs_order
-from .recover import RecoveryConfig, auto_rho, recover_tree
+from .recover import RecoveryConfig, recover_tree
 from .simulator import SimulatorConfig, _is_int, generate_topology, grow_network, simulate_session, start_session
 
 _TOP_KEYS = {"simulator", "recovery", "seeds", "sweep", "joins"}
-_SWEEPS = ({"bg_rates_bytes_per_sec"}, {"packet_sizes_bytes", "pair_intervals_us"})
 
 
 @contextmanager
@@ -85,9 +85,10 @@ def parse_config(data: dict) -> dict:
     if not isinstance(recovery, dict) or set(recovery) - {"rho_ms2"}:
         raise ConfigError("recovery: only the rho_ms2 field is supported")
     rho = recovery.get("rho_ms2")
-    if rho is not None:
-        with _section("recovery.rho_ms2"):
-            RecoveryConfig(rho)
+    if rho is None:
+        raise ConfigError("recovery.rho_ms2: required, the recovery threshold in ms^2")
+    with _section("recovery.rho_ms2"):
+        RecoveryConfig(rho)
 
     seeds = data.get("seeds")
     if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
@@ -100,15 +101,13 @@ def parse_config(data: dict) -> dict:
     if sweep is not None:
         if not isinstance(sweep, dict):
             raise ConfigError("sweep: must be an object")
-        if set(sweep) not in _SWEEPS:
-            raise ConfigError(
-                "sweep: expected bg_rates_bytes_per_sec, or packet_sizes_bytes plus pair_intervals_us"
-            )
-        for key in sorted(sweep):
-            if not isinstance(sweep[key], list) or not sweep[key]:
-                raise ConfigError(f"sweep.{key}: non-empty list required")
+        if set(sweep) != {"bg_rates_bytes_per_sec"}:
+            raise ConfigError("sweep: expected bg_rates_bytes_per_sec only")
+        rates = sweep["bg_rates_bytes_per_sec"]
+        if not isinstance(rates, list) or not rates:
+            raise ConfigError("sweep.bg_rates_bytes_per_sec: non-empty list required")
         with _section("sweep"):
-            for overrides in _sweep_points(sweep)[1]:
+            for overrides in _sweep_points(sweep):
                 replace(sim, **overrides)
 
     joins = data.get("joins")
@@ -151,17 +150,11 @@ def _join_config(sim: SimulatorConfig, batches, n_pairs: int) -> SimulatorConfig
     return replace(sim, n_pairs=n_pairs, n_hosts=sim.n_hosts + sum(batches))
 
 
-def _sweep_points(sweep: dict) -> tuple[str, list[dict]]:
-    """The sweep's mode and one dict of SimulatorConfig overrides per point,
-    in report order. A rate is a float, as the report prints it."""
-    if "bg_rates_bytes_per_sec" in sweep:
-        rates = sweep["bg_rates_bytes_per_sec"]
-        return "bg_sweep", [{"bg_rate_bytes_per_sec": float(r) if isinstance(r, int) else r} for r in rates]
-    return "grid_sweep", [
-        {"packet_size_bytes": s, "pair_interval_us": d}
-        for s in sweep["packet_sizes_bytes"]
-        for d in sweep["pair_intervals_us"]
-    ]
+def _sweep_points(sweep: dict) -> list[dict]:
+    """One dict of SimulatorConfig overrides per background rate, in report
+    order. A rate is a float, as the report prints it."""
+    rates = sweep["bg_rates_bytes_per_sec"]
+    return [{"bg_rate_bytes_per_sec": float(r) if isinstance(r, int) else r} for r in rates]
 
 
 def _sum_in_order(values) -> float:
@@ -192,31 +185,28 @@ def _cov_summary(cov) -> dict:
     }
 
 
-def recover_from_matrix(source, cov, rho: float | None):
-    """DFS order of ``cov``, then `recover_tree` from ``source`` at
-    threshold ``rho``, or at `auto_rho` of ``cov`` when ``rho`` is None.
-    Returns the tree and the RecoveryConfig used."""
-    order = dfs_order(cov)
-    config = RecoveryConfig(rho if rho is not None else auto_rho(cov))
-    return recover_tree(source, order, cov, config), config
+def recover_from_matrix(source, cov, config: RecoveryConfig):
+    """DFS order of ``cov``, then `recover_tree` from ``source`` at the
+    threshold of ``config``. Returns the tree."""
+    return recover_tree(source, dfs_order(cov), cov, config)
 
 
-def _run_once(sim: SimulatorConfig, rho: float | None):
+def _run_once(sim: SimulatorConfig, config: RecoveryConfig):
     """One generate -> simulate -> estimate -> order -> recover -> score pass."""
     net = generate_topology(sim)
     log = simulate_session(net, sim)
     cov = build_covariance_matrix(log, sorted(net.clients))
-    tree, config = recover_from_matrix(net.source, cov, rho)
+    tree = recover_from_matrix(net.source, cov, config)
     report = score_trees(tree, branching_skeleton(net.truth))
-    return net, cov, tree, config, report
+    return net, cov, tree, report
 
 
-def _run_seeds(resolved: dict, **overrides) -> tuple[list[dict], dict]:
+def _run_seeds(resolved: dict, config: RecoveryConfig, **overrides) -> tuple[list[dict], dict]:
     """One run record per seed, each with its ``tree``, and their summary."""
     runs = []
     for seed in resolved["seeds"]:
         sim = _sim_from_resolved(resolved, seed=seed, **overrides)
-        _, cov, tree, config, report = _run_once(sim, resolved["recovery"]["rho_ms2"])
+        _, cov, tree, report = _run_once(sim, config)
         runs.append(
             {
                 "seed": seed,
@@ -231,22 +221,22 @@ def _run_seeds(resolved: dict, **overrides) -> tuple[list[dict], dict]:
 
 
 def run_scenario(resolved: dict) -> dict:
-    """Static scenario (or sweep, when the config has a sweep section):
-    executes the full pipeline once per seed and aggregates accuracy. A
-    sweep point keeps the tree of its last seed only."""
+    """Static scenario (or background-rate sweep, when the config has a
+    sweep section): executes the full pipeline once per seed and aggregates
+    accuracy. A sweep point keeps the tree of its last seed only."""
     if resolved.get("joins"):
         raise ConfigError("config has a joins section; use the dynamic scenario")
+    config = RecoveryConfig(resolved["recovery"]["rho_ms2"])
     sweep = resolved.get("sweep")
     if not sweep:
-        runs, summary = _run_seeds(resolved)
+        runs, summary = _run_seeds(resolved, config)
         return {"config": resolved, "mode": "static", "runs": runs, "summary": summary}
-    mode, grid = _sweep_points(sweep)
     points = []
-    for overrides in grid:
-        runs, summary = _run_seeds(resolved, **overrides)
+    for overrides in _sweep_points(sweep):
+        runs, summary = _run_seeds(resolved, config, **overrides)
         trees = [run.pop("tree") for run in runs]
         points.append({**overrides, "runs": runs, "summary": summary, "tree": trees[-1]})
-    return {"config": resolved, "mode": mode, "points": points}
+    return {"config": resolved, "mode": "bg_sweep", "points": points}
 
 
 def _curve_point(n_nodes: int, report) -> dict:
@@ -276,13 +266,13 @@ def run_dynamic_scenario(resolved: dict) -> dict:
     joins = resolved.get("joins")
     if not joins:
         raise ConfigError("dynamic scenario requires a joins section")
-    rho = resolved["recovery"]["rho_ms2"]
+    config = RecoveryConfig(resolved["recovery"]["rho_ms2"])
     batches = joins["batches"]
     runs = []
     with ThreadPoolExecutor(max_workers=1) as worker:
         for seed in resolved["seeds"]:
             sim = _sim_from_resolved(resolved, seed=seed)
-            net, cov, tree, config, report = _run_once(sim, rho)
+            net, cov, tree, report = _run_once(sim, config)
             curve = [_curve_point(sim.n_routers + sim.n_hosts, report)]
             join_sim = _join_config(sim, batches, joins["n_pairs"])
             n_hosts = sim.n_hosts

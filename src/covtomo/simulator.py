@@ -72,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError, InvariantError
-from .model import ROUTER_ID_PREFIX, TIMESTAMP_LIMIT_US, MeasurementLog, NodeId, RoutingTree
+from .model import ROUTER_ID_PREFIX, TIMESTAMP_LIMIT_US, MeasurementLog, NodeId, RoutingTree, _finite
 
 # rng stream tags so topology, sessions and growth draw independent streams
 _STREAM_TOPOLOGY = 1
@@ -99,15 +99,6 @@ DROP_PROB = 0.08
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _finite(value) -> bool:
-    """Whether ``value`` is a number with a finite float value (an integer
-    past the float range has none)."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 @dataclass(frozen=True)

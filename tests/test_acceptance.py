@@ -21,8 +21,6 @@ from covtomo.model import (
     DelaySeries,
     MeasurementLog,
     branching_skeleton,
-    covariance_matrix_from_tree,
-    shared_covariance,
     trees_topologically_equal,
 )
 from covtomo.ordering import dfs_order
@@ -30,7 +28,7 @@ from covtomo.recover import RecoveryConfig, recover_tree
 from covtomo.scenarios import parse_config, run_dynamic_scenario, run_scenario
 from covtomo.simulator import SimulatorConfig, generate_topology, simulate_session
 
-from treegen import random_truth_tree, restrict
+from treegen import covariance_matrix_from_tree, random_truth_tree, restrict, shared_covariance
 
 
 def _series(values):

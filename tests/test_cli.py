@@ -21,6 +21,8 @@ from covtomo.simulator import SimulatorConfig
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
+    """A small config with ``overrides``; an override of None leaves its
+    section out."""
     cfg = {
         "simulator": {
             "n_hosts": 10,
@@ -34,7 +36,7 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     }
     cfg.update(overrides)
     path = tmp_path / name
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
     return path
 
 
@@ -198,18 +200,23 @@ def test_e2e_dynamic_report(tmp_path, capsys):
         ),
         ({"sweep": {"bg_rates_bytes_per_sec": [1e6, -1]}}, "sweep: bg_rate_bytes_per_sec must be non-negative"),
         (
-            {"sweep": {"packet_sizes_bytes": [200], "pair_intervals_us": [30000.5]}},
-            "sweep: pair_interval_us must be an integer, got 30000.5",
-        ),
-        (
-            {"sweep": {"packet_sizes_bytes": [200.7], "pair_intervals_us": [30000]}},
-            "sweep: packet_size_bytes must be an integer, got 200.7",
+            # the packet-size x pair-interval grid is no sweep kind
+            {"sweep": {"packet_sizes_bytes": [200], "pair_intervals_us": [30000]}},
+            "sweep: expected bg_rates_bytes_per_sec only",
         ),
         (
             {"recovery": {"rho_ms2": float("inf")}},
             "recovery.rho_ms2: rho must be a positive finite number, got inf",
         ),
         ({"recovery": {"rho_ms2": True}}, "recovery.rho_ms2: rho must be a positive finite number, got True"),
+        (
+            {"recovery": {"rho_ms2": 10**400}},
+            f"recovery.rho_ms2: rho must be a positive finite number, got {10**400}",
+        ),
+        # every run recovers at a stated rho
+        ({"recovery": None}, "recovery.rho_ms2: required, the recovery threshold in ms^2"),
+        ({"recovery": {}}, "recovery.rho_ms2: required, the recovery threshold in ms^2"),
+        ({"recovery": {"rho_ms2": None}}, "recovery.rho_ms2: required, the recovery threshold in ms^2"),
         ({"seeds": [True]}, "seeds: required non-empty list of integers"),
         ({"seeds": [1, -1]}, "seeds: seed must be >= 0, got -1"),
         (
@@ -273,10 +280,13 @@ def test_e2e_dynamic_report(tmp_path, capsys):
         "sweep-and-joins",
         "rate-not-a-number",
         "negative-second-rate",
-        "fractional-interval",
-        "fractional-packet-size",
+        "grid-sweep",
         "infinite-rho",
         "bool-rho",
+        "401-digit-rho",
+        "no-recovery-section",
+        "empty-recovery",
+        "null-rho",
         "bool-seed",
         "negative-seed",
         "nan-rate",
@@ -329,12 +339,8 @@ def test_join_sessions_default_to_the_simulator_pairs(tmp_path, capsys):
     capsys.readouterr()
 
 
-SWEEP_KEYS = {
-    "bg_rate_bytes_per_sec": "bg_rates_bytes_per_sec",
-    "packet_size_bytes": "packet_sizes_bytes",
-    "pair_interval_us": "pair_intervals_us",
-}
 SMALL = {"n_hosts": 10, "n_routers": 4, "n_pairs": 300}
+RECOVERY = {"rho_ms2": 0.25}
 # what a JSON config can hold; integers stay within the range a double holds
 # exactly, where a rate that runs as a float equals the integer it was given
 JSON_VALUES = st.one_of(
@@ -355,19 +361,19 @@ def _parsed(config):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(SWEEP_KEYS)), JSON_VALUES)
-def test_sweep_values_follow_the_simulator_section(field, value):
-    """A value is refused in a sweep exactly when the simulator section
+@given(JSON_VALUES)
+def test_sweep_values_follow_the_simulator_section(value):
+    """A rate is refused in a sweep exactly when the simulator section
     refuses it, and an accepted one runs as the simulator section would."""
-    direct = _parsed({"simulator": dict(SMALL, **{field: value}), "seeds": [1]})
-    sweep = {"packet_sizes_bytes": [200], "pair_intervals_us": [30000]}
-    if field == "bg_rate_bytes_per_sec":
-        sweep = {}
-    sweep[SWEEP_KEYS[field]] = [value]
-    swept = _parsed({"simulator": SMALL, "seeds": [1], "sweep": sweep})
+    direct = _parsed(
+        {"simulator": dict(SMALL, bg_rate_bytes_per_sec=value), "recovery": RECOVERY, "seeds": [1]}
+    )
+    swept = _parsed(
+        {"simulator": SMALL, "recovery": RECOVERY, "seeds": [1], "sweep": {"bg_rates_bytes_per_sec": [value]}}
+    )
     assert (swept is None) == (direct is None)
     if swept is not None:
-        _, (overrides,) = scenarios._sweep_points(swept["sweep"])
+        (overrides,) = scenarios._sweep_points(swept["sweep"])
         point = scenarios._sim_from_resolved(swept, **overrides)
         want = SimulatorConfig(**direct["simulator"])
         for f in fields(SimulatorConfig):
@@ -477,13 +483,23 @@ def test_unreadable_input_file_names_it(tmp_path, capsys, command, bad, content,
         "e2e": ["--config", paths["config"]],
         "estimate": ["--log", paths["log"]],
         "score": ["--recovered", paths["recovered"], "--truth", paths["truth"]],
-        "recover": ["--cov", paths["cov"], "--source", "s"],
+        "recover": ["--cov", paths["cov"], "--source", "s", "--rho", "0.5"],
     }[command]
     out = tmp_path / "out.json"
     assert main([command, *map(str, argv), "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert err.startswith("config error: " if code == 2 else "data error: ")
     assert str(paths["bad"]) in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_recover_requires_a_rho(tmp_path, capsys):
+    cov, out = tmp_path / "cov.json", tmp_path / "tree.json"
+    cov.write_text(json.dumps({"receivers": ["a", "b"], "values": [[3.0, 2.0], [2.0, 3.0]]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["recover", "--cov", str(cov), "--source", "s", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --rho" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -525,7 +541,7 @@ def test_recover_refuses_an_asymmetric_matrix(tmp_path, capsys, transpose):
         values = [list(row) for row in zip(*values)]
     cov, out = tmp_path / "cov.json", tmp_path / "tree.json"
     cov.write_text(json.dumps({"receivers": list("abc"), "values": values}))
-    assert main(["recover", "--cov", str(cov), "--source", "s", "--out", str(out)]) == 3
+    assert main(["recover", "--cov", str(cov), "--source", "s", "--rho", "0.5", "--out", str(out)]) == 3
     ab, ba = values[0][1], values[1][0]
     assert capsys.readouterr().err == (
         f"data error: covariance matrix {cov} is malformed: entry ('a', 'b') is {ab} but ('b', 'a') is {ba}: "
@@ -643,7 +659,7 @@ def test_unwritable_output_file_names_it(tmp_path, capsys, command, option, what
     argv = {
         "simulate": ["--config", str(cfg)],
         "estimate": ["--log", log],
-        "recover": ["--cov", cov, "--source", source],
+        "recover": ["--cov", cov, "--source", source, "--rho", "0.25"],
         "join": ["--tree", tree, "--log", log, "--peer", receivers[-1], "--rho", "0.25"],
         "score": ["--recovered", tree, "--truth", truth],
         "e2e": ["--config", str(cfg)],
@@ -677,17 +693,12 @@ def test_e2e_runs_sweeps(tmp_path, capsys):
 
 # SHA-256 of the e2e report of each mode on a small config: any change to
 # the scenario runners must leave every report byte-identical. The bg sweep
-# has two seeds, so its points must keep the last seed's tree, and the grid
-# sweep takes its rho from auto_rho.
+# has two seeds, so its points must keep the last seed's tree.
 PINNED_REPORTS = [
     ({}, "fa3182fd24bd8e5660e994a404fb3929ca915d3e5cf93ac3b20813048ebb566b"),
     (
         {"sweep": {"bg_rates_bytes_per_sec": [1e6, 4e6]}},
         "0bc045c573655fb017f6f3485fa48674830c8ae2476a7698533a1bd25b0687f3",
-    ),
-    (
-        {"sweep": {"packet_sizes_bytes": [500, 1500], "pair_intervals_us": [5000, 8000]}, "recovery": {}, "seeds": [1]},
-        "3ba6c86f117ec6452d039a3e55a4e620a088601a924e73fb040a65f45475219c",
     ),
     (
         {"joins": {"batches": [2, 2], "n_pairs": 300}},
@@ -696,7 +707,7 @@ PINNED_REPORTS = [
 ]
 
 
-@pytest.mark.parametrize("overrides,digest", PINNED_REPORTS, ids=["static", "bg_sweep", "grid_sweep", "dynamic"])
+@pytest.mark.parametrize("overrides,digest", PINNED_REPORTS, ids=["static", "bg_sweep", "dynamic"])
 def test_e2e_reports_match_pinned_digests(tmp_path, capsys, overrides, digest):
     out = tmp_path / "report.json"
     assert main(["e2e", "--config", str(write_config(tmp_path, **overrides)), "--out", str(out)]) == 0
@@ -735,15 +746,15 @@ def test_module_entry_point(tmp_path):
 
 def test_parse_config_rejects_bad_sections():
     with pytest.raises(ConfigError, match="seeds"):
-        parse_config({"simulator": {}})
+        parse_config({"simulator": {}, "recovery": RECOVERY})
     with pytest.raises(ConfigError, match="rho_ms2"):
         parse_config({"seeds": [1], "recovery": {"rho_ms2": -1}})
     with pytest.raises(ConfigError, match="joins.batches"):
-        parse_config({"seeds": [1], "joins": {"batches": []}})
+        parse_config({"seeds": [1], "recovery": RECOVERY, "joins": {"batches": []}})
     with pytest.raises(ConfigError, match="simulator.n_pair"):
         parse_config({"seeds": [1], "simulator": {"n_pair": 10}})
     with pytest.raises(ConfigError, match="sweep"):
-        parse_config({"seeds": [1], "sweep": {"bogus": []}})
+        parse_config({"seeds": [1], "recovery": RECOVERY, "sweep": {"bogus": []}})
     # a tuple field that is not a list is a config error, not a TypeError
     with pytest.raises(ConfigError, match="simulator: 'int' object is not iterable"):
         parse_config({"seeds": [1], "simulator": {"link_base_delay_us": 5}})

@@ -10,16 +10,19 @@ from hypothesis import strategies as st
 from covtomo import dynamic
 from covtomo.dynamic import attach_peer
 from covtomo.errors import InputError
-from covtomo.model import (
-    RoutingTree,
-    covariance_matrix_from_tree,
-    shared_covariance,
-    trees_topologically_equal,
-)
+from covtomo.model import RoutingTree, trees_topologically_equal
 from covtomo.ordering import dfs_order
 from covtomo.recover import Case, RecoveryConfig, classify_case, recover_tree
 
-from treegen import build_tree, leaves_under, random_truth_tree, restrict, without_leaf
+from treegen import (
+    build_tree,
+    covariance_matrix_from_tree,
+    leaves_under,
+    random_truth_tree,
+    restrict,
+    shared_covariance,
+    without_leaf,
+)
 
 
 def oracle_for(truth):

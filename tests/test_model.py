@@ -9,12 +9,17 @@ from covtomo.model import (
     CovarianceMatrix,
     RoutingTree,
     branching_skeleton,
-    covariance_matrix_from_tree,
-    shared_covariance,
     trees_topologically_equal,
 )
 
-from treegen import build_tree, cluster_family, random_truth_tree, relabel_routers
+from treegen import (
+    build_tree,
+    cluster_family,
+    covariance_matrix_from_tree,
+    random_truth_tree,
+    relabel_routers,
+    shared_covariance,
+)
 
 
 def star():

@@ -2,10 +2,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covtomo.model import CovarianceMatrix, covariance_matrix_from_tree
+from covtomo.model import CovarianceMatrix
 from covtomo.ordering import dfs_order
 
-from treegen import build_tree, leaves_under, random_truth_tree, restrict
+from treegen import build_tree, covariance_matrix_from_tree, leaves_under, random_truth_tree, restrict
 
 
 def is_valid_dfs_order(order, cov: CovarianceMatrix) -> bool:

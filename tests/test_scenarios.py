@@ -70,7 +70,12 @@ def test_sums_are_not_compensated():
     assert math.copysign(1.0, _sum_in_order([-0.0, -0.0])) == 1.0
 
 
-DYNAMIC = {"simulator": {"n_hosts": 20, "n_routers": 6, "n_pairs": 200}, "seeds": [1, 2], "joins": {"batches": [3, 3, 3]}}
+DYNAMIC = {
+    "simulator": {"n_hosts": 20, "n_routers": 6, "n_pairs": 200},
+    "recovery": {"rho_ms2": 0.25},
+    "seeds": [1, 2],
+    "joins": {"batches": [3, 3, 3]},
+}
 
 
 def test_dynamic_run_draws_on_one_worker_and_joins_it(monkeypatch):
@@ -141,6 +146,7 @@ def test_join_sessions_are_bounded_with_every_joined_host():
     SimulatorConfig(**HEAVY)
     with pytest.raises(ConfigError, match="delays too large"):
         SimulatorConfig(**dict(HEAVY, n_hosts=750))
-    parse_config({"simulator": HEAVY, "seeds": [1]})
+    config = {"simulator": HEAVY, "recovery": {"rho_ms2": 0.25}, "seeds": [1]}
+    parse_config(config)
     with pytest.raises(ConfigError, match=r"^joins: delays too large: a timestamp could reach 5.95e\+18 us"):
-        parse_config({"simulator": HEAVY, "seeds": [1], "joins": {"batches": [50] * 12}})
+        parse_config(dict(config, joins={"batches": [50] * 12}))

@@ -18,7 +18,7 @@ from covtomo import simulator
 from covtomo.delay_cov import align_pairs, build_covariance_matrix, covariance_oracle_from_log, normalize_series
 from covtomo.errors import ConfigError, InputError, InvariantError
 from covtomo.logio import export_log, import_log
-from covtomo.model import TIMESTAMP_LIMIT_US, MeasurementLog, RoutingTree, shared_covariance
+from covtomo.model import TIMESTAMP_LIMIT_US, MeasurementLog, RoutingTree
 from covtomo.simulator import (
     SimulatedNetwork,
     SimulatorConfig,
@@ -28,7 +28,7 @@ from covtomo.simulator import (
     start_session,
 )
 
-from treegen import path_from_root
+from treegen import path_from_root, shared_covariance
 
 
 def path_links(net, client):

@@ -5,12 +5,13 @@ Random trees model a single-homed source (the root has exactly one egress
 link), carry strictly positive link delay variances, and may contain
 single-child relay routers, which leaf covariances cannot see. Router
 labels hold cumulative shared-path variance, so
-covtomo.covariance_matrix_from_tree yields the exact noiseless covariances.
+`covariance_matrix_from_tree` yields the exact noiseless covariances.
 """
 
 import numpy as np
 
-from covtomo.model import CovarianceMatrix, RoutingTree
+from covtomo.errors import InputError
+from covtomo.model import CovarianceMatrix, NodeId, RoutingTree
 
 
 def path_from_root(tree: RoutingTree, node):
@@ -37,6 +38,42 @@ def restrict(cov: CovarianceMatrix, receivers) -> CovarianceMatrix:
     ids = tuple(receivers)
     idx = [cov.index(r) for r in ids]
     return CovarianceMatrix(ids, cov.values[np.ix_(idx, idx)])
+
+
+def _require_leaf(tree: RoutingTree, node: NodeId) -> None:
+    if node not in tree:
+        raise InputError(f"unknown leaf id {node!r}")
+    if not tree.is_leaf(node):
+        raise InputError(f"{node!r} is not a leaf")
+
+
+def shared_covariance(tree: RoutingTree, i: NodeId, j: NodeId) -> float:
+    """Covariance implied by the tree's router labels for a leaf pair: the
+    label of their lowest common ancestor. Exact when labels hold cumulative
+    shared-path delay variance, as in simulator ground truth."""
+    _require_leaf(tree, i)
+    _require_leaf(tree, j)
+    if i == j:
+        raise InputError("shared_covariance needs two distinct leaves")
+    return tree.router_cov[tree.lca(i, j)]
+
+
+def covariance_matrix_from_tree(tree: RoutingTree) -> CovarianceMatrix:
+    """Analytic covariance matrix over the tree's leaves, sorted.
+    Off-diagonal entries come from shared_covariance; the diagonal holds the
+    label of each leaf's parent (the leaf's own last-hop variance is
+    unidentifiable from pair covariances and never read by the inference)."""
+    ids = tuple(sorted(tree.leaves))
+    n = len(ids)
+    values = np.zeros((n, n), dtype=float)
+    for a in range(n):
+        parent = tree.parent(ids[a])
+        values[a, a] = tree.router_cov.get(parent, 0.0)
+        for b in range(a + 1, n):
+            cov = shared_covariance(tree, ids[a], ids[b])
+            values[a, b] = cov
+            values[b, a] = cov
+    return CovarianceMatrix(ids, values)
 
 
 def without_leaf(tree: RoutingTree, leaf):
