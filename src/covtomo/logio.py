@@ -467,5 +467,5 @@ def read_json(path, what: str, error=DataError, build=None):
         return build(data)
     except KeyError as exc:
         raise error(f"{what} {path} lacks field {exc}") from None
-    except (DataError, TypeError, ValueError, RecursionError) as exc:
+    except (DataError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise error(f"{what} {path} is malformed: {exc}") from None

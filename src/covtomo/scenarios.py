@@ -211,7 +211,6 @@ def _run_seeds(resolved: dict, config: RecoveryConfig, **overrides) -> tuple[lis
             {
                 "seed": seed,
                 **asdict(report),
-                "rho_ms2": config.rho,
                 "cov_summary": _cov_summary(cov),
                 "tree": tree.to_dict(),
             }

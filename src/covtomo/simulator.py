@@ -7,9 +7,9 @@ square, each new one linked to earlier ones with a probability that decays
 with distance (`_waxman_router_graph`), and hosts on random routers.
 
 Each link gets a base delay and a jitter variance, drawn uniformly from
-the configured ranges: all links of a generated network in one array draw,
-in link-key order, and each host that `grow_network` attaches in two
-scalar draws after its router's.
+``LINK_BASE_DELAY_US`` and the configured variance range: all links of a
+generated network in one array draw, in link-key order, and each host that
+`grow_network` attaches in two scalar draws after its router's.
 
 Delay model per link: a fixed base propagation delay, the packet's
 transmission time, and a per-(link, pair) jitter sample drawn from a
@@ -49,13 +49,15 @@ Background traffic scales every link's jitter variance linearly with the
 configured rate, and pushes links over a utilization threshold into
 congestion, which adds per-client independent noise and packet loss.
 Utilization counts background rate plus the probe traffic itself, so small
-pair intervals or large packets can congest heavily shared links. This
-reproduces the qualitative extremes: almost no load means covariance gaps
-too small to resolve against rho, heavy load destroys the back-to-back
-timing and drops packets.
+pair intervals can congest heavily shared links. This reproduces the
+qualitative extremes: almost no load means covariance gaps too small to
+resolve against rho, heavy load destroys the back-to-back timing and drops
+packets.
 
 Fixed constants: Waxman growth at ``WAXMAN_BETA`` 0.2, ``LINKS_PER_NODE`` 2
 earlier routers per new router; ``CLIENT_FRACTION`` 0.7 of hosts as clients;
+link base delays from ``LINK_BASE_DELAY_US`` (200.0, 2000.0) us; links of
+``BANDWIDTH_BPS`` 1e8 (100 Mbps) carrying probes of ``PACKET_SIZE_BYTES`` 200;
 jitter variance scaled by the background rate over
 ``BG_REF_RATE_BYTES_PER_SEC`` 4e6; congestion past ``CONGESTION_THRESHOLD``
 0.8 utilization, with noise variance ``CONGESTION_NOISE_GAIN`` 12.0 times
@@ -86,15 +88,21 @@ _JITTER_OFFSET_SIGMAS = 5.0
 # magnitude (its tail step takes the log of one 53-bit uniform); the delay
 # bound takes a draw to lie within this many sigmas
 _NORMAL_BOUND_SIGMAS = 64.0
-_INT_FIELDS = ("n_hosts", "n_routers", "seed", "packet_size_bytes", "n_pairs", "pair_interval_us")
+_INT_FIELDS = ("n_hosts", "n_routers", "seed", "n_pairs", "pair_interval_us")
 
 WAXMAN_BETA = 0.2
 LINKS_PER_NODE = 2  # attachments per router during incremental growth
 CLIENT_FRACTION = 0.7
+LINK_BASE_DELAY_US = (200.0, 2000.0)
+BANDWIDTH_BPS = 1e8
+PACKET_SIZE_BYTES = 200
 BG_REF_RATE_BYTES_PER_SEC = 4e6
 CONGESTION_THRESHOLD = 0.8
 CONGESTION_NOISE_GAIN = 12.0
 DROP_PROB = 0.08
+
+# a probe's transmission time on one link, as the session and the bound take it
+_TRANS_US = PACKET_SIZE_BYTES * 8 / BANDWIDTH_BPS * 1e6
 
 
 def _is_int(value) -> bool:
@@ -104,7 +112,8 @@ def _is_int(value) -> bool:
 @dataclass(frozen=True)
 class SimulatorConfig:
     """Simulation parameters; defaults mirror the desk-scale evaluation
-    setup (150 hosts, 50 routers, 100 Mbps links, 70% of hosts as clients).
+    setup (150 hosts, 50 routers, 2000 pairs 30 ms apart, 4e6 B/s of
+    background). Link physics is fixed (see the module docstring).
 
     Sessions send ``n_pairs`` pairs evenly, ``pair_interval_us`` apart
     (`sender_schedule`); a log with irregular send times is imported, not
@@ -118,20 +127,15 @@ class SimulatorConfig:
     n_hosts: int = 150
     n_routers: int = 50
     seed: int = 0
-    link_base_delay_us: tuple[float, float] = (200.0, 2000.0)
     link_delay_var_ms2: tuple[float, float] = (0.5, 1.5)
-    bandwidth_bps: float = 1e8
-    packet_size_bytes: int = 200
     pair_interval_us: int = 30000
     n_pairs: int = 2000
     bg_rate_bytes_per_sec: float = 4e6
 
     def __post_init__(self):
-        for name in ("link_base_delay_us", "link_delay_var_ms2"):
-            value = getattr(self, name)
-            if not isinstance(value, tuple):
-                # a JSON config gives these as lists
-                object.__setattr__(self, name, tuple(value))
+        if not isinstance(self.link_delay_var_ms2, tuple):
+            # a JSON config gives it as a list
+            object.__setattr__(self, "link_delay_var_ms2", tuple(self.link_delay_var_ms2))
         for name in _INT_FIELDS:
             value = getattr(self, name)
             if not _is_int(value):
@@ -139,12 +143,11 @@ class SimulatorConfig:
         for name, low in (("n_hosts", 2), ("n_routers", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("link_base_delay_us", "link_delay_var_ms2"):
-            lo, hi = getattr(self, name)
-            if lo < 0 or hi < lo:
-                raise ConfigError(f"{name} must be a non-negative (lo, hi) range")
-            if not (_finite(lo) and _finite(hi)):
-                raise ConfigError(f"{name} must be a finite range")
+        lo, hi = self.link_delay_var_ms2
+        if lo < 0 or hi < lo:
+            raise ConfigError("link_delay_var_ms2 must be a non-negative (lo, hi) range")
+        if not (_finite(lo) and _finite(hi)):
+            raise ConfigError("link_delay_var_ms2 must be a finite range")
         if self.pair_interval_us <= 0:
             raise ConfigError(f"pair_interval_us must be positive, got {self.pair_interval_us}")
         if self.pair_interval_us >= TIMESTAMP_LIMIT_US:
@@ -154,12 +157,9 @@ class SimulatorConfig:
             raise ConfigError(f"n_pairs must be >= 1, got {self.n_pairs}")
         if self.bg_rate_bytes_per_sec < 0:
             raise ConfigError("bg_rate_bytes_per_sec must be non-negative")
-        if self.bandwidth_bps <= 0:
-            raise ConfigError("bandwidth_bps must be positive")
-        # NaN passes the comparisons above, and so does an int past the float range
-        for name in ("bg_rate_bytes_per_sec", "bandwidth_bps"):
-            if not _finite(getattr(self, name)):
-                raise ConfigError(f"{name} must be a finite number")
+        # NaN passes the comparison above, and so does an int past the float range
+        if not _finite(self.bg_rate_bytes_per_sec):
+            raise ConfigError("bg_rate_bytes_per_sec must be a finite number")
         bound = self._timestamp_bound_us()
         if not bound < TIMESTAMP_LIMIT_US:
             raise ConfigError(
@@ -180,8 +180,7 @@ class SimulatorConfig:
             var = self.link_delay_var_ms2[1] * self.bg_scale
             links = self.n_routers + 1
             reach = _JITTER_OFFSET_SIGMAS + _NORMAL_BOUND_SIGMAS
-            trans_us = self.packet_size_bytes * 8 / self.bandwidth_bps * 1e6
-            per_link = self.link_base_delay_us[1] + trans_us + reach * math.sqrt(var) * 1e3
+            per_link = LINK_BASE_DELAY_US[1] + _TRANS_US + reach * math.sqrt(var) * 1e3
             noise = reach * math.sqrt(links * var * CONGESTION_NOISE_GAIN * overshoot * 1e6)
             return (self.n_pairs - 1) * self.pair_interval_us + links * per_link + noise
         except OverflowError:
@@ -202,9 +201,9 @@ class SimulatorConfig:
 
 def _link_load(config: SimulatorConfig, n_clients: int) -> float:
     """Utilization: background plus a probe per interval per client below."""
-    probe_bits = config.packet_size_bytes * 8
+    probe_bits = PACKET_SIZE_BYTES * 8
     interval_s = config.pair_interval_us / 1e6
-    return (config.bg_rate_bytes_per_sec * 8 + n_clients * probe_bits / interval_s) / config.bandwidth_bps
+    return (config.bg_rate_bytes_per_sec * 8 + n_clients * probe_bits / interval_s) / BANDWIDTH_BPS
 
 
 def _overshoot(load: float) -> float:
@@ -220,15 +219,13 @@ class SimulatedNetwork:
     labels holding cumulative shared-path delay variance; the clients are
     its leaves. ``link_params`` maps each undirected link to (base delay us,
     effective jitter variance ms^2, already scaled by the configured
-    background rate). ``access_router`` and the per-router paths serve only
-    topology generation and growth.
+    background rate). The per-router paths serve only growth.
     """
 
-    def __init__(self, source, truth, link_params, access_router, router_paths, host_seq):
+    def __init__(self, source, truth, link_params, router_paths, host_seq):
         self.source: NodeId = source
         self.truth: RoutingTree = truth
         self.link_params: dict[tuple[NodeId, NodeId], tuple[float, float]] = link_params
-        self.access_router: dict[NodeId, NodeId] = access_router
         self._router_paths: dict[NodeId, tuple[NodeId, ...]] = router_paths
         self._host_seq = host_seq
         # tests may force per-link drop probabilities regardless of congestion
@@ -329,8 +326,8 @@ def generate_topology(config: SimulatorConfig) -> SimulatedNetwork:
     # draw does, so each value is that of two scalar draws per link.
     links = sorted(SimulatedNetwork.link_key(a, b) for a, b in router_links + list(access_router.items()))
     draws = rng.uniform(
-        (config.link_base_delay_us[0], config.link_delay_var_ms2[0]),
-        (config.link_base_delay_us[1], config.link_delay_var_ms2[1]),
+        (LINK_BASE_DELAY_US[0], config.link_delay_var_ms2[0]),
+        (LINK_BASE_DELAY_US[1], config.link_delay_var_ms2[1]),
         size=(len(links), 2),
     )
     draws[:, 1] *= config.bg_scale
@@ -347,7 +344,6 @@ def generate_topology(config: SimulatorConfig) -> SimulatedNetwork:
         source=source,
         truth=truth,
         link_params=link_params,
-        access_router=access_router,
         router_paths=router_paths,
         host_seq=config.n_hosts,
     )
@@ -391,7 +387,7 @@ def grow_network(net: SimulatedNetwork, config: SimulatorConfig, n_new_hosts: in
     net._host_seq += n_new_hosts
     rng = np.random.default_rng([config.seed, _STREAM_GROWTH, stream])
     routers = sorted({r for r in net._router_paths})
-    base_lo, base_hi = config.link_base_delay_us
+    base_lo, base_hi = LINK_BASE_DELAY_US
     var_lo, var_hi = config.link_delay_var_ms2
     # a host's router draw comes between the previous host's link draws and
     # its own, so the links cannot share one array draw; an array draw of
@@ -402,7 +398,6 @@ def grow_network(net: SimulatedNetwork, config: SimulatorConfig, n_new_hosts: in
         var = float(rng.uniform(var_lo, var_hi)) * config.bg_scale
         key = SimulatedNetwork.link_key(router, host)
         net.link_params[key] = (base, var)
-        net.access_router[host] = router
         _extend_truth_path(net.truth, net._router_paths[router] + (host,), net.link_params)
     return hosts
 
@@ -498,7 +493,6 @@ def simulate_session(
     for node, parent in reversed(walk):
         below[parent] = below.get(parent, 0) + below[node]
 
-    trans_us = config.packet_size_bytes * 8 / config.bandwidth_bps * 1e6
     # accumulated down the routing tree (see the module docstring)
     const_us = {truth.root: 0.0}
     noise_var_us2 = {truth.root: 0.0}
@@ -508,7 +502,7 @@ def simulate_session(
         base, var = net.link_params[link]
         if parent != truth.root:
             jitter[row[node]] += jitter[row[parent]]
-        const_us[node] = const_us[parent] + (base + trans_us)
+        const_us[node] = const_us[parent] + (base + _TRANS_US)
         noise, surv = noise_var_us2[parent], survival[parent]
         overshoot = _overshoot(_link_load(config, below[node]))
         if overshoot > 0:

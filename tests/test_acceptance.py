@@ -26,7 +26,7 @@ from covtomo.model import (
 from covtomo.ordering import dfs_order
 from covtomo.recover import RecoveryConfig, recover_tree
 from covtomo.scenarios import parse_config, run_dynamic_scenario, run_scenario
-from covtomo.simulator import SimulatorConfig, generate_topology, simulate_session
+from covtomo.simulator import PACKET_SIZE_BYTES, SimulatorConfig, generate_topology, simulate_session
 
 from treegen import covariance_matrix_from_tree, random_truth_tree, restrict, shared_covariance
 
@@ -237,11 +237,10 @@ def test_criterion_7_import_path_with_testbed_settings(tmp_path):
         n_routers=5,
         seed=7,
         n_pairs=2000,
-        packet_size_bytes=200,
         pair_interval_us=30_000,
         link_delay_var_ms2=(0.5, 1.5),
     )
-    assert sim.packet_size_bytes == 200 and sim.pair_interval_us == 30_000
+    assert PACKET_SIZE_BYTES == 200 and sim.pair_interval_us == 30_000
     net = generate_topology(sim)
     log = simulate_session(net, sim)
     path = tmp_path / "testbed.ndjson"

@@ -162,10 +162,9 @@ def test_e2e_static_report_deterministic(tmp_path, capsys):
     assert report["mode"] == "static"
     assert len(report["runs"]) == 2
     for run in report["runs"]:
-        assert set(run) == {"seed", "p", "p_distinct", "n_leaves", "rho_ms2",
-                            "cov_summary", "tree"}
+        assert set(run) == {"seed", "p", "p_distinct", "n_leaves", "cov_summary", "tree"}
     # the resolved config embeds every defaulted simulator field
-    assert report["config"]["simulator"]["bandwidth_bps"] == 1e8
+    assert report["config"]["simulator"]["bg_rate_bytes_per_sec"] == 4e6
     assert report["config"]["seeds"] == [1, 2]
     capsys.readouterr()
 
@@ -239,10 +238,10 @@ def test_e2e_dynamic_report(tmp_path, capsys):
         (
             # within the bound at 150 hosts, past it with the 600 joined hosts probing too
             {
-                "simulator": {"n_hosts": 150, "link_delay_var_ms2": [1e20, 1e20], "bandwidth_bps": 3000},
+                "simulator": {"n_hosts": 150, "link_delay_var_ms2": [1e23, 1e23], "pair_interval_us": 1000},
                 "joins": {"batches": [50] * 12},
             },
-            "joins: delays too large: a timestamp could reach 5.95e+18 us, past the exact int64 range (2^62 us)",
+            "joins: delays too large: a timestamp could reach 5.21e+18 us, past the exact int64 range (2^62 us)",
         ),
         (
             # one pair has no send term in the timestamp bound
@@ -381,7 +380,7 @@ def test_sweep_values_follow_the_simulator_section(value):
             assert a == b or (a != a and b != b), f.name  # NaN equals nothing
 
 
-# fields the simulator no longer has: seven became module constants, every
+# fields the simulator no longer has: ten became module constants, every
 # network is Waxman, and every session sends evenly
 REMOVED_SIMULATOR_FIELDS = [
     "waxman_alpha",
@@ -395,6 +394,9 @@ REMOVED_SIMULATOR_FIELDS = [
     "congestion_threshold",
     "congestion_noise_gain",
     "drop_prob",
+    "link_base_delay_us",
+    "bandwidth_bps",
+    "packet_size_bytes",
     "pair_schedule_us",
 ]
 
@@ -533,6 +535,16 @@ def test_recover_refuses_a_non_finite_matrix_entry(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+def test_recover_refuses_a_matrix_entry_past_the_float_range(tmp_path, capsys):
+    cov, out = tmp_path / "cov.json", tmp_path / "tree.json"
+    cov.write_text(json.dumps({"receivers": ["a", "b"], "values": [[3.0, 10**400], [10**400, 3.0]]}))
+    assert main(["recover", "--cov", str(cov), "--source", "s", "--rho", "0.5", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: covariance matrix {cov} is malformed: int too large to convert to float\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("transpose", [False, True], ids=["M", "M-transposed"])
 def test_recover_refuses_an_asymmetric_matrix(tmp_path, capsys, transpose):
     # read without the check, M recovers [[a, b], c] and its transpose [a, b, c]
@@ -578,6 +590,7 @@ def leaves(*names):
 # a router below the root that a tree file must not hold, and the reason
 BAD_ROUTERS = {
     "nan": ({"id": "r1", "cov": float("nan"), "children": leaves("a", "b")}, "node 'r1' has label nan, not finite"),
+    "overflow": ({"id": "r1", "cov": 10**400, "children": leaves("a", "b")}, "int too large to convert to float"),
     # labels accumulate down a path: r2 below r1 cannot share less
     "decreasing": (
         {"id": "r1", "cov": 50.0, "children": [{"id": "r2", "cov": 1.0, "children": leaves("a", "b")}, *leaves("c")]},
@@ -695,14 +708,14 @@ def test_e2e_runs_sweeps(tmp_path, capsys):
 # the scenario runners must leave every report byte-identical. The bg sweep
 # has two seeds, so its points must keep the last seed's tree.
 PINNED_REPORTS = [
-    ({}, "fa3182fd24bd8e5660e994a404fb3929ca915d3e5cf93ac3b20813048ebb566b"),
+    ({}, "0f30fd9f096e79c1d13a997ce6739acd57ba1aa8199cf4fa84af399a03af0d19"),
     (
         {"sweep": {"bg_rates_bytes_per_sec": [1e6, 4e6]}},
-        "0bc045c573655fb017f6f3485fa48674830c8ae2476a7698533a1bd25b0687f3",
+        "904a492541db12f47e221659bf9ad6fd6d3031b6a2cbb40a77652b5132b81e74",
     ),
     (
         {"joins": {"batches": [2, 2], "n_pairs": 300}},
-        "f9cdfb41cec899b5ad7368245ebccc83d0208a33f9a9e9cead45a0ec88ed213a",
+        "70066877be28a2752a20ffd46767c26e7f877179f6112fa0a92a0a3a4a59b8ed",
     ),
 ]
 
@@ -755,9 +768,9 @@ def test_parse_config_rejects_bad_sections():
         parse_config({"seeds": [1], "simulator": {"n_pair": 10}})
     with pytest.raises(ConfigError, match="sweep"):
         parse_config({"seeds": [1], "recovery": RECOVERY, "sweep": {"bogus": []}})
-    # a tuple field that is not a list is a config error, not a TypeError
+    # a range that is not a list is a config error, not a TypeError
     with pytest.raises(ConfigError, match="simulator: 'int' object is not iterable"):
-        parse_config({"seeds": [1], "simulator": {"link_base_delay_us": 5}})
+        parse_config({"seeds": [1], "simulator": {"link_delay_var_ms2": 5}})
     # a fractional count is refused before any run
     with pytest.raises(ConfigError, match=r"^simulator: n_pairs must be an integer, got 2.5$"):
         parse_config({"seeds": [1], "simulator": {"n_pairs": 2.5}})

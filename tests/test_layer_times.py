@@ -1,0 +1,28 @@
+"""`scripts/layer_times.py` times the layers it names by wrapping functions
+bound in `covtomo.scenarios`; a rename there would leave the script failing
+at its first pass, so each name is checked against the module here."""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from covtomo import scenarios
+
+SCRIPT = Path(__file__).parents[1] / "scripts" / "layer_times.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("layer_times", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+layer_times = load_script()
+
+
+@pytest.mark.parametrize("name", sorted(set(layer_times.STATIC_LAYERS) | set(layer_times.JOIN_LAYERS)))
+def test_each_timed_layer_is_a_function_of_scenarios(name):
+    assert inspect.isfunction(getattr(scenarios, name, None)), name

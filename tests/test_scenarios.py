@@ -15,7 +15,7 @@ from covtomo.simulator import SessionStart, SimulatorConfig
 
 # jitter and congestion noise within the timestamp bound at 150 hosts, past
 # it once the probe load counts 750
-HEAVY = {"n_hosts": 150, "link_delay_var_ms2": [1e20, 1e20], "bandwidth_bps": 3000}
+HEAVY = {"n_hosts": 150, "link_delay_var_ms2": [1e23, 1e23], "pair_interval_us": 1000}
 
 
 @st.composite
@@ -148,5 +148,5 @@ def test_join_sessions_are_bounded_with_every_joined_host():
         SimulatorConfig(**dict(HEAVY, n_hosts=750))
     config = {"simulator": HEAVY, "recovery": {"rho_ms2": 0.25}, "seeds": [1]}
     parse_config(config)
-    with pytest.raises(ConfigError, match=r"^joins: delays too large: a timestamp could reach 5.95e\+18 us"):
+    with pytest.raises(ConfigError, match=r"^joins: delays too large: a timestamp could reach 5.21e\+18 us"):
         parse_config(dict(config, joins={"batches": [50] * 12}))

@@ -76,7 +76,6 @@ def manual_net(shared_vars, leaf_vars, base_us=500.0):
         source="src",
         truth=truth,
         link_params=link_params,
-        access_router={"a": last, "b": last},
         router_paths=router_paths,
         host_seq=0,
     )
@@ -175,7 +174,6 @@ def test_analytic_covariance_examples():
             ("a", "r0"): (500.0, 0.5),
             ("b", "r1"): (500.0, 0.5),
         },
-        access_router={"a": "r0", "b": "r1"},
         router_paths={"r0": ("src", "r0"), "r1": ("src", "r1")},
         host_seq=0,
     )
@@ -317,7 +315,7 @@ def test_rejected_grow_network_changes_nothing(n_new):
     net = generate_topology(cfg)
 
     def state():
-        return net.truth.to_dict(), set(net.clients), dict(net.link_params), dict(net.access_router)
+        return net.truth.to_dict(), set(net.clients), dict(net.link_params)
 
     before = state()
     with pytest.raises(InputError, match=f"^n_new_hosts must be >= 1, got {n_new}$"):
@@ -393,8 +391,6 @@ def test_config_validation_errors():
         ("n_pairs", False, "n_pairs must be an integer, got False"),
         # 30000.5 would become 30000 in the schedule
         ("pair_interval_us", 30000.5, "pair_interval_us must be an integer, got 30000.5"),
-        # a fractional probe size would load each link with bits no packet carries
-        ("packet_size_bytes", 200.5, "packet_size_bytes must be an integer, got 200.5"),
         ("pair_interval_us", True, "pair_interval_us must be an integer, got True"),
     ],
 )
@@ -405,21 +401,19 @@ def test_config_rejects_counts_that_fail_later(field, value, message):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "401-digit-int"])
-@pytest.mark.parametrize("field", ["bg_rate_bytes_per_sec", "bandwidth_bps"])
-def test_config_rejects_rates_without_a_finite_value(field, value):
+def test_config_rejects_a_rate_without_a_finite_value(value):
     with pytest.raises(ConfigError) as info:
-        SimulatorConfig(**{field: value})
-    assert str(info.value) == f"{field} must be a finite number"
+        SimulatorConfig(bg_rate_bytes_per_sec=value)
+    assert str(info.value) == "bg_rate_bytes_per_sec must be a finite number"
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "401-digit-int"])
-@pytest.mark.parametrize("field", ["link_base_delay_us", "link_delay_var_ms2"])
 @pytest.mark.parametrize("end", [0, 1])
-def test_config_rejects_ranges_without_finite_ends(field, value, end):
+def test_config_rejects_a_variance_range_without_finite_ends(value, end):
     bounds = [1.0, value] if end else [value, value]
     with pytest.raises(ConfigError) as info:
-        SimulatorConfig(**{field: bounds})
-    assert str(info.value) == f"{field} must be a finite range"
+        SimulatorConfig(link_delay_var_ms2=bounds)
+    assert str(info.value) == "link_delay_var_ms2 must be a finite range"
 
 
 @pytest.mark.parametrize(
@@ -450,15 +444,15 @@ def reference_session(net, config, stream=0):
     crossing = {link: sum(link in ls for ls in paths.values()) for link in links}
     interval_s = config.pair_interval_us / 1e6
     util = {
-        link: (config.bg_rate_bytes_per_sec * 8 + count * config.packet_size_bytes * 8 / interval_s)
-        / config.bandwidth_bps
+        link: (config.bg_rate_bytes_per_sec * 8 + count * 200 * 8 / interval_s) / 1e8
         for link, count in crossing.items()
     }
     sigma = np.array([math.sqrt(net.link_params[link][1]) * 1000.0 for link in links])
     jitter = np.clip(rng.normal(5.0 * sigma[:, None], sigma[:, None], size=(len(links), n)), 0.0, None)
     row = dict(zip(links, jitter))
 
-    trans_us = config.packet_size_bytes * 8 / config.bandwidth_bps * 1e6
+    # 200-byte probes on 100 Mbps links
+    trans_us = 200 * 8 / 1e8 * 1e6
     # congestion threshold 0.8, noise gain 12.0, drop probability 0.08
     threshold = 0.8
     delays = np.empty((len(clients), n))
@@ -497,7 +491,6 @@ def session_setups(draw):
         n_hosts=draw(st.integers(2, 16)),
         n_routers=draw(st.integers(1, 7)),
         seed=draw(st.integers(0, 2**16)),
-        packet_size_bytes=draw(st.sampled_from([200, 1500])),
         bg_rate_bytes_per_sec=draw(st.sampled_from([0.0, 1e6, 4e6, 9e6, 12e6])),
         n_pairs=draw(st.integers(1, 40)),
         pair_interval_us=draw(st.sampled_from([200, 5000, 30000])),
@@ -519,7 +512,7 @@ def test_session_equals_plain_reference(setup):
     net, cfg, stream = setup
     assert net.clients == net.truth.leaves
     # the oracles read the truth tree; restate them from the routed paths
-    paths = {c: net._router_paths[net.access_router[c]] + (c,) for c in net.clients}
+    paths = {c: net._router_paths[net.truth.parent(c)] + (c,) for c in net.clients}
     for a, b in itertools.combinations(sorted(net.clients), 2):
         shared = 0.0
         for u, v, w in zip(paths[a], paths[a][1:], paths[b][1:]):
@@ -580,7 +573,7 @@ def scalar_link_params(cfg):
     access = [(h, f"r{r}") for h, r in zip(hosts, attach)]
     params = {}
     for link in sorted(SimulatedNetwork.link_key(a, b) for a, b in router_links + access):
-        base = float(rng.uniform(*cfg.link_base_delay_us))
+        base = float(rng.uniform(*simulator.LINK_BASE_DELAY_US))
         params[link] = (base, float(rng.uniform(*cfg.link_delay_var_ms2)) * cfg.bg_scale)
     return params
 
@@ -589,7 +582,7 @@ def scalar_link_params(cfg):
 def test_link_draw_equals_two_scalar_draws_per_link(seed):
     cfg = small_cfg(
         n_hosts=40, n_routers=12, seed=seed, bg_rate_bytes_per_sec=[4e6, 9e6, 3][seed % 3],
-        link_base_delay_us=(150, 2500.5), link_delay_var_ms2=(0.25, 0.25 + seed),
+        link_delay_var_ms2=(0.25, 0.25 + seed),
     )
     net = generate_topology(cfg)
     assert list(net.link_params.items()) == list(scalar_link_params(cfg).items())
@@ -602,14 +595,15 @@ def test_config_rejects_delays_past_the_int64_timestamp_range():
     # a send time at the edge leaves no room for a delay
     with pytest.raises(ConfigError, match=r"^delays too large: a timestamp could reach 4\.61e\+18 us"):
         small_cfg(n_pairs=2, pair_interval_us=TIMESTAMP_LIMIT_US - 1)
-    with pytest.raises(ConfigError, match=r"^delays too large"):
-        small_cfg(link_base_delay_us=(0.0, 1e18))
-    # only the congestion noise: the same links pass uncongested, and at
-    # 160 bps, where every link congests, a probe's transmission adds 10 s
-    # per link to a bound of 6.9e15 us
-    assert small_cfg(link_delay_var_ms2=(0.5, 4e20))._timestamp_bound_us() < 1e16
+    # only the jitter, on uncongested links
+    with pytest.raises(ConfigError, match=r"^delays too large: a timestamp could reach 3\.45e\+20 us"):
+        small_cfg(link_delay_var_ms2=(0.5, 1e30))
+    # only the congestion noise: the same links pass uncongested, and with
+    # pairs 10 us apart, where each client's probes alone congest every
+    # link, the noise lifts a bound of 6.9e17 us past the limit
+    assert small_cfg(link_delay_var_ms2=(0.5, 4e24))._timestamp_bound_us() < 1e18
     with pytest.raises(ConfigError, match=r"^delays too large: a timestamp could reach 1\.\d+e\+19 us"):
-        small_cfg(link_delay_var_ms2=(0.5, 4e20), bandwidth_bps=160.0)
+        small_cfg(link_delay_var_ms2=(0.5, 4e24), pair_interval_us=10)
 
 
 @pytest.mark.parametrize("n_pairs", [1, 2])
