@@ -91,13 +91,13 @@ def timing(layers, times: dict):
             setattr(scenarios, name, fn)
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--receivers", type=int, default=420)
     parser.add_argument("--seeds", type=int, nargs="+", default=[3, 4, 5])
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--joins", type=int, default=0, metavar="B", help="time B join batches of 50 hosts")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     n_hosts = round(args.receivers / 0.7)
     config = {
         "simulator": {"n_hosts": n_hosts, "n_routers": n_hosts // 3, "n_pairs": 2000},

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: simulate, estimate, recover, join, score, e2e. `e2e` is the
-one way to run a scenario config, static, sweep or dynamic; `recover`
+one way to run a scenario config, static or dynamic; `recover`
 shares its recovery step, `scenarios.recover_from_matrix`. `score` scores
 against the truth tree's branching skeleton; every lowest common ancestor
 of two leaves branches, so splicing single-child routers keeps the order
@@ -89,18 +89,14 @@ def _cmd_e2e(args) -> None:
     resolved = load_config(args.config)
     check_writable(args.out, "report")
     report = (run_dynamic_scenario if resolved.get("joins") else run_scenario)(resolved)
-    summary = report.get("summary")
+    summary = report["summary"]
     if report["mode"] == "dynamic":
         print(
             f"dynamic: initial mean p={summary['initial_mean_p']:.4f} "
             f"final mean p={summary['final_mean_p']:.4f} drop={summary['mean_drop']:.4f}"
         )
-    elif report["mode"] == "static":
-        print(f"static: mean p={summary['mean_p']:.4f} (stderr {summary['stderr_p']:.4f})")
     else:
-        for point in report["points"]:
-            params = {k: v for k, v in point.items() if k not in ("runs", "summary", "tree")}
-            print(f"{params}: mean p={point['summary']['mean_p']:.4f}")
+        print(f"static: mean p={summary['mean_p']:.4f} (stderr {summary['stderr_p']:.4f})")
     write_report(report, args.out)
     print(f"report written to {args.out}")
 
@@ -146,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("e2e", help="run a full scenario (static, sweep, or dynamic) per config")
+    p = sub.add_parser("e2e", help="run a full scenario (static, or dynamic with joins) per config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_e2e)

@@ -41,6 +41,11 @@ def _finite(value) -> bool:
         return False
 
 
+# the types of a JSON number or null; float() and numpy would also read a
+# bool and a numeric string as a number, which no tree or matrix file holds
+_NUMBER_OR_NULL = frozenset((int, float, type(None)))
+
+
 def is_router_id(node: NodeId) -> bool:
     """True when ``node`` is ``ROUTER_ID_PREFIX`` followed by decimal digits."""
     digits = node[len(ROUTER_ID_PREFIX) :]
@@ -290,8 +295,9 @@ class RoutingTree:
     @classmethod
     def from_dict(cls, data: dict) -> "RoutingTree":
         """The tree of a `to_dict` document; InputError for an id that is
-        not a string, a root or router label that is not finite, or a router
-        label below its parent's."""
+        not a string, a root or router label that is not a finite number
+        (a null or missing one reads as 0.0), or a router label below its
+        parent's."""
 
         def node_id(entry: dict) -> NodeId:
             node = entry["id"]
@@ -300,7 +306,10 @@ class RoutingTree:
             return node
 
         def label(entry: dict) -> float:
-            cov = float(entry.get("cov") or 0.0)
+            cov = entry.get("cov")
+            if type(cov) not in _NUMBER_OR_NULL:
+                raise InputError(f"node {entry['id']!r} has label {cov!r}, not a number")
+            cov = float(cov or 0.0)
             if not math.isfinite(cov):
                 raise InputError(f"node {entry['id']!r} has label {cov}, not finite")
             return cov
@@ -541,12 +550,18 @@ class CovarianceMatrix:
     def from_dict(cls, data: dict) -> "CovarianceMatrix":
         """The matrix of a JSON document; InputError when the receivers are
         not a list of strings, or on the first entry, in row-major order,
-        that is not finite or differs from its mirror."""
+        that is not a number (a null reads as NaN), is not finite or differs
+        from its mirror."""
         receivers = data["receivers"]
         if not isinstance(receivers, list) or not all(isinstance(r, str) for r in receivers):
             raise InputError("receivers must be a list of strings")
         cov = cls(tuple(receivers), np.asarray(data["values"], dtype=float))
         names = cov.receivers
+        # the shape matched, so the rows are lists of n scalars
+        for i, row in enumerate(data["values"]):
+            if not _NUMBER_OR_NULL.issuperset(map(type, row)):
+                j, value = next((j, v) for j, v in enumerate(row) if type(v) not in _NUMBER_OR_NULL)
+                raise InputError(f"entry ({names[i]!r}, {names[j]!r}) is {value!r}, not a number")
         bad = np.argwhere(~np.isfinite(cov.values))
         if len(bad):
             i, j = bad[0]

@@ -3,32 +3,33 @@
 A scenario config is a JSON document with sections:
 
     {
-      "simulator": { ... SimulatorConfig fields ... },
+      "simulator": { ... SimulatorConfig fields but seed ... },
       "recovery":  {"rho_ms2": 0.45},            # required
       "seeds":     [1, 2, 3],                    # explicit, never wall clock
-      "sweep":     {"bg_rates_bytes_per_sec": [...]}          # optional
       "joins":     {"batches": [50, 50], "n_pairs": 2000}     # optional
     }
 
-Every run recovers at the stated threshold ``recovery.rho_ms2``; nothing
-derives it from the data. Presence of "sweep" switches run_scenario into a
-sweep over background rates, the one sweep kind; "joins" selects the
-dynamic scenario; a config has at most one of the two. Before any run,
+A config runs in one of two modes: static (`run_scenario`), or dynamic
+(`run_dynamic_scenario`) when it has a "joins" section. A grid over
+background rate, scale or method is one config per point, not a mode.
+Every run takes its seed from "seeds" and recovers at the stated threshold
+``recovery.rho_ms2``; nothing derives it from the data. Before any run,
 `parse_config` builds every config the runs use (the simulator section's,
-one per sweep point, the join sessions' at the hosts of the last batch,
-and the `RecoveryConfig`), so each rule is checked by the class that owns
-it. Joining hosts take generated ids (`simulator.grow_network`), and the
-join sessions send ``joins.n_pairs`` pairs (default: the simulator
-section's) at the simulator's pair interval. Every mode runs each seed
-through one pass, `_run_once`: generate -> simulate -> estimate ->
-`recover_from_matrix` (DFS order, then `recover_tree` at that rho) ->
-score. A dynamic run starts one worker thread, which draws each join
-session's jitter (`simulator.SessionStart.draw`) while the main thread
-joins and scores the batch before it, and joins the thread before it
-returns or raises. Reports are single JSON documents embedding
-the full resolved config; given the same config they re-serialize
-byte-identically, and their sums add left to right whatever the Python
-version (`_sum_in_order`).
+the join sessions' at the hosts of the last batch, and the
+`RecoveryConfig`), so each rule is checked by the class that owns it, and
+refuses a simulator section with fewer than three hosts or two pairs, from
+which no run can estimate a covariance. Joining hosts take generated ids
+(`simulator.grow_network`), and the join sessions send ``joins.n_pairs``
+pairs (default: the simulator section's) at the simulator's pair interval.
+Both modes run each seed through one pass, `_run_once`: generate ->
+simulate -> estimate -> `recover_from_matrix` (DFS order, then
+`recover_tree` at that rho) -> score. A dynamic run starts one worker
+thread, which draws each join session's jitter
+(`simulator.SessionStart.draw`) while the main thread joins and scores the
+batch before it, and joins the thread before it returns or raises. Reports
+are single JSON documents embedding the full resolved config; given the
+same config they re-serialize byte-identically, and their sums add left to
+right whatever the Python version (`_sum_in_order`).
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ from .ordering import dfs_order
 from .recover import RecoveryConfig, recover_tree
 from .simulator import SimulatorConfig, _is_int, generate_topology, grow_network, simulate_session, start_session
 
-_TOP_KEYS = {"simulator", "recovery", "seeds", "sweep", "joins"}
+_TOP_KEYS = {"simulator", "recovery", "seeds", "joins"}
+# every run takes its seed from the seeds section
+_SIMULATOR_KEYS = {f.name for f in fields(SimulatorConfig)} - {"seed"}
 
 
 @contextmanager
@@ -74,12 +77,17 @@ def parse_config(data: dict) -> dict:
     sim_section = data.get("simulator", {})
     if not isinstance(sim_section, dict):
         raise ConfigError("simulator: must be an object")
-    valid_fields = {f.name for f in fields(SimulatorConfig)}
     for key in sim_section:
-        if key not in valid_fields:
+        if key not in _SIMULATOR_KEYS:
             raise ConfigError(f"simulator.{key}: unknown field")
     with _section("simulator"):
         sim = SimulatorConfig(**sim_section)
+    # a covariance needs two receivers and two pairs; three hosts are the
+    # fewest that make two clients
+    if sim.n_hosts < 3:
+        raise ConfigError(f"simulator.n_hosts: must be >= 3 for two receivers, got {sim.n_hosts}")
+    if sim.n_pairs < 2:
+        raise ConfigError(f"simulator.n_pairs: must be >= 2, got {sim.n_pairs}")
 
     recovery = data.get("recovery", {})
     if not isinstance(recovery, dict) or set(recovery) - {"rho_ms2"}:
@@ -97,22 +105,7 @@ def parse_config(data: dict) -> dict:
         for seed in seeds:
             replace(sim, seed=seed)
 
-    sweep = data.get("sweep")
-    if sweep is not None:
-        if not isinstance(sweep, dict):
-            raise ConfigError("sweep: must be an object")
-        if set(sweep) != {"bg_rates_bytes_per_sec"}:
-            raise ConfigError("sweep: expected bg_rates_bytes_per_sec only")
-        rates = sweep["bg_rates_bytes_per_sec"]
-        if not isinstance(rates, list) or not rates:
-            raise ConfigError("sweep.bg_rates_bytes_per_sec: non-empty list required")
-        with _section("sweep"):
-            for overrides in _sweep_points(sweep):
-                replace(sim, **overrides)
-
     joins = data.get("joins")
-    if joins is not None and sweep is not None:
-        raise ConfigError("sweep and joins: a config may have only one of them")
     if joins is not None:
         if not isinstance(joins, dict) or set(joins) - {"batches", "n_pairs"}:
             raise ConfigError("joins: supported fields are batches, n_pairs")
@@ -126,35 +119,23 @@ def parse_config(data: dict) -> dict:
             _join_config(sim, batches, n_pairs)
         joins = {"batches": batches, "n_pairs": n_pairs}
 
-    resolved = {
-        "simulator": asdict(sim),
-        "recovery": {"rho_ms2": rho},
-        "seeds": list(seeds),
-        "sweep": sweep,
-        "joins": joins,
-    }
-    return resolved
+    simulator = asdict(sim)
+    del simulator["seed"]
+    return {"simulator": simulator, "recovery": {"rho_ms2": rho}, "seeds": list(seeds), "joins": joins}
 
 
 def load_config(path) -> dict:
     return parse_config(read_json(path, "config", ConfigError))
 
 
-def _sim_from_resolved(resolved: dict, **overrides) -> SimulatorConfig:
-    return SimulatorConfig(**{**resolved["simulator"], **overrides})
+def _sim_from_resolved(resolved: dict, seed: int) -> SimulatorConfig:
+    return SimulatorConfig(**resolved["simulator"], seed=seed)
 
 
 def _join_config(sim: SimulatorConfig, batches, n_pairs: int) -> SimulatorConfig:
     """The join sessions' config: ``n_pairs`` pairs, and every joining host
     counted in n_hosts for the timestamp bound (sessions read no n_hosts)."""
     return replace(sim, n_pairs=n_pairs, n_hosts=sim.n_hosts + sum(batches))
-
-
-def _sweep_points(sweep: dict) -> list[dict]:
-    """One dict of SimulatorConfig overrides per background rate, in report
-    order. A rate is a float, as the report prints it."""
-    rates = sweep["bg_rates_bytes_per_sec"]
-    return [{"bg_rate_bytes_per_sec": float(r) if isinstance(r, int) else r} for r in rates]
 
 
 def _sum_in_order(values) -> float:
@@ -201,41 +182,18 @@ def _run_once(sim: SimulatorConfig, config: RecoveryConfig):
     return net, cov, tree, report
 
 
-def _run_seeds(resolved: dict, config: RecoveryConfig, **overrides) -> tuple[list[dict], dict]:
-    """One run record per seed, each with its ``tree``, and their summary."""
-    runs = []
-    for seed in resolved["seeds"]:
-        sim = _sim_from_resolved(resolved, seed=seed, **overrides)
-        _, cov, tree, report = _run_once(sim, config)
-        runs.append(
-            {
-                "seed": seed,
-                **asdict(report),
-                "cov_summary": _cov_summary(cov),
-                "tree": tree.to_dict(),
-            }
-        )
-    mean_p, stderr_p = _mean_stderr([r["p"] for r in runs])
-    return runs, {"mean_p": mean_p, "stderr_p": stderr_p}
-
-
 def run_scenario(resolved: dict) -> dict:
-    """Static scenario (or background-rate sweep, when the config has a
-    sweep section): executes the full pipeline once per seed and aggregates
-    accuracy. A sweep point keeps the tree of its last seed only."""
+    """Static scenario: executes the full pipeline once per seed and
+    aggregates accuracy. Each run record keeps its recovered ``tree``."""
     if resolved.get("joins"):
         raise ConfigError("config has a joins section; use the dynamic scenario")
     config = RecoveryConfig(resolved["recovery"]["rho_ms2"])
-    sweep = resolved.get("sweep")
-    if not sweep:
-        runs, summary = _run_seeds(resolved, config)
-        return {"config": resolved, "mode": "static", "runs": runs, "summary": summary}
-    points = []
-    for overrides in _sweep_points(sweep):
-        runs, summary = _run_seeds(resolved, config, **overrides)
-        trees = [run.pop("tree") for run in runs]
-        points.append({**overrides, "runs": runs, "summary": summary, "tree": trees[-1]})
-    return {"config": resolved, "mode": "bg_sweep", "points": points}
+    runs = []
+    for seed in resolved["seeds"]:
+        _, cov, tree, report = _run_once(_sim_from_resolved(resolved, seed=seed), config)
+        runs.append({"seed": seed, **asdict(report), "cov_summary": _cov_summary(cov), "tree": tree.to_dict()})
+    mean_p, stderr_p = _mean_stderr([r["p"] for r in runs])
+    return {"config": resolved, "mode": "static", "runs": runs, "summary": {"mean_p": mean_p, "stderr_p": stderr_p}}
 
 
 def _curve_point(n_nodes: int, report) -> dict:

@@ -119,6 +119,9 @@ class SimulatorConfig:
     (`sender_schedule`); a log with irregular send times is imported, not
     simulated.
 
+    A scenario config's simulator section holds every field but ``seed``,
+    which each run takes from the config's seeds (`scenarios`).
+
     A config is refused (ConfigError) unless every timestamp its sessions
     can write stays below ``TIMESTAMP_LIMIT_US`` (2^62) in magnitude, the
     domain `MeasurementLog` accepts (see `_timestamp_bound_us`).

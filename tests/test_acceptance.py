@@ -45,7 +45,7 @@ BASE_SIMULATOR = {
     "n_routers": 50,
     "n_pairs": 2000,
     "link_delay_var_ms2": [0.5, 1.5],
-    "bg_rate_bytes_per_sec": 4e6,  # mid-sweep of the 1..12 MBps range
+    "bg_rate_bytes_per_sec": 4e6,  # mid-range of the 1..12 MBps loads
 }
 BASE_RHO = 0.35
 
@@ -189,17 +189,18 @@ def test_criterion_4_desk_scale_accuracy():
 
 def test_criterion_5_background_traffic_u_curve():
     rates = [1e6, 4e6, 12e6]  # lowest, mid-range, highest (bytes/s)
-    cfg = parse_config(
-        {
-            "simulator": dict(BASE_SIMULATOR),
-            "recovery": {"rho_ms2": BASE_RHO},
-            "seeds": list(range(1, 21)),
-            "sweep": {"bg_rates_bytes_per_sec": rates},
-        }
+    low, mid, high = (
+        run_scenario(
+            parse_config(
+                {
+                    "simulator": dict(BASE_SIMULATOR, bg_rate_bytes_per_sec=rate),
+                    "recovery": {"rho_ms2": BASE_RHO},
+                    "seeds": list(range(1, 21)),
+                }
+            )
+        )["summary"]["mean_p"]
+        for rate in rates
     )
-    report = run_scenario(cfg)
-    means = {pt["bg_rate_bytes_per_sec"]: pt["summary"]["mean_p"] for pt in report["points"]}
-    low, mid, high = means[rates[0]], means[rates[1]], means[rates[2]]
     _report(
         "criterion 5 (background-traffic U-curve)",
         mid - low >= 0.05 and mid - high >= 0.05,

@@ -4,12 +4,9 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import covtomo
 from covtomo import scenarios
@@ -17,7 +14,6 @@ from covtomo.cli import main
 from covtomo.errors import ConfigError
 from covtomo.model import RoutingTree
 from covtomo.scenarios import parse_config
-from covtomo.simulator import SimulatorConfig
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -190,20 +186,6 @@ def test_e2e_dynamic_report(tmp_path, capsys):
             "joins: supported fields are batches, n_pairs",
         ),
         (
-            {"joins": {"batches": [2]}, "sweep": {"bg_rates_bytes_per_sec": [1e6, 4e6]}},
-            "sweep and joins: a config may have only one of them",
-        ),
-        (
-            {"sweep": {"bg_rates_bytes_per_sec": ["abc"]}},
-            "sweep: '<' not supported between instances of 'str' and 'int'",
-        ),
-        ({"sweep": {"bg_rates_bytes_per_sec": [1e6, -1]}}, "sweep: bg_rate_bytes_per_sec must be non-negative"),
-        (
-            # the packet-size x pair-interval grid is no sweep kind
-            {"sweep": {"packet_sizes_bytes": [200], "pair_intervals_us": [30000]}},
-            "sweep: expected bg_rates_bytes_per_sec only",
-        ),
-        (
             {"recovery": {"rho_ms2": float("inf")}},
             "recovery.rho_ms2: rho must be a positive finite number, got inf",
         ),
@@ -218,6 +200,14 @@ def test_e2e_dynamic_report(tmp_path, capsys):
         ({"recovery": {"rho_ms2": None}}, "recovery.rho_ms2: required, the recovery threshold in ms^2"),
         ({"seeds": [True]}, "seeds: required non-empty list of integers"),
         ({"seeds": [1, -1]}, "seeds: seed must be >= 0, got -1"),
+        (
+            {"simulator": {"n_hosts": 10, "n_routers": 4, "bg_rate_bytes_per_sec": "abc"}},
+            "simulator: '<' not supported between instances of 'str' and 'int'",
+        ),
+        (
+            {"simulator": {"n_hosts": 10, "n_routers": 4, "bg_rate_bytes_per_sec": -1}},
+            "simulator: bg_rate_bytes_per_sec must be non-negative",
+        ),
         (
             {"simulator": {"n_hosts": 10, "n_routers": 4, "bg_rate_bytes_per_sec": float("nan")}},
             "simulator: bg_rate_bytes_per_sec must be a finite number",
@@ -249,15 +239,6 @@ def test_e2e_dynamic_report(tmp_path, capsys):
             "simulator: pair_interval_us must be below 2^62, got 1000000000000000000000000000000",
         ),
         (
-            {"sweep": {"bg_rates_bytes_per_sec": [1e6, 1e40]}},
-            "sweep: delays too large: a timestamp could reach 2.07e+39 us, past the exact int64 range (2^62 us)",
-        ),
-        (
-            {"sweep": {"bg_rates_bytes_per_sec": [1e6, float("nan")]}},
-            "sweep: bg_rate_bytes_per_sec must be a finite number",
-        ),
-        ({"sweep": {"bg_rates_bytes_per_sec": [10**400]}}, "sweep: int too large to convert to float"),
-        (
             {"joins": {"batches": [True, 1], "n_pairs": 300}},
             "joins.batches: non-empty list of positive integers required",
         ),
@@ -266,20 +247,24 @@ def test_e2e_dynamic_report(tmp_path, capsys):
         ({"joins": {"batches": [1], "n_pairs": 1}}, "joins.n_pairs: integer >= 2 required"),
         ({"joins": {"batches": [1], "n_pairs": 300.5}}, "joins.n_pairs: integer >= 2 required"),
         (
-            # without joins.n_pairs the join sessions take the simulator's count
+            # the static pass before the joins needs two pairs too, so the
+            # join sessions' default of the simulator's count is never 1
             {
                 "simulator": {"n_hosts": 10, "n_routers": 4, "n_pairs": 1, "pair_interval_us": 5000},
                 "joins": {"batches": [1]},
             },
-            "joins.n_pairs: integer >= 2 required",
+            "simulator.n_pairs: must be >= 2, got 1",
         ),
+        # no covariance from one receiver (two hosts make one client) or one pair
+        ({"simulator": {"n_hosts": 2, "n_routers": 4}}, "simulator.n_hosts: must be >= 3 for two receivers, got 2"),
+        ({"simulator": {"n_hosts": 10, "n_routers": 4, "n_pairs": 1}}, "simulator.n_pairs: must be >= 2, got 1"),
+        # every run takes its seed from the seeds section
+        ({"simulator": {"n_hosts": 10, "n_routers": 4, "seed": 7}}, "simulator.seed: unknown field"),
+        # a grid over background rates is one config per rate
+        ({"sweep": {"bg_rates_bytes_per_sec": [1e6, 4e6]}}, "unknown config section 'sweep'"),
     ],
     ids=[
         "removed-join-names",
-        "sweep-and-joins",
-        "rate-not-a-number",
-        "negative-second-rate",
-        "grid-sweep",
         "infinite-rho",
         "bool-rho",
         "401-digit-rho",
@@ -288,21 +273,24 @@ def test_e2e_dynamic_report(tmp_path, capsys):
         "null-rho",
         "bool-seed",
         "negative-seed",
+        "rate-not-a-number",
+        "negative-rate",
         "nan-rate",
         "401-digit-rate",
         "nan-variance",
         "overflowing-delays",
         "overflowing-join-delays",
         "overflowing-interval",
-        "overflowing-sweep-delays",
-        "nan-sweep-rate",
-        "401-digit-sweep-rate",
         "bool-batch",
         "zero-batch",
         "joins-not-an-object",
         "one-join-pair",
         "fractional-join-pairs",
         "one-simulator-pair-for-joins",
+        "two-hosts",
+        "one-pair",
+        "simulator-seed",
+        "sweep",
     ],
 )
 def test_e2e_rejects_bad_configs_before_any_run(tmp_path, capsys, monkeypatch, overrides, message):
@@ -338,46 +326,7 @@ def test_join_sessions_default_to_the_simulator_pairs(tmp_path, capsys):
     capsys.readouterr()
 
 
-SMALL = {"n_hosts": 10, "n_routers": 4, "n_pairs": 300}
 RECOVERY = {"rho_ms2": 0.25}
-# what a JSON config can hold; integers stay within the range a double holds
-# exactly, where a rate that runs as a float equals the integer it was given
-JSON_VALUES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(-(2**53), 2**53),
-    st.floats(),
-    st.text(max_size=3),
-    st.lists(st.integers(0, 3), max_size=2),
-)
-
-
-def _parsed(config):
-    try:
-        return parse_config(json.loads(json.dumps(config)))
-    except ConfigError:
-        return None
-
-
-@settings(max_examples=300, deadline=None)
-@given(JSON_VALUES)
-def test_sweep_values_follow_the_simulator_section(value):
-    """A rate is refused in a sweep exactly when the simulator section
-    refuses it, and an accepted one runs as the simulator section would."""
-    direct = _parsed(
-        {"simulator": dict(SMALL, bg_rate_bytes_per_sec=value), "recovery": RECOVERY, "seeds": [1]}
-    )
-    swept = _parsed(
-        {"simulator": SMALL, "recovery": RECOVERY, "seeds": [1], "sweep": {"bg_rates_bytes_per_sec": [value]}}
-    )
-    assert (swept is None) == (direct is None)
-    if swept is not None:
-        (overrides,) = scenarios._sweep_points(swept["sweep"])
-        point = scenarios._sim_from_resolved(swept, **overrides)
-        want = SimulatorConfig(**direct["simulator"])
-        for f in fields(SimulatorConfig):
-            a, b = getattr(point, f.name), getattr(want, f.name)
-            assert a == b or (a != a and b != b), f.name  # NaN equals nothing
 
 
 # fields the simulator no longer has: ten became module constants, every
@@ -535,6 +484,20 @@ def test_recover_refuses_a_non_finite_matrix_entry(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["1.0", True])
+def test_recover_refuses_a_matrix_entry_that_is_not_a_number(tmp_path, capsys, bad):
+    # numpy reads both as 1.0
+    values = [[3.0, 2.0, 1.0, 1.0], [2.0, 3.0, 1.0, 1.0], [1.0, 1.0, 3.0, 2.0], [1.0, 1.0, 2.0, 3.0]]
+    values[0][2] = values[2][0] = bad
+    cov, out = tmp_path / "cov.json", tmp_path / "tree.json"
+    cov.write_text(json.dumps({"receivers": list("abcd"), "values": values}))
+    assert main(["recover", "--cov", str(cov), "--source", "s", "--rho", "0.5", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: covariance matrix {cov} is malformed: entry ('a', 'c') is {bad!r}, not a number\n"
+    )
+    assert not out.exists()
+
+
 def test_recover_refuses_a_matrix_entry_past_the_float_range(tmp_path, capsys):
     cov, out = tmp_path / "cov.json", tmp_path / "tree.json"
     cov.write_text(json.dumps({"receivers": ["a", "b"], "values": [[3.0, 10**400], [10**400, 3.0]]}))
@@ -591,6 +554,12 @@ def leaves(*names):
 BAD_ROUTERS = {
     "nan": ({"id": "r1", "cov": float("nan"), "children": leaves("a", "b")}, "node 'r1' has label nan, not finite"),
     "overflow": ({"id": "r1", "cov": 10**400, "children": leaves("a", "b")}, "int too large to convert to float"),
+    # a label is a JSON number; Python's float() would read these
+    "string": ({"id": "r1", "cov": "0.5", "children": leaves("a", "b")}, "node 'r1' has label '0.5', not a number"),
+    "bool": ({"id": "r1", "cov": True, "children": leaves("a", "b")}, "node 'r1' has label True, not a number"),
+    "false": ({"id": "r1", "cov": False, "children": leaves("a", "b")}, "node 'r1' has label False, not a number"),
+    "list": ({"id": "r1", "cov": [0.5], "children": leaves("a", "b")}, "node 'r1' has label [0.5], not a number"),
+    "object": ({"id": "r1", "cov": {}, "children": leaves("a", "b")}, "node 'r1' has label {}, not a number"),
     # labels accumulate down a path: r2 below r1 cannot share less
     "decreasing": (
         {"id": "r1", "cov": 50.0, "children": [{"id": "r2", "cov": 1.0, "children": leaves("a", "b")}, *leaves("c")]},
@@ -686,41 +655,18 @@ def test_unwritable_output_file_names_it(tmp_path, capsys, command, option, what
     assert err.startswith(f"data error: cannot write {what} {out}: ") and err.count("\n") == 1
 
 
-def test_e2e_runs_sweeps(tmp_path, capsys):
-    # e2e is the one way to run a config: it runs the sweep section too
-    cfg = write_config(
-        tmp_path,
-        sweep={"bg_rates_bytes_per_sec": [1e6, 4e6]},
-        seeds=[1],
-    )
-    out = tmp_path / "sweep.json"
-    assert main(["e2e", "--config", str(cfg), "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["mode"] == "bg_sweep"
-    assert [p["bg_rate_bytes_per_sec"] for p in report["points"]] == [1e6, 4e6]
-    assert capsys.readouterr().out.splitlines() == [
-        f"{{'bg_rate_bytes_per_sec': {rate}}}: mean p={point['summary']['mean_p']:.4f}"
-        for rate, point in zip([1e6, 4e6], report["points"])
-    ] + [f"report written to {out}"]
-
-
 # SHA-256 of the e2e report of each mode on a small config: any change to
-# the scenario runners must leave every report byte-identical. The bg sweep
-# has two seeds, so its points must keep the last seed's tree.
+# the scenario runners must leave every report byte-identical.
 PINNED_REPORTS = [
-    ({}, "0f30fd9f096e79c1d13a997ce6739acd57ba1aa8199cf4fa84af399a03af0d19"),
-    (
-        {"sweep": {"bg_rates_bytes_per_sec": [1e6, 4e6]}},
-        "904a492541db12f47e221659bf9ad6fd6d3031b6a2cbb40a77652b5132b81e74",
-    ),
+    ({}, "3dc806d3dddc7dc8e83092796219d79cff0527ffa4163bbc02511b5493e7d896"),
     (
         {"joins": {"batches": [2, 2], "n_pairs": 300}},
-        "70066877be28a2752a20ffd46767c26e7f877179f6112fa0a92a0a3a4a59b8ed",
+        "eef03190476291d256d376826ca336c9121294459bc8e60461b090bbdf708eaf",
     ),
 ]
 
 
-@pytest.mark.parametrize("overrides,digest", PINNED_REPORTS, ids=["static", "bg_sweep", "dynamic"])
+@pytest.mark.parametrize("overrides,digest", PINNED_REPORTS, ids=["static", "dynamic"])
 def test_e2e_reports_match_pinned_digests(tmp_path, capsys, overrides, digest):
     out = tmp_path / "report.json"
     assert main(["e2e", "--config", str(write_config(tmp_path, **overrides)), "--out", str(out)]) == 0
@@ -741,7 +687,7 @@ def test_module_entry_point(tmp_path):
     choices = re.search(r"\{([a-z0-9,]+)\}", proc.stdout).group(1)
     assert choices.split(",") == ["simulate", "estimate", "recover", "join", "score", "e2e"]
 
-    cfg = write_config(tmp_path, sweep={"bg_rates_bytes_per_sec": [1e6]}, seeds=[1])
+    cfg = write_config(tmp_path, seeds=[1])
     proc = run_module("sweep", "--config", str(cfg), "--out", "r.json", cwd=tmp_path)
     assert proc.returncode == 2 and "invalid choice: 'sweep'" in proc.stderr
 
@@ -766,8 +712,8 @@ def test_parse_config_rejects_bad_sections():
         parse_config({"seeds": [1], "recovery": RECOVERY, "joins": {"batches": []}})
     with pytest.raises(ConfigError, match="simulator.n_pair"):
         parse_config({"seeds": [1], "simulator": {"n_pair": 10}})
-    with pytest.raises(ConfigError, match="sweep"):
-        parse_config({"seeds": [1], "recovery": RECOVERY, "sweep": {"bogus": []}})
+    with pytest.raises(ConfigError, match="^unknown config section 'sweep'$"):
+        parse_config({"seeds": [1], "recovery": RECOVERY, "sweep": {"bg_rates_bytes_per_sec": [1e6]}})
     # a range that is not a list is a config error, not a TypeError
     with pytest.raises(ConfigError, match="simulator: 'int' object is not iterable"):
         parse_config({"seeds": [1], "simulator": {"link_delay_var_ms2": 5}})

@@ -1,9 +1,11 @@
 """`scripts/layer_times.py` times the layers it names by wrapping functions
 bound in `covtomo.scenarios`; a rename there would leave the script failing
-at its first pass, so each name is checked against the module here."""
+at its first pass, so each name is checked against the module here, and
+the script runs once at a small scale in each of its modes."""
 
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -26,3 +28,13 @@ layer_times = load_script()
 @pytest.mark.parametrize("name", sorted(set(layer_times.STATIC_LAYERS) | set(layer_times.JOIN_LAYERS)))
 def test_each_timed_layer_is_a_function_of_scenarios(name):
     assert inspect.isfunction(getattr(scenarios, name, None)), name
+
+
+@pytest.mark.parametrize("joins", [[], ["--joins", "2"]], ids=["static", "joins"])
+def test_script_times_every_layer(capsys, joins):
+    layer_times.main(["--receivers", "21", "--seeds", "1", "--repeats", "1", *joins])
+    times = json.loads(capsys.readouterr().out)
+    layers = layer_times.JOIN_LAYERS if joins else layer_times.STATIC_LAYERS
+    want = {"receivers", "pass"} | {layer_times.KEYS.get(name, name) for name in layers}
+    assert set(times) == want
+    assert times["receivers"] == (21 + 2 * layer_times.JOIN_BATCH if joins else 21)
