@@ -25,7 +25,6 @@ from .errors import (
     InsufficientDataError,
     InvariantError,
     LogFormatError,
-    MeasurementGapError,
     TomographyError,
 )
 from .logio import export_log, import_log, load_matrix, load_tree, save_matrix, save_tree

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, InsufficientDataError, InvariantError, MeasurementGapError
+from .errors import InputError, InsufficientDataError, InvariantError
 from .model import CovarianceMatrix, DelaySeries, MeasurementLog, NodeId
 
 _US2_PER_MS2 = 10**6
@@ -254,15 +254,15 @@ def build_covariance_matrix(log: MeasurementLog, receivers) -> CovarianceMatrix:
     `estimate_covariance` on the pair's aligned series bit for bit; the
     matrix is exactly symmetric.
 
-    Raises InsufficientDataError for the first receiver with fewer than 2
+    Raises InputError for fewer than 2 receivers, one not in the log, or
+    one listed twice (`CovarianceMatrix` refuses it), and
+    InsufficientDataError for the first receiver with fewer than 2
     arrivals or pair with fewer than 2 common indices, in row-major order
     over the upper triangle (receiver i before the pairs (i, j > i)).
     """
     ids = tuple(receivers)
     if len(ids) < 2:
         raise InputError("need at least 2 receivers")
-    if len(set(ids)) != len(ids):
-        raise InputError("duplicate receiver in list")
     unknown = set(ids) - set(log.receivers)
     if unknown:
         raise InputError(f"receivers not in log: {sorted(unknown)}")
@@ -280,8 +280,9 @@ def build_covariance_matrix(log: MeasurementLog, receivers) -> CovarianceMatrix:
 
 def covariance_oracle_from_log(log: MeasurementLog):
     """Pairwise-covariance provider backed by a measurement log, with a
-    cache keyed by the sorted pair; raises MeasurementGapError when a pair
-    cannot be estimated.
+    cache keyed by the sorted pair. A pair that cannot be estimated raises
+    what `build_covariance_matrix` raises for it: InputError for a receiver
+    not in the log, InsufficientDataError for fewer than 2 common indices.
 
     The kernel's columns are built once. A pair's sums are read when it is
     first asked for, from 1-D dot products of its two rows (see the module
@@ -302,14 +303,14 @@ def covariance_oracle_from_log(log: MeasurementLog):
             return cache[key]
         if a not in index or b not in index:
             missing = a if a not in index else b
-            raise MeasurementGapError(f"no measurements for {missing!r} (pair ({a!r}, {b!r}))")
+            raise InputError(f"no measurements for {missing!r} (pair ({a!r}, {b!r}))")
         i, j = index[a], index[b]
         if m is None:
             n, sx, sy = n_pairs, sums[i], sums[j]
         else:
             n, sx, sy = int(m[i].dot(m[j])), int(x[i].dot(m[j])), int(m[i].dot(x[j]))
         if n < 2:
-            raise MeasurementGapError(f"pair ({a!r}, {b!r}) shares only {n} pair indices")
+            raise InsufficientDataError(f"pair ({a!r}, {b!r}) shares only {n} pair indices")
         cov = cache[key] = _cov_ms2(n, sx, sy, int(x[i].dot(x[j])))
         return cov
 

@@ -1,7 +1,9 @@
 """Exception hierarchy for the toolkit.
 
 The CLI maps these onto exit codes: configuration problems exit 2, data
-problems exit 3, violated internal invariants exit 4.
+problems exit 3, violated internal invariants exit 4. A data gap has one
+class wherever it is met: a receiver not in the log is an InputError, and
+a receiver or pair with fewer than 2 samples an InsufficientDataError.
 """
 
 
@@ -23,10 +25,6 @@ class InputError(DataError):
 
 class InsufficientDataError(DataError):
     """Too few aligned samples to estimate anything."""
-
-
-class MeasurementGapError(DataError):
-    """A required receiver pair has no usable measurements."""
 
 
 class LogFormatError(DataError):

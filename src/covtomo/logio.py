@@ -49,11 +49,11 @@ once by `json.loads`, whose message an ``invalid JSON`` error carries; an
 integer literal longer than Python's int string-conversion limit, and
 nesting deeper than the recursion limit, are ``invalid JSON`` errors too.
 The loop is the plain reference reader: no exported file reaches it, so it
-is written to be read, not to be fast. The records fill {k: ts} dicts,
-which `MeasurementLog.from_dicts` turns into columns. Checks that need
-every send record run after the last line: first gaps and order among the
-send records, then unknown indices and early arrivals, in line order, over
-one (line, receiver, k, ts) tuple kept per recv line.
+is written to be read, not to be fast. The records fill {k: ts} dicts.
+Checks that need every send record run after the last line: first gaps
+and order among the send records, then unknown indices and early
+arrivals, in line order, over one (line, receiver, k, ts) tuple kept per
+recv line. The checked dicts then fill the log's columns.
 
 A file that cannot be read or written raises DataError naming it.
 """
@@ -398,7 +398,15 @@ def _parse_lines(data: bytes) -> MeasurementLog:
             )
 
     del recvs
-    return MeasurementLog.from_dicts(sender_ts, arrivals)
+    ids = sorted(arrivals)
+    sender = np.array([sender_ts[k] for k in range(n_pairs)], dtype=np.int64)
+    present = np.zeros((len(ids), n_pairs), dtype=bool)
+    recv = np.zeros((len(ids), n_pairs), dtype=np.int64)
+    for i, receiver in enumerate(ids):
+        keys = list(arrivals[receiver])
+        present[i, keys] = True
+        recv[i, keys] = list(arrivals[receiver].values())
+    return MeasurementLog(ids, sender, recv, present)
 
 
 def write_json(data, path, what: str) -> None:

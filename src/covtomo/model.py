@@ -398,7 +398,7 @@ class MeasurementLog:
     ``sender`` is the send schedule, evenly spaced or not: the pairs ride on
     a data flow. ``sender`` and ``recv`` are int64 with every value below
     ``TIMESTAMP_LIMIT_US`` in magnitude; other columns raise InputError.
-    The arrays are read-only. Logs built from dicts go through `from_dicts`.
+    The arrays are read-only.
 
     ``arrivals`` ({receiver: {k: ts}}) is a read-only Mapping view over
     the rows, for readers of the dict form; the package reads the columns.
@@ -426,39 +426,6 @@ class MeasurementLog:
         self._row = {r: i for i, r in enumerate(self.ids)}
         self.counts = tuple(present.sum(axis=1).tolist())
         self.arrivals = _Arrivals(self)
-
-    @classmethod
-    def from_dicts(cls, sender_ts, arrivals) -> "MeasurementLog":
-        """Log from ``sender_ts`` ({k: ts} over k = 0..n-1) and ``arrivals``
-        ({receiver: {k: ts}}; a missing k is a lost packet).
-
-        Raises InvariantError when the sender indices are not 0..n-1 or an
-        arrival names an index outside them, and InputError when a
-        timestamp is ``TIMESTAMP_LIMIT_US`` or more in magnitude.
-        """
-        n = len(sender_ts)
-        if sorted(sender_ts) != list(range(n)):
-            raise InvariantError("sender timestamps must cover pair indices 0..n-1")
-        ids = sorted(arrivals)
-        rows = []
-        for r in ids:
-            entries = arrivals[r]
-            keys = list(entries)
-            if keys and (min(keys) < 0 or max(keys) >= n):
-                k = next(k for k in keys if not 0 <= k < n)
-                raise InvariantError(f"arrival for unknown pair index {k} at {r!r}")
-            rows.append((np.array(keys, dtype=np.intp), list(entries.values())))
-        present = np.zeros((len(ids), n), dtype=bool)
-        recv = np.zeros((len(ids), n), dtype=np.int64)
-        try:
-            sender = np.array([sender_ts[k] for k in range(n)], dtype=np.int64)
-            for i, (keys, ts) in enumerate(rows):
-                present[i, keys] = True
-                recv[i, keys] = ts
-        except OverflowError:
-            # past int64, so past the limit too
-            raise InputError(_OUT_OF_RANGE) from None
-        return cls(ids, sender, recv, present)
 
     @property
     def n_pairs(self) -> int:
@@ -514,7 +481,7 @@ class DelaySeries:
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """Symmetric matrix of pairwise path-delay covariances (ms^2) over an
-    ordered list of receivers."""
+    ordered list of distinct receivers."""
 
     receivers: tuple[NodeId, ...]
     values: np.ndarray
@@ -522,6 +489,9 @@ class CovarianceMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {r: i for i, r in enumerate(self.receivers)})
+        if len(self._index) != len(self.receivers):
+            repeated = next(r for i, r in enumerate(self.receivers) if self._index[r] != i)
+            raise InputError(f"receiver {repeated!r} appears more than once")
         if self.values.shape != (len(self.receivers), len(self.receivers)):
             raise InputError("covariance matrix shape does not match receiver list")
 
@@ -549,9 +519,9 @@ class CovarianceMatrix:
     @classmethod
     def from_dict(cls, data: dict) -> "CovarianceMatrix":
         """The matrix of a JSON document; InputError when the receivers are
-        not a list of strings, or on the first entry, in row-major order,
-        that is not a number (a null reads as NaN), is not finite or differs
-        from its mirror."""
+        not a list of distinct strings, or on the first entry, in row-major
+        order, that is not a number (a null reads as NaN), is not finite or
+        differs from its mirror."""
         receivers = data["receivers"]
         if not isinstance(receivers, list) or not all(isinstance(r, str) for r in receivers):
             raise InputError("receivers must be a list of strings")

@@ -16,11 +16,13 @@ Every run takes its seed from "seeds" and recovers at the stated threshold
 ``recovery.rho_ms2``; nothing derives it from the data. Before any run,
 `parse_config` builds every config the runs use (the simulator section's,
 the join sessions' at the hosts of the last batch, and the
-`RecoveryConfig`), so each rule is checked by the class that owns it, and
-refuses a simulator section with fewer than three hosts or two pairs, from
-which no run can estimate a covariance. Joining hosts take generated ids
-(`simulator.grow_network`), and the join sessions send ``joins.n_pairs``
-pairs (default: the simulator section's) at the simulator's pair interval.
+`RecoveryConfig`), so each rule is checked by the class that owns it and
+named by its section: `SimulatorConfig` refuses fewer than three hosts or
+two pairs, from which no run can estimate a covariance, in the simulator
+section and for the join sessions' ``joins.n_pairs`` alike. Joining hosts
+take generated ids (`simulator.grow_network`), and the join sessions send
+``joins.n_pairs`` pairs (default: the simulator section's) at the
+simulator's pair interval.
 Both modes run each seed through one pass, `_run_once`: generate ->
 simulate -> estimate -> `recover_from_matrix` (DFS order, then
 `recover_tree` at that rho) -> score. A dynamic run starts one worker
@@ -82,12 +84,6 @@ def parse_config(data: dict) -> dict:
             raise ConfigError(f"simulator.{key}: unknown field")
     with _section("simulator"):
         sim = SimulatorConfig(**sim_section)
-    # a covariance needs two receivers and two pairs; three hosts are the
-    # fewest that make two clients
-    if sim.n_hosts < 3:
-        raise ConfigError(f"simulator.n_hosts: must be >= 3 for two receivers, got {sim.n_hosts}")
-    if sim.n_pairs < 2:
-        raise ConfigError(f"simulator.n_pairs: must be >= 2, got {sim.n_pairs}")
 
     recovery = data.get("recovery", {})
     if not isinstance(recovery, dict) or set(recovery) - {"rho_ms2"}:
@@ -113,8 +109,6 @@ def parse_config(data: dict) -> dict:
         if not isinstance(batches, list) or not batches or not all(_is_int(b) and b > 0 for b in batches):
             raise ConfigError("joins.batches: non-empty list of positive integers required")
         n_pairs = joins.get("n_pairs", sim.n_pairs)
-        if not _is_int(n_pairs) or n_pairs < 2:
-            raise ConfigError("joins.n_pairs: integer >= 2 required")
         with _section("joins"):
             _join_config(sim, batches, n_pairs)
         joins = {"batches": batches, "n_pairs": n_pairs}

@@ -69,6 +69,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +110,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimulatorConfig:
     """Simulation parameters; defaults mirror the desk-scale evaluation
@@ -122,7 +127,9 @@ class SimulatorConfig:
     A scenario config's simulator section holds every field but ``seed``,
     which each run takes from the config's seeds (`scenarios`).
 
-    A config is refused (ConfigError) unless every timestamp its sessions
+    Counts are integers, and the rate and the variance range's ends real
+    numbers; a bool is neither. A config needs at least 3 hosts and 2
+    pairs. It is refused (ConfigError) unless every timestamp its sessions
     can write stays below ``TIMESTAMP_LIMIT_US`` (2^62) in magnitude, the
     domain `MeasurementLog` accepts (see `_timestamp_bound_us`).
     """
@@ -136,14 +143,20 @@ class SimulatorConfig:
     bg_rate_bytes_per_sec: float = 4e6
 
     def __post_init__(self):
-        if not isinstance(self.link_delay_var_ms2, tuple):
-            # a JSON config gives it as a list
-            object.__setattr__(self, "link_delay_var_ms2", tuple(self.link_delay_var_ms2))
         for name in _INT_FIELDS:
             value = getattr(self, name)
             if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name, low in (("n_hosts", 2), ("n_routers", 1), ("seed", 0)):
+        if not _is_real(self.bg_rate_bytes_per_sec):
+            raise ConfigError(f"bg_rate_bytes_per_sec must be a number, got {self.bg_rate_bytes_per_sec!r}")
+        var_range = self.link_delay_var_ms2
+        # a JSON config gives it as a list
+        if not isinstance(var_range, (tuple, list)) or len(var_range) != 2 or not all(map(_is_real, var_range)):
+            raise ConfigError("link_delay_var_ms2 must be a (lo, hi) pair of numbers")
+        object.__setattr__(self, "link_delay_var_ms2", tuple(var_range))
+        # a covariance needs two receivers and two pairs; three hosts are
+        # the fewest that make two clients
+        for name, low in (("n_hosts", 3), ("n_routers", 1), ("seed", 0), ("n_pairs", 2)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         lo, hi = self.link_delay_var_ms2
@@ -153,11 +166,6 @@ class SimulatorConfig:
             raise ConfigError("link_delay_var_ms2 must be a finite range")
         if self.pair_interval_us <= 0:
             raise ConfigError(f"pair_interval_us must be positive, got {self.pair_interval_us}")
-        if self.pair_interval_us >= TIMESTAMP_LIMIT_US:
-            # the timestamp bound below misses it when n_pairs is 1
-            raise ConfigError(f"pair_interval_us must be below 2^62, got {self.pair_interval_us}")
-        if self.n_pairs < 1:
-            raise ConfigError(f"n_pairs must be >= 1, got {self.n_pairs}")
         if self.bg_rate_bytes_per_sec < 0:
             raise ConfigError("bg_rate_bytes_per_sec must be non-negative")
         # NaN passes the comparison above, and so does an int past the float range

@@ -19,7 +19,6 @@ from covtomo.dynamic import attach_peer
 from covtomo.logio import export_log, import_log
 from covtomo.model import (
     DelaySeries,
-    MeasurementLog,
     branching_skeleton,
     trees_topologically_equal,
 )
@@ -28,7 +27,7 @@ from covtomo.recover import RecoveryConfig, recover_tree
 from covtomo.scenarios import parse_config, run_dynamic_scenario, run_scenario
 from covtomo.simulator import PACKET_SIZE_BYTES, SimulatorConfig, generate_topology, simulate_session
 
-from treegen import covariance_matrix_from_tree, random_truth_tree, restrict, shared_covariance
+from treegen import covariance_matrix_from_tree, log_from_dicts, random_truth_tree, restrict, shared_covariance
 
 
 def _series(values):
@@ -75,7 +74,7 @@ def test_criterion_1_estimator_properties():
         delta = int(rng.integers(5, 60))
         da = rng.integers(50, 8000, n)
         db = rng.integers(50, 8000, n)
-        log = MeasurementLog.from_dicts(
+        log = log_from_dicts(
             {k: k * delta for k in range(n)},
             {
                 "a": {k: k * delta + int(da[k]) for k in range(n)},

@@ -202,7 +202,20 @@ def test_e2e_dynamic_report(tmp_path, capsys):
         ({"seeds": [1, -1]}, "seeds: seed must be >= 0, got -1"),
         (
             {"simulator": {"n_hosts": 10, "n_routers": 4, "bg_rate_bytes_per_sec": "abc"}},
-            "simulator: '<' not supported between instances of 'str' and 'int'",
+            "simulator: bg_rate_bytes_per_sec must be a number, got 'abc'",
+        ),
+        # a bool is no number, though float() and comparisons read it as one
+        (
+            {"simulator": {"n_hosts": 10, "n_routers": 4, "bg_rate_bytes_per_sec": True}},
+            "simulator: bg_rate_bytes_per_sec must be a number, got True",
+        ),
+        (
+            {"simulator": {"n_hosts": 10, "n_routers": 4, "link_delay_var_ms2": [False, True]}},
+            "simulator: link_delay_var_ms2 must be a (lo, hi) pair of numbers",
+        ),
+        (
+            {"simulator": {"n_hosts": 10, "n_routers": 4, "link_delay_var_ms2": [0.5, "1.5"]}},
+            "simulator: link_delay_var_ms2 must be a (lo, hi) pair of numbers",
         ),
         (
             {"simulator": {"n_hosts": 10, "n_routers": 4, "bg_rate_bytes_per_sec": -1}},
@@ -234,9 +247,14 @@ def test_e2e_dynamic_report(tmp_path, capsys):
             "joins: delays too large: a timestamp could reach 5.21e+18 us, past the exact int64 range (2^62 us)",
         ),
         (
-            # one pair has no send term in the timestamp bound
+            # one pair has no send term in the timestamp bound, and no covariance
             {"simulator": {"n_hosts": 10, "n_routers": 4, "n_pairs": 1, "pair_interval_us": 10**30}},
-            "simulator: pair_interval_us must be below 2^62, got 1000000000000000000000000000000",
+            "simulator: n_pairs must be >= 2, got 1",
+        ),
+        (
+            # from two pairs on, the bound's send term refuses the interval
+            {"simulator": {"n_hosts": 10, "n_routers": 4, "n_pairs": 2, "pair_interval_us": 10**30}},
+            "simulator: delays too large: a timestamp could reach 1e+30 us, past the exact int64 range (2^62 us)",
         ),
         (
             {"joins": {"batches": [True, 1], "n_pairs": 300}},
@@ -244,8 +262,8 @@ def test_e2e_dynamic_report(tmp_path, capsys):
         ),
         ({"joins": {"batches": [2, 0], "n_pairs": 300}}, "joins.batches: non-empty list of positive integers required"),
         ({"joins": [2, 2]}, "joins: supported fields are batches, n_pairs"),
-        ({"joins": {"batches": [1], "n_pairs": 1}}, "joins.n_pairs: integer >= 2 required"),
-        ({"joins": {"batches": [1], "n_pairs": 300.5}}, "joins.n_pairs: integer >= 2 required"),
+        ({"joins": {"batches": [1], "n_pairs": 1}}, "joins: n_pairs must be >= 2, got 1"),
+        ({"joins": {"batches": [1], "n_pairs": 300.5}}, "joins: n_pairs must be an integer, got 300.5"),
         (
             # the static pass before the joins needs two pairs too, so the
             # join sessions' default of the simulator's count is never 1
@@ -253,11 +271,11 @@ def test_e2e_dynamic_report(tmp_path, capsys):
                 "simulator": {"n_hosts": 10, "n_routers": 4, "n_pairs": 1, "pair_interval_us": 5000},
                 "joins": {"batches": [1]},
             },
-            "simulator.n_pairs: must be >= 2, got 1",
+            "simulator: n_pairs must be >= 2, got 1",
         ),
         # no covariance from one receiver (two hosts make one client) or one pair
-        ({"simulator": {"n_hosts": 2, "n_routers": 4}}, "simulator.n_hosts: must be >= 3 for two receivers, got 2"),
-        ({"simulator": {"n_hosts": 10, "n_routers": 4, "n_pairs": 1}}, "simulator.n_pairs: must be >= 2, got 1"),
+        ({"simulator": {"n_hosts": 2, "n_routers": 4}}, "simulator: n_hosts must be >= 3, got 2"),
+        ({"simulator": {"n_hosts": 10, "n_routers": 4, "n_pairs": 1}}, "simulator: n_pairs must be >= 2, got 1"),
         # every run takes its seed from the seeds section
         ({"simulator": {"n_hosts": 10, "n_routers": 4, "seed": 7}}, "simulator.seed: unknown field"),
         # a grid over background rates is one config per rate
@@ -274,6 +292,9 @@ def test_e2e_dynamic_report(tmp_path, capsys):
         "bool-seed",
         "negative-seed",
         "rate-not-a-number",
+        "bool-rate",
+        "bool-variance",
+        "string-variance-end",
         "negative-rate",
         "nan-rate",
         "401-digit-rate",
@@ -281,6 +302,7 @@ def test_e2e_dynamic_report(tmp_path, capsys):
         "overflowing-delays",
         "overflowing-join-delays",
         "overflowing-interval",
+        "overflowing-interval-two-pairs",
         "bool-batch",
         "zero-batch",
         "joins-not-an-object",
@@ -494,6 +516,18 @@ def test_recover_refuses_a_matrix_entry_that_is_not_a_number(tmp_path, capsys, b
     assert main(["recover", "--cov", str(cov), "--source", "s", "--rho", "0.5", "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
         f"data error: covariance matrix {cov} is malformed: entry ('a', 'c') is {bad!r}, not a number\n"
+    )
+    assert not out.exists()
+
+
+def test_recover_refuses_a_matrix_that_repeats_a_receiver(tmp_path, capsys):
+    # read without the check, get("a", "b") reads the last 'a' row
+    values = [[3.0, 1.0, 2.0], [1.0, 3.0, 1.5], [2.0, 1.5, 3.0]]
+    cov, out = tmp_path / "cov.json", tmp_path / "tree.json"
+    cov.write_text(json.dumps({"receivers": ["a", "b", "a"], "values": values}))
+    assert main(["recover", "--cov", str(cov), "--source", "s", "--rho", "0.5", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: covariance matrix {cov} is malformed: receiver 'a' appears more than once\n"
     )
     assert not out.exists()
 
@@ -715,7 +749,7 @@ def test_parse_config_rejects_bad_sections():
     with pytest.raises(ConfigError, match="^unknown config section 'sweep'$"):
         parse_config({"seeds": [1], "recovery": RECOVERY, "sweep": {"bg_rates_bytes_per_sec": [1e6]}})
     # a range that is not a list is a config error, not a TypeError
-    with pytest.raises(ConfigError, match="simulator: 'int' object is not iterable"):
+    with pytest.raises(ConfigError, match=r"^simulator: link_delay_var_ms2 must be a \(lo, hi\) pair of numbers$"):
         parse_config({"seeds": [1], "simulator": {"link_delay_var_ms2": 5}})
     # a fractional count is refused before any run
     with pytest.raises(ConfigError, match=r"^simulator: n_pairs must be an integer, got 2.5$"):

@@ -24,7 +24,7 @@ from covtomo.logio import (
 from covtomo.model import TIMESTAMP_LIMIT_US, CovarianceMatrix, MeasurementLog
 from covtomo.simulator import SimulatorConfig, generate_topology, simulate_session
 
-from treegen import random_truth_tree, relabel_routers
+from treegen import log_from_dicts, random_truth_tree, relabel_routers
 
 
 def sample_log(with_losses=False):
@@ -35,7 +35,7 @@ def sample_log(with_losses=False):
     if with_losses:
         del arrivals["a"][2]
         del arrivals["b"][4]
-    return MeasurementLog.from_dicts({k: k * 30 for k in range(6)}, arrivals)
+    return log_from_dicts({k: k * 30 for k in range(6)}, arrivals)
 
 
 def test_round_trip_identical(tmp_path):
@@ -96,7 +96,7 @@ def test_export_bytes_equal_per_record_json_dumps(tmp_path, clock):
     arrivals = {
         name: {k: clock + k * 30 + i for k in range(5) if (k + i) % 3} for i, name in enumerate(names)
     }
-    log = MeasurementLog.from_dicts({k: clock + k * 30 for k in range(5)}, arrivals)
+    log = log_from_dicts({k: clock + k * 30 for k in range(5)}, arrivals)
     path = tmp_path / "log.ndjson"
     export_log(log, path)
     assert path.read_bytes() == reference_ndjson(log)
@@ -150,7 +150,7 @@ def test_export_spans_several_blocks_of_a_lossy_log(tmp_path):
 def test_export_blocks_shrink_for_long_names(tmp_path, monkeypatch):
     names = ["a" * (logio._WRITE_BYTES // 3), "b" * 5, "c\\" * (logio._WRITE_BYTES // 5)]
     arrivals = {name: {k: 10 * k + i for k in range(7) if (k + i) % 4} for i, name in enumerate(names)}
-    log = MeasurementLog.from_dicts({k: 10 * k for k in range(7)}, arrivals)
+    log = log_from_dicts({k: 10 * k for k in range(7)}, arrivals)
     path = tmp_path / "log.ndjson"
     # 1 makes every receiver boundary a write boundary; at 1 MiB the short
     # receiver is gathered into one write with the long one after it
@@ -360,7 +360,7 @@ def test_19_digit_timestamps_import_through_the_line_loop(tmp_path):
     assert len(str(EDGE)) == 19
     sender_ts = {0: EDGE - 10, 1: EDGE - 5}
     arrivals = {"a": {0: EDGE - 7, 1: EDGE}, "b": {1: EDGE - 1}}
-    log = MeasurementLog.from_dicts(sender_ts, arrivals)
+    log = log_from_dicts(sender_ts, arrivals)
     path = tmp_path / "log.ndjson"
     export_log(log, path)
     data = path.read_bytes()
@@ -627,7 +627,7 @@ def heard_logs(draw):
     for r in names:
         ks = draw(st.sets(st.integers(0, n - 1), min_size=1))
         arrivals[r] = {k: draw(st.integers(sender[k], top)) for k in sorted(ks)}
-    return MeasurementLog.from_dicts(dict(enumerate(sender)), arrivals)
+    return log_from_dicts(dict(enumerate(sender)), arrivals)
 
 
 @settings(max_examples=200)

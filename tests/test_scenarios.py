@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from covtomo.delay_cov import build_covariance_matrix
 from covtomo.errors import ConfigError
-from covtomo.model import CovarianceMatrix, MeasurementLog
+from covtomo.model import CovarianceMatrix
 from covtomo import scenarios
 from covtomo.scenarios import _cov_summary, _mean_stderr, _sum_in_order, parse_config, run_dynamic_scenario
 from covtomo.simulator import SessionStart, SimulatorConfig
+
+from treegen import log_from_dicts
 
 # jitter and congestion noise within the timestamp bound at 150 hosts, past
 # it once the probe load counts 750
@@ -133,7 +135,7 @@ def test_dynamic_run_joins_its_worker_when_a_batch_raises(monkeypatch, where):
 def test_kernel_zeros_are_positive():
     # integer numerators divide to +0.0: a constant receiver's covariances,
     # and a pair whose numerator cancels
-    log = MeasurementLog.from_dicts(
+    log = log_from_dicts(
         {k: 1000 * k for k in range(4)},
         {"a": {k: 1000 * k + 7 for k in range(4)}, "b": {0: 10, 1: 1020, 2: 2010, 3: 3020}, "c": {0: 5, 1: 1005, 2: 2015, 3: 3015}},
     )

@@ -1,5 +1,5 @@
-"""Test helpers: hand-built and random ground-truth routing trees, and
-queries on trees and matrices that only the tests need.
+"""Test helpers: hand-built and random ground-truth routing trees, queries
+on trees and matrices that only the tests need, and logs built from dicts.
 
 Random trees model a single-homed source (the root has exactly one egress
 link), carry strictly positive link delay variances, and may contain
@@ -11,7 +11,7 @@ labels hold cumulative shared-path variance, so
 import numpy as np
 
 from covtomo.errors import InputError
-from covtomo.model import CovarianceMatrix, NodeId, RoutingTree
+from covtomo.model import CovarianceMatrix, MeasurementLog, NodeId, RoutingTree
 
 
 def path_from_root(tree: RoutingTree, node):
@@ -38,6 +38,21 @@ def restrict(cov: CovarianceMatrix, receivers) -> CovarianceMatrix:
     ids = tuple(receivers)
     idx = [cov.index(r) for r in ids]
     return CovarianceMatrix(ids, cov.values[np.ix_(idx, idx)])
+
+
+def log_from_dicts(sender_ts, arrivals) -> MeasurementLog:
+    """The log of ``sender_ts`` ({k: ts} over k = 0..n-1) and ``arrivals``
+    ({receiver: {k: ts}}; a missing k is a lost packet), its columns filled
+    as the log reader fills them."""
+    ids = sorted(arrivals)
+    n = len(sender_ts)
+    present = np.zeros((len(ids), n), dtype=bool)
+    recv = np.zeros((len(ids), n), dtype=np.int64)
+    for i, receiver in enumerate(ids):
+        for k, ts in arrivals[receiver].items():
+            present[i, k] = True
+            recv[i, k] = ts
+    return MeasurementLog(ids, np.array([sender_ts[k] for k in range(n)], dtype=np.int64), recv, present)
 
 
 def _require_leaf(tree: RoutingTree, node: NodeId) -> None:
