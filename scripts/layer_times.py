@@ -14,13 +14,19 @@ joining hosts, as in the benchmark's growth-joins workload (``--receivers
 `covtomo.scenarios` calls, so the times are those of the real pipeline. A
 call inside another timed call counts only in the outer one: with
 ``--joins`` the whole static pass is one ``static_pass`` time, and the
-other layers are the join loop's, summed over the batches. A join session
-is timed in two parts: ``start_session`` and ``simulate_session``, the
-second holding the wait for its jitter draw. The draw itself runs on a
-worker thread while the join layers of the batch before it run, so with
-``--joins`` the layers no longer add up to ``pass``. For each layer it
-prints the median over seeds x repeats of the wall seconds per pass, as
-one JSON object.
+other layers are the join loop's, summed over the batches.
+
+Some draws run on the run's worker thread while the main thread works,
+and their own time shows in no layer: a static pass's head jitter rows
+draw while ``generate_topology`` runs, and a join session's jitter while
+the join layers of the batch before it run. ``draw_wait`` is the time the
+main thread then waits for such a draw: for the head draw, once
+``generate_topology`` has returned; with ``--joins``, for each join
+session's draw, between its ``start_session`` and its
+``simulate_session``. The overlap is not free: the head draw competes with
+``generate_topology`` for the processor and memory, which the
+``generate_topology`` time shows. For each layer it prints the median over
+seeds x repeats of the wall seconds per pass, as one JSON object.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ JOIN_BATCH = 50
 # printed under the function's name, the static pass's under static_pass
 STATIC_LAYERS = (
     "generate_topology",
+    "_await_draw",
     "simulate_session",
     "build_covariance_matrix",
     "dfs_order",
@@ -51,13 +58,14 @@ JOIN_LAYERS = (
     "_run_once",
     "grow_network",
     "start_session",
+    "_await_draw",
     "simulate_session",
     "covariance_oracle_from_log",
     "attach_peer",
     "branching_skeleton",
     "score_trees",
 )
-KEYS = {"_run_once": "static_pass"}
+KEYS = {"_run_once": "static_pass", "_await_draw": "draw_wait"}
 
 
 @contextmanager

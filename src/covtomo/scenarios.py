@@ -25,10 +25,12 @@ take generated ids (`simulator.grow_network`), and the join sessions send
 simulator's pair interval.
 Both modes run each seed through one pass, `_run_once`: generate ->
 simulate -> estimate -> `recover_from_matrix` (DFS order, then
-`recover_tree` at that rho) -> score. A dynamic run starts one worker
-thread, which draws each join session's jitter
-(`simulator.SessionStart.draw`) while the main thread joins and scores the
-batch before it, and joins the thread before it returns or raises. Reports
+`recover_tree` at that rho) -> score. Every run keeps one worker thread,
+and joins it before it returns or raises. In each pass the worker draws
+the head rows of the session's jitter (`simulator.SessionDraws.draw_rows`)
+while the main thread generates the network; in a dynamic run it also
+draws each join session's jitter (`simulator.SessionStart.draw`) while the
+main thread joins and scores the batch before it. Reports
 are single JSON documents embedding the full resolved config; given the
 same config they re-serialize byte-identically, and their sums add left to
 right whatever the Python version (`_sum_in_order`).
@@ -50,7 +52,16 @@ from .logio import read_json, write_json
 from .model import branching_skeleton
 from .ordering import dfs_order
 from .recover import RecoveryConfig, recover_tree
-from .simulator import SimulatorConfig, _is_int, generate_topology, grow_network, simulate_session, start_session
+from .simulator import (
+    SimulatorConfig,
+    _is_int,
+    begin_session,
+    generate_topology,
+    grow_network,
+    simulate_session,
+    start_session,
+    truth_link_range,
+)
 
 _TOP_KEYS = {"simulator", "recovery", "seeds", "joins"}
 # every run takes its seed from the seeds section
@@ -166,10 +177,24 @@ def recover_from_matrix(source, cov, config: RecoveryConfig):
     return recover_tree(source, dfs_order(cov), cov, config)
 
 
-def _run_once(sim: SimulatorConfig, config: RecoveryConfig):
-    """One generate -> simulate -> estimate -> order -> recover -> score pass."""
+def _await_draw(drawn) -> None:
+    """Wait for the worker's draw ``drawn`` (a future), raising what it
+    raised; a call of its own, so that layer timers and traces show the
+    main thread's wait."""
+    drawn.result()
+
+
+def _run_once(sim: SimulatorConfig, config: RecoveryConfig, worker):
+    """One generate -> simulate -> estimate -> order -> recover -> score
+    pass. The session begins before its network: while the main thread
+    generates the network, ``worker`` draws the session's first jitter
+    rows, one for each link the network has at the fewest."""
+    fewest, most = truth_link_range(sim)
+    draws = begin_session(sim, most)
+    head = worker.submit(draws.draw_rows, fewest)
     net = generate_topology(sim)
-    log = simulate_session(net, sim)
+    _await_draw(head)
+    log = simulate_session(net, sim, begun=draws)
     cov = build_covariance_matrix(log, sorted(net.clients))
     tree = recover_from_matrix(net.source, cov, config)
     report = score_trees(tree, branching_skeleton(net.truth))
@@ -178,14 +203,22 @@ def _run_once(sim: SimulatorConfig, config: RecoveryConfig):
 
 def run_scenario(resolved: dict) -> dict:
     """Static scenario: executes the full pipeline once per seed and
-    aggregates accuracy. Each run record keeps its recovered ``tree``."""
+    aggregates accuracy. Each run record keeps its recovered ``tree``.
+
+    One worker thread draws each session's head jitter rows while the main
+    thread generates its network; it is joined before this returns or
+    raises."""
+    # imported here, as only a run starts a thread (~7 ms)
+    from concurrent.futures import ThreadPoolExecutor
+
     if resolved.get("joins"):
         raise ConfigError("config has a joins section; use the dynamic scenario")
     config = RecoveryConfig(resolved["recovery"]["rho_ms2"])
     runs = []
-    for seed in resolved["seeds"]:
-        _, cov, tree, report = _run_once(_sim_from_resolved(resolved, seed=seed), config)
-        runs.append({"seed": seed, **asdict(report), "cov_summary": _cov_summary(cov), "tree": tree.to_dict()})
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for seed in resolved["seeds"]:
+            _, cov, tree, report = _run_once(_sim_from_resolved(resolved, seed=seed), config, worker)
+            runs.append({"seed": seed, **asdict(report), "cov_summary": _cov_summary(cov), "tree": tree.to_dict()})
     mean_p, stderr_p = _mean_stderr([r["p"] for r in runs])
     return {"config": resolved, "mode": "static", "runs": runs, "summary": {"mean_p": mean_p, "stderr_p": stderr_p}}
 
@@ -208,10 +241,11 @@ def run_dynamic_scenario(resolved: dict) -> dict:
     join schedule batch by batch via attach_peer, scoring accuracy against
     the evolving ground truth after each step.
 
-    One worker thread draws each join session's jitter (`SessionStart.draw`)
+    One worker thread draws the head rows of the initial session, as in
+    `run_scenario`, and each join session's jitter (`SessionStart.draw`)
     while the main thread works on the batch before it; it is joined before
     this returns or raises."""
-    # imported here, as only dynamic runs start a thread (~7 ms)
+    # imported here, as only a run starts a thread (~7 ms)
     from concurrent.futures import ThreadPoolExecutor
 
     joins = resolved.get("joins")
@@ -223,14 +257,14 @@ def run_dynamic_scenario(resolved: dict) -> dict:
     with ThreadPoolExecutor(max_workers=1) as worker:
         for seed in resolved["seeds"]:
             sim = _sim_from_resolved(resolved, seed=seed)
-            net, cov, tree, report = _run_once(sim, config)
+            net, cov, tree, report = _run_once(sim, config, worker)
             curve = [_curve_point(sim.n_routers + sim.n_hosts, report)]
             join_sim = _join_config(sim, batches, joins["n_pairs"])
             n_hosts = sim.n_hosts
             pending = _join_batch(worker, net, sim, join_sim, batches, 1)
             for step in range(1, len(batches) + 1):
                 new_hosts, started, drawn = pending
-                drawn.result()
+                _await_draw(drawn)
                 log = simulate_session(net, join_sim, stream=step, started=started)
                 # the truth of this batch, before the next one joins
                 truth = branching_skeleton(net.truth)

@@ -37,13 +37,19 @@ memory, and every float sum runs in path order from the source, so a log
 does not depend on a BLAS library's summation order.
 
 A session runs in two parts. `start_session` reads the tree: the walk, the
-link order, each link's jitter sigma, and the session's own generator
-(seeded by config seed and stream, shared with no other session), and
-allocates the jitter buffer. `SessionStart.draw` fills that buffer from
-the generator and the sigmas and reads nothing else, so it may run on
-another thread; `simulate_session` then finishes the session with the
-generator's remaining draws, or runs all three parts itself. The log is
-the same bit for bit either way.
+link order and each link's jitter sigma. `SessionStart.draw` fills the
+session's jitter buffer from its own generator (seeded by config seed and
+stream, shared with no other session) and scales it by the sigmas, reading
+nothing else, so it may run on another thread; `simulate_session` then
+finishes the session with the generator's remaining draws, or runs all
+three parts itself. A session can also begin before its network:
+`begin_session` needs only the config and the stream, and allocates a
+buffer of as many rows as the network can have links (`truth_link_range`);
+its head rows can be drawn (`SessionDraws.draw_rows`) while the network is
+generated, `start_session` takes the buffer's first row per link, and
+`SessionStart.draw` draws only the rows not drawn yet. A generator gives
+the same normals however a fill is split, so the log is the same bit for
+bit in every case.
 
 Background traffic scales every link's jitter variance linearly with the
 configured rate, and pushes links over a utilization threshold into
@@ -198,6 +204,12 @@ class SimulatorConfig:
             return math.inf
 
     @property
+    def n_clients(self) -> int:
+        """Clients of the network `generate_topology` builds: ``CLIENT_FRACTION``
+        of the hosts, rounded, and at most every host but the source."""
+        return min(self.n_hosts - 1, round(CLIENT_FRACTION * self.n_hosts))
+
+    @property
     def bg_scale(self) -> float:
         return self.bg_rate_bytes_per_sec / BG_REF_RATE_BYTES_PER_SEC
 
@@ -328,8 +340,7 @@ def generate_topology(config: SimulatorConfig) -> SimulatedNetwork:
 
     source = hosts[int(rng.integers(config.n_hosts))]
     others = [h for h in hosts if h != source]
-    n_clients = min(len(others), int(round(CLIENT_FRACTION * config.n_hosts)))
-    clients = sorted(rng.choice(others, size=n_clients, replace=False).tolist())
+    clients = sorted(rng.choice(others, size=config.n_clients, replace=False).tolist())
 
     # per-link delay parameters in a fixed link order, in one draw: per link
     # a uniform base, then a uniform variance. The array draw reads the
@@ -358,6 +369,15 @@ def generate_topology(config: SimulatorConfig) -> SimulatedNetwork:
         router_paths=router_paths,
         host_seq=config.n_hosts,
     )
+
+
+def truth_link_range(config: SimulatorConfig) -> tuple[int, int]:
+    """Fewest and most links in the truth tree of `generate_topology(config)`.
+    Each client has its own access link, and the source hangs below at least
+    one router, so there are at least n_clients + 1; the nodes below the
+    source are the clients and at most every router, so at most
+    n_clients + n_routers."""
+    return config.n_clients + 1, config.n_clients + config.n_routers
 
 
 def _build_truth_tree(source, clients, access_router, router_paths, link_params) -> RoutingTree:
@@ -424,35 +444,68 @@ def _offset_scale(draws: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class SessionStart:
-    """What `start_session` reads from the network for one session: the
-    (node, parent) walk of the truth tree, each node's row of the link-key
-    ordered jitter buffer, the links' jitter sigmas, the session's own
-    generator and the jitter buffer itself, allocated but not drawn.
+class SessionDraws:
+    """A session's own generator, seeded by config seed and stream and shared
+    with no other session, and its jitter buffer: a column per pair, and a
+    row for each link the network can have until `start_session` keeps one
+    row per link it has. The first ``drawn`` rows hold standard normals.
+    `begin_session` makes it from the config and the stream alone, so it
+    can exist before the network."""
 
-    `draw` fills the buffer. It reads nothing but the generator, which no
-    other session shares, and the sigmas, so it may run on another thread;
-    `simulate_session` reads the rest of the session's draws from the same
-    generator once the buffer is filled."""
-
-    net: SimulatedNetwork
     config: SimulatorConfig
     stream: int
     rng: np.random.Generator
+    jitter: np.ndarray | None
+    drawn: int = 0
+
+    def draw_rows(self, rows: int) -> None:
+        """Fill the buffer's rows from ``drawn`` up to ``rows`` with standard
+        normals. It reads nothing but the generator, so it may run on another
+        thread."""
+        self.rng.standard_normal(out=self.jitter[self.drawn : rows])
+        self.drawn = rows
+
+
+def begin_session(config: SimulatorConfig, rows: int, stream: int = 0) -> SessionDraws:
+    """The part of a session that needs no network: its generator and a
+    jitter buffer of ``rows`` rows, none drawn. Rows past the ones a
+    network's links take are never written."""
+    rng = np.random.default_rng([config.seed, _STREAM_SESSION, stream])
+    return SessionDraws(config, stream, rng, np.empty((rows, config.n_pairs)))
+
+
+@dataclass(eq=False)
+class SessionStart:
+    """What `start_session` reads from the network for one session: the
+    (node, parent) walk of the truth tree, each node's row of the link-key
+    ordered jitter buffer and the links' jitter sigmas, with the session's
+    `SessionDraws`, whose buffer holds one row per link.
+
+    `draw` fills and scales the buffer. It reads nothing but the generator
+    and the sigmas, so it may run on another thread; `simulate_session`
+    reads the rest of the session's draws from the same generator once the
+    buffer is filled."""
+
+    net: SimulatedNetwork
     walk: list[tuple[NodeId, NodeId]]
     row: dict[NodeId, int]
     sigma_us: np.ndarray
-    jitter: np.ndarray | None
+    draws: SessionDraws
 
     def draw(self) -> None:
-        """The session's first draw: the shared per-(link, pair) jitter."""
-        self.rng.standard_normal(out=self.jitter)
-        _offset_scale(self.jitter, self.sigma_us)
+        """The session's first draw: the shared per-(link, pair) jitter, its
+        rows not drawn yet, then every row scaled."""
+        self.draws.draw_rows(len(self.sigma_us))
+        _offset_scale(self.draws.jitter, self.sigma_us)
 
 
-def start_session(net: SimulatedNetwork, config: SimulatorConfig, stream: int = 0) -> SessionStart:
-    """The part of `simulate_session` that reads the network's tree, before
-    any draw: see `SessionStart`."""
+def start_session(
+    net: SimulatedNetwork, config: SimulatorConfig, stream: int = 0, *, begun: SessionDraws | None = None
+) -> SessionStart:
+    """The part of `simulate_session` that reads the network's tree: see
+    `SessionStart`. ``begun``, when given, is the `begin_session` of the
+    same config and stream, with no more rows drawn than the network has
+    links and room for all of them; otherwise the session begins here."""
     truth = net.truth
     if not truth.leaves:
         raise InputError("network has no clients")
@@ -466,13 +519,27 @@ def start_session(net: SimulatedNetwork, config: SimulatorConfig, stream: int = 
     links = sorted((net.link_key(parent, node), node) for node, parent in walk)
     row = {node: i for i, (_, node) in enumerate(links)}
     sigma_us = np.array([math.sqrt(net.link_params[link][1]) * 1000.0 for link, _ in links])
-    rng = np.random.default_rng([config.seed, _STREAM_SESSION, stream])
-    jitter = np.empty((len(links), config.n_pairs))
-    return SessionStart(net, config, stream, rng, walk, row, sigma_us, jitter)
+    if begun is None:
+        begun = begin_session(config, len(links), stream)
+    elif (
+        begun.config != config
+        or begun.stream != stream
+        or begun.jitter is None
+        or not begun.drawn <= len(links) <= len(begun.jitter)
+    ):
+        raise InputError("begun session is of another config or stream, or does not fit the network")
+    # a view: the buffer lives as long as the session holds it
+    begun.jitter = begun.jitter[: len(links)]
+    return SessionStart(net, walk, row, sigma_us, begun)
 
 
 def simulate_session(
-    net: SimulatedNetwork, config: SimulatorConfig, stream: int = 0, *, started: SessionStart | None = None
+    net: SimulatedNetwork,
+    config: SimulatorConfig,
+    stream: int = 0,
+    *,
+    started: SessionStart | None = None,
+    begun: SessionDraws | None = None,
 ) -> MeasurementLog:
     """Synthesize one measurement session over all current clients.
 
@@ -484,17 +551,20 @@ def simulate_session(
 
     ``started``, when given, is the `start_session` of the same arguments,
     with its `SessionStart.draw` done, and the network unchanged since the
-    start; otherwise the session starts and draws here.
+    start; otherwise the session starts and draws here, from ``begun`` when
+    that is given (see `start_session`).
     """
     if started is None:
-        started = start_session(net, config, stream)
+        started = start_session(net, config, stream, begun=begun)
         started.draw()
-    elif started.net is not net or started.config != config or started.stream != stream:
+    elif begun is not None:
+        raise InputError("a session is given both started and begun")
+    elif started.net is not net or started.draws.config != config or started.draws.stream != stream:
         raise InputError("started session is of another network, config or stream")
     truth = net.truth
-    rng, walk, row = started.rng, started.walk, started.row
+    rng, walk, row = started.draws.rng, started.walk, started.row
     # the session's buffer; dropped here, so that it is freed below
-    jitter, started.jitter = started.jitter, None
+    jitter, started.draws.jitter = started.draws.jitter, None
     clients = sorted(truth.leaves)
     schedule = config.sender_schedule()
     n = len(schedule)

@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,8 +11,15 @@ from covtomo.delay_cov import build_covariance_matrix
 from covtomo.errors import ConfigError
 from covtomo.model import CovarianceMatrix
 from covtomo import scenarios
-from covtomo.scenarios import _cov_summary, _mean_stderr, _sum_in_order, parse_config, run_dynamic_scenario
-from covtomo.simulator import SessionStart, SimulatorConfig
+from covtomo.scenarios import (
+    _cov_summary,
+    _mean_stderr,
+    _sum_in_order,
+    parse_config,
+    run_dynamic_scenario,
+    run_scenario,
+)
+from covtomo.simulator import SessionDraws, SessionStart, SimulatorConfig, truth_link_range
 
 from treegen import log_from_dicts
 
@@ -80,23 +88,87 @@ DYNAMIC = {
 }
 
 
-def test_dynamic_run_draws_on_one_worker_and_joins_it(monkeypatch):
-    idents = []
-    draw = SessionStart.draw
+STATIC = {key: value for key, value in DYNAMIC.items() if key != "joins"}
 
-    def recorded(self):
-        idents.append(threading.get_ident())
-        draw(self)
+
+def test_dynamic_run_draws_on_one_worker_and_joins_it(monkeypatch):
+    calls = []
+    draw_rows = SessionDraws.draw_rows
+
+    def recorded(self, rows):
+        calls.append((threading.get_ident(), self.drawn, rows))
+        draw_rows(self, rows)
 
     before = threading.active_count()
     want = run_dynamic_scenario(parse_config(DYNAMIC))
     assert threading.active_count() == before
-    monkeypatch.setattr(SessionStart, "draw", recorded)
+    monkeypatch.setattr(SessionDraws, "draw_rows", recorded)
     assert run_dynamic_scenario(parse_config(DYNAMIC)) == want
     assert threading.active_count() == before
-    # the static sessions draw here, and the six join sessions on one other thread
-    workers = [i for i in idents if i != threading.get_ident()]
-    assert len(idents) == 8 and len(workers) == 6 and len(set(workers)) == 1
+    # per seed, the static session's head rows on the worker and the rest
+    # here, then the three join sessions whole on the same worker
+    here = threading.get_ident()
+    workers = {ident for ident, _, _ in calls if ident != here}
+    fewest, _ = truth_link_range(SimulatorConfig(**DYNAMIC["simulator"]))
+    assert len(workers) == 1 and len(calls) == 10
+    for seed_calls in (calls[:5], calls[5:]):
+        (head, rest, *joins) = seed_calls
+        assert head[0] != here and head[1:] == (0, fewest)
+        assert rest[0] == here and rest[1] == fewest
+        assert all(ident != here and drawn == 0 for ident, drawn, _ in joins)
+
+
+def test_static_run_draws_the_head_on_one_worker_and_joins_it(monkeypatch):
+    idents = []
+    draw_rows = SessionDraws.draw_rows
+
+    def recorded(self, rows):
+        idents.append(threading.get_ident())
+        draw_rows(self, rows)
+
+    before = threading.active_count()
+    want = run_scenario(parse_config(STATIC))
+    assert threading.active_count() == before
+    monkeypatch.setattr(SessionDraws, "draw_rows", recorded)
+    assert run_scenario(parse_config(STATIC)) == want
+    assert threading.active_count() == before
+    # per seed, the head on the worker, then the rest here
+    here = threading.get_ident()
+    assert len(idents) == 4 and idents[1] == idents[3] == here
+    assert idents[0] == idents[2] != here
+
+
+@pytest.mark.parametrize("where", ["generate_topology", "draw_rows"])
+def test_static_run_joins_its_worker_when_a_pass_raises(monkeypatch, where):
+    # generate_topology fails while the head draw is still running on the
+    # worker, or the head draw itself fails there
+    failure = RuntimeError("pass failed")
+    draw_rows = SessionDraws.draw_rows
+    done = []
+    if where == "generate_topology":
+
+        def slow(self, rows):
+            time.sleep(0.2)
+            draw_rows(self, rows)
+            done.append(rows)
+
+        def failing(sim):
+            raise failure
+
+        monkeypatch.setattr(SessionDraws, "draw_rows", slow)
+        monkeypatch.setattr(scenarios, "generate_topology", failing)
+    else:
+
+        def failing(self, rows):
+            raise failure
+
+        monkeypatch.setattr(SessionDraws, "draw_rows", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as err:
+        run_scenario(parse_config(STATIC))
+    assert err.value is failure
+    assert threading.active_count() == before
+    assert len(done) == (where == "generate_topology")
 
 
 @pytest.mark.parametrize("where", ["attach_peer", "draw"])

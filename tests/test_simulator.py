@@ -22,10 +22,12 @@ from covtomo.model import TIMESTAMP_LIMIT_US, MeasurementLog, RoutingTree
 from covtomo.simulator import (
     SimulatedNetwork,
     SimulatorConfig,
+    begin_session,
     generate_topology,
     grow_network,
     simulate_session,
     start_session,
+    truth_link_range,
 )
 
 from treegen import path_from_root, shared_covariance
@@ -306,6 +308,73 @@ def test_started_session_of_another_stream_is_refused():
     started.draw()
     with pytest.raises(InputError, match="started session is of another network, config or stream"):
         simulate_session(net, cfg, stream=2, started=started)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_hosts=st.integers(3, 16),
+    n_routers=st.integers(1, 7),
+    seed=st.integers(0, 2**16),
+    bg=st.sampled_from([0.0, 4e6, 12e6]),
+    n_pairs=st.integers(2, 40),
+)
+def test_session_begun_before_its_network_equals_simulate_session(n_hosts, n_routers, seed, bg, n_pairs):
+    # the head rows drawn on another thread before the network exists; at
+    # bg 12e6 the noise and loss draws follow the jitter
+    cfg = SimulatorConfig(
+        n_hosts=n_hosts, n_routers=n_routers, seed=seed, bg_rate_bytes_per_sec=bg, n_pairs=n_pairs
+    )
+    fewest, most = truth_link_range(cfg)
+    begun = begin_session(cfg, most)
+    worker = threading.Thread(target=begun.draw_rows, args=(fewest,))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and begun.drawn == fewest
+    net = generate_topology(cfg)
+    links = {link for c in net.clients for link in path_links(net, c)}
+    assert len(net.clients) + 1 <= len(links) <= len(net.clients) + n_routers
+    assert (fewest, most) == (len(net.clients) + 1, len(net.clients) + n_routers)
+    log = simulate_session(net, cfg, begun=begun)
+    # the session took the buffer, so that it is freed with the session
+    assert begun.jitter is None
+    want = simulate_session(net, cfg)
+    assert log.ids == want.ids and np.array_equal(log.sender, want.sender)
+    assert np.array_equal(log.present, want.present) and np.array_equal(log.recv, want.recv)
+
+
+def _begun(cfg, links, case):
+    """A session begun for ``cfg``'s network of ``links`` links, spoilt as
+    ``case`` names."""
+    if case == "other-stream":
+        return begin_session(cfg, links, stream=1)
+    if case == "other-config":
+        return begin_session(replace(cfg, n_pairs=cfg.n_pairs + 1), links)
+    if case == "too-few-rows":
+        return begin_session(cfg, links - 1)
+    begun = begin_session(cfg, links + 2)
+    if case == "too-many-drawn":
+        begun.draw_rows(links + 1)
+    else:
+        simulate_session(generate_topology(cfg), cfg, begun=begun)
+    return begun
+
+
+@pytest.mark.parametrize("case", ["other-stream", "other-config", "too-few-rows", "too-many-drawn", "simulated"])
+def test_begun_session_that_does_not_fit_is_refused(case):
+    cfg = small_cfg()
+    net = generate_topology(cfg)
+    begun = _begun(cfg, len(start_session(net, cfg).sigma_us), case)
+    with pytest.raises(InputError, match="^begun session is of another config or stream, or does not fit the network$"):
+        simulate_session(net, cfg, begun=begun)
+
+
+def test_session_given_both_started_and_begun_is_refused():
+    cfg = small_cfg()
+    net = generate_topology(cfg)
+    started = start_session(net, cfg)
+    started.draw()
+    with pytest.raises(InputError, match="^a session is given both started and begun$"):
+        simulate_session(net, cfg, started=started, begun=begin_session(cfg, len(started.sigma_us)))
 
 
 @pytest.mark.parametrize("n_new", [0, -1])
