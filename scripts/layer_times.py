@@ -1,6 +1,7 @@
-"""Wall time of each layer of one static pass (generate -> simulate ->
-estimate -> order -> recover -> score), or of the join loop that follows
-it, untraced, at a given receiver count.
+"""Wall time, or traced memory peak, of each layer of one static pass
+(generate -> simulate -> estimate -> order -> recover -> score), or of the
+join loop that follows it, without the benchmark's span tracing, at a
+given receiver count.
 
     PYTHONPATH=src python scripts/layer_times.py --receivers 1050 --seeds 3 4 5 --repeats 3
     PYTHONPATH=src python scripts/layer_times.py --receivers 105 --joins 12 --seeds 9 10 11
@@ -27,6 +28,16 @@ session's draw, between its ``start_session`` and its
 ``generate_topology`` for the processor and memory, which the
 ``generate_topology`` time shows. For each layer it prints the median over
 seeds x repeats of the wall seconds per pass, as one JSON object.
+
+With ``--memory`` the same passes run under `tracemalloc`, and for each
+layer it prints instead the largest traced peak of its outermost calls in
+MB (2^20 bytes, as the benchmark's ``peak_rss_mb``): the peak is reset as
+each such call starts, so it counts what the call allocates on top of
+everything still alive when it starts. ``pass`` is the largest peak of a
+whole pass. The largest is taken over seeds x repeats; tracing slows every
+allocation, so no wall time is printed.
+
+    PYTHONPATH=src python scripts/layer_times.py --memory --receivers 105 --joins 12 --seeds 9 --repeats 1
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ import argparse
 import json
 import statistics
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 from covtomo import scenarios
@@ -68,27 +80,74 @@ JOIN_LAYERS = (
 KEYS = {"_run_once": "static_pass", "_await_draw": "draw_wait"}
 
 
+class WallTimes:
+    """Wall seconds of each layer in one pass, summed over its calls."""
+
+    def __init__(self):
+        self.values: dict[str, float] = {}
+
+    def start(self):
+        return time.perf_counter()
+
+    def stop(self, key: str, started) -> None:
+        self.values[key] = self.values.get(key, 0.0) + time.perf_counter() - started
+
+    def run_pass(self, run, config):
+        started = self.start()
+        report = run(config)
+        self.stop("pass", started)
+        return report
+
+
+class TracedPeaks:
+    """Largest `tracemalloc` peak (bytes) of each layer's calls in one
+    pass, and of the whole pass under ``pass``. Each call's peak is reset
+    as it starts, so ``peak`` keeps the largest seen before the reset."""
+
+    def __init__(self):
+        self.values: dict[str, int] = {}
+        self.peak = 0
+
+    def start(self):
+        self.peak = max(self.peak, tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+    def stop(self, key: str, started) -> None:
+        peak = tracemalloc.get_traced_memory()[1]
+        self.peak = max(self.peak, peak)
+        self.values[key] = max(self.values.get(key, 0), peak)
+
+    def run_pass(self, run, config):
+        tracemalloc.start()
+        try:
+            report = run(config)
+            self.values["pass"] = max(self.peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return report
+
+
 @contextmanager
-def timing(layers, times: dict):
-    """Wrap each function ``layers`` names in `covtomo.scenarios`, adding
-    its wall time to ``times`` under its key unless an outer wrapped call
+def measuring(layers, meter):
+    """Wrap each function ``layers`` names in `covtomo.scenarios`, so that
+    ``meter`` measures its call under its key unless an outer wrapped call
     is running; restore the originals on exit."""
     saved = {name: getattr(scenarios, name) for name in layers}
     depth = 0
 
     def wrap(key, fn):
-        def timed(*args, **kwargs):
+        def measured(*args, **kwargs):
             nonlocal depth
             depth += 1
-            start = time.perf_counter()
+            started = meter.start() if depth == 1 else None
             try:
                 return fn(*args, **kwargs)
             finally:
                 depth -= 1
                 if not depth:
-                    times[key] = times.get(key, 0.0) + time.perf_counter() - start
+                    meter.stop(key, started)
 
-        return timed
+        return measured
 
     try:
         for name in layers:
@@ -105,6 +164,7 @@ def main(argv=None) -> None:
     parser.add_argument("--seeds", type=int, nargs="+", default=[3, 4, 5])
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--joins", type=int, default=0, metavar="B", help="time B join batches of 50 hosts")
+    parser.add_argument("--memory", action="store_true", help="print traced memory peaks (MB), not wall times")
     args = parser.parse_args(argv)
     n_hosts = round(args.receivers / 0.7)
     config = {
@@ -118,20 +178,21 @@ def main(argv=None) -> None:
     run, layers = (
         (scenarios.run_dynamic_scenario, JOIN_LAYERS) if args.joins else (scenarios.run_scenario, STATIC_LAYERS)
     )
-    passes: dict[str, list[float]] = {}
+    passes: dict[str, list] = {}
     for seed in args.seeds:
         for _ in range(args.repeats):
-            times: dict[str, float] = {}
-            with timing(layers, times):
-                start = time.perf_counter()
-                report = run(dict(resolved, seeds=[seed]))
-                times["pass"] = time.perf_counter() - start
-            for name, seconds in times.items():
-                passes.setdefault(name, []).append(seconds)
+            meter = TracedPeaks() if args.memory else WallTimes()
+            with measuring(layers, meter):
+                report = meter.run_pass(run, dict(resolved, seeds=[seed]))
+            for name, value in meter.values.items():
+                passes.setdefault(name, []).append(value)
     last = report["runs"][0]
     receivers = last["curve"][-1]["n_leaves"] if args.joins else last["n_leaves"]
-    medians = {k: round(statistics.median(v), 4) for k, v in passes.items()}
-    print(json.dumps({"receivers": receivers, **medians}))
+    if args.memory:
+        results = {k: round(max(v) / 2**20, 1) for k, v in passes.items()}
+    else:
+        results = {k: round(statistics.median(v), 4) for k, v in passes.items()}
+    print(json.dumps({"receivers": receivers, **results}))
 
 
 if __name__ == "__main__":

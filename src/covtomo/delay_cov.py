@@ -287,7 +287,9 @@ def covariance_oracle_from_log(log: MeasurementLog):
     The kernel's columns are built once. A pair's sums are read when it is
     first asked for, from 1-D dot products of its two rows (see the module
     docstring), and divided as `_cov_ms2` divides them. Every value equals
-    the matrix entry.
+    the matrix entry. The oracle keeps those columns (X, the row sums and,
+    when a packet was lost, the mask M), not the log, so the caller's drop
+    of the log frees it.
     """
     ids = sorted(log.receivers)
     index = {r: i for i, r in enumerate(ids)}

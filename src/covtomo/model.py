@@ -402,7 +402,10 @@ class MeasurementLog:
 
     ``arrivals`` ({receiver: {k: ts}}) is a read-only Mapping view over
     the rows, for readers of the dict form; the package reads the columns.
-    It copies nothing: ``len(log.arrivals[r])`` reads ``counts``.
+    It copies nothing: ``len(log.arrivals[r])`` reads ``counts``. The view
+    is built each time it is read, so a log never references itself and
+    is freed by reference counting as soon as its last reader drops it,
+    without waiting for the cyclic garbage collector.
     """
 
     def __init__(self, ids, sender, recv, present):
@@ -425,7 +428,10 @@ class MeasurementLog:
         self.receivers = frozenset(self.ids)
         self._row = {r: i for i, r in enumerate(self.ids)}
         self.counts = tuple(present.sum(axis=1).tolist())
-        self.arrivals = _Arrivals(self)
+
+    @property
+    def arrivals(self) -> Mapping:
+        return _Arrivals(self)
 
     @property
     def n_pairs(self) -> int:

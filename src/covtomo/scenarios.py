@@ -30,10 +30,17 @@ and joins it before it returns or raises. In each pass the worker draws
 the head rows of the session's jitter (`simulator.SessionDraws.draw_rows`)
 while the main thread generates the network; in a dynamic run it also
 draws each join session's jitter (`simulator.SessionStart.draw`) while the
-main thread joins and scores the batch before it. Reports
-are single JSON documents embedding the full resolved config; given the
-same config they re-serialize byte-identically, and their sums add left to
-right whatever the Python version (`_sum_in_order`).
+main thread joins and scores the batch before it.
+A dynamic run holds one batch's arrays at a time. A batch's log lives
+until its oracle is built (`covariance_oracle_from_log`), and the oracle's
+columns until the batch's hosts are attached; meanwhile the worker fills
+the next session's jitter buffer, which `simulate_session` frees as it
+makes that session's log. No object of the package refers to itself, so
+each is freed by reference counting when the run drops it, not by the
+cyclic garbage collector.
+Reports are single JSON documents embedding the full resolved config;
+given the same config they re-serialize byte-identically, and their sums
+add left to right whatever the Python version (`_sum_in_order`).
 """
 
 from __future__ import annotations
@@ -244,7 +251,11 @@ def run_dynamic_scenario(resolved: dict) -> dict:
     One worker thread draws the head rows of the initial session, as in
     `run_scenario`, and each join session's jitter (`SessionStart.draw`)
     while the main thread works on the batch before it; it is joined before
-    this returns or raises."""
+    this returns or raises.
+
+    A batch's log is dropped once its oracle is built, and the oracle once
+    the batch's hosts are attached, so at most one log, one oracle's
+    columns and the next session's jitter buffer are alive at a time."""
     # imported here, as only a run starts a thread (~7 ms)
     from concurrent.futures import ThreadPoolExecutor
 
@@ -272,8 +283,11 @@ def run_dynamic_scenario(resolved: dict) -> dict:
                     pending = _join_batch(worker, net, sim, join_sim, batches, step + 1)
                 n_hosts += len(new_hosts)
                 oracle = covariance_oracle_from_log(log)
+                # the oracle keeps the kernel's columns, not the log
+                del log
                 for host in new_hosts:
                     attach_peer(tree, oracle, host, config)
+                del oracle
                 curve.append(_curve_point(sim.n_routers + n_hosts, score_trees(tree, truth)))
             runs.append({"seed": seed, "curve": curve, "final_tree": tree.to_dict()})
     initial_mean, _ = _mean_stderr([r["curve"][0]["p"] for r in runs])

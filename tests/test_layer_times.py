@@ -1,11 +1,13 @@
 """`scripts/layer_times.py` times the layers it names by wrapping functions
 bound in `covtomo.scenarios`; a rename there would leave the script failing
 at its first pass, so each name is checked against the module here, and
-the script runs once at a small scale in each of its modes."""
+the script runs once at a small scale in each of its modes, and once
+measuring memory."""
 
 import importlib.util
 import inspect
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -38,3 +40,14 @@ def test_script_times_every_layer(capsys, joins):
     want = {"receivers", "pass"} | {layer_times.KEYS.get(name, name) for name in layers}
     assert set(times) == want
     assert times["receivers"] == (21 + 2 * layer_times.JOIN_BATCH if joins else 21)
+
+
+def test_memory_mode_prints_traced_peaks(capsys):
+    layer_times.main(["--receivers", "21", "--seeds", "1", "--repeats", "1", "--joins", "2", "--memory"])
+    peaks = json.loads(capsys.readouterr().out)
+    want = {"receivers", "pass"} | {layer_times.KEYS.get(name, name) for name in layer_times.JOIN_LAYERS}
+    assert set(peaks) == want
+    # a pass's peak is the largest of its calls' peaks, or above it
+    layers = [v for k, v in peaks.items() if k not in ("receivers", "pass")]
+    assert 0 < max(layers) <= peaks["pass"]
+    assert not tracemalloc.is_tracing()
