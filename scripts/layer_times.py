@@ -17,17 +17,19 @@ call inside another timed call counts only in the outer one: with
 ``--joins`` the whole static pass is one ``static_pass`` time, and the
 other layers are the join loop's, summed over the batches.
 
-Some draws run on the run's worker thread while the main thread works,
-and their own time shows in no layer: a static pass's head jitter rows
-draw while ``generate_topology`` runs, and a join session's jitter while
-the join layers of the batch before it run. ``draw_wait`` is the time the
-main thread then waits for such a draw: for the head draw, once
-``generate_topology`` has returned; with ``--joins``, for each join
-session's draw, between its ``start_session`` and its
-``simulate_session``. The overlap is not free: the head draw competes with
-``generate_topology`` for the processor and memory, which the
-``generate_topology`` time shows. For each layer it prints the median over
-seeds x repeats of the wall seconds per pass, as one JSON object.
+Some draws of standard normals run on the run's worker thread while the
+main thread works, and their own time shows in no layer: a static pass's
+head jitter rows draw while ``generate_topology`` runs, and a join
+session's rows while the join layers of the batch before it run.
+``draw_wait`` is the time the main thread then waits for such a draw: for
+the head draw, once ``generate_topology`` has returned; with ``--joins``,
+for each join session's draw, between its ``begin_session`` and its
+``simulate_session``. ``simulate_session`` includes the scaling of every
+row of jitter, which runs on the main thread. The overlap is not free: the
+head draw competes with ``generate_topology`` for the processor and
+memory, which the ``generate_topology`` time shows. For each layer it
+prints the median over seeds x repeats of the wall seconds per pass, as
+one JSON object.
 
 With ``--memory`` the same passes run under `tracemalloc`, and for each
 layer it prints instead the largest traced peak of its outermost calls in
@@ -69,7 +71,6 @@ STATIC_LAYERS = (
 JOIN_LAYERS = (
     "_run_once",
     "grow_network",
-    "start_session",
     "_await_draw",
     "simulate_session",
     "covariance_oracle_from_log",

@@ -26,11 +26,12 @@ simulator's pair interval.
 Both modes run each seed through one pass, `_run_once`: generate ->
 simulate -> estimate -> `recover_from_matrix` (DFS order, then
 `recover_tree` at that rho) -> score. Every run keeps one worker thread,
-and joins it before it returns or raises. In each pass the worker draws
-the head rows of the session's jitter (`simulator.SessionDraws.draw_rows`)
-while the main thread generates the network; in a dynamic run it also
-draws each join session's jitter (`simulator.SessionStart.draw`) while the
-main thread joins and scores the batch before it.
+and joins it before it returns or raises. The worker runs nothing but
+`simulator.SessionDraws.draw_rows`, filling a session's jitter buffer with
+standard normals: a pass's head rows while the main thread generates the
+network, and in a dynamic run each join session's rows while the main
+thread joins and scores the batch before it. `simulate_session` scales
+them on the main thread.
 A dynamic run holds one batch's arrays at a time. A batch's log lives
 until its oracle is built (`covariance_oracle_from_log`), and the oracle's
 columns until the batch's hosts are attached; meanwhile the worker fills
@@ -66,7 +67,6 @@ from .simulator import (
     generate_topology,
     grow_network,
     simulate_session,
-    start_session,
     truth_link_range,
 )
 
@@ -236,11 +236,13 @@ def _curve_point(n_nodes: int, report) -> dict:
 
 def _join_batch(worker, net, sim: SimulatorConfig, join_sim: SimulatorConfig, batches, step: int):
     """Batch ``step`` (from 1) of ``batches`` joins ``net``, its session
-    starts, and ``worker`` starts the session's draw. Returns the new hosts,
-    the started session and the draw's future."""
+    begins with one jitter row per link of the grown network, and
+    ``worker`` starts drawing them. Returns the new hosts, the begun
+    session and the draw's future."""
     new_hosts = grow_network(net, sim, batches[step - 1], stream=step)
-    started = start_session(net, join_sim, stream=step)
-    return new_hosts, started, worker.submit(started.draw)
+    links = len(net.truth.nodes()) - 1  # one per node below the source
+    draws = begin_session(join_sim, links, stream=step)
+    return new_hosts, draws, worker.submit(draws.draw_rows, links)
 
 
 def run_dynamic_scenario(resolved: dict) -> dict:
@@ -249,9 +251,10 @@ def run_dynamic_scenario(resolved: dict) -> dict:
     the evolving ground truth after each step.
 
     One worker thread draws the head rows of the initial session, as in
-    `run_scenario`, and each join session's jitter (`SessionStart.draw`)
-    while the main thread works on the batch before it; it is joined before
-    this returns or raises.
+    `run_scenario`, and each join session's standard normals
+    (`SessionDraws.draw_rows`) while the main thread works on the batch
+    before it; `simulate_session` scales them on the main thread. The
+    worker is joined before this returns or raises.
 
     A batch's log is dropped once its oracle is built, and the oracle once
     the batch's hosts are attached, so at most one log, one oracle's
@@ -274,9 +277,9 @@ def run_dynamic_scenario(resolved: dict) -> dict:
             n_hosts = sim.n_hosts
             pending = _join_batch(worker, net, sim, join_sim, batches, 1)
             for step in range(1, len(batches) + 1):
-                new_hosts, started, drawn = pending
+                new_hosts, draws, drawn = pending
                 _await_draw(drawn)
-                log = simulate_session(net, join_sim, stream=step, started=started)
+                log = simulate_session(net, join_sim, stream=step, begun=draws)
                 # the truth of this batch, before the next one joins
                 truth = branching_skeleton(net.truth)
                 if step < len(batches):

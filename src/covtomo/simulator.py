@@ -36,20 +36,18 @@ it, in one reverse pass over the same walk. That takes O(links * pairs)
 memory, and every float sum runs in path order from the source, so a log
 does not depend on a BLAS library's summation order.
 
-A session runs in two parts. `start_session` reads the tree: the walk, the
-link order and each link's jitter sigma. `SessionStart.draw` fills the
-session's jitter buffer from its own generator (seeded by config seed and
-stream, shared with no other session) and scales it by the sigmas, reading
-nothing else, so it may run on another thread; `simulate_session` then
-finishes the session with the generator's remaining draws, or runs all
-three parts itself. A session can also begin before its network:
-`begin_session` needs only the config and the stream, and allocates a
-buffer of as many rows as the network can have links (`truth_link_range`);
-its head rows can be drawn (`SessionDraws.draw_rows`) while the network is
-generated, `start_session` takes the buffer's first row per link, and
-`SessionStart.draw` draws only the rows not drawn yet. A generator gives
-the same normals however a fill is split, so the log is the same bit for
-bit in every case.
+A session can begin before its network: `begin_session` needs only the
+config and the stream. It makes the session's own generator (seeded by
+config seed and stream, shared with no other session) and a jitter buffer
+of as many rows as the network can have links (`truth_link_range`), or of
+one row per link when the network is known. `SessionDraws.draw_rows` fills
+the buffer's head rows with standard normals; it reads nothing but the
+generator, so it may run on another thread while the network is generated
+or grown. `simulate_session` reads the tree (the walk, the link order, each
+link's jitter sigma), draws the rows not drawn yet, scales every row and
+finishes the session with the generator's remaining draws, or begins the
+session itself. A generator gives the same normals however a fill is
+split, so the log is the same bit for bit in every case.
 
 Background traffic scales every link's jitter variance linearly with the
 configured rate, and pushes links over a utilization threshold into
@@ -447,10 +445,10 @@ def _offset_scale(draws: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 class SessionDraws:
     """A session's own generator, seeded by config seed and stream and shared
     with no other session, and its jitter buffer: a column per pair, and a
-    row for each link the network can have until `start_session` keeps one
-    row per link it has. The first ``drawn`` rows hold standard normals.
-    `begin_session` makes it from the config and the stream alone, so it
-    can exist before the network."""
+    row for each link the network can have, of which `simulate_session`
+    keeps one per link it has. The first ``drawn`` rows hold standard
+    normals. `begin_session` makes it from the config and the stream alone,
+    so it can exist before the network."""
 
     config: SimulatorConfig
     stream: int
@@ -461,7 +459,10 @@ class SessionDraws:
     def draw_rows(self, rows: int) -> None:
         """Fill the buffer's rows from ``drawn`` up to ``rows`` with standard
         normals. It reads nothing but the generator, so it may run on another
-        thread."""
+        thread. Refuses, before any draw, ``rows`` below ``drawn`` or past the
+        buffer, and a buffer its session has taken."""
+        if self.jitter is None or not self.drawn <= rows <= len(self.jitter):
+            raise InputError(f"cannot draw up to row {rows}: below the rows drawn, past the buffer, or it is taken")
         self.rng.standard_normal(out=self.jitter[self.drawn : rows])
         self.drawn = rows
 
@@ -474,38 +475,21 @@ def begin_session(config: SimulatorConfig, rows: int, stream: int = 0) -> Sessio
     return SessionDraws(config, stream, rng, np.empty((rows, config.n_pairs)))
 
 
-@dataclass(eq=False)
-class SessionStart:
-    """What `start_session` reads from the network for one session: the
-    (node, parent) walk of the truth tree, each node's row of the link-key
-    ordered jitter buffer and the links' jitter sigmas, with the session's
-    `SessionDraws`, whose buffer holds one row per link.
-
-    `draw` fills and scales the buffer. It reads nothing but the generator
-    and the sigmas, so it may run on another thread; `simulate_session`
-    reads the rest of the session's draws from the same generator once the
-    buffer is filled."""
-
-    net: SimulatedNetwork
-    walk: list[tuple[NodeId, NodeId]]
-    row: dict[NodeId, int]
-    sigma_us: np.ndarray
-    draws: SessionDraws
-
-    def draw(self) -> None:
-        """The session's first draw: the shared per-(link, pair) jitter, its
-        rows not drawn yet, then every row scaled."""
-        self.draws.draw_rows(len(self.sigma_us))
-        _offset_scale(self.draws.jitter, self.sigma_us)
-
-
-def start_session(
+def simulate_session(
     net: SimulatedNetwork, config: SimulatorConfig, stream: int = 0, *, begun: SessionDraws | None = None
-) -> SessionStart:
-    """The part of `simulate_session` that reads the network's tree: see
-    `SessionStart`. ``begun``, when given, is the `begin_session` of the
-    same config and stream, with no more rows drawn than the network has
-    links and room for all of them; otherwise the session begins here."""
+) -> MeasurementLog:
+    """Synthesize one measurement session over all current clients.
+
+    Per pair index the sender emits one packet per client; a client's
+    end-to-end delay sums, over its path links, base delay, transmission
+    time and the link's shared jitter sample for that index, plus
+    independent congestion noise. Congested links also drop packets, which
+    shows up as missing arrivals. Bit-identical for identical inputs.
+
+    ``begun``, when given, is the `begin_session` of the same config and
+    stream, with no more rows drawn than the network has links and room for
+    all of them; otherwise the session begins here.
+    """
     truth = net.truth
     if not truth.leaves:
         raise InputError("network has no clients")
@@ -528,43 +512,11 @@ def start_session(
         or not begun.drawn <= len(links) <= len(begun.jitter)
     ):
         raise InputError("begun session is of another config or stream, or does not fit the network")
-    # a view: the buffer lives as long as the session holds it
-    begun.jitter = begun.jitter[: len(links)]
-    return SessionStart(net, walk, row, sigma_us, begun)
-
-
-def simulate_session(
-    net: SimulatedNetwork,
-    config: SimulatorConfig,
-    stream: int = 0,
-    *,
-    started: SessionStart | None = None,
-    begun: SessionDraws | None = None,
-) -> MeasurementLog:
-    """Synthesize one measurement session over all current clients.
-
-    Per pair index the sender emits one packet per client; a client's
-    end-to-end delay sums, over its path links, base delay, transmission
-    time and the link's shared jitter sample for that index, plus
-    independent congestion noise. Congested links also drop packets, which
-    shows up as missing arrivals. Bit-identical for identical inputs.
-
-    ``started``, when given, is the `start_session` of the same arguments,
-    with its `SessionStart.draw` done, and the network unchanged since the
-    start; otherwise the session starts and draws here, from ``begun`` when
-    that is given (see `start_session`).
-    """
-    if started is None:
-        started = start_session(net, config, stream, begun=begun)
-        started.draw()
-    elif begun is not None:
-        raise InputError("a session is given both started and begun")
-    elif started.net is not net or started.draws.config != config or started.draws.stream != stream:
-        raise InputError("started session is of another network, config or stream")
-    truth = net.truth
-    rng, walk, row = started.draws.rng, started.walk, started.row
-    # the session's buffer; dropped here, so that it is freed below
-    jitter, started.draws.jitter = started.draws.jitter, None
+    begun.draw_rows(len(links))
+    rng = begun.rng
+    # the session's first draw, scaled; the session takes the buffer from
+    # ``begun``, so that it is freed below
+    jitter, begun.jitter = _offset_scale(begun.jitter[: len(links)], sigma_us), None
     clients = sorted(truth.leaves)
     schedule = config.sender_schedule()
     n = len(schedule)

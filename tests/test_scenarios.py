@@ -1,3 +1,4 @@
+import inspect
 import math
 import threading
 import time
@@ -19,7 +20,7 @@ from covtomo.scenarios import (
     run_dynamic_scenario,
     run_scenario,
 )
-from covtomo.simulator import SessionDraws, SessionStart, SimulatorConfig, truth_link_range
+from covtomo.simulator import SessionDraws, SimulatorConfig, truth_link_range
 
 from treegen import log_from_dicts
 
@@ -106,16 +107,19 @@ def test_dynamic_run_draws_on_one_worker_and_joins_it(monkeypatch):
     assert run_dynamic_scenario(parse_config(DYNAMIC)) == want
     assert threading.active_count() == before
     # per seed, the static session's head rows on the worker and the rest
-    # here, then the three join sessions whole on the same worker
+    # here, then each join session's rows whole on the same worker, and
+    # none left to draw here
     here = threading.get_ident()
     workers = {ident for ident, _, _ in calls if ident != here}
     fewest, _ = truth_link_range(SimulatorConfig(**DYNAMIC["simulator"]))
-    assert len(workers) == 1 and len(calls) == 10
-    for seed_calls in (calls[:5], calls[5:]):
+    assert len(workers) == 1 and len(calls) == 16
+    for seed_calls in (calls[:8], calls[8:]):
         (head, rest, *joins) = seed_calls
         assert head[0] != here and head[1:] == (0, fewest)
         assert rest[0] == here and rest[1] == fewest
-        assert all(ident != here and drawn == 0 for ident, drawn, _ in joins)
+        for (ident, drawn, rows), (then_ident, then_drawn, then_rows) in zip(joins[::2], joins[1::2]):
+            assert ident != here and drawn == 0 and rows > fewest
+            assert then_ident == here and then_drawn == then_rows == rows
 
 
 def test_static_run_draws_the_head_on_one_worker_and_joins_it(monkeypatch):
@@ -188,20 +192,45 @@ def test_dynamic_run_joins_its_worker_when_a_batch_raises(monkeypatch, where):
 
         monkeypatch.setattr(scenarios, "attach_peer", failing)
     else:
-        draw = SessionStart.draw
+        draw_rows = SessionDraws.draw_rows
 
-        def failing(self):
-            calls.append(self)
-            if len(calls) == 2:
+        def failing(self, rows):
+            # the second join session's stream
+            if self.stream == 2:
                 raise failure
-            draw(self)
+            draw_rows(self, rows)
 
-        monkeypatch.setattr(SessionStart, "draw", failing)
+        monkeypatch.setattr(SessionDraws, "draw_rows", failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as err:
         run_dynamic_scenario(parse_config(DYNAMIC))
     assert err.value is failure
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("run, config", [(run_scenario, STATIC), (run_dynamic_scenario, DYNAMIC)], ids=["static", "dynamic"])
+def test_worker_runs_only_draw_rows(monkeypatch, run, config):
+    # every covtomo function bound in the scenarios module, found as the
+    # benchmark's tracer finds them, which keeps one span stack for all
+    # threads: each runs on this thread, and the worker only draws normals
+    threads = []
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            threads.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name, fn in list(vars(scenarios).items()):
+        if inspect.isfunction(fn) and fn.__module__.startswith("covtomo."):
+            monkeypatch.setattr(scenarios, name, recorded(name, fn))
+    monkeypatch.setattr(SessionDraws, "draw_rows", recorded("draw_rows", SessionDraws.draw_rows))
+    run(parse_config(config))
+    here = threading.get_ident()
+    on_worker = {name for name, ident in threads if ident != here}
+    assert on_worker == {"draw_rows"}
+    assert {"_run_once", "generate_topology", "simulate_session"} <= {name for name, _ in threads}
 
 
 def test_kernel_zeros_are_positive():

@@ -26,7 +26,6 @@ from covtomo.simulator import (
     generate_topology,
     grow_network,
     simulate_session,
-    start_session,
     truth_link_range,
 )
 
@@ -283,31 +282,24 @@ def test_simulated_logs_match_pinned_digests(tmp_path):
     ids=["loss-free", "lossy", "drop-override"],
 )
 def test_session_drawn_on_another_thread_equals_simulate_session(overrides, drop):
-    # started here, its jitter drawn on another thread, finished here
+    # begun here with a row per link of the grown network, every row drawn
+    # on another thread, finished here
     cfg = small_cfg(**overrides)
     net = generate_topology(cfg)
     grow_network(net, cfg, 3, stream=2)
     if drop:
         net.drop_override[path_links(net, sorted(net.clients)[0])[-1]] = 0.3
     want = simulate_session(net, cfg, stream=2)
-    started = start_session(net, cfg, stream=2)
-    worker = threading.Thread(target=started.draw)
+    links = len(net.truth.nodes()) - 1
+    begun = begin_session(cfg, links, stream=2)
+    worker = threading.Thread(target=begun.draw_rows, args=(links,))
     worker.start()
     worker.join(timeout=60)
-    assert not worker.is_alive()
-    log = simulate_session(net, cfg, stream=2, started=started)
+    assert not worker.is_alive() and begun.drawn == links
+    log = simulate_session(net, cfg, stream=2, begun=begun)
     assert log.present.all() == (not overrides and not drop)
     assert log.ids == want.ids and np.array_equal(log.sender, want.sender)
     assert np.array_equal(log.present, want.present) and np.array_equal(log.recv, want.recv)
-
-
-def test_started_session_of_another_stream_is_refused():
-    cfg = small_cfg()
-    net = generate_topology(cfg)
-    started = start_session(net, cfg, stream=1)
-    started.draw()
-    with pytest.raises(InputError, match="started session is of another network, config or stream"):
-        simulate_session(net, cfg, stream=2, started=started)
 
 
 @settings(max_examples=100, deadline=None)
@@ -363,18 +355,31 @@ def _begun(cfg, links, case):
 def test_begun_session_that_does_not_fit_is_refused(case):
     cfg = small_cfg()
     net = generate_topology(cfg)
-    begun = _begun(cfg, len(start_session(net, cfg).sigma_us), case)
+    # a link per node below the source
+    begun = _begun(cfg, len(net.truth.nodes()) - 1, case)
     with pytest.raises(InputError, match="^begun session is of another config or stream, or does not fit the network$"):
         simulate_session(net, cfg, begun=begun)
 
 
-def test_session_given_both_started_and_begun_is_refused():
+@pytest.mark.parametrize("rows", ["below-drawn", "past-buffer"])
+def test_draw_rows_outside_the_buffer_is_refused_before_drawing(rows):
     cfg = small_cfg()
+    fewest, most = truth_link_range(cfg)
+    begun = begin_session(cfg, most)
+    begun.draw_rows(fewest)
+    head, state = begun.jitter[:fewest].copy(), begun.rng.bit_generator.state
+    with pytest.raises(InputError, match="^cannot draw up to row"):
+        begun.draw_rows(2 if rows == "below-drawn" else most + 5)
+    assert begun.drawn == fewest and begun.rng.bit_generator.state == state
+    assert np.array_equal(begun.jitter[:fewest], head)
+    # so the session still equals a plain one
     net = generate_topology(cfg)
-    started = start_session(net, cfg)
-    started.draw()
-    with pytest.raises(InputError, match="^a session is given both started and begun$"):
-        simulate_session(net, cfg, started=started, begun=begin_session(cfg, len(started.sigma_us)))
+    log, want = simulate_session(net, cfg, begun=begun), simulate_session(net, cfg)
+    assert log.ids == want.ids and np.array_equal(log.sender, want.sender)
+    assert np.array_equal(log.present, want.present) and np.array_equal(log.recv, want.recv)
+    # and its buffer, taken by the session, is refused too
+    with pytest.raises(InputError, match="^cannot draw up to row"):
+        begun.draw_rows(most)
 
 
 @pytest.mark.parametrize("n_new", [0, -1])
