@@ -15,7 +15,11 @@ joining hosts, as in the benchmark's growth-joins workload (``--receivers
 `covtomo.scenarios` calls, so the times are those of the real pipeline. A
 call inside another timed call counts only in the outer one: with
 ``--joins`` the whole static pass is one ``static_pass`` time, and the
-other layers are the join loop's, summed over the batches.
+other layers are the join loop's, summed over the batches. The DFS order
+and the recovery walk are one layer, ``recover_from_matrix``, as
+`covtomo.scenarios` calls them through it; a traced benchmark run
+(``benchmarks/run.py --trace 1``) times them apart, as ``ordering.dfs_s``
+and ``recover.tree_s``.
 
 Some draws of standard normals run on the run's worker thread while the
 main thread works, and their own time shows in no layer: a static pass's
@@ -62,8 +66,7 @@ STATIC_LAYERS = (
     "_await_draw",
     "simulate_session",
     "build_covariance_matrix",
-    "dfs_order",
-    "recover_tree",
+    "recover_from_matrix",
     "branching_skeleton",
     "score_trees",
     "_cov_summary",

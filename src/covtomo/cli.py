@@ -1,16 +1,17 @@
 """Command-line interface.
 
 Subcommands: simulate, estimate, recover, join, score, e2e. `e2e` is the
-one way to run a scenario config, static or dynamic; `recover`
-shares its recovery step, `scenarios.recover_from_matrix`. `score` scores
+one way to run a scenario config, static or dynamic; `recover` shares its
+recovery step, `recover.recover_from_matrix`, with it. `score` scores
 against the truth tree's branching skeleton; every lowest common ancestor
 of two leaves branches, so splicing single-child routers keeps the order
 of shared path lengths, and `p` is the same as against the raw tree.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
 invariant violation. A config file that cannot be read or parsed exits 2,
 and a log, tree or matrix file 3, with a message naming the file. An
-output file that cannot be written exits 3, naming the file; `e2e` checks
-its report path before it runs the scenario.
+output file that cannot be written exits 3, naming the file; `simulate`
+checks its log and tree paths before it simulates, and `e2e` its report
+path before it runs the scenario, so neither leaves a partial output.
 """
 
 from __future__ import annotations
@@ -26,15 +27,8 @@ from .dynamic import attach_peer
 from .errors import ConfigError, DataError, InvariantError, TomographyError
 from .logio import check_writable, export_log, import_log, load_matrix, load_tree, save_matrix, save_tree, write_json
 from .model import branching_skeleton
-from .recover import RecoveryConfig
-from .scenarios import (
-    _sim_from_resolved,
-    load_config,
-    recover_from_matrix,
-    run_dynamic_scenario,
-    run_scenario,
-    write_report,
-)
+from .recover import RecoveryConfig, recover_from_matrix
+from .scenarios import _sim_from_resolved, load_config, run_dynamic_scenario, run_scenario, write_report
 from .simulator import generate_topology, simulate_session
 
 
@@ -42,6 +36,9 @@ def _cmd_simulate(args) -> None:
     resolved = load_config(args.config)
     seed = args.seed if args.seed is not None else resolved["seeds"][0]
     sim = _sim_from_resolved(resolved, seed=seed)
+    check_writable(args.out, "log")
+    if args.truth_out:
+        check_writable(args.truth_out, "tree")
     net = generate_topology(sim)
     log = simulate_session(net, sim)
     export_log(log, args.out)

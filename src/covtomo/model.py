@@ -397,7 +397,8 @@ class MeasurementLog:
 
     ``sender`` is the send schedule, evenly spaced or not: the pairs ride on
     a data flow. ``sender`` and ``recv`` are int64 with every value below
-    ``TIMESTAMP_LIMIT_US`` in magnitude; other columns raise InputError.
+    ``TIMESTAMP_LIMIT_US`` in magnitude, and ``present`` is bool; other
+    columns raise InputError.
     The arrays are read-only.
 
     ``arrivals`` ({receiver: {k: ts}}) is a read-only Mapping view over
@@ -420,6 +421,8 @@ class MeasurementLog:
                 raise InputError(f"timestamps must be int64, got {column.dtype}")
             if column.size and not (-TIMESTAMP_LIMIT_US < column.min() and column.max() < TIMESTAMP_LIMIT_US):
                 raise InputError(_OUT_OF_RANGE)
+        if present.dtype != bool:
+            raise InputError(f"presence must be bool, got {present.dtype}")
         for column in (sender, recv, present):
             column.flags.writeable = False
         self.sender = sender

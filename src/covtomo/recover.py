@@ -16,8 +16,11 @@ predecessor as the case says:
                        label still covers the target, attaching there or
                        inserting a hidden router just above it.
 
-`place_leaf` is the one placement step: the join walk in `dynamic` uses it
-too, with the representative leaf it ends at as the anchor.
+`place_leaf` is the one placement step: the first leaf hangs under the
+source, and every later one, the second as DEEPER, goes through it; the
+join walk in `dynamic` uses it too, with the representative leaf it ends
+at as the anchor. `recover_from_matrix` is the matrix-to-tree step that the
+scenario runner and `covtomo recover` share: DFS order, then the walk.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, InputError
 from .model import CovarianceMatrix, NodeId, RoutingTree, _finite, check_new_hosts
+from .ordering import dfs_order
 
 
 class Case(enum.Enum):
@@ -119,11 +123,12 @@ def recover_tree(source: NodeId, ordered_leaves, cov: CovarianceMatrix, config: 
     """Recover the routing tree rooted at ``source`` over leaves given in an
     estimated DFS order.
 
-    The first two leaves bootstrap a fresh router labeled with their pair
-    covariance (the case rules need a previous pair to compare against);
-    every later leaf dispatches on classify_case. Router labels record the
-    covariance that created them, clamped to the parent's label so the tree
-    stays monotone even under measurement noise.
+    The first leaf hangs under the source. The second has no earlier pair
+    to compare with, so it goes DEEPER: a fresh router under the source,
+    labeled with their pair covariance clamped to the source's 0.0, holds
+    both. Every later leaf dispatches on classify_case. Router labels
+    record the covariance that created them, clamped to the parent's label
+    so the tree stays monotone even under measurement noise.
 
     The leaves pass `model.check_new_hosts` against the source, so none is
     repeated, equal to the source, or a router id that the tree's own
@@ -138,18 +143,17 @@ def recover_tree(source: NodeId, ordered_leaves, cov: CovarianceMatrix, config: 
     rho = config.rho
 
     tree = RoutingTree(source)
-    if len(leaves) == 1:
-        tree.add_leaf(leaves[0], source)
-        return tree
-
-    sigma_prev = cov.get(leaves[0], leaves[1])
-    boot = tree.add_router(source, max(sigma_prev, 0.0))
-    tree.add_leaf(leaves[0], boot)
-    tree.add_leaf(leaves[1], boot)
-
-    for i in range(2, len(leaves)):
-        sigma_cur = cov.get(leaves[i], leaves[i - 1])
-        case = classify_case(sigma_cur, sigma_prev, rho)
-        place_leaf(tree, leaves[i - 1], leaves[i], case, sigma_cur, rho)
+    tree.add_leaf(leaves[0], source)
+    sigma_prev = None
+    for prev, leaf in zip(leaves, leaves[1:]):
+        sigma_cur = cov.get(leaf, prev)
+        case = Case.DEEPER if sigma_prev is None else classify_case(sigma_cur, sigma_prev, rho)
+        place_leaf(tree, prev, leaf, case, sigma_cur, rho)
         sigma_prev = sigma_cur
     return tree
+
+
+def recover_from_matrix(source: NodeId, cov: CovarianceMatrix, config: RecoveryConfig) -> RoutingTree:
+    """DFS order of ``cov``, then `recover_tree` from ``source`` at the
+    threshold of ``config``. Returns the tree."""
+    return recover_tree(source, dfs_order(cov), cov, config)

@@ -24,8 +24,8 @@ take generated ids (`simulator.grow_network`), and the join sessions send
 ``joins.n_pairs`` pairs (default: the simulator section's) at the
 simulator's pair interval.
 Both modes run each seed through one pass, `_run_once`: generate ->
-simulate -> estimate -> `recover_from_matrix` (DFS order, then
-`recover_tree` at that rho) -> score. Every run keeps one worker thread,
+simulate -> estimate -> `recover.recover_from_matrix` (DFS order, then
+the walk at that rho) -> score. Every run keeps one worker thread,
 and joins it before it returns or raises. The worker runs nothing but
 `simulator.SessionDraws.draw_rows`, filling a session's jitter buffer with
 standard normals: a pass's head rows while the main thread generates the
@@ -58,8 +58,7 @@ from .dynamic import attach_peer
 from .errors import ConfigError, TomographyError
 from .logio import read_json, write_json
 from .model import branching_skeleton
-from .ordering import dfs_order
-from .recover import RecoveryConfig, recover_tree
+from .recover import RecoveryConfig, recover_from_matrix
 from .simulator import (
     SimulatorConfig,
     _is_int,
@@ -176,12 +175,6 @@ def _cov_summary(cov) -> dict:
         "max_offdiag": float(off.max()),
         "mean_offdiag": _sum_in_order(off) / len(off),
     }
-
-
-def recover_from_matrix(source, cov, config: RecoveryConfig):
-    """DFS order of ``cov``, then `recover_tree` from ``source`` at the
-    threshold of ``config``. Returns the tree."""
-    return recover_tree(source, dfs_order(cov), cov, config)
 
 
 def _await_draw(drawn) -> None:

@@ -51,7 +51,8 @@ split, so the log is the same bit for bit in every case.
 
 Background traffic scales every link's jitter variance linearly with the
 configured rate, and pushes links over a utilization threshold into
-congestion, which adds per-client independent noise and packet loss.
+congestion, which adds per-client independent noise and packet loss;
+congestion is a session's only source of loss.
 Utilization counts background rate plus the probe traffic itself, so small
 pair intervals can congest heavily shared links. This reproduces the
 qualitative extremes: almost no load means covariance gaps too small to
@@ -249,8 +250,6 @@ class SimulatedNetwork:
         self.link_params: dict[tuple[NodeId, NodeId], tuple[float, float]] = link_params
         self._router_paths: dict[NodeId, tuple[NodeId, ...]] = router_paths
         self._host_seq = host_seq
-        # tests may force per-link drop probabilities regardless of congestion
-        self.drop_override: dict[tuple[NodeId, NodeId], float] = {}
 
     @property
     def clients(self) -> set[NodeId]:
@@ -484,11 +483,13 @@ def simulate_session(
     end-to-end delay sums, over its path links, base delay, transmission
     time and the link's shared jitter sample for that index, plus
     independent congestion noise. Congested links also drop packets, which
-    shows up as missing arrivals. Bit-identical for identical inputs.
+    shows up as missing arrivals; no other link loses any. Bit-identical for
+    identical inputs.
 
     ``begun``, when given, is the `begin_session` of the same config and
     stream, with no more rows drawn than the network has links and room for
-    all of them; otherwise the session begins here.
+    all of them (`SessionDraws.draw_rows` refuses it otherwise); without it
+    the session begins here.
     """
     truth = net.truth
     if not truth.leaves:
@@ -505,13 +506,9 @@ def simulate_session(
     sigma_us = np.array([math.sqrt(net.link_params[link][1]) * 1000.0 for link, _ in links])
     if begun is None:
         begun = begin_session(config, len(links), stream)
-    elif (
-        begun.config != config
-        or begun.stream != stream
-        or begun.jitter is None
-        or not begun.drawn <= len(links) <= len(begun.jitter)
-    ):
-        raise InputError("begun session is of another config or stream, or does not fit the network")
+    elif begun.config != config or begun.stream != stream:
+        raise InputError("begun session is of another config or stream")
+    # refuses, before any draw, a buffer that does not fit the network
     begun.draw_rows(len(links))
     rng = begun.rng
     # the session's first draw, scaled; the session takes the buffer from
@@ -531,8 +528,7 @@ def simulate_session(
     noise_var_us2 = {truth.root: 0.0}
     survival = {truth.root: 1.0}
     for node, parent in walk:
-        link = net.link_key(parent, node)
-        base, var = net.link_params[link]
+        base, var = net.link_params[net.link_key(parent, node)]
         if parent != truth.root:
             jitter[row[node]] += jitter[row[parent]]
         const_us[node] = const_us[parent] + (base + _TRANS_US)
@@ -541,9 +537,6 @@ def simulate_session(
         if overshoot > 0:
             noise += var * CONGESTION_NOISE_GAIN * overshoot * 1e6
             surv *= 1.0 - DROP_PROB
-        drop = net.drop_override.get(link)
-        if drop:
-            surv *= 1.0 - drop
         noise_var_us2[node], survival[node] = noise, surv
 
     # a client's values are those of its access link

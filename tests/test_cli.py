@@ -687,6 +687,9 @@ def test_unwritable_output_file_names_it(tmp_path, capsys, command, option, what
     assert main([command, *argv, option, str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error: cannot write {what} {out}: ") and err.count("\n") == 1
+    if option == "--truth-out":
+        # the unwritable tree is found before the log is written
+        assert not (tmp_path / "again.ndjson").exists()
 
 
 # SHA-256 of the e2e report of each mode on a small config: any change to

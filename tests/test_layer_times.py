@@ -2,7 +2,9 @@
 bound in `covtomo.scenarios`; a rename there would leave the script failing
 at its first pass, so each name is checked against the module here, and
 the script runs once at a small scale in each of its modes, and once
-measuring memory."""
+measuring memory. The DFS order and the recovery walk are one layer,
+`recover.recover_from_matrix`, the one matrix-to-tree step the scenarios
+call."""
 
 import importlib.util
 import inspect
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from covtomo import scenarios
+from covtomo import recover, scenarios
 
 SCRIPT = Path(__file__).parents[1] / "scripts" / "layer_times.py"
 
@@ -30,6 +32,12 @@ layer_times = load_script()
 @pytest.mark.parametrize("name", sorted(set(layer_times.STATIC_LAYERS) | set(layer_times.JOIN_LAYERS)))
 def test_each_timed_layer_is_a_function_of_scenarios(name):
     assert inspect.isfunction(getattr(scenarios, name, None)), name
+
+
+def test_order_and_walk_are_timed_as_one_recovery_layer():
+    assert scenarios.recover_from_matrix is recover.recover_from_matrix
+    assert "recover_from_matrix" in layer_times.STATIC_LAYERS
+    assert not hasattr(scenarios, "dfs_order") and not hasattr(scenarios, "recover_tree")
 
 
 @pytest.mark.parametrize("joins", [[], ["--joins", "2"]], ids=["static", "joins"])

@@ -210,6 +210,14 @@ def test_timestamp_columns_must_be_int64(column, dtype):
         MeasurementLog(("a",), columns["sender"], columns["recv"], np.ones((1, 2), bool))
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float64, object])
+def test_presence_column_must_be_bool(dtype):
+    # read as bool, 0/1 presence would index recv by position in __eq__
+    present = np.array([[1, 0]], dtype)
+    with pytest.raises(InputError, match=f"^presence must be bool, got {np.dtype(dtype)}$"):
+        MeasurementLog(("a",), np.array([0, 10], np.int64), np.array([[3, 0]], np.int64), present)
+
+
 def test_columns_are_read_only():
     log = log_from_dicts({0: 0, 1: 10}, {"a": {0: 3}, "b": {}})
     assert len(log.arrivals["b"]) == 0 and log.arrivals["b"] == {}

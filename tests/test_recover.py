@@ -90,14 +90,16 @@ def test_recover_single_leaf():
     assert tree.leaves == {"a"}
 
 
-def test_recover_two_leaves_bootstrap():
-    cov = CovarianceMatrix(("a", "b"), np.array([[5.0, 4.0], [4.0, 5.0]]))
+@pytest.mark.parametrize("sigma", [4.0, 0.2, -1.5], ids=["above-rho", "below-rho", "negative"])
+def test_recover_two_leaves_bootstrap(sigma):
+    # the second leaf goes DEEPER: one fresh router under the source holds
+    # both, labeled with the pair covariance clamped to the source's 0.0
+    cov = CovarianceMatrix(("a", "b"), np.array([[5.0, sigma], [sigma, 5.0]]))
     tree = recover_tree("src", ["a", "b"], cov, RecoveryConfig(0.5))
     tree.validate()
     router = tree.parent("a")
-    assert tree.parent("b") == router
-    assert tree.parent(router) == "src"
-    assert tree.router_cov[router] == 4.0
+    assert tree.children("src") == (router,) and tree.children(router) == ("a", "b")
+    assert tree.router_cov[router] == max(sigma, 0.0)
 
 
 def test_recover_four_leaves_hand_walk():
@@ -106,7 +108,7 @@ def test_recover_four_leaves_hand_walk():
     cov = covariance_matrix_from_tree(truth)
     tree = recover_tree("src", ["a", "b", "c", "d"], cov, RecoveryConfig(0.5))
     tree.validate()
-    # hand walk: bootstrap router(3){a,b}; c triggers the hidden-router case
+    # hand walk: b goes deeper, router(3){a,b}; c triggers the hidden-router case
     # (target 1 below label 3), d a new deeper router(2) beside c
     assert trees_topologically_equal(tree, truth)
     assert tree.router_cov[tree.lca("a", "b")] == 3.0

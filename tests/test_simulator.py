@@ -144,20 +144,6 @@ def test_causality_and_validation():
     assert not log.recv[~log.present].any()
 
 
-def test_loss_on_one_access_link_binomial():
-    cfg = small_cfg(seed=13, n_pairs=2000)
-    net = generate_topology(cfg)
-    client = sorted(net.clients)[0]
-    last_hop = path_links(net, client)[-1]
-    net.drop_override[last_hop] = 0.1
-    log = simulate_session(net, cfg)
-    count = int(log.present[log.row(client)].sum())
-    # binomial(2000, 0.9): 3 sigma is ~40
-    assert abs(count - 0.9 * cfg.n_pairs) <= 3 * math.sqrt(cfg.n_pairs * 0.9 * 0.1)
-    other = sorted(net.clients)[1]
-    assert log.present[log.row(other)].all()
-
-
 def test_analytic_covariance_examples():
     # disjoint paths after the root share nothing
     truth = RoutingTree("src")
@@ -257,13 +243,11 @@ def log_digest(log, tmp_path) -> str:
 
 
 def test_simulated_logs_match_pinned_digests(tmp_path):
-    # fixed interval, with a forced 30% loss on one client's access link
+    # fixed interval, below congestion: every packet arrives
     cfg = SimulatorConfig(n_hosts=12, n_routers=5, seed=13, n_pairs=300, pair_interval_us=5000)
-    net = generate_topology(cfg)
-    net.drop_override[path_links(net, sorted(net.clients)[0])[-1]] = 0.3
-    log = simulate_session(net, cfg)
-    assert not log.recv[~log.present].any()
-    assert log_digest(log, tmp_path) == "f283bd6e12256d1087e99775e0e50008eb1be3f7c65fa9c2f15212c5990a1096"
+    log = simulate_session(generate_topology(cfg), cfg)
+    assert log.present.all()
+    assert log_digest(log, tmp_path) == "0db2308fb9fb10e2e4f880ad0d1b9d59fb6ad15b59d967099cdde31441f0a132"
 
     # an irregular sender column at a background rate that congests every
     # link: the even session at the same mean interval (1000 us), retimed
@@ -276,19 +260,13 @@ def test_simulated_logs_match_pinned_digests(tmp_path):
     assert log_digest(log, tmp_path) == "6b957628a4891b09c72281abc87df02bda87c419161d8ec92e7b281be34418c6"
 
 
-@pytest.mark.parametrize(
-    "overrides, drop",
-    [({}, False), ({"bg_rate_bytes_per_sec": 12e6}, False), ({}, True)],
-    ids=["loss-free", "lossy", "drop-override"],
-)
-def test_session_drawn_on_another_thread_equals_simulate_session(overrides, drop):
+@pytest.mark.parametrize("overrides", [{}, {"bg_rate_bytes_per_sec": 12e6}], ids=["loss-free", "lossy"])
+def test_session_drawn_on_another_thread_equals_simulate_session(overrides):
     # begun here with a row per link of the grown network, every row drawn
     # on another thread, finished here
     cfg = small_cfg(**overrides)
     net = generate_topology(cfg)
     grow_network(net, cfg, 3, stream=2)
-    if drop:
-        net.drop_override[path_links(net, sorted(net.clients)[0])[-1]] = 0.3
     want = simulate_session(net, cfg, stream=2)
     links = len(net.truth.nodes()) - 1
     begun = begin_session(cfg, links, stream=2)
@@ -297,7 +275,7 @@ def test_session_drawn_on_another_thread_equals_simulate_session(overrides, drop
     worker.join(timeout=60)
     assert not worker.is_alive() and begun.drawn == links
     log = simulate_session(net, cfg, stream=2, begun=begun)
-    assert log.present.all() == (not overrides and not drop)
+    assert log.present.all() == (not overrides)
     assert log.ids == want.ids and np.array_equal(log.sender, want.sender)
     assert np.array_equal(log.present, want.present) and np.array_equal(log.recv, want.recv)
 
@@ -357,7 +335,9 @@ def test_begun_session_that_does_not_fit_is_refused(case):
     net = generate_topology(cfg)
     # a link per node below the source
     begun = _begun(cfg, len(net.truth.nodes()) - 1, case)
-    with pytest.raises(InputError, match="^begun session is of another config or stream, or does not fit the network$"):
+    # a buffer that does not fit is refused by `SessionDraws.draw_rows`
+    message = "^begun session is of another config or stream$" if case.startswith("other-") else "^cannot draw up to row"
+    with pytest.raises(InputError, match=message):
         simulate_session(net, cfg, begun=begun)
 
 
@@ -551,8 +531,6 @@ def reference_session(net, config, stream=0):
                 overshoot = (util[link] - threshold) / (1.0 - threshold)
                 noise_var[ci] += var * 12.0 * overshoot * 1e6
                 survival[ci] *= 1.0 - 0.08
-            if net.drop_override.get(link):
-                survival[ci] *= 1.0 - net.drop_override[link]
         delays[ci] = summed + const
     noise_sigma = np.sqrt(noise_var)
     noisy = noise_sigma > 0
@@ -567,9 +545,8 @@ def reference_session(net, config, stream=0):
 
 @st.composite
 def session_setups(draw):
-    """A small network, possibly grown, with a pair count and interval, a
-    background rate from idle to congesting every link, and forced drops
-    on some links."""
+    """A small network, possibly grown, with a pair count and interval, and
+    a background rate from idle to congesting every link."""
     cfg = SimulatorConfig(
         n_hosts=draw(st.integers(3, 16)),
         n_routers=draw(st.integers(1, 7)),
@@ -583,9 +560,6 @@ def session_setups(draw):
     if draw(st.booleans()):
         stream = draw(st.integers(1, 3))
         grow_network(net, cfg, draw(st.integers(1, 4)), stream=stream)
-    links = sorted({link for c in net.clients for link in path_links(net, c)})
-    for link in draw(st.lists(st.sampled_from(links), max_size=3)):
-        net.drop_override[link] = draw(st.sampled_from([0.0, 0.2, 0.6]))
     return net, cfg, stream
 
 
