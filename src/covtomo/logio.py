@@ -26,17 +26,23 @@ once per pair, and each receiver's recv records one ``%`` of its template
 repeated once per arrival, so C formats every number and Python works
 once per receiver, not once per line.
 
-`import_log` has two readers. `_parse_exported` parses the whole file in a
-few numpy passes, with no Python work per line. It takes only canonical
+`import_log` has two readers. `_parse_exported` parses the whole file in
+numpy passes, with no Python work per line. It takes only canonical
 lines, in any order, whose numbers have 1 to 18 digits (no sign, no
 leading zero, so below 10^18 and inside the log's 2^62 us range) and
 whose UTF-8 names need no escape (no ``"``, ``\``, or byte below 0x20),
 and returns None for anything else, including every log with an error.
-`_parse_lines` reads any valid JSON records and is the only source of
-`LogFormatError`; it refuses a ``ts_us`` of 2^62 or more in magnitude,
-which only it can read. The contract is that `_parse_exported` returns
-either None or a log equal to the one `_parse_lines` returns, so every
-log, message and line number is the line loop's.
+It reads lines in blocks, whose arrays stay in the processor's cache, and
+each line as little-endian words of eight bytes, gathered in four passes
+and never read past the line: a fixed token is one or more word compares,
+and a number is the length of its leading run of digits, found in each
+word at once, and the value of that run, combined from at most three
+words with simdjson's SWAR digit steps. `_parse_lines` reads any valid
+JSON records and is the only source of `LogFormatError`; it refuses a
+``ts_us`` of 2^62 or more in magnitude, which only it can read. The
+contract is that `_parse_exported` returns either None or a log equal to
+the one `_parse_lines` returns, so every log, message and line number is
+the line loop's.
 
 Both read the bytes of one read of the file. `_parse_lines` reads them as
 `open` reads a file in text mode, line by line, so a line ends at
@@ -55,6 +61,13 @@ and order among the send records, then unknown indices and early
 arrivals, in line order, over one (line, receiver, k, ts) tuple kept per
 recv line. The checked dicts then fill the log's columns.
 
+Trees, matrices, scores and reports are written by `write_json` in the
+bytes of ``json.dumps(data, sort_keys=True, indent=2)`` and a newline.
+json.dumps indents with its Python encoder, which formats each number in
+Python; here each list or dict that holds no non-empty list or dict, such
+as a matrix row, is one call of json's C encoder, whose item separator
+carries the newline and indent, and Python lays out only the levels above.
+
 A file that cannot be read or written raises DataError naming it.
 """
 
@@ -65,6 +78,7 @@ import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -113,8 +127,9 @@ _HEAD = b'{"k": '
 _SEND_TS = b', "ts_us": '
 _RECV_NAME = b', "receiver": "'
 _RECV_TS = b'", "ts_us": '
-_SEND_TAIL = b', "type": "send"}'
-_RECV_TAIL = b', "type": "recv"}'
+_TYPE = b', "type": "'
+_SEND_TAIL = _TYPE + b'send"}'
+_RECV_TAIL = _TYPE + b'recv"}'
 _SEND_LINE = _HEAD + b"%d" + _SEND_TS + b"%d" + _SEND_TAIL + b"\n"
 # the least bytes of one export write: writing each receiver as soon as it
 # was formatted, in many smaller writes, raised a lossy desk run's peak RSS
@@ -166,15 +181,11 @@ def import_log(path) -> MeasurementLog:
 _UNDECODED = re.compile("[\udc80-\udcff]")
 _TS_RANGE = "field 'ts_us' must lie strictly between -2^62 and 2^62"
 
-# numbers are read from windows of _WIDTH bytes, so at most _WIDTH - 1
-# digits: below 10**18, which no uint64 Horner step can overflow
-_WIDTH = 19
-# row n: 1 in the n columns that hold a left- or right-aligned n-digit number
-_LEFT = np.tri(_WIDTH + 1, _WIDTH, -1, np.uint8)
-_RIGHT = np.ascontiguousarray(_LEFT[:, ::-1])
-_POW10 = np.uint64(10) ** np.arange(_WIDTH + 1, dtype=np.uint64)
-# the shortest record: every window read below lies inside a line this long
+# the shortest record: every word read below lies inside a line this long
 _SHORTEST = len(_HEAD + b"0" + _SEND_TS + b"0" + _SEND_TAIL)
+# each byte 1; byte i of a little-endian word is the byte at its address + i
+_ONES = 0x0101010101010101
+_POW10 = np.uint64(10) ** np.arange(19, dtype=np.uint64)
 
 
 def _windows(a: np.ndarray, width: int) -> np.ndarray:
@@ -182,31 +193,127 @@ def _windows(a: np.ndarray, width: int) -> np.ndarray:
     return np.ndarray((a.size - width + 1,), f"S{width}", a, 0, (1,))
 
 
-def _numbers(a: np.ndarray, at: np.ndarray, right: bool):
-    """(values, digit counts) of the runs of digits that begin the windows
-    a[at:at + _WIDTH], or end them when `right`; None unless every run has
-    1 to _WIDTH - 1 digits and no leading zero."""
-    digit = _windows(a, _WIDTH)[at].view(np.uint8).reshape(-1, _WIDTH)
-    digit -= np.uint8(48)
-    is_digit = digit <= 9
-    # the first non-digit; a row of digits only reads 0
-    size = np.argmin(is_digit[:, ::-1] if right else is_digit, axis=1)
-    del is_digit
-    if size.min() == 0:
+def _word(token: bytes) -> int:
+    """The first eight bytes of ``token`` as a little-endian word."""
+    return int.from_bytes(token[:8], "little")
+
+
+def _gather_words(a: np.ndarray, at: np.ndarray, offsets) -> list[np.ndarray]:
+    """For each offset o, the little-endian words a[at + o:at + o + 8], as
+    views into one gather of the bytes they span: a numpy gather costs
+    about the same per position whatever its width, and far more than an
+    elementwise step."""
+    if not at.size:
+        return [np.zeros(0, np.uint64) for _ in offsets]
+    lo = min(offsets)
+    width = max(offsets) + 8 - lo
+    window = _windows(a, width)[at + lo]
+    return [np.ndarray(at.shape, "<u8", window, o - lo, (width,)) for o in offsets]
+
+
+def _digit_runs(words: np.ndarray, high: bool):
+    """(mask, length) of the run of digits that begins each word, in its
+    low bytes, or ends it, in its high bytes, when ``high``: the mask is
+    0xFF in the run's bytes and 0 elsewhere, the length 0 to 8. A byte is
+    a digit iff its xor with '0' is below 10, tested on all eight bytes at
+    once with no carry between them, so every byte value reads right. The
+    steps work in place: a new array per step costs more than the step."""
+    t = words ^ (0x30 * _ONES)
+    # bit 7 of each byte that is not a digit
+    other = t & (0x7F * _ONES)
+    other += 0x76 * _ONES
+    other |= t
+    other &= 0x80 * _ONES
+    if high:
+        other.byteswap(inplace=True)
+    # 0xFF in the bytes below the lowest non-digit, all eight if none
+    mask = -other
+    mask &= other
+    mask >>= 7
+    mask -= 1
+    length = mask & _ONES
+    length *= _ONES
+    length >>= 56
+    if high:
+        mask.byteswap(inplace=True)
+    return mask, length
+
+
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """The decimal value of each word's eight bytes, the first byte most
+    significant, from each byte's low four bits (simdjson's SWAR steps,
+    in place): a byte 0x00 reads as a leading zero. Overwrites ``words``."""
+    words &= 0x0F * _ONES
+    words *= 2561
+    words >>= 8
+    words &= 0x00FF00FF00FF00FF
+    words *= 6553601
+    words >>= 16
+    words &= 0x0000FFFF0000FFFF
+    words *= 42949672960001
+    words >>= 32
+    return words
+
+
+def _numbers(a: np.ndarray, at: np.ndarray, before: bool, gathered=()):
+    """(values, digit counts) of the runs of digits that begin at each
+    a[at], or end just before it when ``before``; None unless every run
+    has 1 to 18 digits and no leading zero.
+
+    A run is read one word of eight bytes at a time, up to three words
+    from ``at`` onward (or back), a word counting only while the words
+    before it held nothing but digits. ``gathered`` holds the first of
+    these words when the caller has them; the rest are gathered here, for
+    every position. A word's digits are moved to its high bytes, so that
+    its last byte holds the last digit and the bytes below read as leading
+    zeros; below 10**18, no uint64 step of a kept run overflows.
+    """
+    size = np.zeros(at.size, np.uint64)
+    going = True
+    for word in range(3):
+        if word < len(gathered):
+            w = gathered[word]
+        elif before:
+            pos = at - 8 * (word + 1)
+            # a word before the buffer holds no digit of a record
+            if ((pos < 0) & going).any():
+                return None
+            (w,) = _gather_words(a, np.maximum(pos, 0), (0,))
+        else:
+            (w,) = _gather_words(a, at, (8 * word,))
+        mask, run = _digit_runs(w, high=before)
+        if word:
+            run *= going
+            # no run reaches this word: every value is complete
+            if not run.any():
+                break
+            mask *= going
+        w = w & mask
+        if not before:
+            # masked, a run of no digits is 0 however far it shifts
+            w <<= 64 - 8 * run
+        digits = _eight_digits(w)
+        if not word:
+            value = digits
+        elif before:
+            digits *= 10 ** (8 * word)
+            value += digits
+        else:
+            value *= _POW10[run]
+            value += digits
+        size += run
+        going = run == 8
+        if not going.any():
+            break
+    else:
         return None
-    lead = digit[np.arange(len(digit)), _WIDTH - size] if right else digit[:, 0]
-    if ((lead == 0) & (size > 1)).any():
+    size = size.astype(np.intp)
+    if size.min() == 0 or size.max() > 18:
         return None
-    digit *= (_RIGHT if right else _LEFT)[size]
-    # Horner over whole rows reads a left-aligned number times
-    # 10**(_WIDTH - size), which stays below 10**_WIDTH and so within uint64
-    value = np.zeros(len(digit), np.uint64)
-    for column in np.ascontiguousarray(digit.T):
-        value *= np.uint64(10)
-        value += column
-    if not right:
-        value //= _POW10[_WIDTH - size]
-    return value.astype(np.int64), size
+    # a leading zero leaves fewer digits than the run has
+    if ((value < _POW10[size - 1]) & (size > 1)).any():
+        return None
+    return value.view(np.int64), size
 
 
 def _parse_exported(data: bytes) -> MeasurementLog | None:
@@ -220,47 +327,32 @@ def _parse_exported(data: bytes) -> MeasurementLog | None:
     `np.unique` gives the receivers sorted. The checks of the line loop run
     on the arrays, and a log that fails any of them is left to that loop,
     for its error.
+
+    Line ends are found _SCAN_BYTES at a time, and the lines read
+    _BLOCK_LINES at a time by `_read_lines`, a little-endian word of eight
+    bytes at a time: each fixed token is compared as one or more words,
+    and each number parsed from at most three (`_numbers`). The blocks'
+    columns are then joined, and the names, indices and timestamps checked
+    over the whole file.
     """
     a = np.frombuffer(data, np.uint8)
     if a.size == 0 or a[-1] != 10:
         return None
-    ends = np.flatnonzero(a == 10)
+    ends = np.concatenate(
+        [np.flatnonzero(a[i : i + _SCAN_BYTES] == 10) + i for i in range(0, a.size, _SCAN_BYTES)]
+    )
     starts = np.concatenate(([0], ends[:-1] + 1))
-    if (ends - starts).min() < _SHORTEST or not (_windows(a, len(_HEAD))[starts] == _HEAD).all():
+    if (ends - starts).min() < _SHORTEST:
         return None
-    tail = _windows(a, len(_SEND_TAIL))[ends - len(_SEND_TAIL)]
-    send = tail == _SEND_TAIL
+    blocks = []
+    for lo in range(0, ends.size, _BLOCK_LINES):
+        block = _read_lines(a, starts[lo : lo + _BLOCK_LINES], ends[lo : lo + _BLOCK_LINES])
+        if block is None:
+            return None
+        blocks.append(block)
+    send, k, ts, name_lo, size = (np.concatenate(column) for column in zip(*blocks))
+    del blocks
     recv = ~send
-    if not (tail[recv] == _RECV_TAIL).all():
-        return None
-    del tail
-
-    # k: the digits after the head, left-aligned in their window
-    parsed = _numbers(a, starts + len(_HEAD), right=False)
-    if parsed is None:
-        return None
-    k, size = parsed
-    after_k = starts + len(_HEAD) + size
-    # ts_us: the digits before the tail, right-aligned in their window
-    parsed = _numbers(a, ends - len(_SEND_TAIL) - _WIDTH, right=True)
-    if parsed is None:
-        return None
-    ts, size = parsed
-    at_ts = ends - len(_SEND_TAIL) - size
-
-    if not (at_ts[send] == after_k[send] + len(_SEND_TS)).all():
-        return None
-    if not (_windows(a, len(_SEND_TS))[after_k[send]] == _SEND_TS).all():
-        return None
-    name_lo = after_k[recv] + len(_RECV_NAME)
-    name_hi = at_ts[recv] - len(_RECV_TS)
-    size = name_hi - name_lo
-    if (size < 0).any():
-        return None
-    if not (_windows(a, len(_RECV_NAME))[after_k[recv]] == _RECV_NAME).all():
-        return None
-    if not (_windows(a, len(_RECV_TS))[name_hi] == _RECV_TS).all():
-        return None
     ids, row = _receiver_rows(a, name_lo, size)
     if ids is None:
         return None
@@ -280,46 +372,111 @@ def _parse_exported(data: bytes) -> MeasurementLog | None:
     recv_k, recv_ts = k[recv], ts[recv]
     if recv_k.size and (recv_k.max() >= n or (recv_ts < sender[recv_k]).any()):
         return None
-    present = np.zeros((len(ids), n), bool)
-    present[row, recv_k] = True
+    # each recv line's cell of the (receiver, k) columns, flattened
+    cell = row * n + recv_k
+    present = np.zeros(len(ids) * n, bool)
+    present[cell] = True
     if present.sum() != recv_k.size:
         return None
-    arrivals = np.zeros((len(ids), n), np.int64)
-    arrivals[row, recv_k] = recv_ts
-    return MeasurementLog(ids, sender, arrivals, present)
+    arrivals = np.zeros(len(ids) * n, np.int64)
+    arrivals[cell] = recv_ts
+    return MeasurementLog(ids, sender, arrivals.reshape(-1, n), present.reshape(-1, n))
+
+
+# bytes scanned for line ends, and lines read, per block: a block's
+# temporaries stay in the processor's cache and in memory the allocator
+# reuses, where whole-file arrays were paged in afresh by each pass
+_SCAN_BYTES = 2**20
+_BLOCK_LINES = 2**14
+
+
+def _read_lines(a: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """(send, k, ts_us, name start, name size) of the lines a[starts:ends]
+    when each is one of the two record templates, the name columns for
+    the recv lines alone, or None. Four gathers of words read every line:
+    its head and first word of k, from its start; the last two words of
+    ts_us and the tail, from its end; then, where the numbers end, the
+    ts_us key and, on recv lines, the receiver key. No read leaves its
+    line: a line is at least _SHORTEST bytes, and the keys' places are
+    checked before they are read."""
+    head, k_word = _gather_words(a, starts, (0, len(_HEAD)))
+    tail = ends - len(_SEND_TAIL)
+    # the tails differ only in their last word, the type
+    ts_1, ts_0, type_0, type_1, kind = _gather_words(a, tail, (-16, -8, 0, len(_TYPE) - 8, len(_SEND_TAIL) - 8))
+    send = kind == _word(_SEND_TAIL[-8:])
+    recv = ~send
+    if not (send | (kind == _word(_RECV_TAIL[-8:]))).all():
+        return None
+    if not (
+        ((head & ((1 << 8 * len(_HEAD)) - 1)) == _word(_HEAD))
+        & (type_0 == _word(_TYPE))
+        & (type_1 == _word(_TYPE[-8:]))
+    ).all():
+        return None
+
+    parsed = _numbers(a, starts + len(_HEAD), False, [k_word])
+    if parsed is None:
+        return None
+    k, size = parsed
+    after_k = starts + len(_HEAD) + size
+    parsed = _numbers(a, tail, True, [ts_0, ts_1])
+    if parsed is None:
+        return None
+    ts, size = parsed
+    at_ts = tail - size
+
+    # a send line's ts_us key follows its k, a recv line's its name
+    if not (at_ts[send] == after_k[send] + len(_SEND_TS)).all():
+        return None
+    name_lo = after_k[recv] + len(_RECV_NAME)
+    size = at_ts[recv] - len(_RECV_TS) - name_lo
+    if (size < 0).any():
+        return None
+    # the bytes before ts_us: the last digit of k on a send line, the
+    # name's closing quote on a recv line, then the key of both
+    quote, key = _gather_words(a, at_ts, (-len(_RECV_TS), -8))
+    if not ((key == _word(_RECV_TS[-8:])) & ((quote >> 8) == _word(_RECV_TS) >> 8)).all():
+        return None
+    if not (send | ((quote & 0xFF) == _RECV_TS[0])).all():
+        return None
+    name_key = _gather_words(a, after_k[recv], (0, len(_RECV_NAME) - 8))
+    if not ((name_key[0] == _word(_RECV_NAME)) & (name_key[1] == _word(_RECV_NAME[-8:]))).all():
+        return None
+    return send, k, ts, name_lo, size
 
 
 def _receiver_rows(a: np.ndarray, lo: np.ndarray, size: np.ndarray):
     """(sorted receiver names, row of each name) for the names a[lo:lo +
     size], or (None, None) when a name holds a byte an exported name cannot
     hold bare or is not UTF-8. Names are gathered one length at a time, so
-    no name is padded and the gathered bytes never outgrow the buffer."""
+    no name is padded and the gathered bytes never outgrow the buffer. An
+    exported log holds each receiver's records in one run, so each name is
+    compared with the one before it, only the first name of a run is
+    checked and ranked, and each run's rank is repeated over its length."""
     order = np.argsort(size, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(size[order])) + 1) if order.size else []
     found = []
     for group in groups:
         width = int(size[group[0]])
         if width == 0:
-            found.append((group, [b""], np.zeros(group.size, np.intp)))
+            found.append((group, [b""], np.zeros(1, np.intp), group.size))
             continue
         names = _windows(a, width)[lo[group]]
-        raw = names.view(np.uint8)
+        heads = np.flatnonzero(np.concatenate(([True], names[1:] != names[:-1])))
+        keys, inverse = np.unique(names[heads], return_inverse=True)
+        raw = keys.view(np.uint8)
         if ((raw == 34) | (raw == 92) | (raw < 32)).any():
             return None, None
-        # an exported log holds each receiver's records in one run
-        head = np.ones(names.size, bool)
-        head[1:] = names[1:] != names[:-1]
-        keys, inverse = np.unique(names[head], return_inverse=True)
-        found.append((group, keys.tolist(), inverse[np.cumsum(head) - 1]))
-    ranked = sorted(key for _, keys, _ in found for key in keys)
+        found.append((group, keys.tolist(), inverse, np.diff(heads, append=names.size)))
+    ranked = sorted(key for _, keys, _, _ in found for key in keys)
     try:
         ids = tuple(key.decode("utf-8") for key in ranked)
     except UnicodeDecodeError:
         return None, None
     rank = {key: i for i, key in enumerate(ranked)}
     row = np.empty(lo.size, np.intp)
-    for group, keys, inverse in found:
-        row[group] = np.array([rank[key] for key in keys], np.intp)[inverse]
+    for group, keys, inverse, runs in found:
+        row[group] = np.repeat(np.array([rank[key] for key in keys], np.intp)[inverse], runs)
     return ids, row
 
 
@@ -410,17 +567,65 @@ def _parse_lines(data: bytes) -> MeasurementLog:
 
 
 def write_json(data, path, what: str) -> None:
-    """Write ``data`` to ``path`` as JSON: sorted keys, two-space indent
-    and a final newline. An unwritable file, or nesting past the encoder's
-    recursion (~490 tree levels), raises DataError naming the file."""
+    """Write ``data`` to ``path`` in the bytes of ``json.dumps(data,
+    sort_keys=True, indent=2)`` plus a final newline (see `_dumps`). An
+    unwritable file, or nesting past the recursion limit (~490 tree
+    levels, as for json.dumps), raises DataError naming the file."""
     try:
-        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+        text = _dumps(data, "") + "\n"
     except RecursionError:
         raise DataError(f"cannot write {what} {path}: nested too deeply for JSON") from None
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise _write_error(what, path, exc) from None
+
+
+_CONTAINERS = (list, tuple, dict)
+# writes a scalar, or a container on one line
+_INLINE = json.JSONEncoder(sort_keys=True)
+
+
+def _dumps(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes
+    it, with ``pad`` before each of its lines but the first; dict keys must
+    be str.
+
+    json.dumps takes its Python encoder whenever it indents. Here a list or
+    dict that holds no non-empty list or dict is one call of json's C
+    encoder, whose item separator carries the newline and the indent, so a
+    list of numbers costs one call. Python lays out the rest, one call per
+    level, so the recursion limit stops it about where it stops json.dumps.
+    """
+    is_dict = isinstance(value, dict)
+    if not is_dict and not isinstance(value, (list, tuple)):
+        return _INLINE.encode(value)
+    if not value:
+        return "{}" if is_dict else "[]"
+    inner = pad + "  "
+    values = value.values() if is_dict else value
+    if _flat(values):
+        body = json.JSONEncoder(sort_keys=True, separators=(",\n" + inner, ": ")).encode(value)[1:-1]
+    elif is_dict:
+        parts = []
+        for key, item in sorted(value.items()):
+            parts.append(f"{encode_basestring_ascii(key)}: {_dumps(item, inner)}")
+        body = f",\n{inner}".join(parts)
+    else:
+        parts = []
+        for item in value:
+            parts.append(_dumps(item, inner))
+        body = f",\n{inner}".join(parts)
+    return f"{{\n{inner}{body}\n{pad}}}" if is_dict else f"[\n{inner}{body}\n{pad}]"
+
+
+def _flat(values) -> bool:
+    """Whether no value is a non-empty list, tuple or dict, which the C
+    encoder would write on one line; the set of types answers at C speed
+    for a list of numbers."""
+    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, values))):
+        return True
+    return not any(isinstance(v, _CONTAINERS) and v for v in values)
 
 
 def check_writable(path, what: str) -> None:

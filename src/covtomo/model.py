@@ -490,7 +490,10 @@ class DelaySeries:
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """Symmetric matrix of pairwise path-delay covariances (ms^2) over an
-    ordered list of distinct receivers."""
+    ordered list of distinct receivers. The constructor refuses a repeated
+    receiver, a shape that does not match, or an entry unequal to its
+    mirror (a NaN whose mirror is NaN is equal), so recovery, which reads
+    one triangle, never meets an asymmetric matrix."""
 
     receivers: tuple[NodeId, ...]
     values: np.ndarray
@@ -503,6 +506,18 @@ class CovarianceMatrix:
             raise InputError(f"receiver {repeated!r} appears more than once")
         if self.values.shape != (len(self.receivers), len(self.receivers)):
             raise InputError("covariance matrix shape does not match receiver list")
+        v = self.values
+        if not (v == v.T).all():
+            # NaN is unequal to itself: a NaN whose mirror is NaN is symmetric
+            bad = np.argwhere((v != v.T) & ~(np.isnan(v) & np.isnan(v.T)))
+            if len(bad):
+                # the first unequal pair lies above the diagonal: its mirror's row comes later
+                i, j = bad[0]
+                names = self.receivers
+                raise InputError(
+                    f"entry ({names[i]!r}, {names[j]!r}) is {v[i, j]} but "
+                    f"({names[j]!r}, {names[i]!r}) is {v[j, i]}: not symmetric"
+                )
 
     def index(self, receiver: NodeId) -> int:
         try:
@@ -522,38 +537,32 @@ class CovarianceMatrix:
     def to_dict(self) -> dict:
         return {
             "receivers": list(self.receivers),
-            "values": [[float(v) for v in row] for row in self.values],
+            "values": self.values.astype(float).tolist(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "CovarianceMatrix":
         """The matrix of a JSON document; InputError when the receivers are
-        not a list of distinct strings, or on the first entry, in row-major
-        order, that is not a number (a null reads as NaN), is not finite or
-        differs from its mirror."""
+        not a list of strings, or on the first entry, in row-major order,
+        that is not a number (a null reads as NaN) or is not finite, then
+        as the constructor refuses the matrix: a repeated receiver, a shape
+        that does not match, or the first entry that differs from its
+        mirror."""
         receivers = data["receivers"]
         if not isinstance(receivers, list) or not all(isinstance(r, str) for r in receivers):
             raise InputError("receivers must be a list of strings")
-        cov = cls(tuple(receivers), np.asarray(data["values"], dtype=float))
-        names = cov.receivers
-        # the shape matched, so the rows are lists of n scalars
-        for i, row in enumerate(data["values"]):
-            if not _NUMBER_OR_NULL.issuperset(map(type, row)):
-                j, value = next((j, v) for j, v in enumerate(row) if type(v) not in _NUMBER_OR_NULL)
-                raise InputError(f"entry ({names[i]!r}, {names[j]!r}) is {value!r}, not a number")
-        bad = np.argwhere(~np.isfinite(cov.values))
-        if len(bad):
-            i, j = bad[0]
-            raise InputError(f"entry ({names[i]!r}, {names[j]!r}) is {cov.values[i, j]}, not finite")
-        # the first unequal pair lies above the diagonal: its mirror's row comes later
-        bad = np.argwhere(cov.values != cov.values.T)
-        if len(bad):
-            i, j = bad[0]
-            raise InputError(
-                f"entry ({names[i]!r}, {names[j]!r}) is {cov.values[i, j]} but "
-                f"({names[j]!r}, {names[i]!r}) is {cov.values[j, i]}: not symmetric"
-            )
-        return cov
+        values = np.asarray(data["values"], dtype=float)
+        if values.shape == (len(receivers), len(receivers)):
+            # the shape matches, so the rows are lists of n scalars
+            for i, row in enumerate(data["values"]):
+                if not _NUMBER_OR_NULL.issuperset(map(type, row)):
+                    j, value = next((j, v) for j, v in enumerate(row) if type(v) not in _NUMBER_OR_NULL)
+                    raise InputError(f"entry ({receivers[i]!r}, {receivers[j]!r}) is {value!r}, not a number")
+            bad = np.argwhere(~np.isfinite(values))
+            if len(bad):
+                i, j = bad[0]
+                raise InputError(f"entry ({receivers[i]!r}, {receivers[j]!r}) is {values[i, j]}, not finite")
+        return cls(tuple(receivers), values)
 
 
 # ----------------------------------------------------------------------

@@ -669,3 +669,195 @@ def test_tree_file_round_trip(seed, n_leaves, relay_prob, relabel):
         assert all(back.parent(node) == tree.parent(node) for node in tree.nodes() if node != tree.root)
         save_tree(back, second)
         assert second.read_bytes() == first.read_bytes()
+
+
+# ----------------------------------------------------------------------
+# the word kernels of the array reader
+
+
+def digit_run_reference(word: bytes, high: bool) -> int:
+    run = word[::-1] if high else word
+    return next((i for i, byte in enumerate(run) if not 48 <= byte <= 57), 8)
+
+
+def test_digit_runs_read_every_byte_value_in_every_place():
+    # eight digits with one byte of every value in each place, so a carry
+    # or a borrow between bytes would misread a neighbour
+    words = [bytearray(b"93857160") for _ in range(256 * 8)]
+    for i, word in enumerate(words):
+        word[i % 8] = i // 8
+    packed = np.frombuffer(b"".join(words), "<u8")
+    for high in (False, True):
+        mask, length = logio._digit_runs(packed, high)
+        want = [digit_run_reference(bytes(w), high) for w in words]
+        assert length.tolist() == want
+        for word, m, n in zip(words, mask.tolist(), want):
+            kept = m.to_bytes(8, "little")
+            inside = range(8 - n, 8) if high else range(n)
+            assert kept == bytes(255 if i in inside else 0 for i in range(8)), bytes(word)
+
+
+def test_eight_digits_is_the_decimal_value():
+    rng = np.random.default_rng(5)
+    texts = [b"00000000", b"99999999", b"10000000", b"00000001"]
+    texts += ["".join(map(str, rng.integers(0, 10, 8))).encode() for _ in range(200)]
+    words = np.frombuffer(b"".join(texts), "<u8").copy()
+    assert logio._eight_digits(words).tolist() == [int(t) for t in texts]
+
+
+DIGIT_COUNTS = [1, 7, 8, 9, 15, 16, 17, 18]
+
+
+def number_lines(numbers, before):
+    """Send records with ``numbers`` as their ts_us when ``before``, else
+    as their k, and where `_numbers` reads them from: the first byte after
+    the number, or its first byte."""
+    line = b'{"k": 0, "ts_us": %s, "type": "send"}\n' if before else b'{"k": %s, "ts_us": 0, "type": "send"}\n'
+    data = b"".join(line % str(n).encode() for n in numbers)
+    a = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(a == 10)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    return a, ends - len(logio._SEND_TAIL) if before else starts + len(logio._HEAD)
+
+
+@pytest.mark.parametrize("before", [False, True], ids=["k-forward", "ts-backward"])
+@pytest.mark.parametrize("gathered", [False, True], ids=["gathered-here", "first-words-given"])
+def test_numbers_of_every_length_on_the_first_and_last_line(before, gathered):
+    numbers = [int("9" * n) if n % 2 else 10 ** (n - 1) + 7 for n in DIGIT_COUNTS]
+    # each length on the first line, then on the last, around a middle line
+    for n in numbers:
+        for lines in ([n, 5, 31], [31, 5, n]):
+            a, at = number_lines(lines, before)
+            words = ()
+            if gathered:
+                words = logio._gather_words(a, at, (-8,) if before else (0,))
+            values, sizes = logio._numbers(a, at, before, words)
+            assert values.tolist() == lines
+            assert sizes.tolist() == [len(str(x)) for x in lines]
+
+
+@pytest.mark.parametrize("before", [False, True], ids=["k-forward", "ts-backward"])
+@pytest.mark.parametrize(
+    "text, ok",
+    [
+        (b"0", True),
+        (b"10", True),
+        (b"100000000", True),
+        (b"01", False),
+        (b"00", False),
+        (b"0" * 8, False),
+        (b"012345678", False),
+        (b"0" + b"7" * 16, False),
+        (b"9" * 19, False),
+        (b"9" * 24, False),
+        (b"9" * 30, False),
+    ],
+)
+def test_numbers_refuse_leading_zeros_and_19_digits(before, text, ok):
+    a, at = number_lines([text.decode(), 4], before)
+    parsed = logio._numbers(a, at, before)
+    assert (parsed is not None) == ok
+    if ok:
+        assert parsed[0].tolist() == [int(text), 4]
+
+
+def test_numbers_before_the_buffer_are_refused():
+    # 17 digits need a third word back, which would start before the buffer
+    data = b"1" * 17 + b", x\n"
+    assert logio._numbers(np.frombuffer(data, np.uint8), np.array([17]), True) is None
+    # 16 digits need it too, to find the byte before them
+    data = b" " * 8 + b"1" * 16 + b", x\n"
+    values, sizes = logio._numbers(np.frombuffer(data, np.uint8), np.array([24]), True)
+    assert (values.tolist(), sizes.tolist()) == ([int("1" * 16)], [16])
+
+
+@pytest.mark.parametrize("digits", DIGIT_COUNTS)
+def test_timestamps_of_every_length_on_the_first_and_last_line(tmp_path, digits):
+    # the first line is the send record of k=0, the last the last recv record
+    top = 10**digits - 1
+    sender = {0: 10 ** (digits - 1), 1: 10 ** (digits - 1) + 1, 2: top - 1}
+    arrivals = {"a": {0: top - 2}, "b": {1: 10 ** (digits - 1) + 1, 2: top}}
+    if digits == 1:
+        sender, arrivals = {0: 1, 1: 2, 2: 8}, {"a": {0: 7}, "b": {1: 2, 2: 9}}
+    log = log_from_dicts(sender, arrivals)
+    path = tmp_path / "log.ndjson"
+    export_log(log, path)
+    data = path.read_bytes()
+    lines = data.splitlines()
+    assert len(str(sender[0])) == digits and lines[-1].endswith(b"%d" % arrivals["b"][2] + logio._RECV_TAIL)
+    assert _parse_exported(data) == _parse_lines(data) == log
+
+
+def test_a_single_shortest_send_record():
+    data = b'{"k": 0, "ts_us": 0, "type": "send"}\n'
+    assert len(data) - 1 == logio._SHORTEST == 36
+    parsed = _parse_exported(data)
+    assert parsed is not None and parsed == _parse_lines(data)
+    assert parsed.n_pairs == 1 and parsed.ids == ()
+    # one byte shorter, or a record cut, is the line loop's
+    assert _parse_exported(data.replace(b'"ts_us": 0', b'"ts_us":0')) is None
+    assert _parse_exported(data[:-2] + b"\n") is None
+
+
+@pytest.mark.parametrize("digits", [1, 8, 9, 18])
+def test_names_of_every_length_around_word_boundaries(tmp_path, digits):
+    # names of 0 to 17 bytes, some of digits or of the keys' own bytes, so
+    # that a word read for a key or a number also holds part of a name
+    names = ["", "1", "9" * 7, "a" * 8, ", " * 4 + "x", "12345678", "ts_us: 1"]
+    names += ["n" * size for size in range(2, 18) if size not in (7, 8)]
+    start = 10 ** (digits - 1)
+    sender = {k: start + 10 * k for k in range(3)}
+    arrivals = {name: {k: sender[k] + i % 3 for k in range(i % 3, 3)} for i, name in enumerate(names)}
+    log = log_from_dicts(sender, arrivals)
+    path = tmp_path / "log.ndjson"
+    export_log(log, path)
+    data = path.read_bytes()
+    assert _parse_exported(data) == _parse_lines(data) == log
+
+
+# ----------------------------------------------------------------------
+# write_json: the bytes of json.dumps(data, sort_keys=True, indent=2)
+
+# characters json.dumps escapes, and ones that look like its separators
+ODD_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\%,: \n\t\x00\x1f\x7fé \U0001f600'), st.characters()), max_size=6
+)
+SPECIAL_FLOATS = st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e308, 0.1])
+NUMBERS = st.one_of(st.floats(), SPECIAL_FLOATS, st.integers(), st.integers(-(2**70), 2**70))
+SCALARS = st.one_of(st.none(), st.booleans(), NUMBERS, ODD_TEXT)
+# score and report shapes: nested dicts and lists of every scalar, empty ones too
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(ODD_TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@st.composite
+def matrix_documents(draw):
+    n = draw(st.integers(0, 6))
+    names = draw(st.lists(st.one_of(ODD_TEXT, st.just('", "')), min_size=n, max_size=n, unique=True))
+    values = draw(st.lists(st.lists(NUMBERS, min_size=n, max_size=n), min_size=n, max_size=n))
+    return {"receivers": names, "values": values}
+
+
+@st.composite
+def tree_documents(draw):
+    tree, _ = random_truth_tree(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), draw(st.integers(2, 12)))
+    if draw(st.booleans()):
+        # leaves are h00, h01, ...: a router named "%" + text takes none of their ids
+        tree = relabel_routers(tree, prefix="%" + draw(ODD_TEXT))
+    return tree.to_dict()
+
+
+@settings(max_examples=400)
+@given(st.one_of(matrix_documents(), tree_documents(), DOCUMENTS))
+def test_write_json_writes_the_bytes_of_json_dumps(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        logio.write_json(data, path, "document")
+        assert path.read_bytes() == (json.dumps(data, sort_keys=True, indent=2) + "\n").encode("utf-8")

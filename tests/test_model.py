@@ -249,6 +249,35 @@ def test_matrix_from_dict_refuses_receivers_other_than_strings(receivers):
         CovarianceMatrix.from_dict({"receivers": receivers, "values": [[1.0, 0.5], [0.5, 1.0]]})
 
 
+def test_matrix_constructor_refuses_an_asymmetric_matrix():
+    # accepted before, recover_tree read one triangle of it (a router labeled 1.0)
+    with pytest.raises(InputError) as exc:
+        CovarianceMatrix(("a", "b"), np.array([[5.0, 4.0], [1.0, 5.0]]))
+    assert str(exc.value) == "entry ('a', 'b') is 4.0 but ('b', 'a') is 1.0: not symmetric"
+
+
+@pytest.mark.parametrize("mirror", [float("nan"), 2.0], ids=["nan", "number"])
+def test_matrix_constructor_reads_nan_against_its_mirror(mirror):
+    values = np.array([[1.0, float("nan")], [mirror, 1.0]])
+    if np.isnan(mirror):
+        assert CovarianceMatrix(("a", "b"), values).receivers == ("a", "b")
+    else:
+        with pytest.raises(InputError, match=r"^entry \('a', 'b'\) is nan but \('b', 'a'\) is 2.0: not symmetric$"):
+            CovarianceMatrix(("a", "b"), values)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [(True, "is True, not a number"), (None, "is nan, not finite"), (float("inf"), "is inf, not finite")],
+)
+def test_matrix_from_dict_names_a_bad_entry_before_its_asymmetry(entry, message):
+    # numpy reads True as 1.0 and None as NaN, neither equal to the mirror's 2.0
+    data = {"receivers": ["a", "b"], "values": [[3.0, entry], [2.0, 3.0]]}
+    with pytest.raises(InputError) as exc:
+        CovarianceMatrix.from_dict(data)
+    assert str(exc.value) == f"entry ('a', 'b') {message}"
+
+
 def recursive_to_dict(tree, node):
     """The recursive form `RoutingTree.to_dict` had, as its reference."""
     cov = None if node in tree.leaves else tree.router_cov.get(node, 0.0)

@@ -148,7 +148,9 @@ def test_dfs_order_equals_recursive_reference_on_noisy_trees():
     for _ in range(30):
         tree, _ = random_truth_tree(rng, int(rng.integers(3, 40)))
         cov = covariance_matrix_from_tree(tree)
-        noisy = CovarianceMatrix(cov.receivers, cov.values + np.round(rng.normal(0, 0.3, cov.values.shape), 1))
+        noise = np.round(rng.normal(0, 0.3, cov.values.shape), 1)
+        # a matrix must be symmetric: each entry above the diagonal is mirrored below it
+        noisy = CovarianceMatrix(cov.receivers, cov.values + np.triu(noise) + np.triu(noise, 1).T)
         for m in (cov, noisy):
             assert dfs_order(m) == reference_bisect(m, sorted(m.receivers))
 
