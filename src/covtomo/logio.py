@@ -26,23 +26,33 @@ once per pair, and each receiver's recv records one ``%`` of its template
 repeated once per arrival, so C formats every number and Python works
 once per receiver, not once per line.
 
-`import_log` has two readers. `_parse_exported` parses the whole file in
-numpy passes, with no Python work per line. It takes only canonical
-lines, in any order, whose numbers have 1 to 18 digits (no sign, no
-leading zero, so below 10^18 and inside the log's 2^62 us range) and
-whose UTF-8 names need no escape (no ``"``, ``\``, or byte below 0x20),
-and returns None for anything else, including every log with an error.
-It reads lines in blocks, whose arrays stay in the processor's cache, and
-each line as little-endian words of eight bytes, gathered in four passes
-and never read past the line: a fixed token is one or more word compares,
-and a number is the length of its leading run of digits, found in each
-word at once, and the value of that run, combined from at most three
-words with simdjson's SWAR digit steps. `_parse_lines` reads any valid
-JSON records and is the only source of `LogFormatError`; it refuses a
-``ts_us`` of 2^62 or more in magnitude, which only it can read. The
-contract is that `_parse_exported` returns either None or a log equal to
-the one `_parse_lines` returns, so every log, message and line number is
-the line loop's.
+`import_log` has two readers, two tokenizers that hand the records of
+the whole file to one builder. `_build_log` alone applies the rules that
+need every record, and fills the log's columns. In this order, it
+refuses a log with no send record; a send index below the number of send
+records that has none, naming the smallest; send times that do not
+strictly increase; the first recv, in line order, at an unknown index or
+before its send; and a repeated recv. Per-line messages come from the
+line loop, whole-log messages from the builder.
+
+`_parse_exported` parses the whole file in numpy passes, with no Python
+work per line. It takes only canonical lines, in any order, whose
+numbers have 1 to 18 digits (no sign, no leading zero, so below 10^18
+and inside the log's 2^62 us range) and whose UTF-8 names need no escape
+(no ``"``, ``\``, or byte below 0x20), and returns None for anything
+else, including every log the builder refuses. It reads lines in blocks,
+whose arrays stay in the processor's cache, and each line as
+little-endian words of eight bytes, gathered in four passes and never
+read past the line: a fixed token is one or more word compares, and a
+number is the length of its leading run of digits, found in each word at
+once, and the value of that run, combined from at most three words with
+simdjson's SWAR digit steps. Its records carry no line numbers, and its
+indices are int64. `_parse_lines` reads any valid JSON records and is
+the only reader that raises `LogFormatError`; it refuses a ``ts_us`` of
+2^62 or more in magnitude, which only it can read. The contract is that
+`_parse_exported` returns either None or a log equal to the one
+`_parse_lines` returns, so every log, message and line number is the
+line loop's.
 
 Both read the bytes of one read of the file. `_parse_lines` reads them as
 `open` reads a file in text mode, line by line, so a line ends at
@@ -55,11 +65,11 @@ once by `json.loads`, whose message an ``invalid JSON`` error carries; an
 integer literal longer than Python's int string-conversion limit, and
 nesting deeper than the recursion limit, are ``invalid JSON`` errors too.
 The loop is the plain reference reader: no exported file reaches it, so it
-is written to be read, not to be fast. The records fill {k: ts} dicts.
-Checks that need every send record run after the last line: first gaps
-and order among the send records, then unknown indices and early
-arrivals, in line order, over one (line, receiver, k, ts) tuple kept per
-recv line. The checked dicts then fill the log's columns.
+is written to be read, not to be fast. Each line's own checks run as it
+is read, a repeated send or recv among them, so any error on a line
+beats every whole-log error. After the last line the loop hands the
+builder its records, each recv with its line, and the indices as Python
+ints in object arrays, so that an index past int64 is named exactly.
 
 Trees, matrices, scores and reports are written by `write_json` in the
 bytes of ``json.dumps(data, sort_keys=True, indent=2)`` and a newline.
@@ -157,17 +167,19 @@ def _field(record: dict, name: str, kind, lineno: int):
 def import_log(path) -> MeasurementLog:
     """Parse and validate an NDJSON measurement log.
 
-    Raises LogFormatError (with the offending line number) on malformed
-    records, a ``ts_us`` of 2^62 or more in magnitude, duplicate send/recv
-    entries, non-monotone sender timestamps, unknown pair indices, or
-    arrivals before the matching send.
+    Raises LogFormatError, with the offending line number, on a line the
+    loop refuses: a malformed record, a ``ts_us`` of 2^62 or more in
+    magnitude, or a repeated send or recv. Raises it, as `_build_log` words
+    it, on a log that breaks a whole-log rule: no send record, a missing
+    send index, non-monotone sender timestamps, or a recv at an unknown
+    pair index or before its send, which names the recv's line.
 
     A file in the canonical bytes `export_log` writes is parsed in
     whole-array passes (`_parse_exported`). Any other file, and every file
-    with an error, goes through the line loop (`_parse_lines`), which alone
-    defines the messages and line numbers; the array reader returns either
-    nothing or a log equal to the loop's (see the module docstring). A file
-    that cannot be read raises DataError naming it.
+    with an error, goes through the line loop (`_parse_lines`); the array
+    reader returns either nothing or a log equal to the loop's (see the
+    module docstring). A file that cannot be read raises DataError naming
+    it.
     """
     try:
         data = Path(path).read_bytes()
@@ -324,16 +336,15 @@ def _parse_exported(data: bytes) -> MeasurementLog | None:
     1 to 18 digits without sign or leading zero. Names must not hold ``"``,
     ``\``, or a byte below 0x20, so no escape sequence and no line break can
     appear in one, and must be UTF-8; UTF-8 byte order is str order, so
-    `np.unique` gives the receivers sorted. The checks of the line loop run
-    on the arrays, and a log that fails any of them is left to that loop,
-    for its error.
+    `np.unique` gives the receivers sorted. A log that `_build_log`
+    refuses is left to the line loop, for its error.
 
     Line ends are found _SCAN_BYTES at a time, and the lines read
     _BLOCK_LINES at a time by `_read_lines`, a little-endian word of eight
     bytes at a time: each fixed token is compared as one or more words,
     and each number parsed from at most three (`_numbers`). The blocks'
-    columns are then joined, and the names, indices and timestamps checked
-    over the whole file.
+    columns are then joined, the names checked and ranked, and the records
+    handed to `_build_log`.
     """
     a = np.frombuffer(data, np.uint8)
     if a.size == 0 or a[-1] != 10:
@@ -352,35 +363,14 @@ def _parse_exported(data: bytes) -> MeasurementLog | None:
         blocks.append(block)
     send, k, ts, name_lo, size = (np.concatenate(column) for column in zip(*blocks))
     del blocks
-    recv = ~send
     ids, row = _receiver_rows(a, name_lo, size)
     if ids is None:
         return None
-
-    sender_k = k[send]
-    n = sender_k.size
-    if n == 0 or sender_k.max() >= n:
+    recv = ~send
+    try:
+        return _build_log(ids, k[send], ts[send], row, k[recv], ts[recv])
+    except LogFormatError:
         return None
-    seen = np.zeros(n, bool)
-    seen[sender_k] = True
-    if not seen.all():
-        return None
-    sender = np.zeros(n, np.int64)
-    sender[sender_k] = ts[send]
-    if (np.diff(sender) <= 0).any():
-        return None
-    recv_k, recv_ts = k[recv], ts[recv]
-    if recv_k.size and (recv_k.max() >= n or (recv_ts < sender[recv_k]).any()):
-        return None
-    # each recv line's cell of the (receiver, k) columns, flattened
-    cell = row * n + recv_k
-    present = np.zeros(len(ids) * n, bool)
-    present[cell] = True
-    if present.sum() != recv_k.size:
-        return None
-    arrivals = np.zeros(len(ids) * n, np.int64)
-    arrivals[cell] = recv_ts
-    return MeasurementLog(ids, sender, arrivals.reshape(-1, n), present.reshape(-1, n))
 
 
 # bytes scanned for line ends, and lines read, per block: a block's
@@ -483,11 +473,12 @@ def _receiver_rows(a: np.ndarray, lo: np.ndarray, size: np.ndarray):
 def _parse_lines(data: bytes) -> MeasurementLog:
     """Parse and validate a log one text-mode line at a time, as `open`
     reads a file in text mode; see the module docstring for the
-    line-numbering contract."""
-    sender_ts: dict[int, int] = {}
-    arrivals: dict[str, dict[int, int]] = {}
-    # (line, receiver, k, ts) per recv line, for the checks that need every send record
-    recvs: list[tuple[int, str, int, int]] = []
+    line-numbering contract. Each line's own checks run here, and the
+    whole-log rules in `_build_log`."""
+    # the send indices and (receiver, index) pairs read so far
+    sent, heard = set(), set()
+    # (k, ts) per send line and (receiver, k, ts, line) per recv line, in line order
+    sends, recvs = [], []
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -515,55 +506,96 @@ def _parse_lines(data: bytes) -> MeasurementLog:
                 ts = _field(record, "ts_us", int, lineno)
                 if not -TIMESTAMP_LIMIT_US < ts < TIMESTAMP_LIMIT_US:
                     raise LogFormatError(_TS_RANGE, lineno)
-                if k in sender_ts:
+                if k in sent:
                     raise LogFormatError(f"duplicate send record for k={k}", lineno)
                 if k < 0:
                     raise LogFormatError("pair index must be non-negative", lineno)
-                sender_ts[k] = ts
+                sent.add(k)
+                sends.append((k, ts))
             elif rtype == "recv":
                 k = _field(record, "k", int, lineno)
                 ts = _field(record, "ts_us", int, lineno)
                 receiver = _field(record, "receiver", str, lineno)
                 if not -TIMESTAMP_LIMIT_US < ts < TIMESTAMP_LIMIT_US:
                     raise LogFormatError(_TS_RANGE, lineno)
-                entries = arrivals.setdefault(receiver, {})
-                if k in entries:
+                if (receiver, k) in heard:
                     raise LogFormatError(f"duplicate recv record for ({receiver!r}, k={k})", lineno)
-                entries[k] = ts
-                recvs.append((lineno, receiver, k, ts))
+                heard.add((receiver, k))
+                recvs.append((receiver, k, ts, lineno))
             else:
                 raise LogFormatError(f"unknown record type {rtype!r}", lineno)
 
-    if not sender_ts:
-        raise LogFormatError("log contains no send records")
-    n_pairs = max(sender_ts) + 1
-    if n_pairs != len(sender_ts):
-        # len(sender_ts) distinct non-negative indices, one of them above
-        # len(sender_ts) - 1: one below len(sender_ts) is absent
-        missing = next(k for k in range(len(sender_ts)) if k not in sender_ts)
-        raise LogFormatError(f"missing send record for k={missing}")
-    for k in range(1, n_pairs):
-        if sender_ts[k] <= sender_ts[k - 1]:
-            raise LogFormatError(f"sender timestamps not strictly increasing at k={k}")
-    for lineno, receiver, k, ts in recvs:
-        sent = sender_ts.get(k)
-        if sent is None:
-            raise LogFormatError(f"recv for unknown pair index k={k}", lineno)
-        if ts < sent:
-            raise LogFormatError(
-                f"arrival at {ts} before send at {sent} for ({receiver!r}, k={k})", lineno
-            )
+    # object arrays hold every index exactly, however far past int64
+    send_k, send_ts = np.array(sends, object).reshape(-1, 2).T
+    names, recv_k, recv_ts, lines = np.array(recvs, object).reshape(-1, 4).T
+    ids = sorted(set(names))
+    rank = {name: i for i, name in enumerate(ids)}
+    row = np.array([rank[name] for name in names.tolist()], np.intp)
+    return _build_log(ids, send_k, send_ts, row, recv_k, recv_ts, lines)
 
-    del recvs
-    ids = sorted(arrivals)
-    sender = np.array([sender_ts[k] for k in range(n_pairs)], dtype=np.int64)
-    present = np.zeros((len(ids), n_pairs), dtype=bool)
-    recv = np.zeros((len(ids), n_pairs), dtype=np.int64)
-    for i, receiver in enumerate(ids):
-        keys = list(arrivals[receiver])
-        present[i, keys] = True
-        recv[i, keys] = list(arrivals[receiver].values())
-    return MeasurementLog(ids, sender, recv, present)
+
+def _build_log(ids, send_k, send_ts, row, recv_k, recv_ts, recv_line=None) -> MeasurementLog:
+    """The log of a set of records, after the whole-log rules: the one
+    place that applies them and fills the log's columns.
+
+    ``ids`` are the receivers, sorted. Send record j is (send_k[j],
+    send_ts[j]) and recv record j is (ids[row[j]], recv_k[j], recv_ts[j]),
+    the recvs in line order, recv j on line recv_line[j] when line numbers
+    are given. Indices are int64, or Python ints in object arrays when they
+    may lie past int64; send indices are non-negative. The rules raise
+    LogFormatError, in this order, when there is no send record; when an
+    index below the number of send records has none (the smallest is
+    named); when send times do not strictly increase; on the first recv at
+    an unknown index or before its send; and on the first recv that repeats
+    an earlier one. A recv's error names its line when lines are given.
+
+    Passing int64 columns costs no copy of an index column: the masks of
+    out-of-range indices are built only after a min/max test fails.
+    """
+    n = send_k.size
+    if not n:
+        raise LogFormatError("log contains no send records")
+    seen = np.zeros(n, bool)
+    # an index of n or more, even past int64, marks nothing
+    seen[np.asarray(send_k if send_k.max() < n else send_k[send_k < n], np.intp)] = True
+    if not seen.all():
+        raise LogFormatError(f"missing send record for k={seen.argmin()}")
+    sender = np.zeros(n, np.int64)
+    sender[np.asarray(send_k, np.intp)] = send_ts
+    late = np.diff(sender) <= 0
+    if late.any():
+        raise LogFormatError(f"sender timestamps not strictly increasing at k={late.argmax() + 1}")
+
+    def line(i):
+        return None if recv_line is None else recv_line[i]
+
+    # no index is unknown until the min/max test fails: a view of one False
+    known, unknown = recv_k, np.broadcast_to(False, recv_k.shape)
+    if recv_k.size and (recv_k.min() < 0 or recv_k.max() >= n):
+        unknown = (recv_k < 0) | (recv_k >= n)
+        known = np.where(unknown, 0, recv_k)
+    known = np.asarray(known, np.intp)
+    bad = unknown | (recv_ts < sender[known])
+    if bad.any():
+        i = bad.argmax()
+        if unknown[i]:
+            raise LogFormatError(f"recv for unknown pair index k={recv_k[i]}", line(i))
+        message = f"arrival at {recv_ts[i]} before send at {sender[known[i]]} for ({ids[row[i]]!r}, k={recv_k[i]})"
+        raise LogFormatError(message, line(i))
+    # freed before the columns are allocated, which sets the reader's peak
+    del bad
+    # each recv's cell of the (receiver, k) columns, flattened
+    cell = row * n + known
+    present = np.zeros(len(ids) * n, bool)
+    present[cell] = True
+    if present.sum() != recv_k.size:
+        # the first recv, in line order, whose cell an earlier recv filled
+        order = np.argsort(cell, kind="stable")
+        i = order[1:][np.diff(cell[order]) == 0].min()
+        raise LogFormatError(f"duplicate recv record for ({ids[row[i]]!r}, k={recv_k[i]})", line(i))
+    arrivals = np.zeros(len(ids) * n, np.int64)
+    arrivals[cell] = recv_ts
+    return MeasurementLog(ids, sender, arrivals.reshape(-1, n), present.reshape(-1, n))
 
 
 def write_json(data, path, what: str) -> None:

@@ -492,8 +492,9 @@ class CovarianceMatrix:
     """Symmetric matrix of pairwise path-delay covariances (ms^2) over an
     ordered list of distinct receivers. The constructor refuses a repeated
     receiver, a shape that does not match, or an entry unequal to its
-    mirror (a NaN whose mirror is NaN is equal), so recovery, which reads
-    one triangle, never meets an asymmetric matrix."""
+    mirror (a NaN whose mirror is NaN is equal), and makes ``values``
+    read-only, as a log's columns are, so recovery, which reads one
+    triangle, never meets an asymmetric matrix."""
 
     receivers: tuple[NodeId, ...]
     values: np.ndarray
@@ -518,6 +519,7 @@ class CovarianceMatrix:
                     f"entry ({names[i]!r}, {names[j]!r}) is {v[i, j]} but "
                     f"({names[j]!r}, {names[i]!r}) is {v[j, i]}: not symmetric"
                 )
+        v.flags.writeable = False
 
     def index(self, receiver: NodeId) -> int:
         try:
@@ -529,8 +531,6 @@ class CovarianceMatrix:
         return float(self.values[self.index(a), self.index(b)])
 
     def validate(self) -> None:
-        if not np.array_equal(self.values, self.values.T):
-            raise InvariantError("covariance matrix is not exactly symmetric")
         if np.any(np.diag(self.values) < 0):
             raise InvariantError("negative variance on the diagonal")
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from covtomo import logio
 from covtomo.errors import LogFormatError
 from covtomo.logio import (
+    _build_log,
     _parse_exported,
     _parse_lines,
     export_log,
@@ -599,6 +600,144 @@ def test_exported_reader_leaves_names_that_are_not_utf8_to_the_loop():
     data = base_text().encode("utf-8")
     assert _parse_exported(data) is not None
     assert _parse_exported(data.replace(b'"b"', b'"\xff"')) is None
+
+
+# ----------------------------------------------------------------------
+# the whole-log rules: _build_log against the dict-form reference
+
+
+def reference_log(sender_ts, arrivals, recvs):
+    """The whole-log rules as the line loop applied them in dict form, after
+    its last line, before `_build_log` took them over. ``sender_ts`` is
+    {k: ts} and ``arrivals`` {receiver: {k: ts}} over every record, with no
+    repeat, and ``recvs`` holds one (line, receiver, k, ts) per recv, in
+    line order."""
+    if not sender_ts:
+        raise LogFormatError("log contains no send records")
+    n_pairs = max(sender_ts) + 1
+    if n_pairs != len(sender_ts):
+        # len(sender_ts) distinct non-negative indices, one of them above
+        # len(sender_ts) - 1: one below len(sender_ts) is absent
+        missing = next(k for k in range(len(sender_ts)) if k not in sender_ts)
+        raise LogFormatError(f"missing send record for k={missing}")
+    for k in range(1, n_pairs):
+        if sender_ts[k] <= sender_ts[k - 1]:
+            raise LogFormatError(f"sender timestamps not strictly increasing at k={k}")
+    for lineno, receiver, k, ts in recvs:
+        sent = sender_ts.get(k)
+        if sent is None:
+            raise LogFormatError(f"recv for unknown pair index k={k}", lineno)
+        if ts < sent:
+            raise LogFormatError(f"arrival at {ts} before send at {sent} for ({receiver!r}, k={k})", lineno)
+
+    ids = sorted(arrivals)
+    sender = np.array([sender_ts[k] for k in range(n_pairs)], dtype=np.int64)
+    present = np.zeros((len(ids), n_pairs), dtype=bool)
+    recv = np.zeros((len(ids), n_pairs), dtype=np.int64)
+    for i, receiver in enumerate(ids):
+        keys = list(arrivals[receiver])
+        present[i, keys] = True
+        recv[i, keys] = list(arrivals[receiver].values())
+    return MeasurementLog(ids, sender, recv, present)
+
+
+# indices at and past the ends of int64, and one well inside it
+FAR_K = [2**63 - 1, 2**63, 2**70, 10**18]
+
+
+@st.composite
+def record_sets(draw):
+    """(sender_ts, arrivals, recvs) of a set of records with no repeat, in
+    the forms `reference_log` takes: send indices with or without gaps,
+    some far past int64; send times increasing, tied or falling; recvs at
+    negative, unknown and far indices, or before, at or after their send;
+    receivers without a recv; and every record on its own line in
+    shuffled order, with blank lines between some."""
+    m = draw(st.integers(0, 6))
+    if draw(st.sampled_from([True, True, False])):
+        send_k = list(range(m))
+    else:
+        send_k = draw(st.lists(st.one_of(st.integers(0, m + 1), st.sampled_from(FAR_K)), max_size=m, unique=True))
+    # a narrow span of send times gives ties
+    span = draw(st.sampled_from([4 * m, 1000, 1000]))
+    times = draw(st.lists(st.integers(-span, span), min_size=len(send_k), max_size=len(send_k)))
+    if draw(st.sampled_from([True, True, False])):
+        times.sort()
+    sent = dict(zip(sorted(send_k), times))
+    names = draw(st.lists(st.sampled_from(["a", "b", "c'd", "é", ""]), max_size=4, unique=True))
+    sent_k = st.sampled_from(list(sent)) if sent else st.nothing()
+    far_k = st.sampled_from(FAR_K + [-(2**63), -(2**63) - 1])
+    recv_k = st.one_of(sent_k, sent_k, sent_k, st.integers(-2, m + 1), far_k)
+    records = [(None, k, ts) for k, ts in sent.items()]
+    delay = st.one_of(st.integers(-10, -1), st.just(0), st.integers(0, 20))
+    for receiver in names:
+        for k in draw(st.sets(recv_k, max_size=4)):
+            ts = sent[k] + draw(delay) if k in sent else draw(st.integers(-1000, 2000))
+            records.append((receiver, k, ts))
+    sender_ts, arrivals, recvs = {}, {r: {} for r in names}, []
+    lineno = 0
+    for receiver, k, ts in draw(st.permutations(records)):
+        lineno += draw(st.sampled_from([1, 1, 2]))
+        if receiver is None:
+            sender_ts[k] = ts
+        else:
+            arrivals[receiver][k] = ts
+            recvs.append((lineno, receiver, k, ts))
+    return sender_ts, arrivals, recvs
+
+
+def build_from(sender_ts, arrivals, recvs, dtype=object, lines=True):
+    """`_build_log` over the records, with its index columns in ``dtype``
+    and the recvs' lines or none."""
+    ids = sorted(arrivals)
+    row = np.array([ids.index(receiver) for _, receiver, _, _ in recvs], np.intp)
+    recv_k = np.array([k for _, _, k, _ in recvs], dtype)
+    recv_ts = np.array([ts for _, _, _, ts in recvs], np.int64)
+    send_k, send_ts = np.array(list(sender_ts), dtype), np.array(list(sender_ts.values()), np.int64)
+    recv_line = [line for line, _, _, _ in recvs] if lines else None
+    return _build_log(ids, send_k, send_ts, row, recv_k, recv_ts, recv_line)
+
+
+def fits_int64(sender_ts, recvs) -> bool:
+    return all(-(2**63) <= k < 2**63 for k in [*sender_ts, *(k for _, _, k, _ in recvs)])
+
+
+@settings(max_examples=600)
+@given(record_sets(), st.data())
+def test_build_log_applies_the_reference_rules(records, data):
+    sender_ts, arrivals, recvs = records
+    expected = outcome(lambda r: reference_log(*r), records)
+    # the line loop's form: indices as Python ints in object arrays, with lines
+    assert outcome(lambda r: build_from(*r), records) == expected
+    if not fits_int64(sender_ts, recvs):
+        return
+    # the array reader's form: int64 indices, no lines, and records that may
+    # repeat, which must be refused
+    unlined = [(None, *recv) for _, *recv in recvs]
+    expected = outcome(lambda r: reference_log(*r), (sender_ts, arrivals, unlined))
+    assert outcome(lambda r: build_from(*r, np.int64, False), records) == expected
+    if sender_ts:
+        k = data.draw(st.sampled_from(list(sender_ts)))
+        send_k = np.array([*sender_ts, k])
+        send_ts = np.array([*sender_ts.values(), sender_ts[k]])
+        with pytest.raises(LogFormatError):
+            _build_log(sorted(arrivals), send_k, send_ts, np.zeros(0, np.intp), send_k[:0], send_ts[:0])
+    if recvs:
+        repeated = data.draw(st.sampled_from(recvs))
+        at = data.draw(st.integers(0, len(recvs)))
+        with pytest.raises(LogFormatError):
+            build_from(sender_ts, arrivals, recvs[:at] + [repeated] + recvs[at:], np.int64, False)
+
+
+@pytest.mark.parametrize("k", [-1, -(2**63) - 1, 2**63 - 1, 2**63, 2**70])
+def test_loop_names_an_unknown_index_exactly(k):
+    text = SEND0 + "\n" + SEND1 + "\n" + recv("a", k, 150) + "\n"
+    assert outcome(_parse_lines, text.encode()) == (f"line 3: recv for unknown pair index k={k}", 3)
+
+
+def test_loop_reads_a_send_index_past_int64_as_a_gap():
+    text = SEND0 + '\n{"type": "send", "k": ' + str(2**70) + ', "ts_us": 900}\n'
+    assert outcome(_parse_lines, text.encode()) == ("missing send record for k=1", None)
 
 
 # the characters json.dumps writes unescaped

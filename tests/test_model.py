@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from covtomo.accuracy import _shared_len
+from covtomo.delay_cov import build_covariance_matrix
 from covtomo.errors import InputError, InvariantError
+from covtomo.logio import load_matrix, save_matrix
 from covtomo.model import (
     CovarianceMatrix,
     RoutingTree,
@@ -16,6 +18,7 @@ from treegen import (
     build_tree,
     cluster_family,
     covariance_matrix_from_tree,
+    log_from_dicts,
     random_truth_tree,
     relabel_routers,
     shared_covariance,
@@ -264,6 +267,32 @@ def test_matrix_constructor_reads_nan_against_its_mirror(mirror):
     else:
         with pytest.raises(InputError, match=r"^entry \('a', 'b'\) is nan but \('b', 'a'\) is 2.0: not symmetric$"):
             CovarianceMatrix(("a", "b"), values)
+
+
+def built_matrix(tmp_path):
+    arrivals = {"a": {k: 100 * k + k * k for k in range(4)}, "b": {1: 160, 3: 333}}
+    log = log_from_dicts({k: 100 * k for k in range(4)}, arrivals)
+    return build_covariance_matrix(log, log.ids)
+
+
+def loaded_matrix(tmp_path):
+    save_matrix(built_matrix(tmp_path), tmp_path / "cov.json")
+    return load_matrix(tmp_path / "cov.json")
+
+
+def hand_built_matrix(tmp_path):
+    return CovarianceMatrix(("a", "b"), np.array([[2.0, 0.5], [0.5, 3.0]]))
+
+
+@pytest.mark.parametrize("make", [built_matrix, loaded_matrix, hand_built_matrix])
+def test_matrix_values_are_read_only(tmp_path, make):
+    # a write into one triangle would make recovery, which reads the other, see another matrix
+    cov = make(tmp_path)
+    with pytest.raises(ValueError, match="read-only"):
+        cov.values[0, 1] = 9.0
+    with pytest.raises(ValueError, match="read-only"):
+        cov.values += 1.0
+    assert cov.values[0, 1] == cov.values[1, 0] != 9.0
 
 
 @pytest.mark.parametrize(
