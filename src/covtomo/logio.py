@@ -41,18 +41,19 @@ numbers have 1 to 18 digits (no sign, no leading zero, so below 10^18
 and inside the log's 2^62 us range) and whose UTF-8 names need no escape
 (no ``"``, ``\``, or byte below 0x20), and returns None for anything
 else, including every log the builder refuses. It reads lines in blocks,
-whose arrays stay in the processor's cache, and each line as
-little-endian words of eight bytes, gathered in four passes and never
-read past the line: a fixed token is one or more word compares, and a
-number is the length of its leading run of digits, found in each word at
-once, and the value of that run, combined from at most three words with
-simdjson's SWAR digit steps. Its records carry no line numbers, and its
-indices are int64. `_parse_lines` reads any valid JSON records and is
-the only reader that raises `LogFormatError`; it refuses a ``ts_us`` of
-2^62 or more in magnitude, which only it can read. The contract is that
-`_parse_exported` returns either None or a log equal to the one
-`_parse_lines` returns, so every log, message and line number is the
-line loop's.
+whose arrays stay in the processor's cache, and each line as rows of its
+bytes, gathered in four passes and never read past the line: a head row
+from its start, a back row up to its end, and the two keys between its
+numbers. A fixed token is one or more compares of eight-byte words of a
+row, and a number is read from the bytes of a row: the length of its run
+of digits is where the first byte that is no digit lies, and its value is
+built one decimal column at a time. Its records carry no line numbers,
+and its indices are int64. `_parse_lines` reads any valid JSON records
+and is the only reader that raises `LogFormatError`; it refuses a
+``ts_us`` of 2^62 or more in magnitude, which only it can read. The
+contract is that `_parse_exported` returns either None or a log equal to
+the one `_parse_lines` returns, so every log, message and line number is
+the line loop's.
 
 Both read the bytes of one read of the file. `_parse_lines` reads them as
 `open` reads a file in text mode, line by line, so a line ends at
@@ -193,11 +194,10 @@ def import_log(path) -> MeasurementLog:
 _UNDECODED = re.compile("[\udc80-\udcff]")
 _TS_RANGE = "field 'ts_us' must lie strictly between -2^62 and 2^62"
 
-# the shortest record: every word read below lies inside a line this long
+# the shortest record: every row read below lies inside a line this long
 _SHORTEST = len(_HEAD + b"0" + _SEND_TS + b"0" + _SEND_TAIL)
-# each byte 1; byte i of a little-endian word is the byte at its address + i
-_ONES = 0x0101010101010101
-_POW10 = np.uint64(10) ** np.arange(19, dtype=np.uint64)
+# the bytes a row holds of a number: 18 digits and the byte that ends them
+_DIGITS = 19
 
 
 def _windows(a: np.ndarray, width: int) -> np.ndarray:
@@ -210,122 +210,46 @@ def _word(token: bytes) -> int:
     return int.from_bytes(token[:8], "little")
 
 
-def _gather_words(a: np.ndarray, at: np.ndarray, offsets) -> list[np.ndarray]:
-    """For each offset o, the little-endian words a[at + o:at + o + 8], as
-    views into one gather of the bytes they span: a numpy gather costs
-    about the same per position whatever its width, and far more than an
-    elementwise step."""
-    if not at.size:
-        return [np.zeros(0, np.uint64) for _ in offsets]
-    lo = min(offsets)
-    width = max(offsets) + 8 - lo
-    window = _windows(a, width)[at + lo]
-    return [np.ndarray(at.shape, "<u8", window, o - lo, (width,)) for o in offsets]
+def _rows(a: np.ndarray, at: np.ndarray, lo: int, width: int) -> np.ndarray:
+    """The bytes a[at + lo:at + lo + width] of each position, as the rows
+    of one gather: a numpy gather costs about the same per position
+    whatever its width, and far more than an elementwise step."""
+    return _windows(a, width)[at + lo].view(np.uint8).reshape(at.size, width)
 
 
-def _digit_runs(words: np.ndarray, high: bool):
-    """(mask, length) of the run of digits that begins each word, in its
-    low bytes, or ends it, in its high bytes, when ``high``: the mask is
-    0xFF in the run's bytes and 0 elsewhere, the length 0 to 8. A byte is
-    a digit iff its xor with '0' is below 10, tested on all eight bytes at
-    once with no carry between them, so every byte value reads right. The
-    steps work in place: a new array per step costs more than the step."""
-    t = words ^ (0x30 * _ONES)
-    # bit 7 of each byte that is not a digit
-    other = t & (0x7F * _ONES)
-    other += 0x76 * _ONES
-    other |= t
-    other &= 0x80 * _ONES
-    if high:
-        other.byteswap(inplace=True)
-    # 0xFF in the bytes below the lowest non-digit, all eight if none
-    mask = -other
-    mask &= other
-    mask >>= 7
-    mask -= 1
-    length = mask & _ONES
-    length *= _ONES
-    length >>= 56
-    if high:
-        mask.byteswap(inplace=True)
-    return mask, length
+def _words(rows: np.ndarray, *offsets: int) -> list[np.ndarray]:
+    """For each offset o, the little-endian words rows[:, o:o + 8], as views."""
+    return [rows[:, o : o + 8].view("<u8")[:, 0] for o in offsets]
 
 
-def _eight_digits(words: np.ndarray) -> np.ndarray:
-    """The decimal value of each word's eight bytes, the first byte most
-    significant, from each byte's low four bits (simdjson's SWAR steps,
-    in place): a byte 0x00 reads as a leading zero. Overwrites ``words``."""
-    words &= 0x0F * _ONES
-    words *= 2561
-    words >>= 8
-    words &= 0x00FF00FF00FF00FF
-    words *= 6553601
-    words >>= 16
-    words &= 0x0000FFFF0000FFFF
-    words *= 42949672960001
-    words >>= 32
-    return words
+def _numbers(rows: np.ndarray, backward: bool):
+    """(values, digit counts) of the numbers in head rows, each the run of
+    digits after _HEAD, or, when ``backward``, in back rows, each the run
+    that ends before the tail; None unless every run has 1 to 18 digits and
+    no leading zero. A row holds _DIGITS bytes of its number, and the
+    argmin of a row of digits alone is 0, so a run of 19 digits or more
+    reads as a run of none.
 
-
-def _numbers(a: np.ndarray, at: np.ndarray, before: bool, gathered=()):
-    """(values, digit counts) of the runs of digits that begin at each
-    a[at], or end just before it when ``before``; None unless every run
-    has 1 to 18 digits and no leading zero.
-
-    A run is read one word of eight bytes at a time, up to three words
-    from ``at`` onward (or back), a word counting only while the words
-    before it held nothing but digits. ``gathered`` holds the first of
-    these words when the caller has them; the rest are gathered here, for
-    every position. A word's digits are moved to its high bytes, so that
-    its last byte holds the last digit and the bytes below read as leading
-    zeros; below 10**18, no uint64 step of a kept run overflows.
+    A byte is a digit iff it less 48 is below 10, in uint8 arithmetic,
+    which wraps. The value is built one column at a time over the longest
+    run, most significant digit first, each row taking only its own run.
     """
-    size = np.zeros(at.size, np.uint64)
-    going = True
-    for word in range(3):
-        if word < len(gathered):
-            w = gathered[word]
-        elif before:
-            pos = at - 8 * (word + 1)
-            # a word before the buffer holds no digit of a record
-            if ((pos < 0) & going).any():
-                return None
-            (w,) = _gather_words(a, np.maximum(pos, 0), (0,))
-        else:
-            (w,) = _gather_words(a, at, (8 * word,))
-        mask, run = _digit_runs(w, high=before)
-        if word:
-            run *= going
-            # no run reaches this word: every value is complete
-            if not run.any():
-                break
-            mask *= going
-        w = w & mask
-        if not before:
-            # masked, a run of no digits is 0 however far it shifts
-            w <<= 64 - 8 * run
-        digits = _eight_digits(w)
-        if not word:
-            value = digits
-        elif before:
-            digits *= 10 ** (8 * word)
-            value += digits
-        else:
-            value *= _POW10[run]
-            value += digits
-        size += run
-        going = run == 8
-        if not going.any():
-            break
-    else:
+    digits = rows - 48
+    # the number's bytes, from its first or back from its last
+    columns = np.s_[:, _DIGITS - 1 :: -1] if backward else np.s_[:, len(_HEAD) :]
+    size = np.argmin((digits < 10)[columns], axis=1)
+    if size.min() == 0:
         return None
-    size = size.astype(np.intp)
-    if size.min() == 0 or size.max() > 18:
-        return None
+    number = digits[columns]
+    value = np.zeros(len(rows), np.int64)
+    for j in range(size.max() - 1, -1, -1) if backward else range(size.max()):
+        inside = size > j
+        np.multiply(value, 10, out=value, where=inside)
+        np.add(value, number[:, j], out=value, where=inside)
     # a leading zero leaves fewer digits than the run has
-    if ((value < _POW10[size - 1]) & (size > 1)).any():
+    if ((value < 10 ** (size - 1)) & (size > 1)).any():
         return None
-    return value.view(np.int64), size
+    return value, size
 
 
 def _parse_exported(data: bytes) -> MeasurementLog | None:
@@ -340,9 +264,9 @@ def _parse_exported(data: bytes) -> MeasurementLog | None:
     refuses is left to the line loop, for its error.
 
     Line ends are found _SCAN_BYTES at a time, and the lines read
-    _BLOCK_LINES at a time by `_read_lines`, a little-endian word of eight
-    bytes at a time: each fixed token is compared as one or more words,
-    and each number parsed from at most three (`_numbers`). The blocks'
+    _BLOCK_LINES at a time by `_read_lines`, as rows of bytes gathered from
+    each line: each fixed token is compared as one or more words of a row,
+    and each number read from the bytes of one (`_numbers`). The blocks'
     columns are then joined, the names checked and ranked, and the records
     handed to `_build_log`.
     """
@@ -383,33 +307,37 @@ _BLOCK_LINES = 2**14
 def _read_lines(a: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     """(send, k, ts_us, name start, name size) of the lines a[starts:ends]
     when each is one of the two record templates, the name columns for
-    the recv lines alone, or None. Four gathers of words read every line:
-    its head and first word of k, from its start; the last two words of
-    ts_us and the tail, from its end; then, where the numbers end, the
-    ts_us key and, on recv lines, the receiver key. No read leaves its
-    line: a line is at least _SHORTEST bytes, and the keys' places are
-    checked before they are read."""
-    head, k_word = _gather_words(a, starts, (0, len(_HEAD)))
+    the recv lines alone, or None. Four gathers read every line: a head
+    row, its head and the _DIGITS bytes after it, from its start; a back
+    row, the _DIGITS bytes before its tail and the tail, from its end; then,
+    where the numbers end, the ts_us key and, on recv lines, the receiver
+    key. A fixed token is compared as one or more words of its row, and a
+    number is read from the bytes of its row (`_numbers`). No read leaves
+    its line: a line is at least _SHORTEST bytes, as long as a back row,
+    and the keys' places are checked before they are read."""
+    head = _rows(a, starts, 0, len(_HEAD) + _DIGITS)
     tail = ends - len(_SEND_TAIL)
+    back = _rows(a, tail, -_DIGITS, _DIGITS + len(_SEND_TAIL))
+    (head_word,) = _words(head, 0)
     # the tails differ only in their last word, the type
-    ts_1, ts_0, type_0, type_1, kind = _gather_words(a, tail, (-16, -8, 0, len(_TYPE) - 8, len(_SEND_TAIL) - 8))
+    type_0, type_1, kind = _words(back, _DIGITS, _DIGITS + len(_TYPE) - 8, _DIGITS + len(_SEND_TAIL) - 8)
     send = kind == _word(_SEND_TAIL[-8:])
     recv = ~send
     if not (send | (kind == _word(_RECV_TAIL[-8:]))).all():
         return None
     if not (
-        ((head & ((1 << 8 * len(_HEAD)) - 1)) == _word(_HEAD))
+        ((head_word & ((1 << 8 * len(_HEAD)) - 1)) == _word(_HEAD))
         & (type_0 == _word(_TYPE))
         & (type_1 == _word(_TYPE[-8:]))
     ).all():
         return None
 
-    parsed = _numbers(a, starts + len(_HEAD), False, [k_word])
+    parsed = _numbers(head, False)
     if parsed is None:
         return None
     k, size = parsed
     after_k = starts + len(_HEAD) + size
-    parsed = _numbers(a, tail, True, [ts_0, ts_1])
+    parsed = _numbers(back, True)
     if parsed is None:
         return None
     ts, size = parsed
@@ -424,12 +352,12 @@ def _read_lines(a: np.ndarray, starts: np.ndarray, ends: np.ndarray):
         return None
     # the bytes before ts_us: the last digit of k on a send line, the
     # name's closing quote on a recv line, then the key of both
-    quote, key = _gather_words(a, at_ts, (-len(_RECV_TS), -8))
+    quote, key = _words(_rows(a, at_ts, -len(_RECV_TS), len(_RECV_TS)), 0, len(_RECV_TS) - 8)
     if not ((key == _word(_RECV_TS[-8:])) & ((quote >> 8) == _word(_RECV_TS) >> 8)).all():
         return None
     if not (send | ((quote & 0xFF) == _RECV_TS[0])).all():
         return None
-    name_key = _gather_words(a, after_k[recv], (0, len(_RECV_NAME) - 8))
+    name_key = _words(_rows(a, after_k[recv], 0, len(_RECV_NAME)), 0, len(_RECV_NAME) - 8)
     if not ((name_key[0] == _word(_RECV_NAME)) & (name_key[1] == _word(_RECV_NAME[-8:]))).all():
         return None
     return send, k, ts, name_lo, size

@@ -464,6 +464,12 @@ MUTATIONS = [
     ("plus sign", swapped(1, '"k": 1', '"k": +1'), ("line 2: invalid JSON: Expecting value", 2), False),
     ("19-digit ts", swapped(4, '"ts_us": 390', '"ts_us": 1000000000000000000'), None, False),
     (
+        "24-digit ts",
+        swapped(4, '"ts_us": 390', '"ts_us": ' + "390" * 8),
+        ("line 5: field 'ts_us' must lie strictly between -2^62 and 2^62", 5),
+        False,
+    ),
+    (
         "19-digit k",
         swapped(2, '"k": 2', '"k": 1000000000000000000'),
         ("missing send record for k=2", None),
@@ -490,6 +496,13 @@ MUTATIONS = [
         "raw tab in name",
         swapped(5, '"b"', '"b\tq"'),
         ("line 6: invalid JSON: Invalid control character at", 6),
+        False,
+    ),
+    # the previous line's name and a raw NUL: one byte past a name it repeats
+    (
+        "raw NUL after a name",
+        swapped(4, '"a"', '"a\x00"'),
+        ("line 5: invalid JSON: Invalid control character at", 5),
         False,
     ),
     ("empty name", swapped(5, '"b"', '""'), None, True),
@@ -811,103 +824,85 @@ def test_tree_file_round_trip(seed, n_leaves, relay_prob, relabel):
 
 
 # ----------------------------------------------------------------------
-# the word kernels of the array reader
-
-
-def digit_run_reference(word: bytes, high: bool) -> int:
-    run = word[::-1] if high else word
-    return next((i for i, byte in enumerate(run) if not 48 <= byte <= 57), 8)
-
-
-def test_digit_runs_read_every_byte_value_in_every_place():
-    # eight digits with one byte of every value in each place, so a carry
-    # or a borrow between bytes would misread a neighbour
-    words = [bytearray(b"93857160") for _ in range(256 * 8)]
-    for i, word in enumerate(words):
-        word[i % 8] = i // 8
-    packed = np.frombuffer(b"".join(words), "<u8")
-    for high in (False, True):
-        mask, length = logio._digit_runs(packed, high)
-        want = [digit_run_reference(bytes(w), high) for w in words]
-        assert length.tolist() == want
-        for word, m, n in zip(words, mask.tolist(), want):
-            kept = m.to_bytes(8, "little")
-            inside = range(8 - n, 8) if high else range(n)
-            assert kept == bytes(255 if i in inside else 0 for i in range(8)), bytes(word)
-
-
-def test_eight_digits_is_the_decimal_value():
-    rng = np.random.default_rng(5)
-    texts = [b"00000000", b"99999999", b"10000000", b"00000001"]
-    texts += ["".join(map(str, rng.integers(0, 10, 8))).encode() for _ in range(200)]
-    words = np.frombuffer(b"".join(texts), "<u8").copy()
-    assert logio._eight_digits(words).tolist() == [int(t) for t in texts]
-
+# the numbers of the array reader, read from rows of bytes
 
 DIGIT_COUNTS = [1, 7, 8, 9, 15, 16, 17, 18]
 
 
-def number_lines(numbers, before):
-    """Send records with ``numbers`` as their ts_us when ``before``, else
-    as their k, and where `_numbers` reads them from: the first byte after
-    the number, or its first byte."""
-    line = b'{"k": 0, "ts_us": %s, "type": "send"}\n' if before else b'{"k": %s, "ts_us": 0, "type": "send"}\n'
-    data = b"".join(line % str(n).encode() for n in numbers)
-    a = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero(a == 10)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    return a, ends - len(logio._SEND_TAIL) if before else starts + len(logio._HEAD)
+def number_rows(lines, backward):
+    """The rows `_read_lines` gathers from ``lines``, each ending in a
+    newline: the back rows, the _DIGITS bytes before the tail and the tail,
+    when ``backward``, else the head rows, _HEAD and the _DIGITS bytes after
+    it."""
+    if backward:
+        rows = [line[-1 - logio._DIGITS - len(logio._SEND_TAIL) : -1] for line in lines]
+    else:
+        rows = [line[: len(logio._HEAD) + logio._DIGITS] for line in lines]
+    return np.frombuffer(b"".join(rows), np.uint8).reshape(len(rows), -1)
 
 
-@pytest.mark.parametrize("before", [False, True], ids=["k-forward", "ts-backward"])
-@pytest.mark.parametrize("gathered", [False, True], ids=["gathered-here", "first-words-given"])
-def test_numbers_of_every_length_on_the_first_and_last_line(before, gathered):
+@pytest.mark.parametrize("backward", [False, True], ids=["k-forward", "ts-backward"])
+def test_numbers_of_every_length_on_the_first_and_last_row(backward):
     numbers = [int("9" * n) if n % 2 else 10 ** (n - 1) + 7 for n in DIGIT_COUNTS]
-    # each length on the first line, then on the last, around a middle line
+    # each length on the first row, then on the last, around a middle row;
+    # the shortest send records fill their rows
     for n in numbers:
-        for lines in ([n, 5, 31], [31, 5, n]):
-            a, at = number_lines(lines, before)
-            words = ()
-            if gathered:
-                words = logio._gather_words(a, at, (-8,) if before else (0,))
-            values, sizes = logio._numbers(a, at, before, words)
-            assert values.tolist() == lines
-            assert sizes.tolist() == [len(str(x)) for x in lines]
+        for column in ([n, 5, 31], [31, 5, n]):
+            lines = [logio._SEND_LINE % ((0, x) if backward else (x, 0)) for x in column]
+            values, sizes = logio._numbers(number_rows(lines, backward), backward)
+            assert values.tolist() == column
+            assert sizes.tolist() == [len(str(x)) for x in column]
+    # a run of two digits, then (back, before it) a byte of every value but
+    # "0", which would lead a backward run: only a digit extends the run
+    others = [byte for byte in range(256) if byte != 48]
+    if backward:
+        lines = [b" " * 16 + bytes([byte]) + b"42" + logio._SEND_TAIL + b"\n" for byte in others]
+    else:
+        lines = [logio._HEAD + b"42" + bytes([byte]) + b" " * 16 + b"\n" for byte in others]
+    values, sizes = logio._numbers(number_rows(lines, backward), backward)
+    digit = [48 <= byte <= 57 for byte in others]
+    assert sizes.tolist() == [3 if d else 2 for d in digit]
+    for byte, d, value in zip(others, digit, values.tolist()):
+        assert value == (int(chr(byte) + "42" if backward else "42" + chr(byte)) if d else 42)
 
 
-@pytest.mark.parametrize("before", [False, True], ids=["k-forward", "ts-backward"])
+@pytest.mark.parametrize("field", ["k", "ts_us"])
 @pytest.mark.parametrize(
     "text, ok",
     [
-        (b"0", True),
-        (b"10", True),
-        (b"100000000", True),
-        (b"01", False),
-        (b"00", False),
-        (b"0" * 8, False),
-        (b"012345678", False),
-        (b"0" + b"7" * 16, False),
-        (b"9" * 19, False),
-        (b"9" * 24, False),
-        (b"9" * 30, False),
+        ("0", True),
+        ("10", True),
+        ("100000000", True),
+        ("01", False),
+        ("00", False),
+        ("0" * 8, False),
+        ("012345678", False),
+        ("0" + "7" * 16, False),
+        ("9" * 19, False),
+        ("9" * 24, False),
+        ("9" * 30, False),
     ],
 )
-def test_numbers_refuse_leading_zeros_and_19_digits(before, text, ok):
-    a, at = number_lines([text.decode(), 4], before)
-    parsed = logio._numbers(a, at, before)
-    assert (parsed is not None) == ok
-    if ok:
-        assert parsed[0].tolist() == [int(text), 4]
-
-
-def test_numbers_before_the_buffer_are_refused():
-    # 17 digits need a third word back, which would start before the buffer
-    data = b"1" * 17 + b", x\n"
-    assert logio._numbers(np.frombuffer(data, np.uint8), np.array([17]), True) is None
-    # 16 digits need it too, to find the byte before them
-    data = b" " * 8 + b"1" * 16 + b", x\n"
-    values, sizes = logio._numbers(np.frombuffer(data, np.uint8), np.array([24]), True)
-    assert (values.tolist(), sizes.tolist()) == ([int("1" * 16)], [16])
+def test_numbers_refuse_leading_zeros_and_19_digits(field, text, ok):
+    # eleven send records, then a recv record with the text as its k or ts_us
+    lines = [logio._SEND_LINE % (k, 10 * k) for k in range(11)]
+    k, ts = (text, "1000") if field == "k" else ("0", text)
+    lines.append(f'{{"k": {k}, "receiver": "a", "ts_us": {ts}, "type": "recv"}}\n'.encode())
+    data = b"".join(lines)
+    a = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(a == 10)
+    block = logio._read_lines(a, np.concatenate(([0], ends[:-1] + 1)), ends)
+    parsed = _parse_exported(data)
+    if not ok:
+        assert block is None and parsed is None
+        return
+    assert block[1 if field == "k" else 2][-1] == int(text)
+    expected = outcome(_parse_lines, data)
+    if isinstance(expected, MeasurementLog):
+        assert parsed == expected
+    else:
+        # k=100000000 is past the eleven sends: the loop's error
+        assert expected == ("line 12: recv for unknown pair index k=100000000", 12) and parsed is None
 
 
 @pytest.mark.parametrize("digits", DIGIT_COUNTS)
