@@ -852,6 +852,10 @@ def test_numbers_of_every_length_on_the_first_and_last_row(backward):
             values, sizes = logio._numbers(number_rows(lines, backward), backward)
             assert values.tolist() == column
             assert sizes.tolist() == [len(str(x)) for x in column]
+
+
+@pytest.mark.parametrize("backward", [False, True], ids=["k-forward", "ts-backward"])
+def test_a_run_ends_at_every_byte_but_a_digit(backward):
     # a run of two digits, then (back, before it) a byte of every value but
     # "0", which would lead a backward run: only a digit extends the run
     others = [byte for byte in range(256) if byte != 48]
@@ -866,7 +870,43 @@ def test_numbers_of_every_length_on_the_first_and_last_row(backward):
         assert value == (int(chr(byte) + "42" if backward else "42" + chr(byte)) if d else 42)
 
 
-@pytest.mark.parametrize("field", ["k", "ts_us"])
+# the bytes next to the digits ("/" and ":") and the row's usual ones first
+NOT_DIGITS = st.one_of(
+    st.sampled_from(b'/: ,"'), st.integers(0, 255).filter(lambda byte: not 48 <= byte <= 57)
+)
+
+
+@st.composite
+def number_bytes(draw):
+    """The _DIGITS bytes a row holds of its number, in reading order: a run
+    of 0 to 24 digits (cut at _DIGITS), then any bytes after a non-digit."""
+    run = draw(st.text("0123456789", max_size=24)).encode()
+    rest = bytes([draw(NOT_DIGITS)]) + draw(st.binary(min_size=logio._DIGITS, max_size=logio._DIGITS))
+    return (run + rest)[: logio._DIGITS]
+
+
+@pytest.mark.parametrize("backward", [False, True], ids=["k-forward", "ts-backward"])
+@settings(max_examples=300)
+@given(st.lists(number_bytes(), min_size=1, max_size=6))
+def test_numbers_read_any_rows_as_their_decimal_runs(backward, numbers):
+    if backward:
+        # a back row ends its number at the tail, so it reads right to left
+        rows = [number[::-1] + logio._SEND_TAIL for number in numbers]
+    else:
+        rows = [logio._HEAD + number for number in numbers]
+    parsed = logio._numbers(np.frombuffer(b"".join(rows), np.uint8).reshape(len(rows), -1), backward)
+    runs = [len(number) - len(number.lstrip(b"0123456789")) for number in numbers]
+    texts = [number[:size][::-1] if backward else number[:size] for number, size in zip(numbers, runs)]
+    if any(not 1 <= len(text) <= 18 or (len(text) > 1 and text[:1] == b"0") for text in texts):
+        assert parsed is None
+        return
+    values, sizes = parsed
+    assert sizes.tolist() == runs
+    assert values.tolist() == [int(text) for text in texts]
+
+
+# k is read forward from the head row, ts_us backward from the back row
+@pytest.mark.parametrize("field", ["k", "ts_us"], ids=["k-forward", "ts-backward"])
 @pytest.mark.parametrize(
     "text, ok",
     [
